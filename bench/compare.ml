@@ -4,14 +4,16 @@
      dune exec bench/compare.exe -- BASELINE.json FRESH.json \
        [--threshold 0.25] [--io BASELINE_io.json FRESH_io.json]
 
-   Guards the columnar kernel speedups: for every row/columnar pair
-   below, the speedup (row ns / columnar ns) measured in FRESH must not
-   fall more than [threshold] below the speedup recorded in BASELINE.
-   Speedups are within-run ratios, so the check is meaningful across
-   machines, unlike absolute nanoseconds.  The committed baseline is
-   generated with the same `--quick` quota CI uses: the long
-   row-path benchmarks (f6's exact join) measure systematically
-   slower at full quota, so quota must match for ratios to compare.
+   Guards the columnar kernel speedups: for every reference/kernel pair
+   below, the speedup (reference ns / kernel ns) measured in FRESH must
+   not fall more than [threshold] below the speedup recorded in
+   BASELINE.  The reference row runs the kernel row's draw through the
+   row-at-a-time reference evaluator.  Speedups are within-run ratios,
+   so the check is meaningful across machines, unlike absolute
+   nanoseconds.  The committed baseline is generated with the same
+   `--quick` quota CI uses: the long reference benchmarks (f6's exact
+   join) measure systematically slower at full quota, so quota must
+   match for ratios to compare.
 
    With --io, the real-I/O counters of every row in the io report
    (pages_read, bytes_read, io_batches, page_cache_hits) are pinned
@@ -21,7 +23,7 @@
    The reader is a hand-rolled scan of the {"name", "ns_per_run"} rows
    — no JSON library in the dependency set. *)
 
-(* (row-path bench, columnar bench) pairs under guard. *)
+(* (reference bench, kernel bench) pairs under guard. *)
 let guarded_pairs =
   [
     ("f1-selection-n5000", "f1-selection-columnar");
@@ -34,6 +36,18 @@ let read_file path =
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
+
+(* A baseline that cannot be read fails the gate with one line saying
+   how to make it, not with an uncaught Sys_error.  [bench] is the
+   bench/main.exe argument list that writes the report. *)
+let read_baseline ~bench path =
+  try read_file path
+  with Sys_error _ ->
+    Printf.eprintf
+      "baseline %s missing: regenerate with `dune exec bench/main.exe -- %s` and \
+       commit it\n"
+      path bench;
+    exit 1
 
 (* "raestat/f1-selection-n5000" -> "f1-selection-n5000" *)
 let strip_prefix name =
@@ -576,7 +590,9 @@ let () =
       (b, f, threshold, io_paths, serve_paths, plans_paths, stream_paths)
     | _ -> usage ()
   in
-  let baseline_content = read_file baseline_path in
+  let baseline_content =
+    read_baseline ~bench:"micro --quick --json --metrics" baseline_path
+  in
   let fresh_content = read_file fresh_path in
   let baseline = parse_rows baseline_content in
   let fresh = parse_rows fresh_content in
@@ -603,22 +619,28 @@ let () =
   (match io_paths with
   | None -> ()
   | Some (baseline_io, fresh_io) ->
-    check_io ~failed (read_file baseline_io) (read_file fresh_io));
+    check_io ~failed (read_baseline ~bench:"io --json" baseline_io) (read_file fresh_io));
   (match serve_paths with
   | None -> ()
   | Some (baseline_serve, fresh_serve) ->
-    check_serve ~failed ~threshold (read_file baseline_serve) (read_file fresh_serve));
+    check_serve ~failed ~threshold
+      (read_baseline ~bench:"serve --quick --json" baseline_serve)
+      (read_file fresh_serve));
   (match plans_paths with
   | None -> ()
   | Some (baseline_plans, fresh_plans) ->
-    check_plans ~failed (read_file baseline_plans) (read_file fresh_plans));
+    check_plans ~failed
+      (read_baseline ~bench:"plans --quick --json" baseline_plans)
+      (read_file fresh_plans));
   (match stream_paths with
   | None -> ()
   | Some (baseline_stream, fresh_stream) ->
-    check_stream ~failed (read_file baseline_stream) (read_file fresh_stream));
+    check_stream ~failed
+      (read_baseline ~bench:"stream --quick --json" baseline_stream)
+      (read_file fresh_stream));
   if !failed then begin
     Printf.eprintf
-      "bench regression gate FAILED: a columnar speedup fell >%.0f%% below baseline, \
+      "bench regression gate FAILED: a kernel speedup fell >%.0f%% below baseline, \
        a guarded counter row drifted, an io row's real-I/O counters changed, the \
        serve report regressed (cache totals drifted or normalized p95 grew >%.0f%%), \
        the plans report regressed (a chosen strategy flipped or a pushdown \

@@ -6,7 +6,7 @@ module Expr = Relational.Expr
 module P = Relational.Predicate
 module Relation = Relational.Relation
 module Catalog = Relational.Catalog
-module Eval = Relational.Eval
+module Physical = Relational.Physical
 module Value = Relational.Value
 module CE = Raestat.Count_estimator
 module Estimate = Stats.Estimate
@@ -50,7 +50,7 @@ let t1 () =
         (fun selectivity ->
           let threshold = threshold_for_selectivity column selectivity in
           let pred = P.le (P.attr "a") (P.vint threshold) in
-          let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+          let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
           List.iter
             (fun fraction ->
               let sample_size = Sampling.Srs.size_of_fraction ~fraction n in
@@ -84,7 +84,7 @@ let t1 () =
 
 (* ------------------------------------------------------------------ T2 *)
 
-let join_truth catalog = Eval.count catalog (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "r"))
+let join_truth catalog = Physical.count_expr catalog (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "r"))
 
 let t2 () =
   Report.heading "T2" "equi-join estimator: error vs fraction, by key correlation";
@@ -252,7 +252,7 @@ let t5 () =
       ~order_filter:(P.ge (P.attr "o_quantity") (P.vint 5))
       ()
   in
-  let truth = float_of_int (Eval.count catalog query) in
+  let truth = float_of_int (Physical.count_expr catalog query) in
   Printf.printf "query: %s\ntruth = %.0f, classified %s\n" (Expr.to_string query) truth
     (Estimate.status_to_string (CE.classify query));
   let widths = [ 9; 12; 12; 12 ] in
@@ -287,7 +287,7 @@ let t6 () =
   in
   let catalog = Catalog.of_list [ ("r", relation) ] in
   let pred = P.lt (P.attr "a") (P.vint 100) in
-  let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+  let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
   let widths = [ 26; 9; 9; 12 ] in
   Report.columns widths [ "estimator"; "level"; "reps"; "coverage" ];
   (* Selection with the analytic hypergeometric variance. *)
@@ -342,7 +342,7 @@ let f1 () =
   in
   let catalog = Catalog.of_list [ ("r", relation) ] in
   let pred = P.lt (P.attr "a") (P.vint 200) in
-  let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+  let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
   let widths = [ 10; 9; 12; 16 ] in
   Report.columns widths [ "fraction"; "n"; "mean r.err"; "r.err·sqrt(n)" ];
   let reps = 100 in
@@ -420,7 +420,7 @@ let f3 () =
   List.iter
     (fun (layout_name, relation) ->
       let catalog = Catalog.of_list [ ("r", relation) ] in
-      let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+      let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
       let paged = Relational.Paged.make ~page_capacity relation in
       let big_m = Relational.Paged.page_count paged in
       List.iter
@@ -496,7 +496,7 @@ let f4 () =
         threshold_for_selectivity (Relation.column relation "a") selectivity
       in
       let pred = P.le (P.attr "a") (P.vint threshold) in
-      let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+      let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
       List.iter
         (fun target ->
           let seq_used = ref Summary.empty and seq_err = ref Summary.empty in
@@ -557,7 +557,7 @@ let f5 () =
         let sl = Sampling.Bernoulli.relation rng ~p:q left in
         let sr = Sampling.Bernoulli.relation rng ~p:q right in
         let sc = Catalog.of_list [ ("l", sl); ("r", sr) ] in
-        let x = Eval.count sc (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "r")) in
+        let x = Physical.count_expr sc (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "r")) in
         points := Summary.add !points (float_of_int x /. (q *. q))
       done;
       let mc = Summary.variance !points in
@@ -595,7 +595,7 @@ let f6 () =
       let truth, exact_seconds =
         let counts = ref 0 and acc = ref 0. in
         for _ = 1 to 3 do
-          let c, s = time_once (fun () -> Eval.count catalog join) in
+          let c, s = time_once (fun () -> Physical.count_expr catalog join) in
           counts := c;
           acc := !acc +. s
         done;
@@ -694,7 +694,7 @@ let a2 () =
   List.iter
     (fun (layout_name, relation) ->
       let catalog = Catalog.of_list [ ("r", relation) ] in
-      let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+      let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
       let keep = P.compile (Relation.schema relation) pred in
       let run_design design_name sampler =
         let errors = ref Summary.empty and points = ref Summary.empty in
@@ -770,7 +770,7 @@ let a4 () =
   let pred = P.lt (P.attr "a") (P.vint 300) in
   let expr = Expr.select pred (Expr.base "r") in
   let selectivity =
-    float_of_int (Eval.count catalog expr) /. float_of_int n
+    float_of_int (Physical.count_expr catalog expr) /. float_of_int n
   in
   let widths = [ 10; 14; 14; 14; 12 ] in
   Report.columns widths [ "fraction"; "SRSWOR sd"; "Bernoulli sd"; "var ratio"; "1-p" ];
@@ -894,7 +894,7 @@ let a6 () =
     (fun (p, target) ->
       let threshold = threshold_for_selectivity (Relation.column relation "v") p in
       let pred = P.le (P.attr "v") (P.vint threshold) in
-      let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+      let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
       let planned = Raestat.Sample_size.selection ~big_n:n ~level:0.95 ~target ~p in
       let reps = 300 in
       let within = ref 0 in
@@ -913,13 +913,13 @@ let a6 () =
     [ (0.05, 0.2); (0.05, 0.1); (0.2, 0.1); (0.5, 0.05) ];
   Report.note "Bonferroni joint coverage ≥ nominal; planner sizes achieve the target at ≥ the confidence level"
 
-(* A7: the two evaluation engines (materializing vs streaming) agree and
-   the streaming one wins on wide products. *)
+(* A7: the streaming engine on wide products, and the join algorithms
+   it offers. *)
 let a7 () =
-  Report.heading "A7" "ablation: materializing Eval vs streaming Physical engine";
+  Report.heading "A7" "ablation: streaming Physical engine and join algorithms";
   let rng = rng_for "a7" in
-  let widths = [ 34; 12; 14; 14 ] in
-  Report.columns widths [ "query"; "count"; "eval (ms)"; "stream (ms)" ];
+  let widths = [ 34; 12; 14 ] in
+  Report.columns widths [ "query"; "count"; "stream (ms)" ];
   let l, r =
     Correlated.pair rng ~n_left:30_000 ~n_right:30_000 ~domain:2_000 ~skew_left:0.5
       ~skew_right:0.5 Correlated.Independent ~attribute:"a"
@@ -938,20 +938,10 @@ let a7 () =
   in
   List.iter
     (fun (name, e) ->
-      let count_eval, t_eval = time_once (fun () -> Eval.count catalog e) in
-      let count_stream, t_stream =
-        time_once (fun () -> Relational.Physical.count_expr catalog e)
-      in
-      assert (count_eval = count_stream);
-      Report.row widths
-        [
-          name;
-          string_of_int count_eval;
-          Printf.sprintf "%.1f" (1000. *. t_eval);
-          Printf.sprintf "%.1f" (1000. *. t_stream);
-        ])
+      let count, seconds = time_once (fun () -> Physical.count_expr catalog e) in
+      Report.row widths [ name; string_of_int count; Printf.sprintf "%.1f" (1000. *. seconds) ])
     cases;
-  Report.note "identical counts; the streaming engine avoids materializing wide intermediates (σ over ×)";
+  Report.note "the streaming engine never materializes wide intermediates (σ over ×)";
   (* Join algorithm shoot-out on the same 30k ⋈ 30k input. *)
   print_newline ();
   let widths = [ 26; 12; 14 ] in
@@ -1106,8 +1096,8 @@ let a9 () =
             Expr.equijoin [ ("o_part", "p_key") ] (Expr.base "orders") (Expr.base "parts")
           in
           match order_filter with
-          | `Suppliers_first -> float_of_int (Eval.count catalog os)
-          | `Parts_first -> float_of_int (Eval.count catalog op)
+          | `Suppliers_first -> float_of_int (Physical.count_expr catalog os)
+          | `Parts_first -> float_of_int (Physical.count_expr catalog op)
         in
         let best_exact =
           Float.min (exact_of `Suppliers_first) (exact_of `Parts_first)
@@ -1138,7 +1128,7 @@ let a10 () =
   in
   let catalog = Catalog.of_list [ ("r", relation) ] in
   let pred = P.lt (P.attr "a") (P.vint 150) in
-  let truth = float_of_int (Eval.count catalog (Expr.select pred (Expr.base "r"))) in
+  let truth = float_of_int (Physical.count_expr catalog (Expr.select pred (Expr.base "r"))) in
   let widths = [ 24; 9; 12; 14 ] in
   Report.columns widths [ "interval"; "sample"; "coverage90"; "mean width" ];
   let reps = 200 in

@@ -33,6 +33,23 @@ let fixtures () =
   let catalog = Catalog.of_list [ ("r", r); ("l", l); ("rr", rr); ("sx", sets_l); ("sy", sets_r) ] in
   (rng, catalog, tpc, r)
 
+(* Reference rows: t2-equijoin-1pct, f1-selection-n5000 and
+   f6-exact-join-baseline each run the work of their "-columnar" twin,
+   the same draw included, counted by the row-at-a-time reference
+   evaluator ([Relational.Eval]).  The compare tool guards each pair's
+   ratio, and the kept names let the committed baseline pair up. *)
+let equijoin_expr = Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr")
+
+let reference_equijoin ?metrics rng catalog =
+  let splan = Raestat.Sampling_plan.make catalog ~fraction:0.01 equijoin_expr in
+  let sampled, _ = Raestat.Sampling_plan.draw ?metrics rng catalog splan in
+  splan.Raestat.Sampling_plan.scale
+  *. float_of_int (Relational.Eval.count ?metrics sampled splan.Raestat.Sampling_plan.expr)
+
+let reference_selection ?metrics rng r ~n pred =
+  let sample = Sampling.Srs.relation_without_replacement ?metrics rng ~n r in
+  Relational.Eval.count (Catalog.of_list [ ("s", sample) ]) (Expr.select pred (Expr.base "s"))
+
 let tests () =
   let rng, catalog, tpc, r = fixtures () in
   let pred = P.lt (P.attr "a") (P.vint 100) in
@@ -41,14 +58,8 @@ let tests () =
   [
     Test.make ~name:"t1-selection-n500"
       (Staged.stage (fun () -> CE.selection rng catalog ~relation:"r" ~n:500 pred));
-    (* The row/columnar pairs below run the identical workload with the
-       columnar kernels pinned off and on; the compare tool guards the
-       ratio.  The unsuffixed names keep their historical row-path
-       meaning. *)
     Test.make ~name:"t2-equijoin-1pct"
-      (Staged.stage (fun () ->
-           CE.equijoin ~groups:1 ~columnar:false rng catalog ~left:"l" ~right:"rr"
-             ~on:[ ("a", "a") ] ~fraction:0.01));
+      (Staged.stage (fun () -> reference_equijoin rng catalog));
     Test.make ~name:"t2-equijoin-columnar"
       (Staged.stage (fun () ->
            CE.equijoin ~groups:1 rng catalog ~left:"l" ~right:"rr" ~on:[ ("a", "a") ]
@@ -71,8 +82,7 @@ let tests () =
           in
           fun () -> Stats.Estimate.ci ~level:0.95 est));
     Test.make ~name:"f1-selection-n5000"
-      (Staged.stage (fun () ->
-           CE.selection ~columnar:false rng catalog ~relation:"r" ~n:5_000 pred));
+      (Staged.stage (fun () -> reference_selection rng r ~n:5_000 pred));
     Test.make ~name:"f1-selection-columnar"
       (Staged.stage (fun () -> CE.selection rng catalog ~relation:"r" ~n:5_000 pred));
     Test.make ~name:"f2-join-profile"
@@ -86,13 +96,9 @@ let tests () =
       (let p = Raestat.Join_variance.profile r "a" in
        Staged.stage (fun () -> Raestat.Join_variance.oracle_variance ~q1:0.1 ~q2:0.1 p p));
     Test.make ~name:"f6-exact-join-baseline"
-      (Staged.stage (fun () ->
-           Relational.Eval.count ~columnar:false catalog
-             (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr"))));
+      (Staged.stage (fun () -> Relational.Eval.count catalog equijoin_expr));
     Test.make ~name:"f6-exact-join-columnar"
-      (Staged.stage (fun () ->
-           Relational.Eval.count catalog
-             (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr"))));
+      (Staged.stage (fun () -> Relational.Physical.count_expr catalog equijoin_expr));
     Test.make ~name:"maintenance-reservoir-add"
       (let reservoir = Sampling.Reservoir.create ~algorithm:`L rng ~capacity:1_000 in
        let tuple = Relational.Tuple.make [ Relational.Value.Int 7 ] in
@@ -104,9 +110,7 @@ let tests () =
       (Staged.stage (fun () ->
            Raestat.Sample_size.selection ~big_n:1_000_000 ~level:0.95 ~target:0.05 ~p:0.1));
     Test.make ~name:"a7-streaming-join-count"
-      (Staged.stage (fun () ->
-           Relational.Physical.count_expr catalog
-             (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr"))));
+      (Staged.stage (fun () -> Relational.Physical.count_expr catalog equijoin_expr));
     Test.make ~name:"parser-roundtrip"
       (let text = "select[a <= 10 and b > 2](r) join[a = c] pidist[c, d](s)" in
        Staged.stage (fun () ->
@@ -208,12 +212,10 @@ let counter_rows () =
         CE.selection ~metrics:m rng catalog ~relation:"r" ~n:500 pred);
     (* The t2 pair draws from identical fresh streams so the JSON
        records the accounting contract directly: the columnar row shows
-       the same counters (probe hits/misses included) as the row-path
+       the same counters (probe hits/misses included) as the reference
        row. *)
     probe "t2-equijoin-1pct" (fun m ->
-        let rng = Sampling.Rng.create ~seed:707 () in
-        CE.equijoin ~groups:1 ~metrics:m ~columnar:false rng catalog ~left:"l"
-          ~right:"rr" ~on:[ ("a", "a") ] ~fraction:0.01);
+        reference_equijoin ~metrics:m (Sampling.Rng.create ~seed:707 ()) catalog);
     probe "t2-equijoin-columnar" (fun m ->
         let rng = Sampling.Rng.create ~seed:707 () in
         CE.equijoin ~groups:1 ~metrics:m rng catalog ~left:"l" ~right:"rr"
@@ -222,16 +224,13 @@ let counter_rows () =
         CE.intersection ~metrics:m rng catalog ~left:"sx" ~right:"sy" ~fraction:0.02);
     probe "t5-chain-scaleup-5pct" (fun m ->
         CE.estimate ~metrics:m rng tpc ~fraction:0.05 (Workload.Tpc_mini.chain_query ()));
-    probe "f1-selection-n5000" (fun m ->
-        CE.selection ~metrics:m ~columnar:false rng catalog ~relation:"r" ~n:5_000 pred);
+    probe "f1-selection-n5000" (fun m -> reference_selection ~metrics:m rng r ~n:5_000 pred);
     probe "f1-selection-columnar" (fun m ->
         CE.selection ~metrics:m rng catalog ~relation:"r" ~n:5_000 pred);
     probe "f6-exact-join-baseline" (fun m ->
-        Relational.Eval.count ~metrics:m ~columnar:false catalog
-          (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr")));
+        Relational.Eval.count ~metrics:m catalog equijoin_expr);
     probe "f6-exact-join-columnar" (fun m ->
-        Relational.Eval.count ~metrics:m catalog
-          (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr")));
+        Relational.Physical.count_expr ~metrics:m catalog equijoin_expr);
     probe "f3-cluster-m20" (fun m ->
         Raestat.Cluster_estimator.count ~metrics:m rng ~m:20 paged pred);
     probe "f4-sequential-target20pct" (fun m ->
@@ -320,17 +319,6 @@ let overhead_check () =
     exit 1
   end
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' | '\\' -> Buffer.add_char buffer '\\'; Buffer.add_char buffer ch
-      | ch when Char.code ch < 0x20 -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buffer ch)
-    s;
-  Buffer.contents buffer
-
 let json_float x = if Float.is_finite x then Printf.sprintf "%.3f" x else "null"
 
 let write_json ~path ~quota ?(counters = []) rows =
@@ -361,7 +349,7 @@ let write_json ~path ~quota ?(counters = []) rows =
             s.Obs.Metrics.rng_draws
       in
       Printf.fprintf oc "    {\"name\": \"%s\", \"ns_per_run\": %s%s}%s\n"
-        (json_escape name) (json_float ns) work
+        (Obs.Metrics.escape name) (json_float ns) work
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"speedups\": [\n";
@@ -370,7 +358,7 @@ let write_json ~path ~quota ?(counters = []) rows =
     (fun i (base, serial_ns, par_ns) ->
       Printf.fprintf oc
         "    {\"bench\": \"%s\", \"serial_ns\": %s, \"parallel_ns\": %s, \"domains\": %d, \"speedup\": %s}%s\n"
-        (json_escape base) (json_float serial_ns) (json_float par_ns) bench_domains
+        (Obs.Metrics.escape base) (json_float serial_ns) (json_float par_ns) bench_domains
         (json_float (serial_ns /. par_ns))
         (if i = List.length pairs - 1 then "" else ","))
     pairs;

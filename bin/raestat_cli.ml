@@ -729,7 +729,7 @@ let sweep_cmd =
     let big_n = Relational.Relation.cardinality (Relational.Catalog.find catalog "r") in
     let truth =
       float_of_int
-        (Relational.Eval.count catalog (Expr.select predicate (Expr.base "r")))
+        (Relational.Physical.count_expr catalog (Expr.select predicate (Expr.base "r")))
     in
     Printf.printf "truth = %.0f over %d tuples; %d reps per fraction\n" truth big_n reps;
     Printf.printf "%10s %14s %14s\n" "fraction" "mean rel.err" "mean CI width";

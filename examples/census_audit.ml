@@ -32,7 +32,9 @@ let () =
        &&& ge (attr "education") (vint 12))
   in
   let est = CE.selection rng catalog ~relation:"people" ~n:2_000 q1 in
-  let exact = Relational.Eval.count catalog (Expr.select q1 (Expr.base "people")) in
+  let exact =
+    Relational.Physical.count_expr catalog (Expr.select q1 (Expr.base "people"))
+  in
   let ci = Estimate.ci ~level:0.95 est in
   Printf.printf "Q1  25–64 year olds with education ≥ 12 (1%% sample)\n";
   Printf.printf "    estimate %.0f   CI95 [%.0f, %.0f]   exact %d\n\n" est.Estimate.point
@@ -44,7 +46,9 @@ let () =
   let sequential =
     Raestat.Sequential.selection rng catalog ~relation:"people" ~target:0.05 ~batch:500 q2
   in
-  let exact2 = Relational.Eval.count catalog (Expr.select q2 (Expr.base "people")) in
+  let exact2 =
+    Relational.Physical.count_expr catalog (Expr.select q2 (Expr.base "people"))
+  in
   Printf.printf "Q2  bottom-two income deciles, ±5%% requested\n";
   Printf.printf "    stopped after %d of %d tuples (%.1f%%), estimate %.0f, exact %d\n\n"
     sequential.Raestat.Sequential.estimate.Estimate.sample_size n

@@ -48,7 +48,7 @@ let () =
       [ ("o_part", "p_key") ]
       (Relational.Expr.base "orders") (Relational.Expr.base "parts")
   in
-  let other_cost = float_of_int (Relational.Eval.count catalog other_first) in
+  let other_cost = float_of_int (Relational.Physical.count_expr catalog other_first) in
   Printf.printf "\nalternative (parts first) exact intermediate: %.0f\n" other_cost;
   Printf.printf "%s\n"
     (if Planner.exact_cost catalog plan <= other_cost then

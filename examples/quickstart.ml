@@ -31,7 +31,9 @@ let () =
   (* 2. A selection: how many orders exceed 300? *)
   let predicate = P.gt (P.attr "amount") (P.vint 300) in
   let estimate = CE.selection rng catalog ~relation:"orders" ~n:1_000 predicate in
-  let exact = Relational.Eval.count catalog (Expr.select predicate (Expr.base "orders")) in
+  let exact =
+    Relational.Physical.count_expr catalog (Expr.select predicate (Expr.base "orders"))
+  in
   let ci = Estimate.ci ~level:0.95 estimate in
   Printf.printf "Selection  COUNT(orders.amount > 300)\n";
   Printf.printf "  sampled 1%%:   %.0f   (95%% CI [%.0f, %.0f])\n" estimate.Estimate.point
@@ -45,7 +47,7 @@ let () =
   let join_est = CE.equijoin ~groups:8 rng catalog ~left:"orders_keys" ~right:"customers"
       ~on:[ ("customer", "id") ] ~fraction:0.05
   in
-  let join_exact = Relational.Eval.count catalog join in
+  let join_exact = Relational.Physical.count_expr catalog join in
   Printf.printf "Join  COUNT(orders ⋈ customers)\n";
   Printf.printf "  sampled 5%%:   %.0f  (stderr %.0f)\n" join_est.Estimate.point
     (Estimate.stderr join_est);

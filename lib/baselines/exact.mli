@@ -6,11 +6,10 @@ type result = {
   seconds : float;  (** wall-clock time of the evaluation *)
 }
 
-(** [count catalog e] evaluates exactly (through {!Relational.Eval.count},
-    including its columnar counting fast paths; [~columnar:false] pins
-    the row path). *)
-val count : ?columnar:bool -> Relational.Catalog.t -> Relational.Expr.t -> result
+(** [count catalog e] evaluates exactly on the production engine
+    ({!Relational.Physical.count_expr}, including its kernel counting
+    fast paths). *)
+val count : Relational.Catalog.t -> Relational.Expr.t -> result
 
 (** The exact answer wrapped as an {!Stats.Estimate.t} (zero variance). *)
-val as_estimate :
-  ?columnar:bool -> Relational.Catalog.t -> Relational.Expr.t -> Stats.Estimate.t
+val as_estimate : Relational.Catalog.t -> Relational.Expr.t -> Stats.Estimate.t

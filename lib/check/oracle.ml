@@ -13,7 +13,6 @@ type subject = {
     groups:int ->
     domains:int ->
     metrics:Metrics.t ->
-    columnar:bool ->
     Rng.t ->
     Catalog.t ->
     fraction:float ->
@@ -25,8 +24,8 @@ let reference =
   {
     label = "count_estimator";
     estimate =
-      (fun ~groups ~domains ~metrics ~columnar rng catalog ~fraction expr ->
-        CE.estimate ~groups ~domains ~metrics ~columnar rng catalog ~fraction expr);
+      (fun ~groups ~domains ~metrics rng catalog ~fraction expr ->
+        CE.estimate ~groups ~domains ~metrics rng catalog ~fraction expr);
   }
 
 type verdict =
@@ -44,8 +43,9 @@ type oracle = {
    each other and of battery order. *)
 let rng_for (case : Gen.case) salt = Rng.create ~seed:((case.Gen.seed * 31) + salt) ()
 
-let exact catalog expr =
-  float_of_int (Baselines.Exact.count catalog expr).Baselines.Exact.count
+(* Truth comes from the reference evaluator, so every case checks the
+   production engine against code it shares no fast path with. *)
+let exact catalog expr = float_of_int (Relational.Eval.count catalog expr)
 
 let leaf_sample_size ~fraction catalog name =
   Sampling.Srs.size_of_fraction ~fraction
@@ -62,7 +62,7 @@ let census =
         let catalog = Gen.materialize case in
         let truth = exact catalog case.Gen.expr in
         let est =
-          subject.estimate ~groups:1 ~domains:1 ~metrics:Metrics.noop ~columnar:true
+          subject.estimate ~groups:1 ~domains:1 ~metrics:Metrics.noop
             (rng_for case 1) catalog ~fraction:1.0 case.Gen.expr
         in
         if Float.abs (est.Estimate.point -. truth) <= 1e-6 *. Float.max 1. truth then Pass
@@ -77,45 +77,34 @@ let census =
 let parity =
   {
     name = "parity";
-    summary = "row kernels and --domains 2 are bit-identical to the columnar serial run";
+    summary = "--domains 2 is bit-identical to the serial run";
     run =
       (fun subject ~replicates:_ case ->
-        let run ~columnar ~domains =
+        let run ~domains =
           let catalog = Gen.materialize case in
           let metrics = Metrics.create () in
           let est =
-            subject.estimate ~groups:4 ~domains ~metrics ~columnar (rng_for case 2)
-              catalog ~fraction:case.Gen.fraction case.Gen.expr
+            subject.estimate ~groups:4 ~domains ~metrics (rng_for case 2) catalog
+              ~fraction:case.Gen.fraction case.Gen.expr
           in
           (est, Metrics.snapshot metrics)
         in
-        let base_est, base_counters = run ~columnar:true ~domains:1 in
-        let variants =
-          [ ("row kernels", run ~columnar:false ~domains:1);
-            ("--domains 2", run ~columnar:true ~domains:2) ]
-        in
-        let mismatch =
-          List.find_map
-            (fun (label, (est, counters)) ->
-              if
-                not
-                  (Float.equal est.Estimate.point base_est.Estimate.point
-                  && Float.equal est.Estimate.variance base_est.Estimate.variance)
-              then
-                Some
-                  (Printf.sprintf
-                     "%s estimate (%.17g, var %.17g) diverges from columnar serial \
-                      (%.17g, var %.17g)"
-                     label est.Estimate.point est.Estimate.variance
-                     base_est.Estimate.point base_est.Estimate.variance)
-              else if not (Metrics.counters_equal counters base_counters) then
-                Some
-                  (Printf.sprintf "%s counter totals diverge from the columnar serial run"
-                     label)
-              else None)
-            variants
-        in
-        match mismatch with None -> Pass | Some detail -> Fail detail);
+        let base_est, base_counters = run ~domains:1 in
+        let est, counters = run ~domains:2 in
+        if
+          not
+            (Float.equal est.Estimate.point base_est.Estimate.point
+            && Float.equal est.Estimate.variance base_est.Estimate.variance)
+        then
+          Fail
+            (Printf.sprintf
+               "--domains 2 estimate (%.17g, var %.17g) diverges from the serial run \
+                (%.17g, var %.17g)"
+               est.Estimate.point est.Estimate.variance base_est.Estimate.point
+               base_est.Estimate.variance)
+        else if not (Metrics.counters_equal counters base_counters) then
+          Fail "--domains 2 counter totals diverge from the serial run"
+        else Pass);
   }
 
 (* --------------------------------------------------------------- rewrite *)
@@ -163,7 +152,7 @@ let replicate_points subject ~runs ~salt case =
   let catalog = Gen.materialize case in
   let master = rng_for case salt in
   Array.init runs (fun _ ->
-      (subject.estimate ~groups:1 ~domains:1 ~metrics:Metrics.noop ~columnar:true
+      (subject.estimate ~groups:1 ~domains:1 ~metrics:Metrics.noop
          (Rng.split master) catalog ~fraction:case.Gen.fraction case.Gen.expr)
         .Estimate.point)
 
@@ -374,7 +363,7 @@ let coverage =
             let eps = 1e-9 *. Float.max 1. truth in
             for _ = 1 to runs do
               let est =
-                subject.estimate ~groups ~domains:1 ~metrics:Metrics.noop ~columnar:true
+                subject.estimate ~groups ~domains:1 ~metrics:Metrics.noop
                   (Rng.split master) catalog ~fraction:case.Gen.fraction case.Gen.expr
               in
               if Estimate.has_variance est then begin
@@ -423,7 +412,7 @@ let conservation =
           let catalog = Gen.materialize case in
           let metrics = Metrics.create () in
           let est =
-            subject.estimate ~groups ~domains:1 ~metrics ~columnar:true (rng_for case 7)
+            subject.estimate ~groups ~domains:1 ~metrics (rng_for case 7)
               catalog ~fraction:case.Gen.fraction case.Gen.expr
           in
           (est, Metrics.snapshot metrics)
@@ -432,7 +421,7 @@ let conservation =
         let est2, s2 = run_with_metrics () in
         let catalog = Gen.materialize case in
         let silent =
-          subject.estimate ~groups ~domains:1 ~metrics:Metrics.noop ~columnar:true
+          subject.estimate ~groups ~domains:1 ~metrics:Metrics.noop
             (rng_for case 7) catalog ~fraction:case.Gen.fraction case.Gen.expr
         in
         let expected_indices =
@@ -527,7 +516,7 @@ let storage =
           let run catalog =
             let metrics = Metrics.create () in
             let est =
-              subject.estimate ~groups:3 ~domains:1 ~metrics ~columnar:true
+              subject.estimate ~groups:3 ~domains:1 ~metrics
                 (rng_for case 8) catalog ~fraction:case.Gen.fraction case.Gen.expr
             in
             (est, Metrics.snapshot metrics)

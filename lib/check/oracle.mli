@@ -1,6 +1,7 @@
 (** The fuzz harness's oracle battery: properties every COUNT
     estimator run must satisfy, checked differentially against the
-    exact evaluator and metamorphically against equivalent runs.
+    reference evaluator ({!Relational.Eval}) and metamorphically against
+    equivalent runs.
 
     Oracles are evaluated against a {!subject} — the estimator under
     test.  Production code always fuzzes {!reference}
@@ -14,7 +15,6 @@ type subject = {
     groups:int ->
     domains:int ->
     metrics:Obs.Metrics.t ->
-    columnar:bool ->
     Sampling.Rng.t ->
     Relational.Catalog.t ->
     fraction:float ->
@@ -38,11 +38,10 @@ type oracle = {
 
 (** The fixed battery, in evaluation order:
 
-    - ["census"]: at fraction 1.0 the estimate equals
-      {!Baselines.Exact.count};
-    - ["parity"]: row kernels ([~columnar:false]) and [--domains 2]
-      reproduce the columnar serial run bit-for-bit — estimate,
-      variance and {!Obs.Metrics} counter totals;
+    - ["census"]: at fraction 1.0 the estimate equals the reference
+      evaluator's {!Relational.Eval.count};
+    - ["parity"]: [--domains 2] reproduces the serial run bit-for-bit —
+      estimate, variance and {!Obs.Metrics} counter totals;
     - ["rewrite"]: {!Relational.Optimizer} rewrites leave the compiled
       {!Raestat.Estplan} estimate bit-identical at the same seed;
     - ["pushdown"]: for pushable expressions,

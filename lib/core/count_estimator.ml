@@ -11,16 +11,16 @@ module Metrics = Obs.Metrics
 let classify expr =
   if Expr.has_dedup expr then Stats.Estimate.Consistent else Stats.Estimate.Unbiased
 
-let scale_up ?metrics ?columnar rng catalog (plan : Sampling_plan.t) =
-  Estplan.run ?metrics ?columnar rng catalog (Estplan.of_sampling_plan plan)
+let scale_up ?metrics rng catalog (plan : Sampling_plan.t) =
+  Estplan.run ?metrics rng catalog (Estplan.of_sampling_plan plan)
 
-let estimate ?(groups = 1) ?domains ?(metrics = Metrics.noop) ?(columnar = true) rng
-    catalog ~fraction expr =
+let estimate ?(groups = 1) ?domains ?(metrics = Metrics.noop) rng catalog ~fraction
+    expr =
   if groups < 1 then invalid_arg "Count_estimator.estimate: groups must be >= 1";
   Metrics.with_span metrics
     (Printf.sprintf "estimate %s" (Relational.Parser.print_expr expr))
     (fun () ->
-      Estplan.run ?domains ~metrics ~columnar rng catalog
+      Estplan.run ?domains ~metrics rng catalog
         (Estplan.compile ~groups catalog ~fraction expr))
 
 (* Goal-based entry: the caller states what it wants (a budget or a CI
@@ -28,8 +28,8 @@ let estimate ?(groups = 1) ?domains ?(metrics = Metrics.noop) ?(columnar = true)
    operator goes.  [optimize:false] — or the [RAESTAT_NO_OPTIMIZE]
    kill switch — pins the historical root-sampling strategy, which is
    byte-identical to {!estimate} at the resolved fraction. *)
-let estimate_with_goal ?(groups = 1) ?domains ?(metrics = Metrics.noop)
-    ?(columnar = true) ?(optimize = true) rng catalog ~goal expr =
+let estimate_with_goal ?(groups = 1) ?domains ?(metrics = Metrics.noop) ?(optimize = true)
+    rng catalog ~goal expr =
   if groups < 1 then
     invalid_arg "Count_estimator.estimate_with_goal: groups must be >= 1";
   let population =
@@ -44,11 +44,11 @@ let estimate_with_goal ?(groups = 1) ?domains ?(metrics = Metrics.noop)
       Metrics.with_span metrics
         (Printf.sprintf "estimate %s" (Relational.Parser.print_expr expr))
         (fun () ->
-          Estplan.run ?domains ~metrics ~columnar rng catalog choice.Planner.chosen)
+          Estplan.run ?domains ~metrics rng catalog choice.Planner.chosen)
     in
     (est, Some choice)
   end
-  else (estimate ~groups ?domains ~metrics ~columnar rng catalog ~fraction expr, None)
+  else (estimate ~groups ?domains ~metrics rng catalog ~fraction expr, None)
 
 let selection_of_counts ~big_n ~n ~hits =
   if (n <= 0 && big_n > 0) || n < 0 || n > big_n then
@@ -57,17 +57,16 @@ let selection_of_counts ~big_n ~n ~hits =
     invalid_arg "Count_estimator.selection_of_counts: hits out of range";
   Estplan.binomial_estimate ~big_n ~n ~hits ()
 
-let selection ?(metrics = Metrics.noop) ?(columnar = true) rng catalog ~relation ~n
-    predicate =
+let selection ?(metrics = Metrics.noop) rng catalog ~relation ~n predicate =
   Metrics.with_span metrics (Printf.sprintf "selection %s" relation) (fun () ->
-      Estplan.run ~metrics ~columnar rng catalog
+      Estplan.run ~metrics rng catalog
         (Estplan.selection_plan catalog ~relation ~n predicate))
 
-let equijoin ?(groups = 8) ?domains ?(metrics = Metrics.noop) ?(columnar = true) rng
-    catalog ~left ~right ~on ~fraction =
+let equijoin ?(groups = 8) ?domains ?(metrics = Metrics.noop) rng catalog ~left ~right
+    ~on ~fraction =
   if groups < 1 then invalid_arg "Count_estimator.equijoin: groups must be >= 1";
   Metrics.with_span metrics (Printf.sprintf "equijoin %s %s" left right) (fun () ->
-      Estplan.run ?domains ~metrics ~columnar rng catalog
+      Estplan.run ?domains ~metrics rng catalog
         (Estplan.equijoin_plan catalog ~left ~right ~on ~fraction ~groups))
 
 let equijoin_indexed ?index ?(metrics = Metrics.noop) rng catalog ~left ~right ~on ~n =

@@ -18,7 +18,6 @@ val classify : Relational.Expr.t -> Stats.Estimate.status
     rewritten expression over the samples, and scales the count. *)
 val scale_up :
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   Sampling.Rng.t -> Relational.Catalog.t -> Sampling_plan.t -> Stats.Estimate.t
 
 (** [estimate rng catalog ~fraction e] — scale-up estimate with an
@@ -41,7 +40,6 @@ val estimate :
   ?groups:int ->
   ?domains:int ->
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   Sampling.Rng.t ->
   Relational.Catalog.t ->
   fraction:float ->
@@ -68,7 +66,6 @@ val estimate_with_goal :
   ?groups:int ->
   ?domains:int ->
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   ?optimize:bool ->
   Sampling.Rng.t ->
   Relational.Catalog.t ->
@@ -85,7 +82,6 @@ val estimate_with_goal :
     @raise Invalid_argument if [n] is out of range. *)
 val selection :
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   Sampling.Rng.t ->
   Relational.Catalog.t ->
   relation:string ->
@@ -110,7 +106,6 @@ val equijoin :
   ?groups:int ->
   ?domains:int ->
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   Sampling.Rng.t ->
   Relational.Catalog.t ->
   left:string ->

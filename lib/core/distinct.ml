@@ -150,6 +150,5 @@ let plausible ~big_n estimate =
   Float.is_finite p && p >= 0. && p <= float_of_int big_n
 
 let exact catalog ~relation ~attributes =
-  Relation.cardinality
-    (Relational.Eval.eval catalog
-       (Relational.Expr.project_distinct attributes (Relational.Expr.base relation)))
+  Relational.Physical.count_expr catalog
+    (Relational.Expr.project_distinct attributes (Relational.Expr.base relation))

@@ -402,7 +402,7 @@ let draw ?(metrics = Metrics.noop) rng catalog plan =
 (* One scale-up execution: draw every leaf in occurrence order, count
    the rewritten expression on the sampled catalog, multiply by the
    plan scale.  Safe to run inside a domain: touches no plan state. *)
-let run_once ~metrics ~columnar rng catalog plan splan =
+let run_once ~metrics rng catalog plan splan =
   let sampled, drawn =
     Metrics.time metrics "draw" (fun () ->
         Sampling_plan.draw ~metrics rng catalog splan)
@@ -411,7 +411,7 @@ let run_once ~metrics ~columnar rng catalog plan splan =
      on product-heavy sample evaluations, identical counts. *)
   let count =
     Metrics.time metrics "eval" (fun () ->
-        Relational.Physical.count_expr ~metrics ~columnar sampled
+        Relational.Physical.count_expr ~metrics sampled
           splan.Sampling_plan.expr)
   in
   ( splan.Sampling_plan.scale *. float_of_int count,
@@ -449,11 +449,11 @@ let record_estimate node (e : Estimate.t) =
 (* ------------------------------------------------------------------ *)
 (* Strategy runners                                                    *)
 
-let run_scale_up ?domains ~metrics ~columnar rng catalog plan groups =
+let run_scale_up ?domains ~metrics rng catalog plan groups =
   let splan = the_splan plan in
   let status = status_to_estimate plan.root.status in
   if groups = 1 then begin
-    let point, drawn, sizes = run_once ~metrics ~columnar rng catalog plan splan in
+    let point, drawn, sizes = run_once ~metrics rng catalog plan splan in
     observe_leaves plan sizes;
     Moments.observe plan.root.moments point;
     Estimate.make ~label:plan.label ~status ~sample_size:drawn point
@@ -467,7 +467,7 @@ let run_scale_up ?domains ~metrics ~columnar rng catalog plan groups =
     let results =
       with_replicate_sinks metrics groups (fun sinks ->
           Parallel.replicate_init ?domains rng groups (fun child i ->
-              run_once ~metrics:sinks.(i) ~columnar child catalog plan splan))
+              run_once ~metrics:sinks.(i) child catalog plan splan))
     in
     Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
     Array.iter
@@ -499,7 +499,7 @@ let selection_shape plan =
     (predicate, relation, leaf)
   | _ -> invalid_arg "Estplan: expected a selection-shaped plan (select over scan)"
 
-let run_direct_selection ~metrics ~columnar ?index_source rng catalog plan =
+let run_direct_selection ~metrics ?index_source rng catalog plan =
   let predicate, relation, leaf = selection_shape plan in
   let n =
     match leaf.mode with
@@ -507,39 +507,28 @@ let run_direct_selection ~metrics ~columnar ?index_source rng catalog plan =
     | _ -> invalid_arg "Estplan: direct selection needs an SRSWOR leaf"
   in
   let r = Catalog.find catalog relation in
-  let hits =
-    if columnar && Relational.Column.enabled () then begin
-      (* Same index stream as the gather path, but the sampled rows are
-         tested in place on the base relation's columnar view — no
-         per-sample tuple materialization, and no index sort (counting
-         is order-insensitive).  The explicit tuples-scanned bump keeps
-         counter totals identical to the gather path, which records its
-         gather as a scan.
+  (* The sampled rows are tested in place on the base relation's
+     columnar view — no per-sample tuple materialization, and no index
+     sort (counting is order-insensitive).  The sampled rows count as
+     scanned tuples, as in every other strategy.
 
-         An [index_source] (the daemon's warm backing-sample cache) may
-         supply the index set instead of drawing: because the draw is
-         fully determined by (seed, n, universe), a cached set keyed on
-         those is the set this request would have drawn, so results are
-         bit-identical — only the draw work (and its rng_draws /
-         sample_indices accounting) is skipped. *)
-      let universe = Relation.cardinality r in
-      let draw () =
-        Sampling.Srs.indices_without_replacement ~metrics ~sorted:false rng ~n ~universe
-      in
-      let indices =
-        match index_source with Some source -> source ~n ~universe draw | None -> draw ()
-      in
-      Metrics.add_tuples metrics n;
-      Relational.Kernel.count_indices (Relation.columnar r) predicate indices
-    end
-    else begin
-      let sample = Sampling.Srs.relation_without_replacement ~metrics rng ~n r in
-      let keep = Relational.Predicate.compile (Relation.schema sample) predicate in
-      Relation.count keep sample
-    end
+     An [index_source] (the daemon's warm backing-sample cache) may
+     supply the index set instead of drawing: because the draw is fully
+     determined by (seed, n, universe), a cached set keyed on those is
+     the set this request would have drawn, so results are
+     bit-identical — only the draw work (and its rng_draws /
+     sample_indices accounting) is skipped. *)
+  let universe = Relation.cardinality r in
+  let draw () =
+    Sampling.Srs.indices_without_replacement ~metrics ~sorted:false rng ~n ~universe
   in
+  let indices =
+    match index_source with Some source -> source ~n ~universe draw | None -> draw ()
+  in
+  Metrics.add_tuples metrics n;
+  let hits = Relational.Kernel.count_indices (Relation.columnar r) predicate indices in
   let estimate =
-    binomial_estimate ~label:plan.label ~big_n:(Relation.cardinality r) ~n ~hits ()
+    binomial_estimate ~label:plan.label ~big_n:universe ~n ~hits ()
   in
   Moments.observe leaf.moments (leaf.scale *. float_of_int n);
   record_estimate plan.root estimate;
@@ -571,7 +560,7 @@ let run_set ~metrics rng catalog plan flavor =
   let n1 = srswor_n l_leaf and n2 = srswor_n r_leaf in
   let sampled, drawn = Sampling_plan.draw ~metrics rng catalog splan in
   let x =
-    Relational.Eval.count ~metrics sampled
+    Relational.Physical.count_expr ~metrics sampled
       (Expr.inter (Expr.base l_leaf.alias) (Expr.base r_leaf.alias))
   in
   let big_n1 = float_of_int l_leaf.population in
@@ -606,11 +595,10 @@ let run_set ~metrics rng catalog plan flavor =
   record_estimate plan.root estimate;
   estimate
 
-let run ?domains ?(metrics = Metrics.noop) ?(columnar = true) ?index_source rng catalog
-    plan =
+let run ?domains ?(metrics = Metrics.noop) ?index_source rng catalog plan =
   match plan.strategy with
-  | Scale_up { groups } -> run_scale_up ?domains ~metrics ~columnar rng catalog plan groups
-  | Direct_selection -> run_direct_selection ~metrics ~columnar ?index_source rng catalog plan
+  | Scale_up { groups } -> run_scale_up ?domains ~metrics rng catalog plan groups
+  | Direct_selection -> run_direct_selection ~metrics ?index_source rng catalog plan
   | Set_membership flavor -> run_set ~metrics rng catalog plan flavor
   | Sequential_selection _ | Cluster_expansion | Stratified_expansion
   | Bootstrap_resampling _ | Indexed_degree | Grouped _ ->
@@ -1187,20 +1175,6 @@ let render plan =
   Buffer.add_char buffer '\n';
   Buffer.contents buffer
 
-let escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' | '\\' ->
-        Buffer.add_char buffer '\\';
-        Buffer.add_char buffer ch
-      | '\000' .. '\031' ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buffer ch)
-    s;
-  Buffer.contents buffer
-
 let json_float x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
 
 let to_json plan =
@@ -1209,8 +1183,8 @@ let to_json plan =
     let pad = String.make indent ' ' in
     Buffer.add_string buffer
       (Printf.sprintf "%s{\"id\": %d, \"op\": \"%s\", \"mode\": \"%s\"" pad node.id
-         (escape (op_to_string node.op))
-         (escape (mode_to_string node.mode)));
+         (Metrics.escape (op_to_string node.op))
+         (Metrics.escape (mode_to_string node.mode)));
     (match mode_sizes node.mode with
     | Some (population, sample_size) ->
       Buffer.add_string buffer
@@ -1235,8 +1209,8 @@ let to_json plan =
     (Printf.sprintf
        "{\n  \"schema\": \"raestat-explain/1\",\n  \"label\": \"%s\",\n  \
         \"strategy\": \"%s\",\n  \"expected_sample_size\": %s,\n  \"root\":\n"
-       (escape plan.label)
-       (escape (strategy_to_string plan.strategy))
+       (Metrics.escape plan.label)
+       (Metrics.escape (strategy_to_string plan.strategy))
        (json_float (expected_sample_size plan)));
   node_json 2 plan.root;
   Buffer.add_string buffer "\n}";

@@ -26,7 +26,7 @@
     split order), per-replicate {!Obs.Metrics} child sinks absorbed in
     replicate order, [?domains] replicate parallelism and the columnar
     kernels, so estimates, CIs and counter totals are bit-identical for
-    any domain count and any [RAESTAT_NO_COLUMNAR] setting.  Estimator
+    any domain count.  Estimator
     modules are thin strategy front-ends over plan constructors and
     [run_*] entry points. *)
 
@@ -244,13 +244,12 @@ type index_source = n:int -> universe:int -> (unit -> int array) -> int array
     split order; optionally across [?domains] OCaml domains) and reports
     the replicate-spread variance s²/g.  [index_source] (default:
     draw fresh) substitutes the SRSWOR index draw of a
-    [Direct_selection] columnar run; other strategies ignore it.
+    [Direct_selection] run; other strategies ignore it.
     @raise Invalid_argument if the plan's strategy needs a dedicated
     runner ({!run_cluster}, {!run_sequential}, …). *)
 val run :
   ?domains:int ->
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   ?index_source:index_source ->
   Sampling.Rng.t ->
   Relational.Catalog.t ->

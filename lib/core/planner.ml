@@ -143,7 +143,7 @@ let plan rng catalog ~fraction ~inputs ~joins =
 
 let exact_cost catalog plan =
   List.fold_left
-    (fun acc e -> acc +. float_of_int (Relational.Eval.count catalog e))
+    (fun acc e -> acc +. float_of_int (Relational.Physical.count_expr catalog e))
     0. plan.intermediates
 
 (* ------------------------------------------------------------------ *)
@@ -155,9 +155,9 @@ module Relation = Relational.Relation
 
 let optimizer_version = 1
 
-(* Kill switch, read once at startup (same idiom as RAESTAT_NO_COLUMNAR
-   in Relational.Column): RAESTAT_NO_OPTIMIZE=1 forces every goal-based
-   entry point back to the historical root-sampling strategy. *)
+(* Kill switch, read once at startup so every consult in one process
+   agrees: RAESTAT_NO_OPTIMIZE=1 forces every goal-based entry point
+   back to the historical root-sampling strategy. *)
 let optimize_enabled =
   let on =
     match Sys.getenv_opt "RAESTAT_NO_OPTIMIZE" with
@@ -511,19 +511,6 @@ let render_choice choice =
   Buffer.add_string buffer (Printf.sprintf "winner: %s\n" choice.rationale);
   Buffer.contents buffer
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' | '\\' ->
-        Buffer.add_char buffer '\\';
-        Buffer.add_char buffer ch
-      | '\000' .. '\031' -> Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buffer ch)
-    s;
-  Buffer.contents buffer
-
 let json_number v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
 
 (* Schema raestat-explain/2: the optimized-explain envelope.  The
@@ -535,13 +522,13 @@ let choice_to_json choice =
   Buffer.add_string buffer "{\n  \"schema\": \"raestat-explain/2\",\n";
   Buffer.add_string buffer
     (Printf.sprintf "  \"optimizer_version\": %d,\n  \"strategy\": \"%s\",\n"
-       optimizer_version (json_escape choice.winner.label));
+       optimizer_version (Obs.Metrics.escape choice.winner.label));
   Buffer.add_string buffer
     (Printf.sprintf "  \"stats\": \"%s\",\n  \"budget\": %d,\n" (stats_source choice)
        choice.budget);
   Buffer.add_string buffer
     (Printf.sprintf "  \"rationale\": \"%s\",\n  \"candidates\": [\n"
-       (json_escape choice.rationale));
+       (Obs.Metrics.escape choice.rationale));
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_string buffer ",\n";
@@ -550,7 +537,7 @@ let choice_to_json choice =
            "    {\"label\": \"%s\", \"winner\": %b, \"predicted_variance\": %s, \
             \"predicted_cost\": %s, \"score\": %s, \"drawn_tuples\": %s, \
             \"exact_tuples\": %s, \"derivation\": [%s]}"
-           (json_escape c.label)
+           (Obs.Metrics.escape c.label)
            (c.label = choice.winner.label)
            (json_number c.predicted_variance)
            (json_number c.predicted_cost) (json_number c.score)
@@ -561,7 +548,8 @@ let choice_to_json choice =
              String.concat ", "
                (List.map
                   (fun step ->
-                    Printf.sprintf "\"%s\"" (json_escape (Pushdown.step_to_string step)))
+                    Printf.sprintf "\"%s\""
+                      (Obs.Metrics.escape (Pushdown.step_to_string step)))
                   d.Pushdown.steps))))
     choice.candidates;
   Buffer.add_string buffer "\n  ],\n  \"plan\":\n";

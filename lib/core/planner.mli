@@ -75,8 +75,8 @@ val exact_cost : Relational.Catalog.t -> plan -> float
 val optimizer_version : int
 
 (** False iff [RAESTAT_NO_OPTIMIZE] was 1/true/yes/on at startup — the
-    kill switch mirroring [RAESTAT_NO_COLUMNAR]: every goal-based
-    entry point then keeps the historical root-sampling behavior. *)
+    optimizer's kill switch: every goal-based entry point then keeps
+    the historical root-sampling behavior. *)
 val optimize_enabled : unit -> bool
 
 (** What the caller wants, instead of a hard-coded placement. *)

@@ -150,3 +150,10 @@ val counters_equal : snapshot -> snapshot -> bool
 val snapshot_to_json : snapshot -> string
 
 val to_json : ?include_spans:bool -> t -> string
+
+(** [escape s] is [s] ready to sit inside a quoted JSON string: a
+    backslash goes before each double quote and each backslash, and
+    every other byte below 0x20 is written as a [\u00XX] escape.  The
+    one escaper of the hand-rendered JSON reports (metrics, explain,
+    planner, bench). *)
+val escape : string -> string

@@ -2,16 +2,6 @@
    from a row-major tuple array.  See column.mli for the encoding
    contract. *)
 
-let enabled =
-  (* Read once at startup: the escape hatch must behave identically for
-     every consult in one process. *)
-  let on =
-    match Sys.getenv_opt "RAESTAT_NO_COLUMNAR" with
-    | Some ("1" | "true" | "yes" | "on") -> false
-    | Some _ | None -> true
-  in
-  fun () -> on
-
 module Bitset = struct
   type t = { length : int; words : int array }
 

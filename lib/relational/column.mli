@@ -19,12 +19,6 @@
     The per-column memoization is the only mutation and it is
     idempotent, so a racing encode under domains is benign. *)
 
-(** Whether columnar execution is enabled for this process.  Reads
-    [RAESTAT_NO_COLUMNAR] once at startup; values [1]/[true]/[yes]/[on]
-    disable it.  Callers combine this with their own [?columnar]
-    parameter. *)
-val enabled : unit -> bool
-
 (** Packed bitsets, [Sys.int_size] bits per word. *)
 module Bitset : sig
   type t

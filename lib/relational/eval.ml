@@ -25,10 +25,17 @@ let product_like ~keep l r =
     l;
   Array.of_list (List.rev !out)
 
-(* Row-path hash join: build on the right side, probe with the left,
-   preserving left-major output order like the nested-loop variants.
-   [metrics] records per-probe hit/miss counts. *)
-let row_equijoin ~metrics ~left_idx ~right_idx l r =
+(* Hash join: build on the right side, probe with the left, preserving
+   left-major output order like the nested-loop variants.  [metrics]
+   records per-probe hit/miss counts. *)
+let hash_equijoin ?(metrics = Obs.Metrics.noop) pairs l r =
+  let sl = Relation.schema l and sr = Relation.schema r in
+  let left_idx =
+    Array.of_list (List.map (fun (a, _) -> Schema.index_of sl a) pairs)
+  in
+  let right_idx =
+    Array.of_list (List.map (fun (_, b) -> Schema.index_of sr b) pairs)
+  in
   let table = Tuple_hash.create (max 16 (Relation.cardinality r)) in
   Relation.iter
     (fun tr ->
@@ -51,48 +58,19 @@ let row_equijoin ~metrics ~left_idx ~right_idx l r =
     l;
   Array.of_list (List.rev !out)
 
-(* Single-pair joins over columns that admit int key codes (null-free
-   ints, dictionary strings) run on the columnar kernel — same output
-   order, same probe accounting — and fall back to [row_equijoin]
-   otherwise. *)
-let hash_equijoin ?(metrics = Obs.Metrics.noop) ?(columnar = true) pairs l r =
-  let sl = Relation.schema l and sr = Relation.schema r in
-  let left_idx =
-    Array.of_list (List.map (fun (a, _) -> Schema.index_of sl a) pairs)
-  in
-  let right_idx =
-    Array.of_list (List.map (fun (_, b) -> Schema.index_of sr b) pairs)
-  in
-  let kernel_out () =
-    if not (columnar && Column.enabled () && Array.length left_idx = 1) then None
-    else begin
-      let lt = Relation.tuples l and rt = Relation.tuples r in
-      let out = ref [] in
-      if
-        Kernel.equijoin_iter ~metrics (Relation.columnar l) left_idx.(0)
-          (Relation.columnar r) right_idx.(0) ~f:(fun li ri ->
-            out := Tuple.concat (Array.unsafe_get lt li) (Array.unsafe_get rt ri) :: !out)
-      then Some (Array.of_list (List.rev !out))
-      else None
-    end
-  in
-  match kernel_out () with
-  | Some out -> out
-  | None -> row_equijoin ~metrics ~left_idx ~right_idx l r
-
 let hash_of_relation relation =
   let table = Tuple_hash.create (max 16 (Relation.cardinality relation)) in
   Relation.iter (fun t -> Tuple_hash.replace table t ()) relation;
   table
 
-let rec eval ?(metrics = Obs.Metrics.noop) ?(columnar = true) catalog expr =
-  let eval catalog expr = eval ~metrics ~columnar catalog expr in
+let rec eval ?(metrics = Obs.Metrics.noop) catalog expr =
+  let eval catalog expr = eval ~metrics catalog expr in
   let out_schema = Expr.schema_of catalog expr in
   match expr with
   | Expr.Base name -> Catalog.find catalog name
   | Expr.Select (p, e) ->
     let relation = eval catalog e in
-    Relation.filter_pred ~columnar p relation
+    Relation.filter (Predicate.compile (Relation.schema relation) p) relation
   | Expr.Project (names, e) -> project_relation names (eval catalog e)
   | Expr.Distinct e -> Relation.distinct (eval catalog e)
   | Expr.Product (l, r) ->
@@ -100,7 +78,7 @@ let rec eval ?(metrics = Obs.Metrics.noop) ?(columnar = true) catalog expr =
     Relation.of_array out_schema (product_like ~keep:(fun _ -> true) rl rr)
   | Expr.Equijoin (pairs, l, r) ->
     let rl = eval catalog l and rr = eval catalog r in
-    Relation.of_array out_schema (hash_equijoin ~metrics ~columnar pairs rl rr)
+    Relation.of_array out_schema (hash_equijoin ~metrics pairs rl rr)
   | Expr.Theta_join (p, l, r) ->
     let rl = eval catalog l and rr = eval catalog r in
     let keep = Predicate.compile out_schema p in
@@ -130,24 +108,4 @@ let rec eval ?(metrics = Obs.Metrics.noop) ?(columnar = true) catalog expr =
     in
     Relation.of_array out_schema (Array.of_list rows)
 
-(* Counting fast paths that avoid materializing the result: a selection
-   over a base relation is a kernel count, and a single-pair equijoin
-   over base relations is a code → multiplicity table.  Probe
-   accounting is identical to evaluating and measuring cardinality. *)
-let count ?metrics ?(columnar = true) catalog expr =
-  let kernel_count () =
-    if not (columnar && Column.enabled ()) then None
-    else
-      match expr with
-      | Expr.Select (p, Expr.Base name) ->
-        Some (Relation.count_pred ~columnar p (Catalog.find catalog name))
-      | Expr.Equijoin ([ (a, b) ], Expr.Base ln, Expr.Base rn) ->
-        let l = Catalog.find catalog ln and r = Catalog.find catalog rn in
-        let jl = Schema.index_of (Relation.schema l) a in
-        let jr = Schema.index_of (Relation.schema r) b in
-        Kernel.equijoin_count ?metrics (Relation.columnar l) jl (Relation.columnar r) jr
-      | _ -> None
-  in
-  match kernel_count () with
-  | Some n -> n
-  | None -> Relation.cardinality (eval ?metrics ~columnar catalog expr)
+let count ?metrics catalog expr = Relation.cardinality (eval ?metrics catalog expr)

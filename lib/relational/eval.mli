@@ -1,14 +1,12 @@
-(** Exact evaluation of relational algebra expressions.
+(** Reference evaluation of relational algebra expressions.
 
-    This is the ground truth the estimators are measured against.  Joins
-    use hash joins on the equality attributes; θ-joins and products use
-    nested loops; set operators hash-deduplicate.
-
-    When columnar execution is enabled (see {!Column.enabled}) and not
-    pinned off with [~columnar:false], selections and single-attribute
-    equijoins over int or string keys run on compiled columnar kernels
-    ({!Kernel}).  Results, output order and metrics counters are
-    identical to the row path. *)
+    A deliberately naive, row-at-a-time evaluator: every operator
+    materializes its result, selections test boxed tuples through
+    {!Predicate.compile}, joins hash whole key tuples, products and
+    θ-joins run nested loops, and set operators hash-deduplicate.  It
+    uses no columnar kernel, so it shares no fast path with the
+    production engine ({!Physical} over {!Kernel}); the tests and the
+    fuzz oracles compare production against it. *)
 
 (** [hash_equijoin pairs l r] joins two relations on attribute-name
     pairs, output in left-major order (probe order; within one probe,
@@ -16,16 +14,13 @@
     tuple. *)
 val hash_equijoin :
   ?metrics:Obs.Metrics.t ->
-  ?columnar:bool ->
   (string * string) list -> Relation.t -> Relation.t -> Tuple.t array
 
 (** [eval catalog e] materializes the result relation.  [metrics]
     (default disabled) records hash-probe hits/misses of every
     equi-join evaluated.
     @raise Failure on schema errors (see {!Expr.schema_of}). *)
-val eval : ?metrics:Obs.Metrics.t -> ?columnar:bool -> Catalog.t -> Expr.t -> Relation.t
+val eval : ?metrics:Obs.Metrics.t -> Catalog.t -> Expr.t -> Relation.t
 
-(** [count catalog e] is [Relation.cardinality (eval catalog e)], with
-    non-materializing columnar fast paths for [Select] and [Equijoin]
-    over base relations. *)
-val count : ?metrics:Obs.Metrics.t -> ?columnar:bool -> Catalog.t -> Expr.t -> int
+(** [count catalog e] is [Relation.cardinality (eval catalog e)]. *)
+val count : ?metrics:Obs.Metrics.t -> Catalog.t -> Expr.t -> int

@@ -263,112 +263,3 @@ let equijoin_count ?(metrics = Obs.Metrics.noop) l jl r jr =
         | None -> Obs.Metrics.probe_miss metrics)
       kl;
     Some !total
-
-let equijoin_iter ?(metrics = Obs.Metrics.noop) l jl r jr ~f =
-  match join_codes l jl r jr with
-  | None -> false
-  | Some (kl, kr) ->
-    let table = Hashtbl.create (max 16 (Array.length kr)) in
-    Array.iteri
-      (fun i k ->
-        let bucket = try Hashtbl.find table k with Not_found -> [] in
-        Hashtbl.replace table k (i :: bucket))
-      kr;
-    (* Buckets accumulate reversed; restore build order once so the
-       output matches the row join tuple-for-tuple (left-major, right
-       build order within a bucket). *)
-    Hashtbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) table;
-    Array.iteri
-      (fun li k ->
-        match Hashtbl.find_opt table k with
-        | None -> Obs.Metrics.probe_miss metrics
-        | Some bucket ->
-          Obs.Metrics.probe_hit metrics;
-          List.iter (fun ri -> f li ri) bucket)
-      kl;
-    true
-
-(* --- distinct -------------------------------------------------------- *)
-
-(* Canonical per-column int codes: within one column, codes are equal
-   iff the values are Tuple-equal (Value.compare = 0).  Codes from
-   different columns are never compared, so each column may use its own
-   code space. *)
-let is_null_at nulls i =
-  match nulls with None -> false | Some ns -> Column.Bitset.get ns i
-
-let canon_codes view j =
-  let n = Column.length view in
-  match Column.col view j with
-  | Column.Ints { data; nulls = None } -> Some data
-  | Column.Ints { data; nulls = Some ns } ->
-    (* Densify so Null gets a code no int can collide with. *)
-    let tbl = Hashtbl.create 64 in
-    let next = ref 0 in
-    Some
-      (Array.init n (fun i ->
-           if Column.Bitset.get ns i then -1
-           else
-             let v = Array.unsafe_get data i in
-             match Hashtbl.find_opt tbl v with
-             | Some c -> c
-             | None ->
-               let c = !next in
-               incr next;
-               Hashtbl.add tbl v c;
-               c))
-  | Column.Floats { data; nulls } ->
-    (* Float.compare equates -0. with 0. and NaN with NaN, so both are
-       canonicalized before taking bits. *)
-    let tbl = Hashtbl.create 64 in
-    let next = ref 0 in
-    Some
-      (Array.init n (fun i ->
-           if is_null_at nulls i then -1
-           else
-             let v = Bigarray.Array1.unsafe_get data i in
-             let v = if v = 0. then 0. else if Float.is_nan v then Float.nan else v in
-             let bits = Int64.bits_of_float v in
-             match Hashtbl.find_opt tbl bits with
-             | Some c -> c
-             | None ->
-               let c = !next in
-               incr next;
-               Hashtbl.add tbl bits c;
-               c))
-  | Column.Bools { data; nulls } ->
-    Some
-      (Array.init n (fun i ->
-           if is_null_at nulls i then -1 else if Column.Bitset.get data i then 1 else 0))
-  | Column.Dict { codes; _ } -> Some codes
-  | Column.Generic _ -> None
-
-let distinct_indices view =
-  let n = Column.length view in
-  let arity = Schema.arity (Column.schema view) in
-  let rec collect j acc =
-    if j < 0 then Some acc
-    else
-      match canon_codes view j with
-      | Some codes -> collect (j - 1) (codes :: acc)
-      | None -> None
-  in
-  match collect (arity - 1) [] with
-  | None -> None
-  | Some cols ->
-    let cols = Array.of_list cols in
-    (* int array keys: polymorphic hash/equality are exact on them. *)
-    let seen = Hashtbl.create (max 16 n) in
-    let keep = ref [] in
-    let kept = ref 0 in
-    for i = 0 to n - 1 do
-      let key = Array.map (fun codes -> Array.unsafe_get codes i) cols in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        keep := i :: !keep;
-        incr kept
-      end
-    done;
-    let out = Array.make !kept 0 in
-    List.iteri (fun k i -> out.(!kept - 1 - k) <- i) !keep;
-    Some out

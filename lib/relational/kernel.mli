@@ -40,18 +40,3 @@ val join_codes : Column.t -> int -> Column.t -> int -> (int array * int array) o
     {!join_codes} declines. *)
 val equijoin_count :
   ?metrics:Obs.Metrics.t -> Column.t -> int -> Column.t -> int -> int option
-
-(** [equijoin_iter l jl r jr ~f] calls [f li ri] for every matching
-    pair, in exactly the row join's output order: left-major, right
-    build order within a bucket.  Returns [false] (without calling [f])
-    when {!join_codes} declines. *)
-val equijoin_iter :
-  ?metrics:Obs.Metrics.t ->
-  Column.t -> int -> Column.t -> int -> f:(int -> int -> unit) -> bool
-
-(** First-occurrence indices of distinct rows (the row order
-    [Relation.distinct] produces), computed over canonical per-column
-    int codes.  [None] when some column is stored generically (mixed or
-    wrongly-typed values), where int codes cannot reproduce
-    [Tuple.equal]. *)
-val distinct_indices : Column.t -> int array option

@@ -456,19 +456,13 @@ let kernel_hash_join ?(metrics = Obs.Metrics.noop) schema l jl r jr =
             table := None);
       }
 
-(* Columnar cursors engage above this input size: below it the kernel
-   compile/encode overhead exceeds the per-row win. *)
-let kernel_threshold = 1024
-
-let rec of_expr ?(metrics = Obs.Metrics.noop) ?(columnar = true) catalog expr =
-  let of_expr catalog expr = of_expr ~metrics ~columnar catalog expr in
-  let kernels = columnar && Column.enabled () in
+let rec of_expr ?(metrics = Obs.Metrics.noop) catalog expr =
+  let of_expr catalog expr = of_expr ~metrics catalog expr in
   let out_schema = Expr.schema_of catalog expr in
   match expr with
   | Expr.Base name -> scan (Catalog.find catalog name)
   | Expr.Select (p, Expr.Base name)
-    when kernels && Relation.cardinality (Catalog.find catalog name) >= kernel_threshold
-    ->
+    when Relation.cardinality (Catalog.find catalog name) >= Relation.kernel_threshold ->
     kernel_filter (Catalog.find catalog name) p
   | Expr.Select (p, e) ->
     let input = of_expr catalog e in
@@ -493,7 +487,7 @@ let rec of_expr ?(metrics = Obs.Metrics.noop) ?(columnar = true) catalog expr =
       hash_join ~metrics out_schema ~left_key ~right_key left right
     in
     (match pairs, l, r with
-    | [ (a, b) ], Expr.Base ln, Expr.Base rn when kernels ->
+    | [ (a, b) ], Expr.Base ln, Expr.Base rn ->
       let rl = Catalog.find catalog ln and rr = Catalog.find catalog rn in
       let jl = Schema.index_of (Relation.schema rl) a in
       let jr = Schema.index_of (Relation.schema rr) b in
@@ -534,22 +528,26 @@ let count cursor =
   in
   drain 0
 
-(* COUNT of a bare two-leaf equijoin probes the code-space table
-   without materializing a single joined tuple (same kernel, same
-   per-probe hit/miss accounting as the streaming join above — the
-   fast path [Eval.count] takes).  Everything else drains the cursor. *)
-let count_expr ?metrics ?(columnar = true) catalog expr =
-  let kernel_count () =
-    if not (columnar && Column.enabled ()) then None
-    else
-      match expr with
-      | Expr.Equijoin ([ (a, b) ], Expr.Base ln, Expr.Base rn) ->
-        let l = Catalog.find catalog ln and r = Catalog.find catalog rn in
-        let jl = Schema.index_of (Relation.schema l) a in
-        let jr = Schema.index_of (Relation.schema r) b in
-        Kernel.equijoin_count ?metrics (Relation.columnar l) jl (Relation.columnar r) jr
-      | _ -> None
+(* Counting fast paths that materialize nothing: a selection over a
+   base relation is {!Relation.count_pred} (the kernel count at and
+   above the kernel threshold, the row count below it), and a bare
+   two-leaf equijoin probes the code-space table (same per-probe
+   hit/miss accounting as the streaming join above).  Everything else
+   drains the cursor. *)
+let count_expr ?metrics catalog expr =
+  let fast_count () =
+    match expr with
+    | Expr.Select (p, Expr.Base name) ->
+      (* Raise the cursor path's schema errors, not the kernel's. *)
+      ignore (Expr.schema_of catalog expr);
+      Some (Relation.count_pred p (Catalog.find catalog name))
+    | Expr.Equijoin ([ (a, b) ], Expr.Base ln, Expr.Base rn) ->
+      let l = Catalog.find catalog ln and r = Catalog.find catalog rn in
+      let jl = Schema.index_of (Relation.schema l) a in
+      let jr = Schema.index_of (Relation.schema r) b in
+      Kernel.equijoin_count ?metrics (Relation.columnar l) jl (Relation.columnar r) jr
+    | _ -> None
   in
-  match kernel_count () with
+  match fast_count () with
   | Some n -> n
-  | None -> count (of_expr ?metrics ~columnar catalog expr)
+  | None -> count (of_expr ?metrics catalog expr)

@@ -1,12 +1,14 @@
-(** Pull-based (Volcano-style) physical execution engine.
+(** Pull-based (Volcano-style) physical execution engine: the one
+    production evaluator.
 
-    {!Eval} materializes every intermediate result; this engine streams
-    tuples through a pipeline of cursors instead, so selection /
+    Tuples stream through a pipeline of cursors, so selection /
     projection / join chains run in memory proportional to the hash
     tables they build, not to their intermediates — products in
-    particular never materialize.  Both engines implement exactly the
-    same semantics ({!of_expr} agrees with {!Eval.eval} on every
-    expression; the test suite checks this on random inputs). *)
+    particular never materialize.  The reference evaluator {!Eval}
+    materializes every intermediate on the row path; {!of_expr}
+    produces the same tuples in the same order as {!Eval.eval} on
+    every expression, and the test suite checks this on random
+    inputs. *)
 
 type cursor
 
@@ -66,14 +68,13 @@ val diff : cursor -> cursor -> cursor
 
 (** {1 Whole-expression pipelines} *)
 
-(** Compile an expression to a pipeline.  When columnar execution is
-    enabled (see {!Column.enabled}) and not pinned off with
-    [~columnar:false], selections over large base relations and
-    single-pair equijoins of base relations with int-codeable keys
-    stream through compiled {!Kernel} closures — identical tuples,
-    order and probe accounting.
+(** Compile an expression to a pipeline.  Selections over base
+    relations at or above {!Relation.kernel_threshold} and single-pair
+    equijoins of base relations with int-codeable keys stream through
+    compiled {!Kernel} closures — identical tuples, order and probe
+    accounting to the row operators.
     @raise Failure on schema errors (as {!Expr.schema_of}). *)
-val of_expr : ?metrics:Obs.Metrics.t -> ?columnar:bool -> Catalog.t -> Expr.t -> cursor
+val of_expr : ?metrics:Obs.Metrics.t -> Catalog.t -> Expr.t -> cursor
 
 (** Drain a cursor into a relation. *)
 val run : cursor -> Relation.t
@@ -82,5 +83,8 @@ val run : cursor -> Relation.t
 val count : cursor -> int
 
 (** [count_expr catalog e] = [Eval.count catalog e], constant-memory
-    for SPJ pipelines. *)
-val count_expr : ?metrics:Obs.Metrics.t -> ?columnar:bool -> Catalog.t -> Expr.t -> int
+    for SPJ pipelines.  A selection over a base relation counts through
+    {!Relation.count_pred} and a single-pair equijoin of two base
+    relations through {!Kernel.equijoin_count}, without materializing
+    a tuple. *)
+val count_expr : ?metrics:Obs.Metrics.t -> Catalog.t -> Expr.t -> int

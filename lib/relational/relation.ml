@@ -53,9 +53,6 @@ let columnar r =
     r.view <- Some view;
     view
 
-(* Alias for use where a [?columnar] flag shadows the name. *)
-let view_of = columnar
-
 let iter f r = Array.iter f r.tuples
 
 let fold f init r = Array.fold_left f init r.tuples
@@ -67,29 +64,27 @@ let map schema f r = mk schema (Array.map f r.tuples)
 let count p r =
   Array.fold_left (fun acc t -> if p t then acc + 1 else acc) 0 r.tuples
 
-(* Columnar kernels engage above this size: below it the compile +
-   column-encode overhead eats the per-row win. *)
+(* Columnar kernels engage at this size and above: below it the
+   compile + column-encode overhead eats the per-row win. *)
 let kernel_threshold = 1024
 
-let use_kernel columnar r =
-  columnar && Column.enabled () && cardinality r >= kernel_threshold
+let use_kernel r = cardinality r >= kernel_threshold
 
 (* Force the columnar view now iff the kernels would build it lazily on
    first use: long-lived catalogs (the serve daemon) pay the encode at
    load time instead of on the first request that touches the
-   relation.  A no-op below the kernel threshold or with columnar
-   execution disabled — building a view no kernel will read would be
-   pure waste. *)
-let warm_view r = if use_kernel true r then ignore (columnar r)
+   relation.  A no-op below the kernel threshold — building a view no
+   kernel will read would be pure waste. *)
+let warm_view r = if use_kernel r then ignore (columnar r)
 
-let count_pred ?(columnar = true) p r =
-  if use_kernel columnar r then Kernel.count (view_of r) p
+let count_pred p r =
+  if use_kernel r then Kernel.count (columnar r) p
   else count (Predicate.compile r.schema p) r
 
-let gather r indices = Array.map (fun i -> Array.unsafe_get r.tuples i) indices
-
-let filter_pred ?(columnar = true) p r =
-  if use_kernel columnar r then mk r.schema (gather r (Kernel.filter_indices (view_of r) p))
+let filter_pred p r =
+  if use_kernel r then
+    let indices = Kernel.filter_indices (columnar r) p in
+    mk r.schema (Array.map (fun i -> Array.unsafe_get r.tuples i) indices)
   else filter (Predicate.compile r.schema p) r
 
 module Tuple_hash = Hashtbl.Make (struct
@@ -99,7 +94,7 @@ module Tuple_hash = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-let distinct_rows r =
+let distinct r =
   let seen = Tuple_hash.create (max 16 (cardinality r)) in
   let keep = ref [] in
   Array.iter
@@ -110,13 +105,6 @@ let distinct_rows r =
       end)
     r.tuples;
   mk r.schema (Array.of_list (List.rev !keep))
-
-let distinct r =
-  if Column.enabled () && cardinality r >= 64 then
-    match Kernel.distinct_indices (columnar r) with
-    | Some indices -> mk r.schema (gather r indices)
-    | None -> distinct_rows r
-  else distinct_rows r
 
 let is_set r =
   let seen = Tuple_hash.create (max 16 (cardinality r)) in
@@ -133,19 +121,14 @@ let is_set r =
 let column r name =
   let i = Schema.index_of r.schema name in
   match r.view with
-  | Some view when Column.enabled () -> Column.values view i
-  | Some _ | None -> Array.map (fun t -> Tuple.get t i) r.tuples
+  | Some view -> Column.values view i
+  | None -> Array.map (fun t -> Tuple.get t i) r.tuples
 
-(* Resolve the attribute before consulting the columnar switch: an
-   unknown name raises Not_found whether or not columnar execution is
-   enabled. *)
 let iter_column_int r name f =
-  let i = Schema.index_of r.schema name in
-  Column.enabled () && Column.iter_int (columnar r) i f
+  Column.iter_int (columnar r) (Schema.index_of r.schema name) f
 
 let iter_column_float r name f =
-  let i = Schema.index_of r.schema name in
-  Column.enabled () && Column.iter_float (columnar r) i f
+  Column.iter_float (columnar r) (Schema.index_of r.schema name) f
 
 let append r1 r2 =
   if not (Schema.equal r1.schema r2.schema) then

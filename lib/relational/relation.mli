@@ -43,23 +43,28 @@ val count : (Tuple.t -> bool) -> t -> int
     encodings are shared by every kernel consumer. *)
 val columnar : t -> Column.t
 
+(** Cardinality at and above which the kernels engage: below it,
+    compiling a predicate and encoding columns costs more than the
+    per-row win.  The one engagement rule of every kernel consumer
+    ({!count_pred}, {!filter_pred}, {!warm_view}, {!Physical}). *)
+val kernel_threshold : int
+
 (** Eagerly build and memoize the columnar view, iff the kernels would
-    use it (columnar execution enabled and the relation is at or above
-    the kernel threshold); otherwise a no-op.  Long-lived catalogs call
-    this at load time so no request pays the first-touch encode. *)
+    use it (the relation is at or above {!kernel_threshold}); otherwise
+    a no-op.  Long-lived catalogs call this at load time so no request
+    pays the first-touch encode. *)
 val warm_view : t -> unit
 
 (** [count_pred p r] counts tuples satisfying the predicate, through
-    the compiled columnar kernel when enabled (see {!Column.enabled})
-    and the relation is large enough to amortize compilation;
-    [~columnar:false] pins the row path.  Results are identical either
-    way.
+    the compiled columnar kernel ({!Kernel.count}) when [r] is at or
+    above {!kernel_threshold} and through [Predicate.compile] below it.
+    Results are identical either way.
     @raise Not_found if [p] mentions an unknown attribute. *)
-val count_pred : ?columnar:bool -> Predicate.t -> t -> int
+val count_pred : Predicate.t -> t -> int
 
 (** Selection counterpart of {!count_pred}: keeps tuples satisfying the
     predicate, preserving order. *)
-val filter_pred : ?columnar:bool -> Predicate.t -> t -> t
+val filter_pred : Predicate.t -> t -> t
 
 (** Duplicate elimination (set semantics), keeping first occurrences in
     order. *)
@@ -77,8 +82,8 @@ val column : t -> string -> Value.t array
 
 (** [iter_column_int r name f] applies [f] to every value of an
     all-integer, null-free column without allocating; returns [false]
-    (without calling [f]) when the column has nulls, is not stored as
-    ints, or columnar execution is disabled.
+    (without calling [f]) when the column has nulls or is not stored as
+    ints.
     @raise Not_found if the attribute is absent. *)
 val iter_column_int : t -> string -> (int -> unit) -> bool
 

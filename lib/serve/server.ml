@@ -288,7 +288,8 @@ let dispatch_stream_write slot view request op =
       in
       Metrics.add_snapshot metrics (ensure_stream view request ~relation ~first_tuple:None);
       Warm.with_stream view.warm relation (fun stream ->
-          ("deleted", Json.Bool (SR.delete stream id)) :: stream_status stream)
+          let deleted = SR.delete stream id in
+          ("deleted", Json.Bool deleted) :: stream_status stream)
     | `Ingest ->
       let tuples_json =
         match Json.member "insert" request with

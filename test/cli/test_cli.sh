@@ -279,25 +279,6 @@ done
 cmp -s "$workdir/counters.1" "$workdir/counters.4" \
   || fail "metrics counters differ between --domains 1 and 4"
 
-# columnar/row parity: the columnar kernels are contract-bound to the
-# same estimates and the same metrics counters; RAESTAT_NO_COLUMNAR=1
-# pins the row path.  Selection and join queries must print identical
-# estimates and identical counters lines either way.
-for q in "select[a < 30](r)" "r join[a = b] s"; do
-  "$cli" query "$q" --rel "r=$workdir/u.csv" --rel "s=$workdir/z.csv" -f 0.05 \
-    --metrics > "$workdir/col.out" 2> "$workdir/col.err"
-  RAESTAT_NO_COLUMNAR=1 "$cli" query "$q" --rel "r=$workdir/u.csv" \
-    --rel "s=$workdir/z.csv" -f 0.05 \
-    --metrics > "$workdir/row.out" 2> "$workdir/row.err"
-  cmp -s "$workdir/col.out" "$workdir/row.out" \
-    || fail "columnar and row estimates differ for '$q'"
-  grep '"tuples_scanned"' "$workdir/col.err" > "$workdir/col.counters"
-  grep '"tuples_scanned"' "$workdir/row.err" > "$workdir/row.counters"
-  cmp -s "$workdir/col.counters" "$workdir/row.counters" \
-    || fail "columnar and row metrics counters differ for '$q'"
-done
-expect "columnar parity counters populated" '"tuples_scanned": [1-9]' < "$workdir/col.counters"
-
 # error handling ---------------------------------------------------------
 if "$cli" estimate "$workdir/u.csv" --where "nonsense" -f 0.05 2>/dev/null; then
   fail "malformed filter accepted"

@@ -58,10 +58,10 @@ let biased factor =
   {
     Oracle.label = Printf.sprintf "biased x%g" factor;
     estimate =
-      (fun ~groups ~domains ~metrics ~columnar rng catalog ~fraction expr ->
+      (fun ~groups ~domains ~metrics rng catalog ~fraction expr ->
         let est =
-          Oracle.reference.Oracle.estimate ~groups ~domains ~metrics ~columnar rng
-            catalog ~fraction expr
+          Oracle.reference.Oracle.estimate ~groups ~domains ~metrics rng catalog
+            ~fraction expr
         in
         { est with Estimate.point = est.Estimate.point *. factor });
   }
@@ -74,10 +74,10 @@ let wrong_pair_scale =
   {
     Oracle.label = "second moment pair scale";
     estimate =
-      (fun ~groups ~domains ~metrics ~columnar rng catalog ~fraction expr ->
+      (fun ~groups ~domains ~metrics rng catalog ~fraction expr ->
         let est =
-          Oracle.reference.Oracle.estimate ~groups ~domains ~metrics ~columnar rng
-            catalog ~fraction expr
+          Oracle.reference.Oracle.estimate ~groups ~domains ~metrics rng catalog
+            ~fraction expr
         in
         let factor =
           List.fold_left
@@ -100,9 +100,9 @@ let deaf =
   {
     Oracle.label = "deaf";
     estimate =
-      (fun ~groups ~domains ~metrics:_ ~columnar rng catalog ~fraction expr ->
-        Oracle.reference.Oracle.estimate ~groups ~domains ~metrics:Obs.Metrics.noop
-          ~columnar rng catalog ~fraction expr);
+      (fun ~groups ~domains ~metrics:_ rng catalog ~fraction expr ->
+        Oracle.reference.Oracle.estimate ~groups ~domains ~metrics:Obs.Metrics.noop rng
+          catalog ~fraction expr);
   }
 
 (* Skipped deletions: the writer applies inserts but silently drops

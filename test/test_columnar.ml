@@ -3,13 +3,15 @@ module Column = Relational.Column
 module Kernel = Relational.Kernel
 module Metrics = Obs.Metrics
 module CE = Raestat.Count_estimator
+module Physical = Relational.Physical
 
 (* The columnar layer's whole contract is exact agreement with the row
-   path, so almost everything here is a differential property test:
-   generate a random relation (nulls, duplicates, and — through the
-   unchecked [Relation.of_array] — values that contradict the declared
-   column type, which must land in the [Generic] fallback), run both
-   paths, demand identical results. *)
+   semantics, so almost everything here is a differential property
+   test: generate a random relation (nulls, duplicates, and — through
+   the unchecked [Relation.of_array] — values that contradict the
+   declared column type, which must land in the [Generic] fallback),
+   run the kernel and the row reference ([Predicate.compile], [Eval]),
+   demand identical results. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -188,9 +190,10 @@ let prop_count_indices =
 
 (* Predicates over large relations cross the kernel-engagement
    threshold inside [Relation.count_pred]/[filter_pred]; the public API
-   must agree with its own row path there too. *)
+   must agree with the row predicate there too. *)
 let test_count_pred_large () =
   let n = 3000 in
+  Alcotest.(check bool) "kernels engage" true (n >= Relation.kernel_threshold);
   let schema = Schema.of_list [ ("a", Value.Tint); ("s", Value.Tstr) ] in
   let tuples =
     Array.init n (fun i ->
@@ -212,11 +215,11 @@ let test_count_pred_large () =
   List.iteri
     (fun k p ->
       let label = Printf.sprintf "pred %d" k in
-      Alcotest.(check int) (label ^ " count")
-        (Relation.count_pred ~columnar:false p r)
-        (Relation.count_pred ~columnar:true p r);
-      let rf = Relation.filter_pred ~columnar:false p r in
-      let cf = Relation.filter_pred ~columnar:true p r in
+      let keep = Predicate.compile schema p in
+      Alcotest.(check int) (label ^ " count") (Relation.count keep r)
+        (Relation.count_pred p r);
+      let rf = Relation.filter keep r in
+      let cf = Relation.filter_pred p r in
       Alcotest.(check int) (label ^ " filter cardinality")
         (Relation.cardinality rf) (Relation.cardinality cf);
       Array.iteri
@@ -282,25 +285,32 @@ let join_arb =
         (Relation.to_string r))
     join_gen
 
+let join_catalog l r = Catalog.of_list [ ("l", l); ("r", r) ]
+
+let join_expr = Expr.equijoin [ ("k", "k") ] (Expr.base "l") (Expr.base "r")
+
+(* The production streaming join of two base relations (the code-space
+   kernel wherever the keys admit one) against the reference row
+   join. *)
 let prop_join =
   qcheck_case ~count:400 "hash_equijoin columnar = row (tuples, order, counters)"
     join_arb
     (fun (l, r) ->
       let m1 = Metrics.create () and m2 = Metrics.create () in
-      let a = Eval.hash_equijoin ~metrics:m1 ~columnar:true [ ("k", "k") ] l r in
-      let b = Eval.hash_equijoin ~metrics:m2 ~columnar:false [ ("k", "k") ] l r in
+      let cursor = Physical.of_expr ~metrics:m1 (join_catalog l r) join_expr in
+      let a = Relation.tuples (Physical.run cursor) in
+      let b = Eval.hash_equijoin ~metrics:m2 [ ("k", "k") ] l r in
       Array.length a = Array.length b
       && Array.for_all2 Tuple.equal a b
       && Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
 
 let prop_join_count =
-  qcheck_case ~count:300 "Eval.count equijoin columnar = row" join_arb
+  qcheck_case ~count:300 "equijoin kernel count = Eval.count" join_arb
     (fun (l, r) ->
-      let catalog = Catalog.of_list [ ("l", l); ("r", r) ] in
-      let e = Expr.equijoin [ ("k", "k") ] (Expr.base "l") (Expr.base "r") in
+      let catalog = join_catalog l r in
       let m1 = Metrics.create () and m2 = Metrics.create () in
-      Eval.count ~metrics:m1 ~columnar:true catalog e
-      = Eval.count ~metrics:m2 ~columnar:false catalog e
+      Physical.count_expr ~metrics:m1 catalog join_expr
+      = Eval.count ~metrics:m2 catalog join_expr
       && Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
 
 (* ------------------------------------------------------------------ *)
@@ -320,8 +330,7 @@ let prop_distinct =
     (fun (schema, tuples, _) ->
       if Array.length tuples = 0 then true
       else begin
-        (* replicate rows past the columnar-distinct threshold so the
-           code path under test actually engages *)
+        (* replicate rows so every scenario carries duplicates *)
         let reps = (96 / Array.length tuples) + 1 in
         let big = Array.concat (List.init reps (fun _ -> tuples)) in
         let r = Relation.of_array schema big in
@@ -332,7 +341,7 @@ let prop_distinct =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Estimators: identical estimates and counters either way             *)
+(* Estimators: the kernels against the reference evaluator             *)
 (* ------------------------------------------------------------------ *)
 
 let big_catalog () =
@@ -358,36 +367,58 @@ let check_estimates_equal label (e1 : Stats.Estimate.t) (e2 : Stats.Estimate.t) 
   check_float (label ^ " variance") e2.variance e1.variance;
   Alcotest.(check int) (label ^ " sample size") e2.sample_size e1.sample_size
 
+let check_counters_equal label m1 m2 =
+  Alcotest.(check bool) (label ^ " counters") true
+    (Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
+
+(* The production replicated scale-up loop (split streams in replicate
+   order, the parent's split draws added once), with every replicate's
+   sampled expression counted by the reference evaluator.  Returns the
+   replicate mean and its variance s²/g. *)
+let reference_scale_up ~groups ~metrics rng catalog ~fraction expr =
+  let splan = Raestat.Sampling_plan.make catalog ~fraction expr in
+  let draws_before = Sampling.Rng.draws rng in
+  let points =
+    Raestat.Parallel.replicate_init rng groups (fun child _ ->
+        let sampled, _ = Raestat.Sampling_plan.draw ~metrics child catalog splan in
+        splan.Raestat.Sampling_plan.scale
+        *. float_of_int (Eval.count ~metrics sampled splan.Raestat.Sampling_plan.expr))
+  in
+  Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
+  let summary = Stats.Summary.of_array points in
+  (Stats.Summary.mean summary, Stats.Summary.variance summary /. float_of_int groups)
+
 let test_selection_estimator_parity () =
   let catalog = big_catalog () in
   let p = Predicate.(gt (attr "a") (vint 500)) in
   let m1 = Metrics.create () and m2 = Metrics.create () in
-  let e1 =
-    CE.selection ~metrics:m1 ~columnar:true (rng ~seed:7 ()) catalog ~relation:"r"
-      ~n:400 p
+  let e1 = CE.selection ~metrics:m1 (rng ~seed:7 ()) catalog ~relation:"r" ~n:400 p in
+  let r = Catalog.find catalog "r" in
+  let sample =
+    Sampling.Srs.relation_without_replacement ~metrics:m2 (rng ~seed:7 ()) ~n:400 r
   in
-  let e2 =
-    CE.selection ~metrics:m2 ~columnar:false (rng ~seed:7 ()) catalog ~relation:"r"
-      ~n:400 p
+  let hits =
+    Eval.count (Catalog.of_list [ ("s", sample) ]) (Expr.select p (Expr.base "s"))
   in
+  let e2 = CE.selection_of_counts ~big_n:(Relation.cardinality r) ~n:400 ~hits in
   check_estimates_equal "selection" e1 e2;
-  Alcotest.(check bool) "selection counters" true
-    (Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
+  check_counters_equal "selection" m1 m2
 
 let test_equijoin_estimator_parity () =
   let catalog = big_catalog () in
   let m1 = Metrics.create () and m2 = Metrics.create () in
   let e1 =
-    CE.equijoin ~groups:4 ~metrics:m1 ~columnar:true (rng ~seed:11 ()) catalog
-      ~left:"r" ~right:"s" ~on:[ ("a", "b") ] ~fraction:0.1
+    CE.equijoin ~groups:4 ~metrics:m1 (rng ~seed:11 ()) catalog ~left:"r" ~right:"s"
+      ~on:[ ("a", "b") ] ~fraction:0.1
   in
-  let e2 =
-    CE.equijoin ~groups:4 ~metrics:m2 ~columnar:false (rng ~seed:11 ()) catalog
-      ~left:"r" ~right:"s" ~on:[ ("a", "b") ] ~fraction:0.1
+  (* The equijoin front-end splits the fraction across replicates. *)
+  let point, variance =
+    reference_scale_up ~groups:4 ~metrics:m2 (rng ~seed:11 ()) catalog ~fraction:0.025
+      (Expr.equijoin [ ("a", "b") ] (Expr.base "r") (Expr.base "s"))
   in
-  check_estimates_equal "equijoin" e1 e2;
-  Alcotest.(check bool) "equijoin counters" true
-    (Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
+  check_float "equijoin point" point e1.point;
+  check_float "equijoin variance" variance e1.variance;
+  check_counters_equal "equijoin" m1 m2
 
 let test_estimate_expr_parity () =
   let catalog = big_catalog () in
@@ -397,17 +428,13 @@ let test_estimate_expr_parity () =
       (Expr.equijoin [ ("a", "b") ] (Expr.base "r") (Expr.base "s"))
   in
   let m1 = Metrics.create () and m2 = Metrics.create () in
-  let e1 =
-    CE.estimate ~groups:3 ~metrics:m1 ~columnar:true (rng ~seed:3 ()) catalog
-      ~fraction:0.05 e
+  let e1 = CE.estimate ~groups:3 ~metrics:m1 (rng ~seed:3 ()) catalog ~fraction:0.05 e in
+  let point, variance =
+    reference_scale_up ~groups:3 ~metrics:m2 (rng ~seed:3 ()) catalog ~fraction:0.05 e
   in
-  let e2 =
-    CE.estimate ~groups:3 ~metrics:m2 ~columnar:false (rng ~seed:3 ()) catalog
-      ~fraction:0.05 e
-  in
-  check_estimates_equal "estimate" e1 e2;
-  Alcotest.(check bool) "estimate counters" true
-    (Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
+  check_float "estimate point" point e1.point;
+  check_float "estimate variance" variance e1.variance;
+  check_counters_equal "estimate" m1 m2
 
 let test_exact_baseline_parity () =
   let catalog = big_catalog () in
@@ -421,8 +448,8 @@ let test_exact_baseline_parity () =
     (fun i e ->
       Alcotest.(check int)
         (Printf.sprintf "exact %d" i)
-        (Baselines.Exact.count ~columnar:false catalog e).count
-        (Baselines.Exact.count ~columnar:true catalog e).count)
+        (Eval.count catalog e)
+        (Baselines.Exact.count catalog e).count)
     exprs
 
 (* ------------------------------------------------------------------ *)
@@ -434,11 +461,8 @@ let test_column_memoized () =
   let r = Relation.of_array schema [| [| Value.Int 1 |]; [| Value.Int 2 |] |] in
   Alcotest.(check bool) "view memoized" true (Relation.columnar r == Relation.columnar r);
   let c1 = Relation.column r "a" in
-  (* With columnar execution disabled (RAESTAT_NO_COLUMNAR) every call
-     allocates afresh; enabled, the memoized boxed view is shared. *)
-  Alcotest.(check bool) "column sharing follows the columnar switch"
-    (Column.enabled ())
-    (c1 == Relation.column r "a");
+  (* Once the view exists, the memoized boxed column is shared. *)
+  Alcotest.(check bool) "column shared" true (c1 == Relation.column r "a");
   Alcotest.(check bool) "column values" true
     (c1 = [| Value.Int 1; Value.Int 2 |])
 
@@ -454,16 +478,14 @@ let test_iter_columns () =
         [| Value.Int 3; Value.Float 2.5; Value.Int 6 |];
       |]
   in
-  (* The iterators decline wholesale when columnar execution is
-     disabled; assert the full behavior only when it is on. *)
   let sum = ref 0 in
-  Alcotest.(check bool) "int iter runs iff enabled" (Column.enabled ())
+  Alcotest.(check bool) "int iter runs" true
     (Relation.iter_column_int r "a" (fun v -> sum := !sum + v));
-  if Column.enabled () then Alcotest.(check int) "int sum" 6 !sum;
+  Alcotest.(check int) "int sum" 6 !sum;
   let fsum = ref 0. in
-  Alcotest.(check bool) "float iter runs iff enabled" (Column.enabled ())
+  Alcotest.(check bool) "float iter runs" true
     (Relation.iter_column_float r "b" (fun v -> fsum := !fsum +. v));
-  if Column.enabled () then check_float "float sum" 4.5 !fsum;
+  check_float "float sum" 4.5 !fsum;
   Alcotest.(check bool) "nullable column declines" false
     (Relation.iter_column_int r "c" (fun _ -> Alcotest.fail "called on nulls"));
   Alcotest.(check bool) "wrong type declines" false

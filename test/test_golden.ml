@@ -72,11 +72,6 @@ let scenarios () =
         let catalog = fixed_catalog () in
         Raestat.Count_estimator.estimate ~metrics:m rng catalog ~fraction:0.1
           (Expr.select orders_filter (Expr.base "orders")));
-    est "estimate/select/g1/row" (fun rng m ->
-        let catalog = fixed_catalog () in
-        Raestat.Count_estimator.estimate ~metrics:m ~columnar:false rng catalog
-          ~fraction:0.1
-          (Expr.select orders_filter (Expr.base "orders")));
     est "estimate/chain/g4/dom1" (fun rng m ->
         let catalog = fixed_catalog () in
         Raestat.Count_estimator.estimate ~groups:4 ~domains:1 ~metrics:m rng catalog
@@ -98,10 +93,6 @@ let scenarios () =
         let catalog = fixed_catalog () in
         Raestat.Count_estimator.selection ~metrics:m rng catalog ~relation:"orders"
           ~n:500 orders_filter);
-    est "selection/row" (fun rng m ->
-        let catalog = fixed_catalog () in
-        Raestat.Count_estimator.selection ~metrics:m ~columnar:false rng catalog
-          ~relation:"orders" ~n:500 orders_filter);
     est "equijoin/g1" (fun rng m ->
         let catalog = fixed_catalog () in
         Raestat.Count_estimator.equijoin ~groups:1 ~metrics:m rng catalog
@@ -220,13 +211,11 @@ let scenarios () =
 let expected =
   [
     "estimate/select/g1/col | point=0x1.0f4p+11 var=nan n=400 status=unbiased ci=[-] | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=400 hit=0 miss=0 draws=400";
-    "estimate/select/g1/row | point=0x1.0f4p+11 var=nan n=400 status=unbiased ci=[-] | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=400 hit=0 miss=0 draws=400";
     "estimate/chain/g4/dom1 | point=0x1.63e71c71c71c8p+12 var=0x1.96964a88f4697p+20 n=2480 status=unbiased ci=[0x1.8ba3d4d5054fep+11,0x1.00fe273c85c88p+13] | tuples=2480 pages=0 bytes=0 batches=0 cache=0 idx=2480 hit=504 miss=2318 draws=2484";
     "estimate/chain/g4/dom2 | point=0x1.63e71c71c71c8p+12 var=0x1.96964a88f4697p+20 n=2480 status=unbiased ci=[0x1.8ba3d4d5054fep+11,0x1.00fe273c85c88p+13] | tuples=2480 pages=0 bytes=0 batches=0 cache=0 idx=2480 hit=504 miss=2318 draws=2484";
     "estimate/self-join/g1 | point=0x1.137dp+19 var=nan n=1600 status=unbiased ci=[-] | tuples=1600 pages=0 bytes=0 batches=0 cache=0 idx=1600 hit=800 miss=0 draws=1600";
     "estimate/distinct/g1 | point=0x1.0aaaaaaaaaaabp+8 var=nan n=1200 status=consistent ci=[-] | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=1200 hit=0 miss=0 draws=1200";
     "selection/col | point=0x1.1p+11 var=0x1.b2fb61fcebfdfp+12 n=500 status=unbiased ci=[0x1.f71f618ba2c4ep+10,0x1.24704f3a2e9d9p+11] | tuples=500 pages=0 bytes=0 batches=0 cache=0 idx=500 hit=0 miss=0 draws=500";
-    "selection/row | point=0x1.1p+11 var=0x1.b2fb61fcebfdfp+12 n=500 status=unbiased ci=[0x1.f71f618ba2c4ep+10,0x1.24704f3a2e9d9p+11] | tuples=500 pages=0 bytes=0 batches=0 cache=0 idx=500 hit=0 miss=0 draws=500";
     "equijoin/g1 | point=0x1.de2p+11 var=nan n=816 status=unbiased ci=[-] | tuples=816 pages=0 bytes=0 batches=0 cache=0 idx=816 hit=153 miss=647 draws=816";
     "equijoin/g8/dom2 | point=0x1.a900000000001p+11 var=0x1.75e2492492492p+18 n=1632 status=unbiased ci=[0x1.11687423eeb2ep+11,0x1.204bc5ee08a6ap+12] | tuples=1632 pages=0 bytes=0 batches=0 cache=0 idx=1632 hit=68 miss=1532 draws=1829";
     "equijoin-indexed | point=0x1.f4p+11 var=0x0p+0 n=600 status=unbiased ci=[0x1.f4p+11,0x1.f4p+11] | tuples=600 pages=0 bytes=0 batches=0 cache=0 idx=600 hit=600 miss=0 draws=600";

@@ -7,7 +7,12 @@ let sorted_tuples relation =
   Array.sort Tuple.compare tuples;
   Array.to_list (Array.map Tuple.to_string tuples)
 
-let same_bag r1 r2 = sorted_tuples r1 = sorted_tuples r2
+(* Same schema, same tuples in the same order: [Aggregate] sums floats
+   in tuple order, so production must match the reference exactly. *)
+let same_relation r1 r2 =
+  Schema.equal (Relation.schema r1) (Relation.schema r2)
+  && Relation.cardinality r1 = Relation.cardinality r2
+  && Array.for_all2 Tuple.equal (Relation.tuples r1) (Relation.tuples r2)
 
 let catalog () =
   Catalog.of_list
@@ -48,13 +53,10 @@ let test_agrees_with_eval () =
   let c = catalog () in
   List.iter
     (fun e ->
-      let via_eval = Eval.eval c e in
-      let via_pipeline = Physical.run (Physical.of_expr c e) in
       Alcotest.(check bool)
         (Expr.to_string e)
         true
-        (Schema.equal (Relation.schema via_eval) (Relation.schema via_pipeline)
-        && same_bag via_eval via_pipeline))
+        (same_relation (Eval.eval c e) (Physical.run (Physical.of_expr c e))))
     expressions
 
 let test_count_matches () =
@@ -154,14 +156,42 @@ let prop_engines_agree =
     (fun (xs, ys) ->
       let c = Catalog.of_list [ ("x", int_relation xs); ("y", int_relation ys) ] in
       List.for_all
-        (fun e -> Eval.count c e = Physical.count_expr c e)
+        (fun e ->
+          same_relation (Eval.eval c e) (Physical.run (Physical.of_expr c e))
+          && Eval.count c e = Physical.count_expr c e)
         [
           Expr.union (Expr.base "x") (Expr.base "y");
           Expr.inter (Expr.base "x") (Expr.base "y");
           Expr.diff (Expr.base "x") (Expr.base "y");
           Expr.equijoin [ ("a", "a") ] (Expr.base "x") (Expr.base "y");
+          Expr.product (Expr.base "x") (Expr.base "y");
           Expr.distinct (Expr.base "x");
+          Expr.select (P.le (P.attr "a") (P.vint 2)) (Expr.base "x");
         ])
+
+(* [count_expr] counts a selection over a base relation without a
+   cursor: through the kernel at and above [kernel_threshold], through
+   the row predicate below it.  Both must match the reference. *)
+let test_select_count_fast_path () =
+  let threshold = Relation.kernel_threshold in
+  List.iter
+    (fun n ->
+      let c = Catalog.of_list [ ("r", int_relation (List.init n (fun i -> i mod 7))) ] in
+      List.iter
+        (fun p ->
+          let e = Expr.select p (Expr.base "r") in
+          Alcotest.(check int)
+            (Printf.sprintf "n=%d %s" n (Expr.to_string e))
+            (Eval.count c e) (Physical.count_expr c e))
+        [ P.le (P.attr "a") (P.vint 2); P.neq (P.attr "a") (P.vint 3); P.True ])
+    [ threshold - 1; threshold; threshold + 100 ];
+  (* An unknown attribute raises the cursor path's schema error, not
+     the predicate compiler's Not_found. *)
+  let c = Catalog.of_list [ ("r", int_relation [ 1 ]) ] in
+  let e = Expr.select (P.eq (P.attr "zz") (P.vint 1)) (Expr.base "r") in
+  Alcotest.check_raises "unknown attribute"
+    (Failure "Expr.schema_of: unknown attribute \"zz\" in selection")
+    (fun () -> ignore (Physical.count_expr c e))
 
 let suite =
   [
@@ -176,4 +206,5 @@ let suite =
     Alcotest.test_case "merge join = hash join" `Quick test_merge_join_matches_hash_join;
     prop_merge_join_equals_hash_join;
     prop_engines_agree;
+    Alcotest.test_case "select count fast path" `Quick test_select_count_fast_path;
   ]

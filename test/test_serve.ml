@@ -709,6 +709,11 @@ let test_server_stream_writes () =
   Alcotest.(check bool) "epoch" true (result_field line "epoch" = Json.Int 1);
   let line = Server.handle_line state {|{"op": "delete", "relation": "s", "id": 0}|} in
   Alcotest.(check bool) "deleted" true (result_field line "deleted" = Json.Bool true);
+  (* The reply reports the status after the delete: one fewer live
+     tuple, one more epoch. *)
+  Alcotest.(check bool) "population after delete" true
+    (result_field line "population" = Json.Int 0);
+  Alcotest.(check bool) "epoch after delete" true (result_field line "epoch" = Json.Int 2);
   let line = Server.handle_line state {|{"op": "delete", "relation": "s", "id": 0}|} in
   Alcotest.(check bool)
     "dead delete is a no-op" true
