@@ -9,12 +9,14 @@
      incrementally).  Staleness is what a rescan-based design would
      pay; the maintained sample answers at the current epoch, so the
      only error left is sampling error — the recorded q-errors bound
-     it.  A final erosion phase deletes most of the population to
-     drive [needs_rescan] and measures the rescan's cost and the
-     post-rescan (census) accuracy.  Every count in this section —
-     epochs, populations, sample sizes, maintenance ops, RNG draws,
-     and the q-errors themselves — is a pure function of the seed, so
-     the compare gate pins them.
+     it.  Each batch is also followed by the snapshot a query would
+     rebuild, timed (wall-clock, not gated) and checked against the
+     model's live count.  A final erosion phase deletes most of the
+     population to drive [needs_rescan] and measures the rescan's cost
+     and the post-rescan (census) accuracy.  Every count in this
+     section — epochs, populations, sample sizes, maintenance ops, RNG
+     draws, and the q-errors themselves — is a pure function of the
+     seed, so the compare gate pins them.
 
    - A concurrent daemon section: one writer connection streams ingest
      batches while reader connections hammer estimates on the same
@@ -59,6 +61,7 @@ type serial_result = {
   qerr_after_rescan : float;
   writes_per_sec : float;  (** wall-clock, not gated *)
   estimate_us : float;  (** median maintained-estimate latency, not gated *)
+  snapshot_us : float;  (** median post-batch snapshot latency, not gated *)
 }
 
 (* The model: live ids in a swap-remove array for O(1) uniform picks,
@@ -119,6 +122,7 @@ let run_serial ~quick () =
   Array.iteri (fun k (_, value) -> model_add model (counts.SR.first_id + k) value) base;
   let qerrs = Array.make rounds 0. in
   let est_lat = Array.make rounds 0. in
+  let snap_lat = Array.make rounds 0. in
   let writes = ref 0 in
   let t_writes = ref 0. in
   for round = 0 to rounds - 1 do
@@ -148,7 +152,15 @@ let run_serial ~quick () =
     est_lat.(round) <- Unix.gettimeofday () -. t1;
     qerrs.(round) <-
       Stats.Summary.q_error ~estimate:est.Stats.Estimate.point
-        ~truth:(float_of_int model.matching)
+        ~truth:(float_of_int model.matching);
+    (* The materialization a query after this batch would rebuild. *)
+    let t2 = Unix.gettimeofday () in
+    let snapshot = SR.snapshot stream in
+    snap_lat.(round) <- Unix.gettimeofday () -. t2;
+    check
+      (Relational.Relation.cardinality snapshot = model.live)
+      (Printf.sprintf "round %d: snapshot holds %d tuples, model %d" round
+         (Relational.Relation.cardinality snapshot) model.live)
   done;
   let qerr_mean = Array.fold_left ( +. ) 0. qerrs /. float_of_int rounds in
   let qerr_max = Array.fold_left Float.max 1. qerrs in
@@ -200,6 +212,7 @@ let run_serial ~quick () =
     writes_per_sec =
       (if !t_writes > 0. then float_of_int !writes /. !t_writes else 0.);
     estimate_us = 1e6 *. Stats.Summary.median est_lat;
+    snapshot_us = 1e6 *. Stats.Summary.median snap_lat;
   }
 
 (* --- concurrent daemon section ----------------------------------------- *)
@@ -389,8 +402,8 @@ let write_json ~path ~quick ~(serial : serial_result) ~(served : served_result) 
     serial.eroded_population serial.eroded_fill_ratio;
   Printf.fprintf oc "  \"qerr_after_rescan\": %.6f,\n" serial.qerr_after_rescan;
   Printf.fprintf oc
-    "  \"writes_per_sec\": %.0f,\n  \"estimate_us\": %.1f,\n"
-    serial.writes_per_sec serial.estimate_us;
+    "  \"writes_per_sec\": %.0f,\n  \"estimate_us\": %.1f,\n  \"snapshot_us\": %.1f,\n"
+    serial.writes_per_sec serial.estimate_us serial.snapshot_us;
   Printf.fprintf oc
     "  \"srv_write_batches\": %d,\n  \"srv_batch_size\": %d,\n\
     \  \"srv_reader_requests\": %d,\n"
@@ -411,9 +424,10 @@ let run ?(json = false) ?(quick = false) () =
   Printf.printf "\n=== stream bench (maintained samples under writes) ===\n%!";
   let serial = run_serial ~quick () in
   Printf.printf
-    "serial: %d rounds of +%d/-%d: %.0f writes/s, estimate p50 %.1fus\n"
+    "serial: %d rounds of +%d/-%d: %.0f writes/s, estimate p50 %.1fus, snapshot \
+     p50 %.1fus\n"
     serial.rounds serial.batch_inserts serial.batch_deletes serial.writes_per_sec
-    serial.estimate_us;
+    serial.estimate_us serial.snapshot_us;
   Printf.printf
     "serial: staleness q-error mean %.4f max %.4f over %d checkpoints (pop %d, \
      sample %d/%d)\n"

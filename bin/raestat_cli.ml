@@ -329,8 +329,10 @@ let estimate_cmd =
 
 (* Delete spec "3,7,10-20": comma-separated ids and inclusive ranges.
    Ids are the sequential tuple ids a stream issues (row order of the
-   base relation, then insert order). *)
-let parse_delete_spec spec =
+   base relation, then insert order).  Ranges are clamped to the
+   [issued] ids: no id past them can be live, so the clamp changes no
+   output, and a range costs no more than the ids the stream has. *)
+let parse_delete_spec ~issued spec =
   let part p =
     let p = String.trim p in
     match String.index_opt p '-' with
@@ -342,7 +344,8 @@ let parse_delete_spec spec =
       let lo = String.trim (String.sub p 0 i) in
       let hi = String.trim (String.sub p (i + 1) (String.length p - i - 1)) in
       match (int_of_string_opt lo, int_of_string_opt hi) with
-      | Some lo, Some hi when lo <= hi -> List.init (hi - lo + 1) (fun k -> lo + k)
+      | Some lo, Some hi when lo <= hi ->
+        List.init (max 0 (min hi (issued - 1) - lo + 1)) (fun k -> lo + k)
       | _ -> failwith (Printf.sprintf "--delete: %S is not an id range LO-HI" p))
   in
   String.split_on_char ',' spec
@@ -383,7 +386,11 @@ let ingest_cmd =
         let deletes =
           match delete_spec with
           | None -> [||]
-          | Some spec -> Array.of_list (parse_delete_spec spec)
+          | Some spec ->
+            let issued =
+              Relational.Relation.cardinality base + Array.length insert_tuples
+            in
+            Array.of_list (parse_delete_spec ~issued spec)
         in
         let counts = SR.ingest stream ~inserts:insert_tuples ~deletes in
         Printf.printf "ingested %d, deleted %d (epoch %d, population %d, sample %d/%d)\n"

@@ -608,8 +608,8 @@ let maintenance_oracle ?(writer = maintenance_writer) () =
     name = "maintenance";
     summary =
       "maintained stream samples track random insert/delete interleavings: \
-       exact recount, live-sample containment, delete-to-empty, and a \
-       replicate-mean unbiasedness gate";
+       exact recount, live-sample containment, id-ordered snapshot and mem, \
+       delete-to-empty, and a replicate-mean unbiasedness gate";
     run =
       (fun _subject ~replicates case ->
         let catalog = Gen.materialize case in
@@ -650,6 +650,15 @@ let maintenance_oracle ?(writer = maintenance_writer) () =
               stream
             in
             let stream = replay (Rng.int rng 0x3FFFFFFF) mixed in
+            (* Every id the trace issued, and one past either end. *)
+            let issued =
+              List.length (List.filter (function Add _ -> true | Remove _ -> false) mixed)
+            in
+            let mem_mismatch =
+              List.find_opt
+                (fun id -> SR.mem stream id <> List.mem_assoc id live)
+                (List.init (issued + 2) (fun k -> k - 1))
+            in
             let truth =
               float_of_int (List.length (List.filter (fun (_, t) -> holds t) live))
             in
@@ -673,6 +682,15 @@ let maintenance_oracle ?(writer = maintenance_writer) () =
                       ~default:(Relation.empty schema)
                       (SR.bernoulli_sample stream)))
             then Fail "Bernoulli sample holds a tuple the live population does not"
+            else if
+              not
+                (List.equal Tuple.equal (List.map snd live)
+                   (Array.to_list (Relation.tuples (SR.snapshot stream))))
+            then Fail "snapshot does not hold the op trace's live tuples in id order"
+            else if Option.is_some mem_mismatch then
+              Fail
+                (Printf.sprintf "mem %d disagrees with the op trace's live ids"
+                   (Option.get mem_mismatch))
             else begin
               List.iter (writer stream) drain;
               let empty_est = SR.estimate_count stream predicate in

@@ -68,10 +68,12 @@ type oracle = {
       insert/delete interleaving over the case's first leaf matches the
       trace's exact recount (population, epoch-free store truth), keeps
       every maintained sample (reservoir and Bernoulli) inside the live
-      multiset, drains to the exact-0 estimate when every live id is
-      deleted, and — where the power gate allows — keeps a replicate
-      mean over independent stream seeds that brackets the trace's
-      exact count (same Student-t bound and 8× retry as
+      multiset, snapshots exactly the trace's live tuples in id order,
+      answers {!Raestat.Stream_relation.mem} as the trace does for
+      every id it issued, drains to the exact-0 estimate when every
+      live id is deleted, and — where the power gate allows — keeps a
+      replicate mean over independent stream seeds that brackets the
+      trace's exact count (same Student-t bound and 8× retry as
       ["unbiasedness"]). *)
 val battery : oracle list
 

@@ -8,10 +8,18 @@ type counts = { first_id : id; inserted : int; deleted : int }
 type t = {
   schema : Relational.Schema.t;
   rng : Sampling.Rng.t;
-  (* The live population, exactly: id -> tuple.  Ids are issued by the
-     backing sample (sequential from 0), so liveness checks here are
-     authoritative where the sample alone could only guess. *)
-  store : (id, Relational.Tuple.t) Hashtbl.t;
+  (* The live population, exactly, as an id-ordered log: slot [k <
+     len] holds id [ids.(k)] and its tuple [rows.(k)].  Ids are issued
+     by the backing sample (sequential from 0), so appends keep the log
+     ascending and liveness checks here are authoritative where the
+     sample alone could only guess.  A deleted slot keeps its id
+     complemented ([lnot id < 0]): the log stays sorted by [slot_id]
+     and a slot's sign is its liveness.  Slots at [len] and beyond hold
+     [[||]]: only dead slots awaiting compaction pin a deleted tuple. *)
+  mutable ids : id array;
+  mutable rows : Relational.Tuple.t array;
+  mutable len : int;
+  mutable live : int;
   backing : Backing_sample.t;
   bernoulli : Relational.Tuple.t Sampling.Bernoulli.maintained option;
   window : Relational.Tuple.t Sampling.Window.t option;
@@ -28,7 +36,10 @@ let create ?(capacity = 1024) ?bernoulli ?window ?(window_chains = 1)
   {
     schema;
     rng;
-    store = Hashtbl.create 1024;
+    ids = [||];
+    rows = [||];
+    len = 0;
+    live = 0;
     backing = Backing_sample.create ~metrics rng ~capacity ~schema;
     bernoulli =
       Option.map (fun p -> Sampling.Bernoulli.maintained ~metrics rng ~p ()) bernoulli;
@@ -45,7 +56,7 @@ let schema t = t.schema
 
 let epoch t = t.epoch
 
-let population t = Hashtbl.length t.store
+let population t = t.live
 
 let sample_size t = Backing_sample.sample_size t.backing
 
@@ -55,7 +66,86 @@ let fill_ratio t = Backing_sample.fill_ratio t.backing
 
 let needs_rescan ?min_ratio t = Backing_sample.needs_rescan ?min_ratio t.backing
 
-let mem t id = Hashtbl.mem t.store id
+(* --- the log ------------------------------------------------------------ *)
+
+let slot_id x = if x < 0 then lnot x else x
+
+(* Array length for [n] slots with room to grow. *)
+let room n = max 16 (2 * n)
+
+(* The slot holding [id], live or dead; -1 when the log has none. *)
+let find t id =
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let k = slot_id t.ids.(mid) in
+      if k = id then mid else if k < id then search (mid + 1) hi else search lo mid
+  in
+  search 0 t.len
+
+let mem t id =
+  let k = find t id in
+  k >= 0 && t.ids.(k) >= 0
+
+let append t id tuple =
+  if t.len = Array.length t.ids then begin
+    let ids = Array.make (room t.len) 0 and rows = Array.make (room t.len) [||] in
+    Array.blit t.ids 0 ids 0 t.len;
+    Array.blit t.rows 0 rows 0 t.len;
+    t.ids <- ids;
+    t.rows <- rows
+  end;
+  t.ids.(t.len) <- id;
+  t.rows.(t.len) <- tuple;
+  t.len <- t.len + 1;
+  t.live <- t.live + 1
+
+(* Slide the live slots down over the dead ones, in order, and shrink
+   the arrays once they are over twice the room the live slots need. *)
+let compact t =
+  let j = ref 0 in
+  for k = 0 to t.len - 1 do
+    if t.ids.(k) >= 0 then begin
+      t.ids.(!j) <- t.ids.(k);
+      t.rows.(!j) <- t.rows.(k);
+      incr j
+    end
+  done;
+  Array.fill t.rows t.live (t.len - t.live) [||];
+  t.len <- t.live;
+  if Array.length t.ids > 2 * room t.live then begin
+    t.ids <- Array.sub t.ids 0 (room t.live);
+    t.rows <- Array.sub t.rows 0 (room t.live)
+  end
+
+(* Mark [id]'s slot dead; compact once dead slots outnumber live ones,
+   so a delete costs O(log n) plus amortised O(1) slot moves. *)
+let remove t id =
+  let k = find t id in
+  if k < 0 || t.ids.(k) < 0 then false
+  else begin
+    t.ids.(k) <- lnot id;
+    t.live <- t.live - 1;
+    if t.len - t.live > t.live then compact t;
+    true
+  end
+
+(* [f id tuple] over the live slots in id (= insertion) order: the one
+   pass every rebuild and materialization shares. *)
+let map_live t ~vacant f =
+  let out = Array.make t.live vacant in
+  let j = ref 0 in
+  for k = 0 to t.len - 1 do
+    let id = t.ids.(k) in
+    if id >= 0 then begin
+      out.(!j) <- f id t.rows.(k);
+      incr j
+    end
+  done;
+  out
+
+(* --- writes ------------------------------------------------------------- *)
 
 (* Every mutation invalidates the memoized materialization; sample
    maintenance already happened inside the callee. *)
@@ -65,15 +155,14 @@ let bump t =
 
 let insert_one t tuple =
   let id = Backing_sample.insert t.backing tuple in
-  Hashtbl.replace t.store id tuple;
+  append t id tuple;
   Option.iter (fun m -> Sampling.Bernoulli.insert m ~id tuple) t.bernoulli;
   Option.iter (fun w -> Sampling.Window.add w tuple) t.window;
   id
 
 let delete_one t id =
-  if not (Hashtbl.mem t.store id) then false
+  if not (remove t id) then false
   else begin
-    Hashtbl.remove t.store id;
     ignore (Backing_sample.delete t.backing id);
     Option.iter (fun m -> Sampling.Bernoulli.delete m ~id) t.bernoulli;
     true
@@ -100,16 +189,12 @@ let ingest t ~inserts ~deletes =
   if Array.length inserts > 0 || deleted > 0 then bump t;
   { first_id = !first_id; inserted = Array.length inserts; deleted }
 
-(* Live pairs in id (= insertion) order: the deterministic enumeration
-   every rebuild and materialization shares. *)
-let live_pairs t =
-  let pairs = Hashtbl.fold (fun id tuple acc -> (id, tuple) :: acc) t.store [] in
-  let pairs = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
-  Array.of_list pairs
-
 let rescan t =
-  Backing_sample.rescan t.backing (live_pairs t);
+  Backing_sample.rescan t.backing
+    (map_live t ~vacant:(0, [||]) (fun id tuple -> (id, tuple)));
   bump t
+
+(* --- reads -------------------------------------------------------------- *)
 
 let estimate_count t predicate = Backing_sample.estimate_count t.backing predicate
 
@@ -133,9 +218,9 @@ let snapshot t =
   match t.snap with
   | Some (epoch, relation) when epoch = t.epoch -> relation
   | _ ->
-    let pairs = live_pairs t in
-    Metrics.add_tuples t.metrics (Array.length pairs);
-    let relation = Relation.of_array t.schema (Array.map snd pairs) in
+    let tuples = map_live t ~vacant:[||] (fun _ tuple -> tuple) in
+    Metrics.add_tuples t.metrics (Array.length tuples);
+    let relation = Relation.of_array t.schema tuples in
     Relation.warm_view relation;
     t.snap <- Some (t.epoch, relation);
     relation

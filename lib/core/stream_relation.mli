@@ -6,6 +6,19 @@
     sample are always fresh (staleness 0 epochs) without rescanning the
     base data.
 
+    {2 The live store}
+
+    The population itself is kept exactly, as an id-ordered log:
+    parallel arrays of ids and tuples, appended in id order (ids are
+    issued sequentially), with a deleted slot marked dead in place
+    after a binary search.  Once dead slots outnumber live ones the
+    log compacts in place (and shrinks when it is far larger than the
+    live slots need), so it holds at most about twice the live
+    population and a delete costs O(log n) plus amortised O(1) slot
+    moves.  {!mem} is a binary search, O(log n); {!snapshot} and
+    {!rescan} read the live tuples in id order in one pass over the
+    log, with no sort.
+
     {2 Determinism}
 
     All randomness is drawn at {e write} time from the stream's own
@@ -70,7 +83,8 @@ val fill_ratio : t -> float
     {!Backing_sample.needs_rescan}. *)
 val needs_rescan : ?min_ratio:float -> t -> bool
 
-(** Is this id live? *)
+(** Is this id live?  A binary search over the log: O(log n), with n
+    at most about twice the live population. *)
 val mem : t -> id -> bool
 
 (** Insert a tuple into the population and every maintained sample;
@@ -112,7 +126,8 @@ val window_sample : t -> Relational.Tuple.t array option
 
 (** The live population materialized as a relation in id order, with
     its columnar view forced — memoized per epoch, so exact/query paths
-    over an unchanged stream reuse one materialization.  This is the
-    path that {e does} scan the base data; estimation never calls
-    it. *)
+    over an unchanged stream reuse one materialization.  A rebuild is
+    one pass over the log (at most about 2× the live slots), with no
+    sort.  This is the path that {e does} scan the base data;
+    estimation never calls it. *)
 val snapshot : t -> Relational.Relation.t

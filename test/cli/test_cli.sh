@@ -62,6 +62,20 @@ out="$("$cli" ingest "$workdir/u.csv" --capacity 100 --delete "0-19989" --rescan
 echo "$out" | expect "rescan line" "rescan: rebuilt the backing sample from 10 live tuples"
 echo "$out" | expect "rescan census" "sampled 10 of 10 tuples \(100.00%\)"
 
+# --delete ranges are clamped to the ids the stream has issued (base
+# rows, then inserts): a range reaching far past them, even to max_int,
+# prints the same bytes as the clamped range, without building its ids
+printf 'a:int\n1\n2\n3\n' > "$workdir/three.csv"
+"$cli" ingest "$workdir/three.csv" --delete "0-2" --where "a < 3" > "$workdir/clamp.ref"
+grep -q "ingested 0, deleted 3 (epoch 2, population 0" "$workdir/clamp.ref" \
+  || fail "clamped delete range"
+for spec in "0-4000000000" "0-4611686018427387903"; do
+  "$cli" ingest "$workdir/three.csv" --delete "$spec" --where "a < 3" > "$workdir/clamp.out" \
+    || fail "ingest --delete $spec exited non-zero"
+  cmp -s "$workdir/clamp.ref" "$workdir/clamp.out" \
+    || fail "ingest --delete $spec differs from --delete 0-2"
+done
+
 # pack / pagefile storage ------------------------------------------------
 # Packing is a change of storage, not of data: every command must give
 # bit-identical output whether it reads the CSV or the packed .raf.

@@ -156,6 +156,153 @@ let test_metrics_delta_attribution () =
   Alcotest.(check bool) "request sink carries the delta" true
     (Obs.Metrics.counters_equal (Obs.Metrics.snapshot request) delta)
 
+(* --- model-based: the store against a sorted Hashtbl -------------------- *)
+
+(* Delete targets resolve against the reference when the op runs, so a
+   generated sequence stays meaningful whatever came before it. *)
+type target =
+  | Live of int  (** the [i mod n]-th live id *)
+  | Dead of int  (** an id deleted earlier *)
+  | Negative of int
+  | Unissued of int  (** past the last id issued *)
+
+type op =
+  | Insert
+  | Delete of target
+  | Ingest of int * target list  (** inserts, then deletes *)
+  | Cull of int  (** one batch deleting every live id but each [m]-th *)
+  | Rescan
+
+let show_target = function
+  | Live i -> Printf.sprintf "live %d" i
+  | Dead i -> Printf.sprintf "dead %d" i
+  | Negative i -> Printf.sprintf "neg %d" i
+  | Unissued i -> Printf.sprintf "unissued %d" i
+
+let show_op = function
+  | Insert -> "insert"
+  | Delete target -> "delete " ^ show_target target
+  | Ingest (n, targets) ->
+    Printf.sprintf "ingest +%d -[%s]" n (String.concat "; " (List.map show_target targets))
+  | Cull m -> Printf.sprintf "cull %d" m
+  | Rescan -> "rescan"
+
+let ops_arb =
+  let open QCheck.Gen in
+  let target =
+    frequency
+      [
+        (6, map (fun i -> Live i) nat);
+        (2, map (fun i -> Dead i) nat);
+        (1, map (fun i -> Negative i) small_nat);
+        (1, map (fun i -> Unissued i) small_nat);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, return Insert);
+        (4, map (fun t -> Delete t) target);
+        ( 3,
+          map2
+            (fun n targets -> Ingest (n, targets))
+            (int_range 0 40)
+            (list_size (int_range 0 30) target) );
+        (1, map (fun m -> Cull m) (int_range 2 5));
+        (1, return Rescan);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+    (list_size (int_range 1 60) op)
+
+(* The reference is the store this module used to keep: an id -> tuple
+   Hashtbl, sorted by id whenever it is read.  Every tuple carries its
+   own id, so the snapshot comparison also checks each id's tuple. *)
+let store_agrees_with_reference ops =
+  let t = SR.create ~capacity:8 ~bernoulli:0.5 ~seed:11 ~schema () in
+  let reference = Hashtbl.create 64 and dead = ref [] and next = ref 0 in
+  let live_ids () =
+    List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) reference [])
+  in
+  let pick i = function [] -> None | l -> Some (List.nth l (i mod List.length l)) in
+  let resolve = function
+    | Live i -> Option.value (pick i (live_ids ())) ~default:!next
+    | Dead i -> Option.value (pick i !dead) ~default:(-1)
+    | Negative i -> -1 - i
+    | Unissued i -> !next + i
+  in
+  let ref_insert () =
+    let id = !next in
+    Hashtbl.replace reference id (tuple id);
+    incr next;
+    id
+  in
+  let ref_delete id =
+    if not (Hashtbl.mem reference id) then false
+    else begin
+      Hashtbl.remove reference id;
+      dead := id :: !dead;
+      true
+    end
+  in
+  let agree step =
+    let expected = live_ids () in
+    let got = Array.to_list (Array.map value (Relation.tuples (SR.snapshot t))) in
+    if got <> expected then
+      QCheck.Test.fail_reportf "after %s: snapshot [%s], reference [%s]" step
+        (String.concat "; " (List.map string_of_int got))
+        (String.concat "; " (List.map string_of_int expected));
+    if SR.population t <> Hashtbl.length reference then
+      QCheck.Test.fail_reportf "after %s: population %d, reference %d" step
+        (SR.population t) (Hashtbl.length reference);
+    for id = -2 to !next + 1 do
+      if SR.mem t id <> Hashtbl.mem reference id then
+        QCheck.Test.fail_reportf "after %s: mem %d is %b" step id (SR.mem t id)
+    done
+  in
+  let returns step ~got ~expected =
+    if got <> expected then
+      QCheck.Test.fail_reportf "%s returned %s, reference %s" step got expected
+  in
+  (* Deletes resolve after the batch's inserts, as [SR.ingest] applies
+     them. *)
+  let batch step ~inserts:n ~deletes =
+    let inserts = Array.init n (fun k -> tuple (!next + k)) in
+    let first_id = if n = 0 then -1 else !next in
+    Array.iter (fun _ -> ignore (ref_insert ())) inserts;
+    let deletes = Array.of_list (deletes ()) in
+    let c = SR.ingest t ~inserts ~deletes in
+    let deleted =
+      Array.fold_left (fun k id -> if ref_delete id then k + 1 else k) 0 deletes
+    in
+    let show (f, i, d) = Printf.sprintf "{first_id %d; inserted %d; deleted %d}" f i d in
+    returns step
+      ~got:(show (c.SR.first_id, c.SR.inserted, c.SR.deleted))
+      ~expected:(show (first_id, n, deleted))
+  in
+  List.iter
+    (fun op ->
+      let step = show_op op in
+      (match op with
+      | Insert ->
+        let got = SR.insert t (tuple !next) in
+        returns step ~got:(string_of_int got) ~expected:(string_of_int (ref_insert ()))
+      | Delete target ->
+        let id = resolve target in
+        returns step
+          ~got:(string_of_bool (SR.delete t id))
+          ~expected:(string_of_bool (ref_delete id))
+      | Ingest (n, targets) ->
+        batch step ~inserts:n ~deletes:(fun () -> List.map resolve targets)
+      | Cull m ->
+        batch step ~inserts:0 ~deletes:(fun () ->
+            List.filteri (fun i _ -> i mod m <> 0) (live_ids ()))
+      | Rescan -> SR.rescan t);
+      agree step)
+    ops;
+  true
+
 let suite =
   [
     Alcotest.test_case "insert/delete/epoch" `Quick test_insert_delete_epoch;
@@ -169,4 +316,6 @@ let suite =
     Alcotest.test_case "rescan after erosion" `Quick test_rescan_after_erosion;
     Alcotest.test_case "write-time determinism" `Quick test_write_time_determinism;
     Alcotest.test_case "metrics delta attribution" `Quick test_metrics_delta_attribution;
+    qcheck_case ~count:300 "store agrees with a sorted-Hashtbl reference" ops_arb
+      store_agrees_with_reference;
   ]
