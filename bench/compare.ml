@@ -126,6 +126,8 @@ let guarded_counter_rows =
     "f1-selection-columnar";
     "t2-equijoin-1pct";
     "t2-equijoin-columnar";
+    "t5-chain-scaleup-5pct";
+    "f6-exact-join-columnar";
   ]
 
 (* Row objects are one-per-line; pull the {…} containing the name and

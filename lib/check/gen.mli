@@ -36,7 +36,9 @@ type case = {
 val case : master:int -> id:int -> case
 
 (** Bind the case's relations (freshly generated, deterministic in the
-    case) into a new catalog. *)
+    case) into a new catalog.  In odd-numbered cases every relation's
+    columnar view is forced, so samples drawn from it gather their
+    columns from the base instead of encoding their own rows. *)
 val materialize : case -> Relational.Catalog.t
 
 (** One-line human description: id, seed, expression, fraction,

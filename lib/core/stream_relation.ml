@@ -25,7 +25,7 @@ type t = {
   window : Relational.Tuple.t Sampling.Window.t option;
   mutable epoch : int;
   (* Epoch-memoized materialization for the exact/query paths: rebuilt
-     at most once per epoch, columnar view forced. *)
+     at most once per epoch. *)
   mutable snap : (int * Relation.t) option;
   metrics : Metrics.t;
 }
@@ -220,7 +220,8 @@ let snapshot t =
   | _ ->
     let tuples = map_live t ~vacant:[||] (fun _ tuple -> tuple) in
     Metrics.add_tuples t.metrics (Array.length tuples);
+    (* No [warm_view]: samples of a snapshot encode their own rows
+       rather than gather from columns this epoch would encode whole. *)
     let relation = Relation.of_array t.schema tuples in
-    Relation.warm_view relation;
     t.snap <- Some (t.epoch, relation);
     relation

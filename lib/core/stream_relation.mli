@@ -124,9 +124,12 @@ val window_size : t -> int option
 (** One draw per chain from the last [window] inserts, when enabled. *)
 val window_sample : t -> Relational.Tuple.t array option
 
-(** The live population materialized as a relation in id order, with
-    its columnar view forced — memoized per epoch, so exact/query paths
-    over an unchanged stream reuse one materialization.  A rebuild is
+(** The live population materialized as a relation in id order —
+    memoized per epoch, so exact/query paths over an unchanged stream
+    reuse one materialization.  Its view is not warmed
+    ({!Relational.Relation.warm_view}): a query's samples encode their
+    own rows instead of gathering from columns the epoch would encode
+    whole.  A rebuild is
     one pass over the log (at most about 2× the live slots), with no
     sort.  This is the path that {e does} scan the base data;
     estimation never calls it. *)

@@ -39,7 +39,7 @@ type col =
 type t = {
   schema : Schema.t;
   length : int;
-  tuples : Tuple.t array;
+  source : source;
   (* Both caches are memoized per column on first touch.  Under domains
      two racers may encode the same column; the encodes are
      deterministic and the pointer store is atomic, so the race is
@@ -47,6 +47,12 @@ type t = {
   cols : col option array;
   boxed : Value.t array option array;
 }
+
+(* Where a column comes from on first touch: encoded from the rows, or
+   gathered from another view's column at the given row ids. *)
+and source =
+  | Rows of Tuple.t array
+  | Gather of t * int array
 
 let schema t = t.schema
 
@@ -150,21 +156,71 @@ let encode_col tuples j n ty =
     | Value.Tnull -> encode_generic tuples j n
   with Fallback -> encode_generic tuples j n
 
-let of_tuples schema tuples =
-  let arity = Schema.arity schema in
-  {
-    schema;
-    length = Array.length tuples;
-    tuples;
-    cols = Array.make arity None;
-    boxed = Array.make arity None;
-  }
+(* --- gathering ------------------------------------------------------- *)
 
-let col t j =
+(* A gathered column keeps its base's representation, so it decodes to
+   the same values as an encode of the gathered tuples would.  A null
+   bitmap survives only if some gathered row is null, like an encode's. *)
+
+let gather_nulls nulls ids =
+  match nulls with
+  | None -> None
+  | Some ns ->
+    let n = Array.length ids in
+    let out = ref None in
+    Array.iteri (fun k i -> if Bitset.get ns i then mark_null out n k) ids;
+    !out
+
+(* A typed loop: a polymorphic [Array.map] would store each int through
+   the write barrier. *)
+let gather_ints (data : int array) ids =
+  let out = Array.make (Array.length ids) 0 in
+  Array.iteri (fun k i -> Array.unsafe_set out k data.(i)) ids;
+  out
+
+let gather_col c ids =
+  let n = Array.length ids in
+  match c with
+  | Ints { data; nulls } ->
+    Ints { data = gather_ints data ids; nulls = gather_nulls nulls ids }
+  | Floats { data; nulls } ->
+    let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+    Array.iteri
+      (fun k i -> Bigarray.Array1.unsafe_set out k (Bigarray.Array1.get data i))
+      ids;
+    Floats { data = out; nulls = gather_nulls nulls ids }
+  | Bools { data; nulls } ->
+    let out = Bitset.create n in
+    Array.iteri (fun k i -> if Bitset.get data i then Bitset.set out k) ids;
+    Bools { data = out; nulls = gather_nulls nulls ids }
+  | Dict { codes; dict; lookup; _ } ->
+    (* The base's dictionary is shared: codes index it as they are. *)
+    let codes = gather_ints codes ids in
+    Dict { codes; dict; lookup; has_null = Array.exists (fun c -> c < 0) codes }
+  | Generic values -> Generic (Array.map (fun i -> values.(i)) ids)
+
+let make schema length source =
+  let arity = Schema.arity schema in
+  { schema; length; source; cols = Array.make arity None; boxed = Array.make arity None }
+
+let of_tuples schema tuples = make schema (Array.length tuples) (Rows tuples)
+
+let gather base ids =
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= base.length then invalid_arg "Column.gather: row id out of range")
+    ids;
+  make base.schema (Array.length ids) (Gather (base, ids))
+
+let rec col t j =
   match t.cols.(j) with
   | Some c -> c
   | None ->
-    let c = encode_col t.tuples j t.length (Schema.attribute t.schema j).Schema.ty in
+    let c =
+      match t.source with
+      | Rows tuples -> encode_col tuples j t.length (Schema.attribute t.schema j).Schema.ty
+      | Gather (base, ids) -> gather_col (col base j) ids
+    in
     t.cols.(j) <- Some c;
     c
 

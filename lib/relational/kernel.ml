@@ -26,7 +26,7 @@ let flip = function
   | Gt -> Predicate.Lt
   | Ge -> Predicate.Le
 
-let int_test cmp c =
+let int_test cmp (c : int) =
   match (cmp : Predicate.cmp) with
   | Eq -> fun v -> v = c
   | Neq -> fun v -> v <> c
@@ -235,31 +235,3 @@ let join_codes l jl r jr =
   | (Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Dict _ | Column.Generic _), _
     ->
     None
-
-let build_counts codes =
-  let table = Hashtbl.create (max 16 (Array.length codes)) in
-  Array.iter
-    (fun k ->
-      match Hashtbl.find_opt table k with
-      | Some n -> Hashtbl.replace table k (n + 1)
-      | None -> Hashtbl.add table k 1)
-    codes;
-  table
-
-let equijoin_count ?(metrics = Obs.Metrics.noop) l jl r jr =
-  match join_codes l jl r jr with
-  | None -> None
-  | Some (kl, kr) ->
-    let table = build_counts kr in
-    let total = ref 0 in
-    (* Same probe accounting as the row join: one hit or miss per left
-       tuple. *)
-    Array.iter
-      (fun k ->
-        match Hashtbl.find_opt table k with
-        | Some n ->
-          Obs.Metrics.probe_hit metrics;
-          total := !total + n
-        | None -> Obs.Metrics.probe_miss metrics)
-      kl;
-    Some !total

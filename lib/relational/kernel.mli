@@ -1,12 +1,13 @@
-(** Compiled predicate and equijoin kernels over columnar views.
+(** Compiled predicate kernels and equijoin key codes over columnar
+    views.
 
     The contract with the row path is exact agreement: [compile view p]
     decides every row like [Predicate.compile (Column.schema view) p]
     (including Null-comparison-is-false, cross-type rank ordering and
-    [Not_found] on unknown attributes), and the join kernels match key
+    [Not_found] on unknown attributes), and equal join codes match key
     pairs exactly when [Tuple.equal] would (Null keys match Null keys).
-    Metrics accounting mirrors the row joins: one probe hit or miss per
-    left tuple, nothing recorded for plain scans. *)
+    Nothing here records metrics: the joins built on the codes
+    ({!Physical}) account their probes. *)
 
 (** [compile view p] lowers [p] into a row-index predicate.  Single
     Attr-vs-Const comparisons over int/float/dictionary/bool columns
@@ -33,10 +34,3 @@ val filter_indices : Column.t -> Predicate.t -> int array
     [-1] = Null on both sides, [-2] = absent from the right).  [None]
     means the caller must take the row path. *)
 val join_codes : Column.t -> int -> Column.t -> int -> (int array * int array) option
-
-(** Equijoin cardinality on one key pair without materializing: builds
-    a code → multiplicity table on the right, probes left codes in row
-    order (recording one probe hit/miss per left row).  [None] when
-    {!join_codes} declines. *)
-val equijoin_count :
-  ?metrics:Obs.Metrics.t -> Column.t -> int -> Column.t -> int -> int option

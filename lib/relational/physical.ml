@@ -528,26 +528,278 @@ let count cursor =
   in
   drain 0
 
-(* Counting fast paths that materialize nothing: a selection over a
-   base relation is {!Relation.count_pred} (the kernel count at and
-   above the kernel threshold, the row count below it), and a bare
-   two-leaf equijoin probes the code-space table (same per-probe
-   hit/miss accounting as the streaming join above).  Everything else
-   drains the cursor. *)
-let count_expr ?metrics catalog expr =
-  let fast_count () =
-    match expr with
-    | Expr.Select (p, Expr.Base name) ->
-      (* Raise the cursor path's schema errors, not the kernel's. *)
-      ignore (Expr.schema_of catalog expr);
-      Some (Relation.count_pred p (Catalog.find catalog name))
-    | Expr.Equijoin ([ (a, b) ], Expr.Base ln, Expr.Base rn) ->
-      let l = Catalog.find catalog ln and r = Catalog.find catalog rn in
-      let jl = Schema.index_of (Relation.schema l) a in
-      let jr = Schema.index_of (Relation.schema r) b in
-      Kernel.equijoin_count ?metrics (Relation.columnar l) jl (Relation.columnar r) jr
-    | _ -> None
+(* --- counting on row ids --------------------------------------------- *)
+
+(* An SPJ tree of base relations, single-leaf selections, single-pair
+   equijoins on int-codeable keys, renames and bag projections is
+   counted without building a tuple.  Rows are row ids: a one-leaf
+   subtree streams its leaf's row ids through its selections, and an
+   inner join emits the row ids of its pairs, one int array per leaf.  A
+   selection tests the row of its one leaf, and a join matches the key
+   codes read at those ids ({!Kernel.join_codes}).  Every join probes
+   once per left row, hit or miss, as [hash_join] does, so the probe
+   counters agree with the cursor engine's.  Any other node declines
+   before anything is evaluated, and the whole expression goes to the
+   cursor engine. *)
+
+exception Decline
+
+(* Open-addressing int table: [vals.(s) = 0] marks an empty slot, so
+   values are stored as positive ints.  Sized to at least twice the
+   keys it will hold, it never fills. *)
+module Int_table = struct
+  type t = {
+    shift : int;
+    keys : int array;
+    vals : int array;
+  }
+
+  let create n =
+    let bits = ref 4 in
+    while 1 lsl !bits < 2 * n do
+      incr bits
+    done;
+    let size = 1 lsl !bits in
+    { shift = Sys.int_size - !bits; keys = Array.make size 0; vals = Array.make size 0 }
+
+  (* The slot holding [k], or the empty slot where it would go. *)
+  let slot t k =
+    let mask = Array.length t.vals - 1 in
+    let s = ref ((k * 0x4F1BBCDCBFA53E0B) lsr t.shift) in
+    while
+      Array.unsafe_get t.vals !s <> 0 && Array.unsafe_get t.keys !s <> k
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
+end
+
+(* Subtrees compile to a [plan] over the leaves of a [shape]; [pos]
+   maps each schema position to its leaf and that leaf's column. *)
+type shape = {
+  schema : Schema.t;
+  leaves : Relation.t array;
+  pos : (int * int) array;
+}
+
+type plan =
+  | Scan_rows of int  (** every row of a leaf, in order *)
+  | Filter_rows of plan * int * (int -> bool)  (** keep rows whose [leaf] row passes *)
+  | Join_rows of side * side
+
+and side = {
+  plan : plan;
+  leaf : int;
+  codes : int array;  (** key code by row id of [leaf] *)
+}
+
+(* A selection over a leaf keeps [Relation.count_pred]'s rule: the
+   compiled kernel at and above the kernel threshold, the row predicate
+   below it. *)
+let row_test relation p =
+  if Relation.cardinality relation >= Relation.kernel_threshold then
+    Kernel.compile (Relation.columnar relation) p
+  else
+    let keep = Predicate.compile (Relation.schema relation) p in
+    fun i -> keep (Relation.tuple relation i)
+
+let rec compile_rows catalog expr =
+  match expr with
+  | Expr.Base name ->
+    let r = Catalog.find catalog name in
+    let schema = Relation.schema r in
+    let pos = Array.init (Schema.arity schema) (fun j -> (0, j)) in
+    ({ schema; leaves = [| r |]; pos }, Scan_rows (Relation.cardinality r))
+  | Expr.Select (p, e) ->
+    let shape, plan = compile_rows catalog e in
+    let resolve name = shape.pos.(Schema.index_of shape.schema name) in
+    let leaves = List.map (fun a -> fst (resolve a)) (Predicate.attributes p) in
+    let leaf =
+      match List.sort_uniq Int.compare leaves with
+      | [] -> 0
+      | [ leaf ] -> leaf
+      | _ :: _ :: _ -> raise Decline
+    in
+    let relation = shape.leaves.(leaf) in
+    let local name =
+      (Schema.attribute (Relation.schema relation) (snd (resolve name))).Schema.name
+    in
+    (shape, Filter_rows (plan, leaf, row_test relation (Predicate.map_attributes local p)))
+  | Expr.Equijoin ([ (a, b) ], l, r) ->
+    let sl, pl = compile_rows catalog l and sr, pr = compile_rows catalog r in
+    let kl, jl = sl.pos.(Schema.index_of sl.schema a) in
+    let kr, jr = sr.pos.(Schema.index_of sr.schema b) in
+    let view shape k = Relation.columnar shape.leaves.(k) in
+    (match Kernel.join_codes (view sl kl) jl (view sr kr) jr with
+    | None -> raise Decline
+    | Some (cl, cr) ->
+      let offset = Array.length sl.leaves in
+      ( {
+          schema = Schema.concat sl.schema sr.schema;
+          leaves = Array.append sl.leaves sr.leaves;
+          pos = Array.append sl.pos (Array.map (fun (k, j) -> (k + offset, j)) sr.pos);
+        },
+        Join_rows
+          ({ plan = pl; leaf = kl; codes = cl }, { plan = pr; leaf = kr; codes = cr }) ))
+  | Expr.Rename (pairs, e) ->
+    let shape, plan = compile_rows catalog e in
+    ({ shape with schema = Schema.rename shape.schema pairs }, plan)
+  | Expr.Project (names, e) ->
+    let shape, plan = compile_rows catalog e in
+    let pos = List.map (fun name -> shape.pos.(Schema.index_of shape.schema name)) names in
+    let schema = Schema.project shape.schema names in
+    ({ shape with schema; pos = Array.of_list pos }, plan)
+  | Expr.Equijoin _ | Expr.Distinct _ | Expr.Product _ | Expr.Theta_join _
+  | Expr.Union _ | Expr.Inter _ | Expr.Diff _ | Expr.Aggregate _ ->
+    raise Decline
+
+(* A plan's rows as a stream of row handles.  With [ids = None] the plan
+   has one leaf and a handle is that leaf's row id, so selections and
+   joins read their columns with nothing materialized; otherwise a
+   handle indexes [ids], one id array per leaf.  [bound] bounds the
+   number of rows. *)
+type stream = {
+  iter : (int -> unit) -> unit;
+  ids : int array array option;
+  bound : int;
+}
+
+let row_id s leaf t = match s.ids with None -> t | Some ids -> ids.(leaf).(t)
+
+let width s = match s.ids with None -> 1 | Some ids -> Array.length ids
+
+let rec stream metrics = function
+  | Scan_rows n ->
+    {
+      iter =
+        (fun f ->
+          for i = 0 to n - 1 do
+            f i
+          done);
+      ids = None;
+      bound = n;
+    }
+  | Filter_rows (plan, leaf, keep) ->
+    let s = stream metrics plan in
+    { s with iter = (fun f -> s.iter (fun t -> if keep (row_id s leaf t) then f t)) }
+  | Join_rows (l, r) ->
+    let ids = join_rows metrics l r in
+    let n = Array.length ids.(0) in
+    {
+      iter =
+        (fun f ->
+          for t = 0 to n - 1 do
+            f t
+          done);
+      ids = Some ids;
+      bound = n;
+    }
+
+(* An inner join emits the row ids of its pairs, left-major and in build
+   order within a left row, like [hash_join]'s output.  The right rows
+   are grouped by key code; the left rows are streamed once to probe
+   (once per left row), keeping the hits and their groups, and the
+   output is filled from those. *)
+and join_rows metrics l r =
+  let rs = stream metrics r.plan and ls = stream metrics l.plan in
+  let table = Int_table.create rs.bound in
+  let rows = Array.make rs.bound 0 and row_group = Array.make rs.bound 0 in
+  let m = ref 0 and groups = ref 0 in
+  rs.iter (fun u ->
+      let k = r.codes.(row_id rs r.leaf u) in
+      let s = Int_table.slot table k in
+      if table.vals.(s) = 0 then begin
+        table.keys.(s) <- k;
+        incr groups;
+        table.vals.(s) <- !groups
+      end;
+      rows.(!m) <- u;
+      row_group.(!m) <- table.vals.(s) - 1;
+      incr m);
+  (* [members] lists the right rows group by group, in row order. *)
+  let starts = Array.make (!groups + 1) 0 in
+  for p = 0 to !m - 1 do
+    let g = row_group.(p) in
+    starts.(g + 1) <- starts.(g + 1) + 1
+  done;
+  for g = 1 to !groups do
+    starts.(g) <- starts.(g) + starts.(g - 1)
+  done;
+  let members = Array.make !m 0 and fill = Array.sub starts 0 !groups in
+  for p = 0 to !m - 1 do
+    let g = row_group.(p) in
+    members.(fill.(g)) <- rows.(p);
+    fill.(g) <- fill.(g) + 1
+  done;
+  (* [hits] holds each matched left row and its group, in turn. *)
+  let hits = ref (Array.make 64 0) and used = ref 0 and total = ref 0 in
+  let push x =
+    if !used = Array.length !hits then begin
+      let grown = Array.make (2 * !used) 0 in
+      Array.blit !hits 0 grown 0 !used;
+      hits := grown
+    end;
+    !hits.(!used) <- x;
+    incr used
   in
-  match fast_count () with
-  | Some n -> n
-  | None -> count (of_expr ?metrics catalog expr)
+  ls.iter (fun t ->
+      let g = table.vals.(Int_table.slot table l.codes.(row_id ls l.leaf t)) - 1 in
+      if g >= 0 then begin
+        Obs.Metrics.probe_hit metrics;
+        push t;
+        push g;
+        total := !total + starts.(g + 1) - starts.(g)
+      end
+      else Obs.Metrics.probe_miss metrics);
+  let lw = width ls and rw = width rs in
+  let out = Array.init (lw + rw) (fun _ -> Array.make !total 0) in
+  let k = ref 0 in
+  for h = 0 to (!used / 2) - 1 do
+    let t = !hits.(2 * h) and g = !hits.((2 * h) + 1) in
+    for p = starts.(g) to starts.(g + 1) - 1 do
+      let u = members.(p) in
+      for a = 0 to lw - 1 do
+        out.(a).(!k) <- row_id ls a t
+      done;
+      for b = 0 to rw - 1 do
+        out.(lw + b).(!k) <- row_id rs b u
+      done;
+      incr k
+    done
+  done;
+  out
+
+(* The root join counts from a key → multiplicity table on the right
+   rows, with no pair built. *)
+let join_count metrics l r =
+  let rs = stream metrics r.plan in
+  let table = Int_table.create rs.bound in
+  rs.iter (fun u ->
+      let k = r.codes.(row_id rs r.leaf u) in
+      let s = Int_table.slot table k in
+      table.keys.(s) <- k;
+      table.vals.(s) <- table.vals.(s) + 1);
+  let ls = stream metrics l.plan in
+  let total = ref 0 in
+  ls.iter (fun t ->
+      let n = table.vals.(Int_table.slot table l.codes.(row_id ls l.leaf t)) in
+      if n > 0 then begin
+        Obs.Metrics.probe_hit metrics;
+        total := !total + n
+      end
+      else Obs.Metrics.probe_miss metrics);
+  !total
+
+let count_plan metrics = function
+  | Scan_rows n -> n
+  | Join_rows (l, r) -> join_count metrics l r
+  | Filter_rows _ as plan ->
+    let n = ref 0 in
+    (stream metrics plan).iter (fun _ -> incr n);
+    !n
+
+let count_expr ?(metrics = Obs.Metrics.noop) catalog expr =
+  ignore (Expr.schema_of catalog expr);
+  match compile_rows catalog expr with
+  | _, plan -> count_plan metrics plan
+  | exception Decline -> count (of_expr ~metrics catalog expr)

@@ -82,9 +82,23 @@ val run : cursor -> Relation.t
 (** Count the stream without materializing it. *)
 val count : cursor -> int
 
-(** [count_expr catalog e] = [Eval.count catalog e], constant-memory
-    for SPJ pipelines.  A selection over a base relation counts through
-    {!Relation.count_pred} and a single-pair equijoin of two base
-    relations through {!Kernel.equijoin_count}, without materializing
-    a tuple. *)
+(** [count_expr catalog e] = [Eval.count catalog e], recording the same
+    probe hits and misses, and raising [Expr.schema_of]'s [Failure] on a
+    schema error before anything runs.
+
+    A tree built from base relations, selections whose predicate reads
+    one leaf, single-pair equijoins whose key columns admit int codes
+    ({!Kernel.join_codes}: null-free ints or dictionaries), renames and
+    bag projections is counted on row ids without building a tuple:
+    - a selection tests its leaf's row, through the compiled kernel at
+      and above {!Relation.kernel_threshold} and the row predicate below
+      it (the rule of {!Relation.count_pred});
+    - an inner join emits row-id pairs, and the root join counts from an
+      open-addressing key → multiplicity table;
+    - each join records one probe hit or miss per left row, as
+      {!hash_join} does.
+
+    Everything else ([Distinct], set operations, products, θ-joins,
+    aggregates, multi-leaf selections, multi-pair joins, float, generic
+    or nullable keys) drains the {!of_expr} pipeline. *)
 val count_expr : ?metrics:Obs.Metrics.t -> Catalog.t -> Expr.t -> int

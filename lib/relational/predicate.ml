@@ -52,6 +52,26 @@ let attributes p =
   in
   List.rev (pred_attrs [] p)
 
+let map_attributes f p =
+  let rec term = function
+    | Attr name -> Attr (f name)
+    | Const _ as t -> t
+    | Add (t1, t2) -> Add (term t1, term t2)
+    | Sub (t1, t2) -> Sub (term t1, term t2)
+    | Mul (t1, t2) -> Mul (term t1, term t2)
+    | Div (t1, t2) -> Div (term t1, term t2)
+  in
+  let rec pred = function
+    | (True | False) as p -> p
+    | Cmp (cmp, t1, t2) -> Cmp (cmp, term t1, term t2)
+    | Between (t, lo, hi) -> Between (term t, lo, hi)
+    | In (t, vs) -> In (term t, vs)
+    | And (p1, p2) -> And (pred p1, pred p2)
+    | Or (p1, p2) -> Or (pred p1, pred p2)
+    | Not p -> Not (pred p)
+  in
+  pred p
+
 (* Compiled terms return [None] for Null propagation. *)
 let rec compile_term schema = function
   | Attr name ->

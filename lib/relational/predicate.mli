@@ -50,6 +50,9 @@ val not_ : t -> t
 (** Attribute names mentioned by the predicate, without duplicates. *)
 val attributes : t -> string list
 
+(** [map_attributes f p] renames every attribute [a] of [p] to [f a]. *)
+val map_attributes : (string -> string) -> t -> t
+
 (** [compile schema p] resolves attribute names to positions and returns
     an evaluator.
     @raise Not_found if the predicate mentions an unknown attribute. *)

@@ -1,13 +1,21 @@
+(* A sample's tuples are gathered from its base on first read: columnar
+   consumers read its view and never need them.  One field holds either
+   form, so a racing gather under domains is benign. *)
+type rows =
+  | Tuples of Tuple.t array
+  | Gather of Tuple.t array * int array
+
 type t = {
   schema : Schema.t;
-  tuples : Tuple.t array;
+  mutable rows : rows;
   (* Lazily-built columnar view.  The memoizing store is idempotent
      (Column.of_tuples is deterministic and O(arity)), so a racing
-     build under domains is benign. *)
+     build under domains is benign.  A sample of a relation that has a
+     view starts with a view gathered from it (see [sample]). *)
   mutable view : Column.t option;
 }
 
-let mk schema tuples = { schema; tuples; view = None }
+let mk schema tuples = { schema; rows = Tuples tuples; view = None }
 
 let type_ok ty value =
   match value with
@@ -37,32 +45,53 @@ let of_array schema tuples = mk schema tuples
 
 let schema r = r.schema
 
-let cardinality r = Array.length r.tuples
+let cardinality r =
+  match r.rows with
+  | Tuples tuples -> Array.length tuples
+  | Gather (_, ids) -> Array.length ids
 
 let is_empty r = cardinality r = 0
 
-let tuples r = r.tuples
+let tuples r =
+  match r.rows with
+  | Tuples tuples -> tuples
+  | Gather (base, ids) ->
+    let tuples = Array.map (fun i -> Array.unsafe_get base i) ids in
+    r.rows <- Tuples tuples;
+    tuples
 
-let tuple r i = r.tuples.(i)
+let tuple r i = (tuples r).(i)
 
 let columnar r =
   match r.view with
   | Some view -> view
   | None ->
-    let view = Column.of_tuples r.schema r.tuples in
+    let view = Column.of_tuples r.schema (tuples r) in
     r.view <- Some view;
     view
 
-let iter f r = Array.iter f r.tuples
+let sample r ids =
+  let base = tuples r in
+  let n = Array.length base in
+  Array.iter
+    (fun i -> if i < 0 || i >= n then invalid_arg "Relation.sample: row id out of range")
+    ids;
+  {
+    schema = r.schema;
+    rows = Gather (base, ids);
+    view = Option.map (fun v -> Column.gather v ids) r.view;
+  }
 
-let fold f init r = Array.fold_left f init r.tuples
+let iter f r = Array.iter f (tuples r)
 
-let filter p r = mk r.schema (Array.of_seq (Seq.filter p (Array.to_seq r.tuples)))
+let fold f init r = Array.fold_left f init (tuples r)
 
-let map schema f r = mk schema (Array.map f r.tuples)
+let filter p r = mk r.schema (Array.of_seq (Seq.filter p (Array.to_seq (tuples r))))
+
+let map schema f r = mk schema (Array.map f (tuples r))
 
 let count p r =
-  Array.fold_left (fun acc t -> if p t then acc + 1 else acc) 0 r.tuples
+  Array.fold_left (fun acc t -> if p t then acc + 1 else acc) 0 (tuples r)
 
 (* Columnar kernels engage at this size and above: below it the
    compile + column-encode overhead eats the per-row win. *)
@@ -70,11 +99,10 @@ let kernel_threshold = 1024
 
 let use_kernel r = cardinality r >= kernel_threshold
 
-(* Force the columnar view now iff the kernels would build it lazily on
-   first use: long-lived catalogs (the serve daemon) pay the encode at
-   load time instead of on the first request that touches the
-   relation.  A no-op below the kernel threshold — building a view no
-   kernel will read would be pure waste. *)
+(* Create the columnar view now iff the kernels would build it lazily
+   on first use.  Creating it encodes nothing; what it buys is that
+   samples of the relation gather their columns from it.  A no-op
+   below the kernel threshold. *)
 let warm_view r = if use_kernel r then ignore (columnar r)
 
 let count_pred p r =
@@ -84,7 +112,8 @@ let count_pred p r =
 let filter_pred p r =
   if use_kernel r then
     let indices = Kernel.filter_indices (columnar r) p in
-    mk r.schema (Array.map (fun i -> Array.unsafe_get r.tuples i) indices)
+    let tuples = tuples r in
+    mk r.schema (Array.map (fun i -> Array.unsafe_get tuples i) indices)
   else filter (Predicate.compile r.schema p) r
 
 module Tuple_hash = Hashtbl.Make (struct
@@ -103,16 +132,17 @@ let distinct r =
         Tuple_hash.add seen t ();
         keep := t :: !keep
       end)
-    r.tuples;
+    (tuples r);
   mk r.schema (Array.of_list (List.rev !keep))
 
 let is_set r =
-  let seen = Tuple_hash.create (max 16 (cardinality r)) in
+  let tuples = tuples r in
+  let seen = Tuple_hash.create (max 16 (Array.length tuples)) in
   let rec loop i =
-    if i >= cardinality r then true
-    else if Tuple_hash.mem seen r.tuples.(i) then false
+    if i >= Array.length tuples then true
+    else if Tuple_hash.mem seen tuples.(i) then false
     else begin
-      Tuple_hash.add seen r.tuples.(i) ();
+      Tuple_hash.add seen tuples.(i) ();
       loop (i + 1)
     end
   in
@@ -122,7 +152,7 @@ let column r name =
   let i = Schema.index_of r.schema name in
   match r.view with
   | Some view -> Column.values view i
-  | None -> Array.map (fun t -> Tuple.get t i) r.tuples
+  | None -> Array.map (fun t -> Tuple.get t i) (tuples r)
 
 let iter_column_int r name f =
   Column.iter_int (columnar r) (Schema.index_of r.schema name) f
@@ -133,7 +163,7 @@ let iter_column_float r name f =
 let append r1 r2 =
   if not (Schema.equal r1.schema r2.schema) then
     invalid_arg "Relation.append: schemas differ";
-  mk r1.schema (Array.append r1.tuples r2.tuples)
+  mk r1.schema (Array.append (tuples r1) (tuples r2))
 
 let empty schema = mk schema [||]
 
@@ -143,7 +173,7 @@ let to_string ?(limit = 20) r =
   Buffer.add_string buffer (Printf.sprintf " [%d tuples]\n" (cardinality r));
   let shown = min limit (cardinality r) in
   for i = 0 to shown - 1 do
-    Buffer.add_string buffer ("  " ^ Tuple.to_string r.tuples.(i) ^ "\n")
+    Buffer.add_string buffer ("  " ^ Tuple.to_string (tuple r i) ^ "\n")
   done;
   if shown < cardinality r then Buffer.add_string buffer "  ...\n";
   Buffer.contents buffer

@@ -38,21 +38,38 @@ val map : Schema.t -> (Tuple.t -> Tuple.t) -> t -> t
 (** Number of tuples satisfying the predicate. *)
 val count : (Tuple.t -> bool) -> t -> int
 
+(** [sample r ids] is the bag of rows [ids] of [r], in that order (ids
+    may repeat), sharing [r]'s tuples.  The array of them is gathered
+    on the first read of a tuple, so a sample that only kernels read
+    never builds it.  When [r] already has a columnar view (see
+    {!warm_view}), the sample's view is {!Column.gather}ed from it:
+    each column the sample's kernels touch is read from [r]'s column
+    at [ids], encoding [r]'s column once, on first touch, and memoizing
+    it in [r].  Otherwise the sample encodes its own tuples on first
+    touch, like any relation.  Either way the view decodes to the same
+    values.
+    @raise Invalid_argument if an id is out of range. *)
+val sample : t -> int array -> t
+
 (** The relation's columnar view (see {!Column}), built lazily and
     memoized; repeated calls return the same view, and its per-column
     encodings are shared by every kernel consumer. *)
 val columnar : t -> Column.t
 
-(** Cardinality at and above which the kernels engage: below it,
-    compiling a predicate and encoding columns costs more than the
-    per-row win.  The one engagement rule of every kernel consumer
-    ({!count_pred}, {!filter_pred}, {!warm_view}, {!Physical}). *)
+(** Cardinality at and above which the selection kernels engage: below
+    it, compiling a predicate and encoding columns costs more than the
+    per-row win.  It governs {!count_pred}, {!filter_pred}, {!warm_view}
+    and {!Physical}'s selections over base relations; {!Physical}'s
+    join counts read key columns at any size. *)
 val kernel_threshold : int
 
-(** Eagerly build and memoize the columnar view, iff the kernels would
-    use it (the relation is at or above {!kernel_threshold}); otherwise
-    a no-op.  Long-lived catalogs call this at load time so no request
-    pays the first-touch encode. *)
+(** Create the columnar view now, iff the relation is at or above
+    {!kernel_threshold}; otherwise a no-op.  Creating a view encodes no
+    column.  It marks the relation as a long-lived base worth encoding
+    once: from then on its {!sample}s gather their columns from its
+    columns instead of encoding their own tuples.  Long-lived catalogs
+    (the serve daemon's) call this at load time; a relation rebuilt
+    often (a stream snapshot) should not. *)
 val warm_view : t -> unit
 
 (** [count_pred p r] counts tuples satisfying the predicate, through

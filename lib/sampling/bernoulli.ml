@@ -8,8 +8,8 @@ let sample rng ~p array =
   Array.of_list (List.rev !kept)
 
 let relation rng ~p r =
-  let tuples = sample rng ~p (Relational.Relation.tuples r) in
-  Relational.Relation.of_array (Relational.Relation.schema r) tuples
+  let ids = sample rng ~p (Array.init (Relational.Relation.cardinality r) Fun.id) in
+  Relational.Relation.sample r ids
 
 let expected_size ~p n =
   check_p p;

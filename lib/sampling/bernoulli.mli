@@ -6,6 +6,8 @@
 (** @raise Invalid_argument if [p] is outside [0, 1]. *)
 val sample : Rng.t -> p:float -> 'a array -> 'a array
 
+(** {!Relational.Relation.sample} of the kept row ids, in row order;
+    the same draws as {!sample} over the relation's tuples. *)
 val relation : Rng.t -> p:float -> Relational.Relation.t -> Relational.Relation.t
 
 (** Expected sample size. *)

@@ -1,8 +1,9 @@
+(* The four xoshiro256++ words live unboxed in one 32-byte buffer, read
+   and written with [Bytes.get/set_int64_ne]: a draw keeps every word in
+   a register and allocates nothing, where four mutable [int64] record
+   fields would box each stored word. *)
 type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
+  state : Bytes.t;
   mutable draws : int;
 }
 
@@ -17,50 +18,53 @@ let splitmix64 state =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let of_seed64 seed64 =
-  let state = ref seed64 in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
+  let seed = ref seed64 in
+  let state = Bytes.create 32 in
+  for w = 0 to 3 do
+    Bytes.set_int64_ne state (8 * w) (splitmix64 seed)
+  done;
   (* The all-zero state is a fixed point of xoshiro; SplitMix64 cannot
      produce four zero outputs in a row, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then { s0 = 1L; s1; s2; s3; draws = 0 }
-  else { s0; s1; s2; s3; draws = 0 }
+  if Bytes.for_all (fun c -> c = '\000') state then Bytes.set_int64_ne state 0 1L;
+  { state; draws = 0 }
 
 let create ~seed () = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3; draws = t.draws }
+let copy t = { state = Bytes.copy t.state; draws = t.draws }
 
 let draws t = t.draws
 
-(* xoshiro256++ *)
-let bits64 t =
+(* xoshiro256++.  Inlined into the typed draws below, so the result
+   stays unboxed too. *)
+let[@inline] bits64 t =
   t.draws <- t.draws + 1;
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let st = t.state in
+  let s0 = Bytes.get_int64_ne st 0 and s1 = Bytes.get_int64_ne st 8 in
+  let s2 = Bytes.get_int64_ne st 16 and s3 = Bytes.get_int64_ne st 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  Bytes.set_int64_ne st 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_ne st 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_ne st 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  Bytes.set_int64_ne st 24 (rotl s3 45);
   result
 
 let split t = of_seed64 (bits64 t)
 
+(* The low 62 bits of a draw, as a non-negative native int. *)
+let[@inline] bits62 t = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL)
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits to stay in OCaml's int range
-     and avoid modulo bias. *)
-  let mask = 0x3FFFFFFFFFFFFFFFL in
-  let bound64 = Int64.of_int bound in
-  let limit = Int64.sub mask (Int64.rem mask bound64) in
-  let rec draw () =
-    let r = Int64.logand (bits64 t) mask in
-    if Int64.unsigned_compare r limit <= 0 then Int64.to_int (Int64.rem r bound64)
-    else draw ()
-  in
-  draw ()
+  (* Rejection sampling on the low 62 bits (exactly [0, max_int]) to
+     stay in OCaml's int range and avoid modulo bias. *)
+  let limit = max_int - (max_int mod bound) in
+  let r = ref (bits62 t) in
+  while !r > limit do
+    r := bits62 t
+  done;
+  !r mod bound
 
 let float t =
   (* 53 high bits scaled to [0, 1). *)
@@ -68,11 +72,11 @@ let float t =
   Int64.to_float bits *. 0x1.0p-53
 
 let positive_float t =
-  let rec draw () =
-    let x = float t in
-    if x > 0. then x else draw ()
-  in
-  draw ()
+  let x = ref (float t) in
+  while not (!x > 0.) do
+    x := float t
+  done;
+  !x
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

@@ -2,7 +2,11 @@
 
     xoshiro256++ seeded through SplitMix64 — self-contained so every
     experiment in the repository is reproducible bit-for-bit regardless
-    of the OCaml stdlib's generator.  Not cryptographic. *)
+    of the OCaml stdlib's generator.  Not cryptographic.
+
+    The four state words are kept unboxed (one 32-byte buffer), so the
+    integer draws ({!int}, {!bool}, the index samplers built on them)
+    allocate nothing; {!float} boxes only its result. *)
 
 type t
 

@@ -177,18 +177,36 @@ let sample_with_replacement ?metrics rng ~n array =
   Option.iter (fun m -> Obs.Metrics.add_tuples m n) metrics;
   Array.map (fun i -> Array.unsafe_get array i) indices
 
+(* The relation samplers return [Relation.sample base ids]: the drawn
+   rows in draw order, sharing the base's tuples and, when the base has
+   a columnar view, gathering their columns from it. *)
+
 let relation_without_replacement ?metrics rng ~n relation =
-  let tuples =
-    sample_without_replacement ?metrics rng ~n (Relational.Relation.tuples relation)
-  in
-  Relational.Relation.of_array (Relational.Relation.schema relation) tuples
+  let universe = Relational.Relation.cardinality relation in
+  if n = universe then begin
+    (* A census draws nothing and keeps every row in order: the sample
+       is the base itself, with the accounting of the identity draw. *)
+    Option.iter
+      (fun m ->
+        Obs.Metrics.add_indices m n;
+        Obs.Metrics.add_tuples m n)
+      metrics;
+    relation
+  end
+  else begin
+    let ids = indices_without_replacement ?metrics rng ~n ~universe in
+    Option.iter (fun m -> Obs.Metrics.add_tuples m n) metrics;
+    Relational.Relation.sample relation ids
+  end
 
 let relation_fraction ?metrics rng ~fraction relation =
   let n = size_of_fraction ~fraction (Relational.Relation.cardinality relation) in
   relation_without_replacement ?metrics rng ~n relation
 
 let relation_with_replacement ?metrics rng ~n relation =
-  let tuples =
-    sample_with_replacement ?metrics rng ~n (Relational.Relation.tuples relation)
+  let ids =
+    indices_with_replacement ?metrics rng ~n
+      ~universe:(Relational.Relation.cardinality relation)
   in
-  Relational.Relation.of_array (Relational.Relation.schema relation) tuples
+  Option.iter (fun m -> Obs.Metrics.add_tuples m n) metrics;
+  Relational.Relation.sample relation ids

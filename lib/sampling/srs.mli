@@ -42,7 +42,9 @@ val sample_without_replacement :
 val sample_with_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> 'a array -> 'a array
 
-(** SRSWOR of a relation at an explicit size. *)
+(** SRSWOR of a relation at an explicit size: {!Relational.Relation.sample}
+    of the drawn indices, in increasing order.  A census ([n] = the
+    cardinality) draws nothing and returns the relation itself. *)
 val relation_without_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> Relational.Relation.t -> Relational.Relation.t
 
@@ -51,6 +53,7 @@ val relation_without_replacement :
 val relation_fraction :
   ?metrics:Obs.Metrics.t -> Rng.t -> fraction:float -> Relational.Relation.t -> Relational.Relation.t
 
-(** SRSWR of a relation at an explicit size. *)
+(** SRSWR of a relation at an explicit size:
+    {!Relational.Relation.sample} of the drawn indices, in draw order. *)
 val relation_with_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> Relational.Relation.t -> Relational.Relation.t

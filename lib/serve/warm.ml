@@ -107,9 +107,9 @@ let load ?metrics ?(sample_capacity = 128)
                 } )
             end
           in
-          (* Columnar views are forced now, not lazily on first request:
-             the first client pays no encode latency and worker domains
-             never race to build one. *)
+          (* Create the columnar view now (it encodes nothing): samples
+             of this relation then gather their columns from its
+             columns, each encoded once, on first touch, and memoized. *)
           Relational.Relation.warm_view relation;
           Hashtbl.replace paged_tbl name entry;
           (name, relation))

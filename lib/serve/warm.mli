@@ -4,9 +4,10 @@
     [reload]); it packages, per bound relation:
 
     - the in-memory relation (via {!catalog}) with its {e columnar
-      view forced at load time} ({!Relational.Relation.warm_view}), so
-      no request pays the first-touch encode and worker domains never
-      race to build one;
+      view created at load time} ({!Relational.Relation.warm_view}).
+      Creating it encodes nothing; it makes the relation's samples
+      gather their columns from its columns, each encoded once, on
+      first touch, instead of encoding their own rows per request;
     - a retained {e paged view} — for [.raf] bindings the pagefile
       stays open for this state's lifetime, so the reader's clock page
       cache persists across ["pages"] requests (repeat page-sampled

@@ -317,6 +317,14 @@ expect_absent() { # expect_absent <description> <pattern> <<< output
 expect_error "unknown relation" 'Catalog.find: unknown relation "nosuch"' \
   query "select[a < 30](nosuch)" --rel "r=$workdir/u.csv" -f 0.05
 
+# an unknown join attribute is a schema error on one line, however the
+# join's leaves look (two bare base relations used to escape as an
+# uncaught Not_found)
+expect_error "unknown join attribute" 'Expr.schema_of: join attribute "zz" missing on the left$' \
+  query "r join[zz = a] r" --rel "r=$workdir/u.csv" -f 0.05
+[ "$("$cli" query "r join[zz = a] r" --rel "r=$workdir/u.csv" -f 0.05 2>&1 | wc -l)" -eq 1 ] \
+  || fail "unknown join attribute: error is not one line"
+
 printf 'a:int\n1\n2,3\n' > "$workdir/bad.csv"
 expect_error "malformed csv" "Csv: line 3: row has 2 fields, header has 1" \
   estimate "$workdir/bad.csv" --where "a < 30" -f 0.5

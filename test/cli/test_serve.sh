@@ -30,9 +30,10 @@ await_ready() { # await_ready <logfile>
 # data: the same relation as CSV and as a packed pagefile ---------------
 "$cli" generate -n 20000 --dist uniform:0:999 -o "$workdir/u.csv" >/dev/null
 "$cli" pack "$workdir/u.csv" "$workdir/u.raf" >/dev/null
+"$cli" generate -n 20000 --dist uniform:0:999 -c b --seed 5 -o "$workdir/b.csv" >/dev/null
 
 sock="$workdir/raestat.sock"
-"$cli" serve --rel "r=$workdir/u.csv" --rel "p=$workdir/u.raf" \
+"$cli" serve --rel "r=$workdir/u.csv" --rel "p=$workdir/u.raf" --rel "s=$workdir/b.csv" \
   --socket "$sock" --plan-cache 16 --queue-limit 64 \
   > "$workdir/serve.log" 2>&1 &
 server_pid=$!
@@ -86,6 +87,24 @@ metrics="$("$cli" client --socket "$sock" '{"op": "metrics"}')"
 echo "$metrics" | grep -q '"schema": "raestat-serve/1"' || fail "metrics schema"
 echo "$metrics" | grep -q '"misses": 3' || fail "expected 3 plan compiles, got: $metrics"
 echo "$metrics" | grep -q '"hits": 5' || fail "expected 5 plan-cache hits, got: $metrics"
+
+# a served join is the one-shot join, byte for byte: the daemon's
+# samples gather their columns from the warm base views, the CLI's
+# encode their own rows, and both must count the same pairs
+"$cli" query "select[a < 300](r) join[a = b] s" \
+  --rel "r=$workdir/u.csv" --rel "s=$workdir/b.csv" -f 0.05 -g 4 > "$workdir/ref.jquery"
+"$cli" sql "SELECT COUNT(*) FROM r JOIN s ON a = b WHERE a < 300" \
+  --rel "r=$workdir/u.csv" --rel "s=$workdir/b.csv" -f 0.05 -g 4 > "$workdir/ref.jsql"
+"$cli" client --socket "$sock" --text \
+  '{"op": "query", "expr": "select[a < 300](r) join[a = b] s", "fraction": 0.05, "groups": 4}' \
+  > "$workdir/client.jquery"
+"$cli" client --socket "$sock" --text \
+  '{"op": "sql", "query": "SELECT COUNT(*) FROM r JOIN s ON a = b WHERE a < 300", "fraction": 0.05, "groups": 4}' \
+  > "$workdir/client.jsql"
+cmp -s "$workdir/client.jquery" "$workdir/ref.jquery" \
+  || fail "served join query differs from one-shot CLI"
+cmp -s "$workdir/client.jsql" "$workdir/ref.jsql" \
+  || fail "served join sql differs from one-shot CLI"
 
 # --pages through the daemon: cluster sampling over the retained paged
 # view, byte-identical to the one-shot CLI for the same seed.  The

@@ -314,6 +314,72 @@ let prop_join_count =
       && Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2))
 
 (* ------------------------------------------------------------------ *)
+(* Sample views                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A sample of a viewed base gathers its columns from the base's
+   columns; it must decode to the values an encode of the gathered
+   tuples gives, and every kernel must decide its rows the same way.
+   The scenarios cover every representation: ints with and without
+   nulls, floats with NaN and nulls, bools, dictionaries with NULL, and
+   the Generic fallback of an ill-typed [of_array] (which a gathered
+   column keeps even when the sampled rows are well typed). *)
+let sample_arb =
+  QCheck.(
+    pair (scenario_arb ~sloppy:true)
+      (make ~print:Print.(list int) Gen.(list_size (int_range 0 40) nat)))
+
+let prop_sample_view =
+  qcheck_case ~count:400 "sample view = encoding of the gathered tuples" sample_arb
+    (fun ((schema, tuples, p), picks) ->
+      let n = Array.length tuples in
+      let ids =
+        if n = 0 then [||] else Array.of_list (List.map (fun k -> k mod n) picks)
+      in
+      let base = Relation.of_array schema tuples in
+      ignore (Relation.columnar base);
+      let sampled = Relation.sample base ids in
+      let gathered = Array.map (fun i -> tuples.(i)) ids in
+      let encoded = Relation.of_array schema gathered in
+      let decide view =
+        let test = Kernel.compile view p in
+        Array.init (Array.length ids) (fun i ->
+            try Some (test i) with Invalid_argument _ -> None)
+      in
+      let same_rows a b =
+        Array.length a = Array.length b
+        && Array.for_all2
+             (fun x y ->
+               Array.length x = Array.length y && Array.for_all2 value_identical x y)
+             a b
+      in
+      Array.for_all2 ( == ) (Relation.tuples sampled) gathered
+      && same_rows (Column.to_tuples (Relation.columnar sampled)) gathered
+      && same_rows (Column.to_tuples (Relation.columnar encoded)) gathered
+      && decide (Relation.columnar sampled) = decide (Relation.columnar encoded))
+
+(* A census draws nothing: the sample is the base itself (its tuples, in
+   order), with the counters of the identity draw. *)
+let test_census_sample () =
+  let r = int_relation (List.init 50 (fun i -> i mod 7)) in
+  let m = Metrics.create () in
+  let g = rng ~seed:3 () in
+  let s = Sampling.Srs.relation_without_replacement ~metrics:m g ~n:50 r in
+  Alcotest.(check bool) "same relation" true (s == r);
+  Alcotest.(check bool) "same tuples in order" true
+    (Array.for_all2 ( == ) (Relation.tuples s) (Relation.tuples r));
+  let snap = Metrics.snapshot m in
+  Alcotest.(check int) "indices" 50 snap.Metrics.sample_indices;
+  Alcotest.(check int) "tuples" 50 snap.Metrics.tuples_scanned;
+  Alcotest.(check int) "rng draws" 0 snap.Metrics.rng_draws;
+  Alcotest.(check int) "generator untouched" 0 (Sampling.Rng.draws g);
+  (* Below a census the sample is the drawn rows, in draw order. *)
+  let s = Sampling.Srs.relation_without_replacement (rng ~seed:3 ()) ~n:20 r in
+  let ids = Sampling.Srs.indices_without_replacement (rng ~seed:3 ()) ~n:20 ~universe:50 in
+  Alcotest.(check bool) "drawn rows" true
+    (Array.for_all2 ( == ) (Relation.tuples s) (Array.map (Relation.tuple r) ids))
+
+(* ------------------------------------------------------------------ *)
 (* Distinct                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -526,6 +592,8 @@ let suite =
       test_kernel_not_found;
     prop_join;
     prop_join_count;
+    prop_sample_view;
+    Alcotest.test_case "SRSWOR census is the base" `Quick test_census_sample;
     prop_distinct;
     Alcotest.test_case "selection estimator parity" `Quick
       test_selection_estimator_parity;

@@ -193,6 +193,219 @@ let test_select_count_fast_path () =
     (Failure "Expr.schema_of: unknown attribute \"zz\" in selection")
     (fun () -> ignore (Physical.count_expr c e))
 
+(* ------------------------------------------------------------------ *)
+(* Counting on row ids                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [count_expr] counts SPJ trees on row ids and sends everything else to
+   the cursor engine; either way it must equal the reference count and
+   record the same probe hits and misses.  Random catalogs mix
+   int columns with and without nulls, string and float columns and
+   empty relations; random trees mix left-deep and bushy equijoins on
+   keys of every type (the nullable, float and mixed ones decline),
+   single- and multi-leaf selections, self-joins with their qualified
+   names, and root renames and projections. *)
+
+module Metrics = Obs.Metrics
+
+let column_pool =
+  [|
+    ("k", Value.Tint, false);
+    ("j", Value.Tint, false);
+    ("n", Value.Tint, true);
+    ("s", Value.Tstr, true);
+    ("f", Value.Tfloat, true);
+  |]
+
+let random_value st ty ~nullable =
+  if nullable && Random.State.int st 5 = 0 then Value.Null
+  else
+    match (ty : Value.ty) with
+    | Value.Tint -> Value.Int (Random.State.int st 4)
+    | Value.Tstr -> Value.Str (List.nth [ "x"; "y"; "z" ] (Random.State.int st 3))
+    | Value.Tfloat -> Value.Float (List.nth [ 0.5; 1.5; 2.5 ] (Random.State.int st 3))
+    | Value.Tbool -> Value.Bool (Random.State.bool st)
+    | Value.Tnull -> Value.Null
+
+let random_relation st =
+  let columns =
+    match List.filter (fun _ -> Random.State.bool st) (Array.to_list column_pool) with
+    | [] -> [ column_pool.(Random.State.int st (Array.length column_pool)) ]
+    | cs -> cs
+  in
+  let card = if Random.State.int st 6 = 0 then 0 else Random.State.int st 12 in
+  let schema = Schema.of_list (List.map (fun (name, ty, _) -> (name, ty)) columns) in
+  let tuples =
+    Array.init card (fun _ ->
+        Array.of_list
+          (List.map (fun (_, ty, nullable) -> random_value st ty ~nullable) columns))
+  in
+  Relation.of_array schema tuples
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+let random_attr st schema = pick st (Schema.attributes schema)
+
+let random_predicate st schema =
+  let cmp = pick st [ P.Eq; P.Neq; P.Lt; P.Le; P.Gt; P.Ge ] in
+  let one () =
+    let a = random_attr st schema in
+    if Random.State.int st 3 = 0 then
+      (* Possibly two leaves: declines to the cursor engine. *)
+      P.Cmp (cmp, P.Attr a.Schema.name, P.Attr (random_attr st schema).Schema.name)
+    else
+      P.Cmp
+        (cmp, P.Attr a.Schema.name, P.Const (random_value st a.Schema.ty ~nullable:false))
+  in
+  if Random.State.int st 4 = 0 then P.And (one (), one ()) else one ()
+
+(* A valid tree over [names], or [None] when Schema.concat's
+   qualification would repeat a name. *)
+let rec random_tree st catalog names depth =
+  let valid e =
+    match Expr.schema_of catalog e with
+    | schema -> Some (e, schema)
+    | exception (Failure _ | Invalid_argument _) -> None
+  in
+  let leaf () = valid (Expr.base (pick st names)) in
+  match if depth = 0 then 0 else Random.State.int st 5 with
+  | 0 -> leaf ()
+  | 1 ->
+    Option.bind (random_tree st catalog names (depth - 1)) (fun (e, schema) ->
+        valid (Expr.select (random_predicate st schema) e))
+  | _ ->
+    Option.bind (random_tree st catalog names (depth - 1)) (fun (l, sl) ->
+        Option.bind (random_tree st catalog names (depth - 1)) (fun (r, sr) ->
+            let a = random_attr st sl in
+            (* Prefer a key of the same type: more matches. *)
+            let same =
+              List.filter (fun b -> b.Schema.ty = a.Schema.ty) (Schema.attributes sr)
+            in
+            let b =
+              if same <> [] && Random.State.int st 4 > 0 then pick st same
+              else random_attr st sr
+            in
+            valid (Expr.equijoin [ (a.Schema.name, b.Schema.name) ] l r)))
+
+let random_root st (e, schema) =
+  match Random.State.int st 4 with
+  | 0 -> Expr.rename [ ((random_attr st schema).Schema.name, "renamed") ] e
+  | 1 ->
+    let names =
+      List.filter (fun _ -> Random.State.bool st) (Schema.names schema)
+    in
+    Expr.project (if names = [] then [ List.hd (Schema.names schema) ] else names) e
+  | _ -> e
+
+(* At most four leaves keep the reference's materialized joins small. *)
+let count_case_gen st =
+  let names = [ "r0"; "r1"; "r2" ] in
+  let catalog = Catalog.of_list (List.map (fun n -> (n, random_relation st)) names) in
+  let rec tree () =
+    match random_tree st catalog names 3 with
+    | Some ((e, _) as t) when List.length (Expr.leaves e) <= 4 -> t
+    | Some _ | None -> tree ()
+  in
+  (catalog, random_root st (tree ()), Random.State.bits st)
+
+let print_count_case (catalog, e, seed) =
+  Printf.sprintf "%s (sample seed %d)\n%s" (Expr.to_string e) seed
+    (String.concat "\n"
+       (List.map
+          (fun n -> n ^ ": " ^ Relation.to_string (Catalog.find catalog n))
+          (Catalog.names catalog)))
+
+let counts_agree catalog e =
+  let m1 = Metrics.create () and m2 = Metrics.create () in
+  Physical.count_expr ~metrics:m1 catalog e = Eval.count ~metrics:m2 catalog e
+  && Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2)
+
+(* One sample per relation, all drawn from fresh copies of the plain
+   relations: with [viewed], each copy's view is forced first, so the
+   samples gather their columns from it; without, they encode their own
+   rows.  The same seed draws the same rows either way. *)
+let sample_catalog ~viewed ~seed catalog =
+  let rng = Sampling.Rng.create ~seed () in
+  Catalog.of_list
+    (List.map
+       (fun name ->
+         let r = Catalog.find catalog name in
+         let copy = Relation.of_array (Relation.schema r) (Relation.tuples r) in
+         if viewed then ignore (Relation.columnar copy);
+         let card = Relation.cardinality copy in
+         let sample =
+           if card > 0 && Sampling.Rng.int rng 3 = 0 then
+             let n = Sampling.Rng.int rng (2 * card) in
+             Sampling.Srs.relation_with_replacement rng ~n copy
+           else
+             let n = Sampling.Rng.int rng (card + 1) in
+             Sampling.Srs.relation_without_replacement rng ~n copy
+         in
+         (name, sample))
+       (Catalog.names catalog))
+
+let prop_columnar_count =
+  qcheck_case ~count:500 "count_expr = Eval.count with equal probes on SPJ trees"
+    (QCheck.make ~print:print_count_case count_case_gen)
+    (fun (catalog, e, seed) ->
+      counts_agree (sample_catalog ~viewed:true ~seed catalog) e
+      && counts_agree (sample_catalog ~viewed:false ~seed catalog) e
+      && counts_agree catalog e)
+
+(* The same agreement above the kernel threshold, where selections
+   compile to column kernels, on shapes the estimators evaluate: fk
+   join, select-join-select, a 3-way chain, a bushy join, a self-join
+   with a selection on a qualified name. *)
+let test_columnar_count_large () =
+  let n = 3000 in
+  let orders =
+    Relation.of_array
+      (Schema.of_list
+         [ ("o_key", Value.Tint); ("o_supp", Value.Tint); ("o_tag", Value.Tstr) ])
+      (Array.init n (fun i ->
+           let tag = if i mod 3 = 0 then "a" else "b" in
+           [| Value.Int i; Value.Int (i * 7 mod 50); Value.Str tag |]))
+  in
+  let suppliers =
+    Relation.of_array
+      (Schema.of_list
+         [ ("s_key", Value.Tint); ("s_region", Value.Tint); ("s_tag", Value.Tstr) ])
+      (Array.init 1100 (fun i ->
+           let tag = if i mod 2 = 0 then "a" else "c" in
+           [| Value.Int (i mod 60); Value.Int (i mod 5); Value.Str tag |]))
+  in
+  let catalog = Catalog.of_list [ ("orders", orders); ("suppliers", suppliers) ] in
+  let fk = Expr.equijoin [ ("o_supp", "s_key") ] (Expr.base "orders") (Expr.base "suppliers") in
+  let exprs =
+    [
+      fk;
+      Expr.equijoin [ ("o_supp", "s_key") ]
+        (Expr.select (P.lt (P.attr "o_key") (P.vint 1200)) (Expr.base "orders"))
+        (Expr.select (P.eq (P.attr "s_region") (P.vint 2)) (Expr.base "suppliers"));
+      Expr.equijoin [ ("s_region", "o_supp") ] fk (Expr.base "orders");
+      Expr.equijoin [ ("o_tag", "s_tag") ]
+        (Expr.select (P.ge (P.attr "o_key") (P.vint 2900)) (Expr.base "orders"))
+        (Expr.select (P.lt (P.attr "s_key") (P.vint 3)) (Expr.base "suppliers"));
+      Expr.equijoin [ ("l.o_key", "r.o_key") ]
+        (Expr.equijoin [ ("o_key", "o_key") ] (Expr.base "orders") (Expr.base "orders"))
+        (Expr.select (P.lt (P.attr "r.o_supp") (P.vint 10))
+           (Expr.equijoin [ ("o_key", "o_key") ] (Expr.base "orders") (Expr.base "orders")));
+      Expr.select (P.lt (P.attr "l.o_supp") (P.vint 5))
+        (Expr.equijoin [ ("o_supp", "o_supp") ] (Expr.base "orders") (Expr.base "orders"));
+      Expr.project [ "s_region" ] (Expr.select (P.neq (P.attr "o_tag") (P.vstr "a")) fk);
+    ]
+  in
+  List.iter
+    (fun (label, c) ->
+      List.iter
+        (fun e -> Alcotest.(check bool) (label ^ " " ^ Expr.to_string e) true (counts_agree c e))
+        exprs)
+    [
+      ("sampled+viewed", sample_catalog ~viewed:true ~seed:5 catalog);
+      ("sampled", sample_catalog ~viewed:false ~seed:5 catalog);
+      ("plain", catalog);
+    ]
+
 let suite =
   [
     Alcotest.test_case "agrees with Eval" `Quick test_agrees_with_eval;
@@ -207,4 +420,7 @@ let suite =
     prop_merge_join_equals_hash_join;
     prop_engines_agree;
     Alcotest.test_case "select count fast path" `Quick test_select_count_fast_path;
+    prop_columnar_count;
+    Alcotest.test_case "columnar count above the kernel threshold" `Quick
+      test_columnar_count_large;
   ]

@@ -118,6 +118,30 @@ let test_copy_independent () =
   ignore (Rng.bits64 r2);
   Alcotest.(check bool) "copy keeps own position" true (Rng.bits64 c = Rng.bits64 r2)
 
+(* The stream is part of the reproducibility contract (every golden and
+   every seeded estimate hangs on it): pin the first draws of seed 42
+   through each typed view, and the parent's draw count after a split. *)
+let test_pinned_stream () =
+  let r = Rng.create ~seed:42 () in
+  Alcotest.(check (array int64))
+    "bits64"
+    [| -3425465463722317665L; 5881210131331364753L; -297100157724070516L |]
+    (Array.init 3 (fun _ -> Rng.bits64 r));
+  Alcotest.(check (array int))
+    "int" [| 656; 619; 157; 78; 622 |]
+    (Array.init 5 (fun _ -> Rng.int r 1000));
+  Alcotest.(check (array (float 0.)))
+    "float"
+    [| 0x1.a9679ed784ae4p-3; 0x1.dddfac6433694p-1; 0x1.1e7bf530041cfp-1 |]
+    (Array.init 3 (fun _ -> Rng.float r));
+  Alcotest.(check (array bool))
+    "bool"
+    [| true; false; true; true; false; false; false; false |]
+    (Array.init 8 (fun _ -> Rng.bool r));
+  let child = Rng.split r in
+  Alcotest.(check int64) "split child" (-6017019654973286170L) (Rng.bits64 child);
+  Alcotest.(check int) "parent draws" 20 (Rng.draws r)
+
 let test_positive_float () =
   let r = rng () in
   for _ = 1 to 1_000 do
@@ -143,6 +167,7 @@ let suite =
     Alcotest.test_case "shuffle uniform" `Quick test_shuffle_uniform_first_position;
     Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
+    Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
     Alcotest.test_case "positive_float" `Quick test_positive_float;
     Alcotest.test_case "choose" `Quick test_choose;
   ]

@@ -423,6 +423,11 @@ let test_server_errors () =
     {|{"op": "estimate", "relation": "ghost", "where": "a < 30"}|};
   check_error "unknown explain target" "unknown explain target"
     {|{"op": "explain", "target": "mystery"}|};
+  (* a join of two bare base relations names its missing attribute,
+     as the same join with a selected leaf always did *)
+  check_error "unknown join attribute"
+    {|Expr.schema_of: join attribute "zz" missing on the left|}
+    {|{"op": "query", "expr": "r join[zz = a] r", "fraction": 0.5}|};
   (* error responses count as answered requests, and none of them killed
      the state: a good request still works afterwards *)
   match response (Server.handle_line state {|{"op": "ping"}|}) with
