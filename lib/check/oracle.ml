@@ -603,13 +603,17 @@ let sample_within_live ~live sample =
       | _ -> false)
     (Relation.tuples sample)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let maintenance_oracle ?(writer = maintenance_writer) () =
   {
     name = "maintenance";
     summary =
       "maintained stream samples track random insert/delete interleavings: \
-       exact recount, live-sample containment, id-ordered snapshot and mem, \
-       delete-to-empty, and a replicate-mean unbiasedness gate";
+       exact recount, live-sample containment, an in-place estimate equal to \
+       a recount of the sample, mem, delete-to-empty, an id-ordered snapshot \
+       that outlives the drain's compaction, and a replicate-mean \
+       unbiasedness gate";
     run =
       (fun _subject ~replicates case ->
         let catalog = Gen.materialize case in
@@ -650,6 +654,22 @@ let maintenance_oracle ?(writer = maintenance_writer) () =
               stream
             in
             let stream = replay (Rng.int rng 0x3FFFFFFF) mixed in
+            (* Taken at the checkpoint and read only after the drain,
+               whose deletes compact the log under it. *)
+            let snapshot = SR.snapshot stream in
+            (* The in-place estimate against a recount of a copy of
+               the sample, bit for bit. *)
+            let estimate_matches () =
+              let est = SR.estimate_count stream predicate in
+              let recount =
+                CE.selection_of_counts ~big_n:(SR.population stream)
+                  ~n:(SR.sample_size stream)
+                  ~hits:(Relation.count holds (SR.sample stream))
+              in
+              same_bits est.Estimate.point recount.Estimate.point
+              && same_bits est.Estimate.variance recount.Estimate.variance
+              && est.Estimate.sample_size = recount.Estimate.sample_size
+            in
             (* Every id the trace issued, and one past either end. *)
             let issued =
               List.length (List.filter (function Add _ -> true | Remove _ -> false) mixed)
@@ -682,11 +702,10 @@ let maintenance_oracle ?(writer = maintenance_writer) () =
                       ~default:(Relation.empty schema)
                       (SR.bernoulli_sample stream)))
             then Fail "Bernoulli sample holds a tuple the live population does not"
-            else if
-              not
-                (List.equal Tuple.equal (List.map snd live)
-                   (Array.to_list (Relation.tuples (SR.snapshot stream))))
-            then Fail "snapshot does not hold the op trace's live tuples in id order"
+            else if not (estimate_matches ()) then
+              Fail
+                "maintained estimate differs from the selection estimate over a \
+                 recount of the backing sample"
             else if Option.is_some mem_mismatch then
               Fail
                 (Printf.sprintf "mem %d disagrees with the op trace's live ids"
@@ -709,6 +728,24 @@ let maintenance_oracle ?(writer = maintenance_writer) () =
                      "estimate over the drained stream is (%.17g, var %.17g), not \
                       the exact 0"
                      empty_est.Estimate.point empty_est.Estimate.variance)
+              else if
+                (* Through [Relation.sample] first: it gathers from the
+                   log's rows without building the snapshot's tuples. *)
+                let n = List.length live in
+                let probes = if n = 0 then [||] else [| n - 1; 0; n / 2; n - 1 |] in
+                not
+                  (List.equal Tuple.equal
+                     (List.map (fun i -> snd (List.nth live i)) (Array.to_list probes))
+                     (Array.to_list (Relation.tuples (Relation.sample snapshot probes))))
+              then Fail "the checkpoint's snapshot, sampled after the drain, changed rows"
+              else if
+                not
+                  (List.equal Tuple.equal (List.map snd live)
+                     (Array.to_list (Relation.tuples snapshot)))
+              then
+                Fail
+                  "the checkpoint's snapshot, read after the drain, does not hold \
+                   its live tuples in id order"
               else begin
                 (* Replicate-mean unbiasedness of the maintained-sample
                    estimator at the interleaved checkpoint, across

@@ -8,9 +8,12 @@ type t = {
   schema : Relational.Schema.t;
   mutable next_id : int;
   mutable population : int;
-  (* Sample slots: parallel arrays of ids and tuples, [filled] live. *)
+  (* Sample slots: parallel arrays of ids and tuples, [filled] live.
+     Slot [k] is occupied exactly when [ids.(k) >= 0]; a vacant slot
+     holds id -1 and the empty tuple [[||]], so the occupied slots are
+     [0 .. filled - 1] and an estimate counts them where they lie. *)
   ids : id array;
-  tuples : Relational.Tuple.t option array;
+  tuples : Relational.Tuple.t array;
   mutable filled : int;
   (* Members for O(1) deletion checks: id -> slot. *)
   slot_of : (id, int) Hashtbl.t;
@@ -27,7 +30,7 @@ let create ?(metrics = Obs.Metrics.noop) rng ~capacity ~schema =
     next_id = 0;
     population = 0;
     ids = Array.make capacity (-1);
-    tuples = Array.make capacity None;
+    tuples = Array.make capacity [||];
     filled = 0;
     slot_of = Hashtbl.create (2 * capacity);
     seen = 0;
@@ -35,11 +38,9 @@ let create ?(metrics = Obs.Metrics.noop) rng ~capacity ~schema =
   }
 
 let put t slot id tuple =
-  (match t.tuples.(slot) with
-  | Some _ -> Hashtbl.remove t.slot_of t.ids.(slot)
-  | None -> ());
+  if t.ids.(slot) >= 0 then Hashtbl.remove t.slot_of t.ids.(slot);
   t.ids.(slot) <- id;
-  t.tuples.(slot) <- Some tuple;
+  t.tuples.(slot) <- tuple;
   Hashtbl.replace t.slot_of id slot
 
 let insert t tuple =
@@ -91,7 +92,7 @@ let delete t id =
         Hashtbl.replace t.slot_of t.ids.(slot) slot
       end;
       t.ids.(last) <- -1;
-      t.tuples.(last) <- None;
+      t.tuples.(last) <- [||];
       t.filled <- last;
       t.population <- t.population - 1;
       true
@@ -111,12 +112,7 @@ let population t = t.population
 
 let capacity t = t.capacity
 
-let sample t =
-  let tuples =
-    Array.init t.filled (fun k ->
-        match t.tuples.(k) with Some tuple -> tuple | None -> assert false)
-  in
-  Relation.of_array t.schema tuples
+let sample t = Relation.of_array t.schema (Array.sub t.tuples 0 t.filled)
 
 let sample_size t = t.filled
 
@@ -132,7 +128,7 @@ let rescan t live =
      rate. *)
   let draws_before = Sampling.Rng.draws t.rng in
   Array.fill t.ids 0 t.capacity (-1);
-  Array.fill t.tuples 0 t.capacity None;
+  Array.fill t.tuples 0 t.capacity [||];
   Hashtbl.reset t.slot_of;
   t.filled <- 0;
   t.seen <- 0;
@@ -170,9 +166,14 @@ let estimate_count t predicate =
          "Backing_sample.estimate_count: sample exhausted by deletions (%d live tuples unsampled); rescan required"
          t.population)
   else begin
-    let relation = sample t in
+    (* One pass over the occupied slots where they lie: no copy of the
+       sample, no relation. *)
     let keep = Relational.Predicate.compile t.schema predicate in
-    let hits = Relation.count keep relation in
+    let hits = ref 0 in
+    for k = 0 to t.filled - 1 do
+      if keep (Array.unsafe_get t.tuples k) then incr hits
+    done;
+    let hits = !hits in
     Obs.Metrics.add_tuples t.metrics t.filled;
     if t.filled >= t.population then
       (* Census: the sample IS the population. *)

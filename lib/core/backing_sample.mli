@@ -13,7 +13,13 @@
     slot lands on one, so the sample stays unbiased at the cost of
     erosion.  When deletions have eroded it below a threshold the owner
     should rebuild from a scan ({!needs_rescan}), exactly as
-    Gibbons–Matias prescribe. *)
+    Gibbons–Matias prescribe.
+
+    The sample is a plain array of tuple slots kept packed: the
+    occupied slots are the first {!sample_size}, and a delete moves the
+    last occupied slot into the hole.  {!estimate_count} runs the
+    compiled predicate over those slots where they lie, with no copy
+    of the sample. *)
 
 type t
 
@@ -45,7 +51,9 @@ val population : t -> int
 (** Target sample size, as given to {!create}. *)
 val capacity : t -> int
 
-(** Current sample as a relation. *)
+(** Current sample as a relation: a copy of the occupied slots, for
+    callers that want a relation (the maintenance oracle).  Estimation
+    does not go through it. *)
 val sample : t -> Relational.Relation.t
 
 val sample_size : t -> int
@@ -67,7 +75,10 @@ val needs_rescan : ?min_ratio:float -> t -> bool
 val rescan : t -> (id * Relational.Tuple.t) array -> unit
 
 (** Unbiased COUNT-of-selection estimate from the current sample
-    (see {!Count_estimator.selection_of_counts}).  An empty {e
+    (see {!Count_estimator.selection_of_counts}): one pass of the
+    compiled predicate over the occupied slots, in place, adding
+    {!sample_size} to [tuples_scanned].  It equals the selection
+    estimate from a count of {!sample}, bit for bit.  An empty {e
     population} (nothing inserted, or everything deleted) returns the
     exact-0 degenerate estimate — same contract as estimating over an
     empty CSV.

@@ -15,7 +15,10 @@ type t = {
      sample alone could only guess.  A deleted slot keeps its id
      complemented ([lnot id < 0]): the log stays sorted by [slot_id]
      and a slot's sign is its liveness.  Slots at [len] and beyond hold
-     [[||]]: only dead slots awaiting compaction pin a deleted tuple. *)
+     [[||]]: only dead slots awaiting compaction pin a deleted tuple.
+     No row below [len] is ever rewritten ([append] writes at [len],
+     [remove] marks ids, [compact] fills fresh arrays), so a snapshot
+     can gather from [rows] as it stands. *)
   mutable ids : id array;
   mutable rows : Relational.Tuple.t array;
   mutable len : int;
@@ -101,26 +104,37 @@ let append t id tuple =
   t.len <- t.len + 1;
   t.live <- t.live + 1
 
-(* Slide the live slots down over the dead ones, in order, and shrink
-   the arrays once they are over twice the room the live slots need. *)
-let compact t =
+(* The log positions of the live slots, in id order. *)
+let live_slots t =
+  let slots = Array.make t.live 0 in
   let j = ref 0 in
   for k = 0 to t.len - 1 do
     if t.ids.(k) >= 0 then begin
-      t.ids.(!j) <- t.ids.(k);
-      t.rows.(!j) <- t.rows.(k);
+      slots.(!j) <- k;
       incr j
     end
   done;
-  Array.fill t.rows t.live (t.len - t.live) [||];
-  t.len <- t.live;
-  if Array.length t.ids > 2 * room t.live then begin
-    t.ids <- Array.sub t.ids 0 (room t.live);
-    t.rows <- Array.sub t.rows 0 (room t.live)
-  end
+  slots
+
+(* Copy the live slots, in order, into fresh arrays sized for them:
+   snapshots gathering from the old [rows] keep reading what they
+   read. *)
+let compact t =
+  let ids = Array.make (room t.live) 0 and rows = Array.make (room t.live) [||] in
+  let j = ref 0 in
+  for k = 0 to t.len - 1 do
+    if t.ids.(k) >= 0 then begin
+      ids.(!j) <- t.ids.(k);
+      rows.(!j) <- t.rows.(k);
+      incr j
+    end
+  done;
+  t.ids <- ids;
+  t.rows <- rows;
+  t.len <- t.live
 
 (* Mark [id]'s slot dead; compact once dead slots outnumber live ones,
-   so a delete costs O(log n) plus amortised O(1) slot moves. *)
+   so a delete costs O(log n) plus amortised O(1) slot copies. *)
 let remove t id =
   let k = find t id in
   if k < 0 || t.ids.(k) < 0 then false
@@ -130,20 +144,6 @@ let remove t id =
     if t.len - t.live > t.live then compact t;
     true
   end
-
-(* [f id tuple] over the live slots in id (= insertion) order: the one
-   pass every rebuild and materialization shares. *)
-let map_live t ~vacant f =
-  let out = Array.make t.live vacant in
-  let j = ref 0 in
-  for k = 0 to t.len - 1 do
-    let id = t.ids.(k) in
-    if id >= 0 then begin
-      out.(!j) <- f id t.rows.(k);
-      incr j
-    end
-  done;
-  out
 
 (* --- writes ------------------------------------------------------------- *)
 
@@ -191,7 +191,7 @@ let ingest t ~inserts ~deletes =
 
 let rescan t =
   Backing_sample.rescan t.backing
-    (map_live t ~vacant:(0, [||]) (fun id tuple -> (id, tuple)));
+    (Array.map (fun k -> (t.ids.(k), t.rows.(k))) (live_slots t));
   bump t
 
 (* --- reads -------------------------------------------------------------- *)
@@ -218,10 +218,11 @@ let snapshot t =
   match t.snap with
   | Some (epoch, relation) when epoch = t.epoch -> relation
   | _ ->
-    let tuples = map_live t ~vacant:[||] (fun _ tuple -> tuple) in
-    Metrics.add_tuples t.metrics (Array.length tuples);
-    (* No [warm_view]: samples of a snapshot encode their own rows
+    Metrics.add_tuples t.metrics t.live;
+    (* A gather view over the log's rows at the live slots: no tuple is
+       copied, and a sample drawn from it reads only the rows it drew.
+       No [warm_view]: samples of a snapshot encode their own rows
        rather than gather from columns this epoch would encode whole. *)
-    let relation = Relation.of_array t.schema tuples in
+    let relation = Relation.sample (Relation.of_array t.schema t.rows) (live_slots t) in
     t.snap <- Some (t.epoch, relation);
     relation

@@ -12,12 +12,14 @@
     parallel arrays of ids and tuples, appended in id order (ids are
     issued sequentially), with a deleted slot marked dead in place
     after a binary search.  Once dead slots outnumber live ones the
-    log compacts in place (and shrinks when it is far larger than the
-    live slots need), so it holds at most about twice the live
+    log compacts: it copies the live slots, in order, into fresh
+    arrays sized for them, so it holds at most about twice the live
     population and a delete costs O(log n) plus amortised O(1) slot
-    moves.  {!mem} is a binary search, O(log n); {!snapshot} and
-    {!rescan} read the live tuples in id order in one pass over the
-    log, with no sort.
+    copies.  No row below the log's length is ever rewritten: an
+    append writes past it, a delete only marks the id, and compaction
+    leaves the old arrays as they were.  {!mem} is a binary search,
+    O(log n); {!snapshot} and {!rescan} find the live slots in id order
+    in one pass over the log's ids, with no sort.
 
     {2 Determinism}
 
@@ -124,13 +126,17 @@ val window_size : t -> int option
 (** One draw per chain from the last [window] inserts, when enabled. *)
 val window_sample : t -> Relational.Tuple.t array option
 
-(** The live population materialized as a relation in id order —
-    memoized per epoch, so exact/query paths over an unchanged stream
-    reuse one materialization.  Its view is not warmed
+(** The live population as a relation in id order — memoized per
+    epoch, so exact/query paths over an unchanged stream reuse one
+    snapshot.  A snapshot is a gather view over the log's row array
+    at the live slots' positions ({!Relational.Relation.sample}):
+    building one is a pass over the log's ids (at most about 2× the
+    live slots) that copies no tuple, a sample drawn from it reads
+    only the rows it drew, and since the log never rewrites a row
+    below its length, the snapshot keeps its tuples through later
+    appends, deletes and compactions.  Its view is not warmed
     ({!Relational.Relation.warm_view}): a query's samples encode their
     own rows instead of gathering from columns the epoch would encode
-    whole.  A rebuild is
-    one pass over the log (at most about 2× the live slots), with no
-    sort.  This is the path that {e does} scan the base data;
+    whole.  This is the path that {e does} scan the base data;
     estimation never calls it. *)
 val snapshot : t -> Relational.Relation.t

@@ -35,15 +35,18 @@ let rename pairs e = Rename (pairs, e)
 let aggregate ~by specs e = Aggregate (by, specs, e)
 let group_count ~by e = Aggregate (by, [ (Count, "count") ], e)
 
+let check_selection schema p =
+  List.iter
+    (fun a ->
+      if not (Schema.mem schema a) then
+        failwith (Printf.sprintf "Expr.schema_of: unknown attribute %S in selection" a))
+    (Predicate.attributes p)
+
 let rec schema_of catalog = function
   | Base name -> Relation.schema (Catalog.find catalog name)
   | Select (p, e) ->
     let schema = schema_of catalog e in
-    List.iter
-      (fun a ->
-        if not (Schema.mem schema a) then
-          failwith (Printf.sprintf "Expr.schema_of: unknown attribute %S in selection" a))
-      (Predicate.attributes p);
+    check_selection schema p;
     schema
   | Project (names, e) | Distinct (Project (names, e)) ->
     let schema = schema_of catalog e in

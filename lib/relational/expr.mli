@@ -70,6 +70,12 @@ val group_count : by:string list -> t -> t
     union-incompatible operands. *)
 val schema_of : Catalog.t -> t -> Schema.t
 
+(** [check_selection schema p] is the check {!schema_of} makes of a
+    selection over [schema]: every attribute [p] reads must exist.
+    @raise Failure naming the first unknown attribute, with the message
+    {!schema_of} gives. *)
+val check_selection : Schema.t -> Predicate.t -> unit
+
 (** Base-relation names in left-to-right leaf order, {e with}
     multiplicity (a relation joined with itself appears twice). *)
 val leaves : t -> string list

@@ -7,33 +7,7 @@
    exactly the string equalities).  The property tests in
    test/test_columnar.ml pin this contract. *)
 
-(* Local copy of [Predicate.cmp_holds] (not exported there). *)
-let cmp_holds cmp c =
-  match (cmp : Predicate.cmp) with
-  | Eq -> c = 0
-  | Neq -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
-
-(* [cmp_holds cmp (compare k v) = cmp_holds (flip cmp) (compare v k)]:
-   lets Const-vs-Attr reuse the Attr-vs-Const fast path. *)
-let flip = function
-  | (Predicate.Eq | Neq) as cmp -> cmp
-  | Lt -> Predicate.Gt
-  | Le -> Predicate.Ge
-  | Gt -> Predicate.Lt
-  | Ge -> Predicate.Le
-
-let int_test cmp (c : int) =
-  match (cmp : Predicate.cmp) with
-  | Eq -> fun v -> v = c
-  | Neq -> fun v -> v <> c
-  | Lt -> fun v -> v < c
-  | Le -> fun v -> v <= c
-  | Gt -> fun v -> v > c
-  | Ge -> fun v -> v >= c
+let cmp_holds = Predicate.cmp_holds
 
 (* Tests [cmp_holds cmp (Float.compare v c)].  Float.compare is a total
    order with NaN equal to itself and below every other float, so the
@@ -64,7 +38,7 @@ let compile_attr_const view j cmp k =
   match Column.col view j, (k : Value.t) with
   | _, Value.Null -> fun _ -> false
   | Column.Ints { data; nulls }, Value.Int c ->
-    let test = int_test cmp c in
+    let test = Predicate.int_test cmp c in
     guard_nulls nulls (fun i -> test (Array.unsafe_get data i))
   | Column.Ints { data; nulls }, Value.Float c ->
     let test = float_test cmp c in
@@ -136,7 +110,8 @@ let rec compile view (p : Predicate.t) =
   | Predicate.Cmp (cmp, Predicate.Attr name, Predicate.Const k) ->
     compile_attr_const view (Schema.index_of (Column.schema view) name) cmp k
   | Predicate.Cmp (cmp, Predicate.Const k, Predicate.Attr name) ->
-    compile_attr_const view (Schema.index_of (Column.schema view) name) (flip cmp) k
+    compile_attr_const view (Schema.index_of (Column.schema view) name)
+      (Predicate.flip cmp) k
   | Predicate.Cmp (cmp, t1, t2) ->
     let f1 = term_eval view t1 and f2 = term_eval view t2 in
     fun i ->

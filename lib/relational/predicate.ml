@@ -101,9 +101,49 @@ let cmp_holds cmp c =
   | Gt -> c > 0
   | Ge -> c >= 0
 
+let flip = function
+  | (Eq | Neq) as cmp -> cmp
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+
+let int_test cmp (c : int) =
+  match cmp with
+  | Eq -> fun v -> v = c
+  | Neq -> fun v -> v <> c
+  | Lt -> fun v -> v < c
+  | Le -> fun v -> v <= c
+  | Gt -> fun v -> v > c
+  | Ge -> fun v -> v >= c
+
+(* [Attr] against a constant, decided on the value where it lies: no
+   [Value.t option] per row, and an int attribute against an int
+   constant compares unboxed.  Verdicts are the general [Cmp] case's:
+   a Null on either side is false, anything else is [cmp_holds] of
+   [Value.compare]. *)
+let compile_attr_const schema name cmp k =
+  let i = Schema.index_of schema name in
+  match (k : Value.t) with
+  | Null -> fun _ -> false
+  | Int c ->
+    let test = int_test cmp c in
+    fun tuple ->
+      (match Tuple.get tuple i with
+      | Value.Int v -> test v
+      | Value.Null -> false
+      | v -> cmp_holds cmp (Value.compare v k))
+  | _ ->
+    fun tuple ->
+      (match Tuple.get tuple i with
+      | Value.Null -> false
+      | v -> cmp_holds cmp (Value.compare v k))
+
 let rec compile schema = function
   | True -> fun _ -> true
   | False -> fun _ -> false
+  | Cmp (cmp, Attr name, Const k) -> compile_attr_const schema name cmp k
+  | Cmp (cmp, Const k, Attr name) -> compile_attr_const schema name (flip cmp) k
   | Cmp (cmp, t1, t2) ->
     let f1 = compile_term schema t1 and f2 = compile_term schema t2 in
     fun tuple ->

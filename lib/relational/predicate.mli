@@ -54,9 +54,27 @@ val attributes : t -> string list
 val map_attributes : (string -> string) -> t -> t
 
 (** [compile schema p] resolves attribute names to positions and returns
-    an evaluator.
+    an evaluator.  A comparison of an attribute with a constant, either
+    way round, reads the attribute where it lies and allocates nothing
+    per tuple (an int attribute against an int constant compares
+    unboxed); it decides exactly like the general path, which wraps
+    each term's value in an option to propagate [Null].
     @raise Not_found if the predicate mentions an unknown attribute. *)
 val compile : Schema.t -> t -> Tuple.t -> bool
+
+(** [cmp_holds cmp c] decides [cmp] from the sign of a three-way
+    comparison result [c]. *)
+val cmp_holds : cmp -> int -> bool
+
+(** [flip cmp] swaps the operands' sides:
+    [cmp_holds cmp (compare k v) = cmp_holds (flip cmp) (compare v k)],
+    so a constant-versus-attribute comparison can be decided as
+    attribute-versus-constant. *)
+val flip : cmp -> cmp
+
+(** [int_test cmp c] is [fun v -> cmp_holds cmp (Int.compare v c)],
+    specialized per operator. *)
+val int_test : cmp -> int -> int -> bool
 
 (** Evaluate directly (compiling on the fly); convenient in tests. *)
 val eval : Schema.t -> t -> Tuple.t -> bool

@@ -70,17 +70,21 @@ let columnar r =
     r.view <- Some view;
     view
 
+(* A sample of a gather view gathers from the same base at composed
+   row ids, leaving the view's own tuples unbuilt. *)
 let sample r ids =
-  let base = tuples r in
-  let n = Array.length base in
-  Array.iter
-    (fun i -> if i < 0 || i >= n then invalid_arg "Relation.sample: row id out of range")
-    ids;
-  {
-    schema = r.schema;
-    rows = Gather (base, ids);
-    view = Option.map (fun v -> Column.gather v ids) r.view;
-  }
+  let n = cardinality r in
+  for k = 0 to Array.length ids - 1 do
+    let i = Array.unsafe_get ids k in
+    if i < 0 || i >= n then invalid_arg "Relation.sample: row id out of range"
+  done;
+  let rows =
+    match r.rows with
+    | Tuples base -> Gather (base, ids)
+    | Gather (base, inner) ->
+      Gather (base, Array.map (fun i -> Array.unsafe_get inner i) ids)
+  in
+  { schema = r.schema; rows; view = Option.map (fun v -> Column.gather v ids) r.view }
 
 let iter f r = Array.iter f (tuples r)
 

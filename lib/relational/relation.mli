@@ -47,7 +47,10 @@ val count : (Tuple.t -> bool) -> t -> int
     at [ids], encoding [r]'s column once, on first touch, and memoizing
     it in [r].  Otherwise the sample encodes its own tuples on first
     touch, like any relation.  Either way the view decodes to the same
-    values.
+    values.  A sample of a sample composes the row ids: it gathers from
+    the first base at [a.(b.(i))] without building the inner sample's
+    tuples, so a draw from a gather view (a stream snapshot) reads only
+    the rows it drew.
     @raise Invalid_argument if an id is out of range. *)
 val sample : t -> int array -> t
 

@@ -118,7 +118,9 @@ let estimate ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?index_source 
     catalog ~relation ~fraction ~level predicate =
   check_fraction fraction;
   check_unit_open ~option:"--level" level;
-  let big_n = Relational.Relation.cardinality (Relational.Catalog.find catalog relation) in
+  let base = Relational.Catalog.find catalog relation in
+  Expr.check_selection (Relational.Relation.schema base) predicate;
+  let big_n = Relational.Relation.cardinality base in
   let n = Sampling.Srs.size_of_fraction ~fraction big_n in
   let plan =
     plan_for ~metrics ~prefix:plan_prefix plans
@@ -150,6 +152,7 @@ let estimate ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?index_source 
 let estimate_stream ?(metrics = Metrics.noop) ~relation ~level stream predicate =
   check_unit_open ~option:"--level" level;
   let module SR = Raestat.Stream_relation in
+  Expr.check_selection (SR.schema stream) predicate;
   let est =
     Metrics.with_span metrics
       (Printf.sprintf "stream-selection %s" relation)
@@ -181,6 +184,7 @@ let estimate_stream ?(metrics = Metrics.noop) ~relation ~level stream predicate 
    only the sampled pages are fetched — real I/O on [metrics]. *)
 let estimate_pages ?(metrics = Metrics.noop) rng ~relation ~m ~level paged predicate =
   check_unit_open ~option:"--level" level;
+  Expr.check_selection (Relational.Paged.schema paged) predicate;
   let result = Raestat.Cluster_estimator.count ~metrics rng ~m paged predicate in
   let est = result.Raestat.Cluster_estimator.estimate in
   let buffer = Buffer.create 128 in

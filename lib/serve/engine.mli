@@ -81,7 +81,10 @@ type result = {
     against a pre-reload catalog never serve post-reload requests.
     [index_source] (daemon warm cache) may substitute the SRSWOR index
     draw; see {!Raestat.Estplan.index_source} — results are
-    bit-identical either way. *)
+    bit-identical either way.
+    @raise Failure before anything runs when the filter reads an
+    attribute the relation lacks, with {!Relational.Expr.schema_of}'s
+    message (as [query] and [sql] report it). *)
 val estimate :
   ?metrics:Obs.Metrics.t ->
   ?plans:Plan_cache.t ->
@@ -103,7 +106,8 @@ val estimate :
     daemon's stream-aware ["estimate"] and [raestat ingest --where].
     Contract of {!Raestat.Stream_relation.estimate_count} (exact 0 on
     an empty population, [Failure] once the sample is exhausted but
-    tuples remain — callers surface the rescan instruction). *)
+    tuples remain — callers surface the rescan instruction).  An
+    unknown filter attribute fails first, as in {!estimate}. *)
 val estimate_stream :
   ?metrics:Obs.Metrics.t ->
   relation:string ->
@@ -116,7 +120,8 @@ val estimate_stream :
     --pages M] and the daemon's ["pages"] field): draw [m] whole pages
     from the paged view, expand by M/m.  [relation] only names the
     base in the returned [expr].  Never plan-cached — there is no
-    compile step to save. *)
+    compile step to save.  An unknown filter attribute fails first, as
+    in {!estimate}. *)
 val estimate_pages :
   ?metrics:Obs.Metrics.t ->
   Sampling.Rng.t ->

@@ -325,6 +325,17 @@ expect_error "unknown join attribute" 'Expr.schema_of: join attribute "zz" missi
 [ "$("$cli" query "r join[zz = a] r" --rel "r=$workdir/u.csv" -f 0.05 2>&1 | wc -l)" -eq 1 ] \
   || fail "unknown join attribute: error is not one line"
 
+# an estimate's filter is checked against the relation's schema before
+# anything runs, on a static relation and on a maintained stream (both
+# used to escape as an uncaught Not_found)
+expect_error "unknown filter attribute" 'Expr.schema_of: unknown attribute "zz" in selection$' \
+  estimate "$workdir/u.csv" --where "zz <= 3" -f 0.05
+[ "$("$cli" estimate "$workdir/u.csv" --where "zz <= 3" -f 0.05 2>&1 | wc -l)" -eq 1 ] \
+  || fail "unknown filter attribute: error is not one line"
+expect_error "unknown ingest filter attribute" \
+  'Expr.schema_of: unknown attribute "zz" in selection$' \
+  ingest "$workdir/u.csv" --where "zz <= 3"
+
 printf 'a:int\n1\n2,3\n' > "$workdir/bad.csv"
 expect_error "malformed csv" "Csv: line 3: row has 2 fields, header has 1" \
   estimate "$workdir/bad.csv" --where "a < 30" -f 0.5

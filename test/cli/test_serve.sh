@@ -146,6 +146,34 @@ out="$("$cli" client --socket "$sock" --text \
   '{"op": "query", "expr": "select[a < 5000](r)", "fraction": 1.0, "groups": 1}')"
 echo "$out" | grep -q "estimated COUNT: 20005 " || fail "query overlay count, got: $out"
 
+# a sampled query over a stream with deletes draws from a snapshot of a
+# log with dead slots: the served query and sql must be byte-identical
+# to the one-shot CLI over a CSV of the live rows in id order (the base
+# rows minus the deleted ids, then the inserts)
+deletes="$(seq 0 7 19999 | paste -sd, -)"
+req_churn='{"op": "ingest", "relation": "r", "insert": [{"a": 7}, {"a": 299}, {"a": 300}], '
+out="$("$cli" client --socket "$sock" "$req_churn\"delete\": [$deletes]}")"
+echo "$out" | grep -q '"deleted": 2858' || fail "churn ingest deletes, got: $out"
+{
+  head -1 "$workdir/u.csv"
+  tail -n +2 "$workdir/u.csv" | awk 'NR % 7 != 1'
+  printf '5\n5\n5\n5\n5\n7\n299\n300\n'
+} > "$workdir/live.csv"
+"$cli" query "select[a < 300](r)" --rel "r=$workdir/live.csv" -f 0.05 -g 5 --seed 11 \
+  > "$workdir/ref.cquery"
+"$cli" sql "SELECT COUNT(*) FROM r WHERE a < 300" --rel "r=$workdir/live.csv" \
+  -f 0.05 -g 5 --seed 11 > "$workdir/ref.csql"
+"$cli" client --socket "$sock" --text \
+  '{"op": "query", "expr": "select[a < 300](r)", "fraction": 0.05, "groups": 5, "seed": 11}' \
+  > "$workdir/client.cquery"
+"$cli" client --socket "$sock" --text \
+  '{"op": "sql", "query": "SELECT COUNT(*) FROM r WHERE a < 300", "fraction": 0.05, "groups": 5, "seed": 11}' \
+  > "$workdir/client.csql"
+cmp -s "$workdir/client.cquery" "$workdir/ref.cquery" \
+  || fail "served query over a stream with deletes differs from one-shot CLI"
+cmp -s "$workdir/client.csql" "$workdir/ref.csql" \
+  || fail "served sql over a stream with deletes differs from one-shot CLI"
+
 # malformed requests are per-request errors, not daemon crashes ---------
 out="$("$cli" client --socket "$sock" '{"op": ')"
 echo "$out" | grep -q '"ok": false' || fail "malformed JSON not rejected"

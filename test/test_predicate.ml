@@ -89,6 +89,37 @@ let prop_de_morgan =
       let p1 = P.lt (P.attr "a") (P.vint 5) and p2 = P.gt (P.attr "b") (P.vint 5) in
       holds (P.not_ P.(p1 &&& p2)) t = holds P.(not_ p1 ||| not_ p2) t)
 
+(* An attribute against a constant, either way round, takes the
+   allocation-free path; the same comparison against a second attribute
+   holding the constant takes the general one.  They must agree on
+   every pair of values: Nulls, cross-type ranks, NaN, ±0, extreme
+   ints. *)
+let prop_attr_const_agrees =
+  let values =
+    Value.
+      [|
+        Null; Int 0; Int (-3); Int 7; Int max_int; Int min_int; Float 0.; Float (-0.);
+        Float 7.; Float 2.5; Float Float.nan; Float Float.neg_infinity; Str ""; Str "7";
+        Str "b"; Bool false; Bool true;
+      |]
+  in
+  let cmps = P.[| Eq; Neq; Lt; Le; Gt; Ge |] in
+  let pair_schema = Schema.of_list [ ("v", Value.Tint); ("k", Value.Tint) ] in
+  qcheck_case ~count:500 "attr-vs-const decides like attr-vs-attr"
+    QCheck.(
+      triple
+        (int_range 0 (Array.length values - 1))
+        (int_range 0 (Array.length values - 1))
+        (int_range 0 (Array.length cmps - 1)))
+    (fun (i, j, c) ->
+      let v = values.(i) and k = values.(j) and cmp = cmps.(c) in
+      let t = Tuple.make [ v; k ] in
+      let decide p = P.eval pair_schema p t in
+      decide (P.Cmp (cmp, P.Attr "v", P.Const k))
+      = decide (P.Cmp (cmp, P.Attr "v", P.Attr "k"))
+      && decide (P.Cmp (cmp, P.Const k, P.Attr "v"))
+         = decide (P.Cmp (cmp, P.Attr "k", P.Attr "v")))
+
 let suite =
   [
     Alcotest.test_case "comparisons" `Quick test_comparisons;
@@ -101,4 +132,5 @@ let suite =
     Alcotest.test_case "to_string" `Quick test_to_string;
     prop_not_involutive;
     prop_de_morgan;
+    prop_attr_const_agrees;
   ]

@@ -76,6 +76,53 @@ let test_empty () =
   Alcotest.(check bool) "empty" true (Relation.is_empty e);
   Alcotest.(check bool) "empty is set" true (Relation.is_set e)
 
+(* A sample of a sample gathers from the first base at composed row
+   ids, with or without a columnar view on that base, and its view
+   decodes to the same values either way. *)
+let test_sample_of_sample () =
+  let schema = Schema.of_list [ ("a", Value.Tint); ("s", Value.Tstr) ] in
+  let rows =
+    List.init 8 (fun i ->
+        Tuple.make
+          [
+            (if i = 5 then Value.Null else Value.Int (i * 10));
+            Value.Str (String.make 1 (Char.chr (97 + (i mod 3))));
+          ])
+  in
+  let a = [| 7; 2; 2; 5; 0; 6 |] and b = [| 3; 0; 5; 1; 1 |] in
+  let expected = Array.map (fun i -> List.nth rows a.(i)) b in
+  List.iter
+    (fun viewed ->
+      let label what =
+        Printf.sprintf "%s (%s base)" what (if viewed then "viewed" else "plain")
+      in
+      let r = Relation.make schema rows in
+      if viewed then ignore (Relation.columnar r);
+      let inner = Relation.sample r a in
+      let outer = Relation.sample inner b in
+      for j = 0 to 1 do
+        Alcotest.(check (array string))
+          (label (Printf.sprintf "view column %d" j))
+          (Array.map (fun t -> Value.to_string (Tuple.get t j)) expected)
+          (Array.map Value.to_string
+             (Relational.Column.values (Relation.columnar outer) j))
+      done;
+      Alcotest.(check (array string))
+        (label "tuples at a.(b.(i))")
+        (Array.map Tuple.to_string expected)
+        (Array.map Tuple.to_string (Relation.tuples outer));
+      List.iter
+        (fun bad ->
+          Alcotest.(check bool)
+            (label (Printf.sprintf "row id %d rejected" bad))
+            true
+            (try
+               ignore (Relation.sample inner [| 0; bad |]);
+               false
+             with Invalid_argument _ -> true))
+        [ Array.length a; -1 ])
+    [ false; true ]
+
 let prop_distinct_idempotent =
   qcheck_case "distinct idempotent"
     QCheck.(list_of_size (QCheck.Gen.int_range 0 30) (QCheck.int_range 0 5))
@@ -105,6 +152,7 @@ let suite =
     Alcotest.test_case "append" `Quick test_append;
     Alcotest.test_case "map and fold" `Quick test_map_fold;
     Alcotest.test_case "empty" `Quick test_empty;
+    Alcotest.test_case "sample of a sample composes row ids" `Quick test_sample_of_sample;
     prop_distinct_idempotent;
     prop_distinct_bounded;
   ]

@@ -428,6 +428,11 @@ let test_server_errors () =
   check_error "unknown join attribute"
     {|Expr.schema_of: join attribute "zz" missing on the left|}
     {|{"op": "query", "expr": "r join[zz = a] r", "fraction": 0.5}|};
+  (* an estimate's filter is checked against the relation's schema
+     before anything runs, and names its attribute like query does *)
+  check_error "unknown filter attribute"
+    {|Expr.schema_of: unknown attribute "zz" in selection|}
+    {|{"op": "estimate", "where": "zz <= 3"}|};
   (* error responses count as answered requests, and none of them killed
      the state: a good request still works afterwards *)
   match response (Server.handle_line state {|{"op": "ping"}|}) with
@@ -785,7 +790,14 @@ let test_server_stream_estimate_fresh () =
     error_message
       (Server.handle_line state {|{"op": "estimate", "where": "a < 30", "pages": 2}|})
   in
-  Alcotest.(check bool) "pages on a stream errors" true (contains "maintained stream" message)
+  Alcotest.(check bool) "pages on a stream errors" true (contains "maintained stream" message);
+  (* An unknown filter attribute is named, as for a static relation. *)
+  let message =
+    error_message (Server.handle_line state {|{"op": "estimate", "where": "zz <= 3"}|})
+  in
+  Alcotest.(check string)
+    "unknown attribute on a stream" {|Expr.schema_of: unknown attribute "zz" in selection|}
+    message
 
 let test_server_stream_query_overlay () =
   with_server @@ fun state ->

@@ -70,6 +70,40 @@ let test_snapshot_memoized () =
   (* Id order = insertion order. *)
   Alcotest.(check int) "first survivor" 1 (value (Relation.tuple s3 0))
 
+(* A snapshot gathers from the log's rows, so it must read the same
+   tuples after appends, deletes and a compaction of the log under it,
+   and after an append that moves the log to larger arrays. *)
+let test_snapshot_outlives_writes () =
+  let t = SR.create ~capacity:4 ~seed:12 ~schema () in
+  (* Twenty tuples: the log's arrays hold 32 slots. *)
+  ignore (SR.ingest t ~inserts:(Array.init 20 tuple) ~deletes:[||]);
+  let snap = SR.snapshot t in
+  let expected = List.init 20 Fun.id in
+  (* Through a sample, so the snapshot's own tuples stay unbuilt. *)
+  let check event =
+    let all = Array.init (Relation.cardinality snap) Fun.id in
+    Alcotest.(check (list int))
+      event expected
+      (Array.to_list (Array.map value (Relation.tuples (Relation.sample snap all))))
+  in
+  ignore (SR.ingest t ~inserts:(Array.init 3 (fun k -> tuple (20 + k))) ~deletes:[||]);
+  check "after appends into the same arrays";
+  ignore (SR.ingest t ~inserts:[||] ~deletes:[| 0; 3; 7 |]);
+  check "after deletes";
+  (* 20 live, 3 dead: the ninth of these deletes leaves more dead slots
+     than live ones, and the log compacts to 11 slots in 22. *)
+  ignore (SR.ingest t ~inserts:[||] ~deletes:(Array.init 9 (fun i -> i + 8)));
+  check "after a compaction";
+  ignore (SR.ingest t ~inserts:(Array.init 12 (fun k -> tuple (23 + k))) ~deletes:[||]);
+  check "after an append that grows the arrays";
+  Alcotest.(check (list int))
+    "read directly" expected
+    (Array.to_list (Array.map value (Relation.tuples snap)));
+  Alcotest.(check (list int))
+    "a fresh snapshot holds the survivors"
+    ([ 1; 2; 4; 5; 6 ] @ List.init 18 (fun k -> 17 + k))
+    (Array.to_list (Array.map value (Relation.tuples (SR.snapshot t))))
+
 let test_maintained_samples () =
   let t =
     SR.create ~capacity:50 ~bernoulli:0.2 ~window:100 ~window_chains:8 ~seed:6 ~schema ()
@@ -246,13 +280,31 @@ let store_agrees_with_reference ops =
       true
     end
   in
+  let show ids = String.concat "; " (List.map string_of_int ids) in
+  (* The previous op's snapshot and what it held, re-read after the
+     next op has written to the log under it. *)
+  let held = ref None in
   let agree step =
+    (match !held with
+    | Some (snap, before, taken) ->
+      let got = Array.to_list (Array.map value (Relation.tuples snap)) in
+      if got <> before then
+        QCheck.Test.fail_reportf
+          "after %s: the snapshot taken after %s reads [%s], held [%s]" step taken
+          (show got) (show before)
+    | None -> ());
     let expected = live_ids () in
-    let got = Array.to_list (Array.map value (Relation.tuples (SR.snapshot t))) in
+    let snap = SR.snapshot t in
+    (* Read through a sample, which leaves the snapshot's own tuples
+       unbuilt until the re-check. *)
+    let all = Array.init (Relation.cardinality snap) Fun.id in
+    let got =
+      Array.to_list (Array.map value (Relation.tuples (Relation.sample snap all)))
+    in
     if got <> expected then
-      QCheck.Test.fail_reportf "after %s: snapshot [%s], reference [%s]" step
-        (String.concat "; " (List.map string_of_int got))
-        (String.concat "; " (List.map string_of_int expected));
+      QCheck.Test.fail_reportf "after %s: snapshot [%s], reference [%s]" step (show got)
+        (show expected);
+    held := Some (snap, expected, step);
     if SR.population t <> Hashtbl.length reference then
       QCheck.Test.fail_reportf "after %s: population %d, reference %d" step
         (SR.population t) (Hashtbl.length reference);
@@ -310,6 +362,8 @@ let suite =
     Alcotest.test_case "estimate fresh after writes" `Quick test_estimate_fresh_after_writes;
     Alcotest.test_case "estimate sampled" `Quick test_estimate_sampled;
     Alcotest.test_case "snapshot memoized by epoch" `Quick test_snapshot_memoized;
+    Alcotest.test_case "snapshot outlives appends, deletes and compaction" `Quick
+      test_snapshot_outlives_writes;
     Alcotest.test_case "maintained samples" `Quick test_maintained_samples;
     Alcotest.test_case "delete-all leaves consistent empty" `Quick
       test_delete_all_consistent_empty;
