@@ -540,6 +540,64 @@ let storage =
           else Pass);
   }
 
+(* --------------------------------------------------------------- kernels *)
+
+(* A selection of the case over a base relation (through other
+   selections): its predicate and the base. *)
+let rec selections = function
+  | Expr.Base _ -> []
+  | Expr.Select (p, e) ->
+    let rec base = function
+      | Expr.Base name -> Some name
+      | Expr.Select (_, e) -> base e
+      | _ -> None
+    in
+    Option.to_list (Option.map (fun name -> (p, name)) (base e)) @ selections e
+  | Expr.Project (_, e) | Expr.Distinct e | Expr.Rename (_, e) | Expr.Aggregate (_, _, e) ->
+    selections e
+  | Expr.Product (l, r)
+  | Expr.Equijoin (_, l, r)
+  | Expr.Theta_join (_, l, r)
+  | Expr.Union (l, r)
+  | Expr.Inter (l, r)
+  | Expr.Diff (l, r) ->
+    selections l @ selections r
+
+(* Fuzz relations sit below [Relation.kernel_threshold], so the
+   estimators decide their selections on the row path.  This oracle
+   runs the scan kernels on them directly: each selection's predicate,
+   over its base's columnar view, through [count], [filter_indices], and
+   [count_indices] over every row id twice in descending order, must
+   keep exactly the rows [Predicate.compile] keeps. *)
+let kernels =
+  {
+    name = "kernels";
+    summary = "the scan kernels keep exactly the rows the row predicate keeps";
+    run =
+      (fun _subject ~replicates:_ case ->
+        let catalog = Gen.materialize case in
+        let disagrees (p, name) =
+          let r = Catalog.find catalog name in
+          let tuples = Relation.tuples r and view = Relation.columnar r in
+          let keep i = Relational.Predicate.compile (Relation.schema r) p tuples.(i) in
+          let n = Array.length tuples in
+          let ids = Array.init (2 * n) (fun k -> n - 1 - (k / 2)) in
+          let rows = Array.of_list (List.filter keep (List.init n Fun.id)) in
+          let among = List.length (List.filter keep (Array.to_list ids)) in
+          let module K = Relational.Kernel in
+          not
+            (K.count view p = Array.length rows
+            && K.filter_indices view p = rows
+            && K.count_indices view p ids = among)
+        in
+        match List.find_opt disagrees (selections case.Gen.expr) with
+        | Some (p, name) ->
+          Fail
+            (Printf.sprintf "the scan kernels disagree with the row predicate on %s over %s"
+               (Relational.Predicate.to_string p) name)
+        | None -> Pass);
+  }
+
 (* ----------------------------------------------------------- maintenance *)
 
 module SR = Raestat.Stream_relation
@@ -799,7 +857,7 @@ let maintenance = maintenance_oracle ()
 
 let battery =
   [ census; parity; rewrite; pushdown; unbiasedness; coverage; conservation; storage;
-    maintenance ]
+    maintenance; kernels ]
 
 let check_case ?(subject = reference) ~replicates case =
   List.find_map

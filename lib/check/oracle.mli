@@ -74,7 +74,14 @@ type oracle = {
       live id is deleted, and — where the power gate allows — keeps a
       replicate mean over independent stream seeds that brackets the
       trace's exact count (same Student-t bound and 8× retry as
-      ["unbiasedness"]). *)
+      ["unbiasedness"]);
+    - ["kernels"]: the fuzz relations stay below
+      {!Relational.Relation.kernel_threshold}, so the estimators decide
+      selections on the row path; this oracle runs the scan kernels
+      ({!Relational.Kernel.count}, [filter_indices], [count_indices]) on
+      each selection of the case over its base's view
+      and demands exactly the rows {!Relational.Predicate.compile}
+      keeps. *)
 val battery : oracle list
 
 (** {2 Maintenance oracle internals (for tests)} *)

@@ -230,8 +230,8 @@ type choice = {
 (* Statistics driving the analytic variance model: J approximates (or
    bounds) the true count, ss.(i) the sum of squared per-tuple result
    contributions of leaf occurrence i.  [analytic] marks the shapes
-   computed exactly by one histogram pass per leaf (selection chains
-   over a base, and a two-leaf equijoin/product of such chains); the
+   computed exactly from the leaves' passing rows (selection chains over
+   a base, and a two-leaf equijoin/product of such chains); the
    fallback uses the pessimistic cardinality cap with the
    uniform-contribution approximation SS_i = J²/N_i. *)
 type stats = {
@@ -240,6 +240,13 @@ type stats = {
   analytic : bool;
 }
 
+module Kernel = Relational.Kernel
+module Int_table = Kernel.Int_table
+
+let rec strip_projects = function
+  | Expr.Project (_, e) -> strip_projects e
+  | e -> e
+
 (* [chain e] — Some (predicates, base) when [e] is a selection chain
    over a base relation. *)
 let rec chain = function
@@ -247,6 +254,18 @@ let rec chain = function
   | Expr.Select (p, e) ->
     Option.map (fun (ps, name) -> (p :: ps, name)) (chain e)
   | _ -> None
+
+(* A chain's predicates as one conjunction: the scan kernels run its
+   conjuncts in sequence. *)
+let conjunction = function
+  | [] -> None
+  | p :: ps -> Some (List.fold_left (fun acc q -> Predicate.And (acc, q)) p ps)
+
+let chain_count catalog (preds, name) =
+  let relation = Catalog.find catalog name in
+  match conjunction preds with
+  | None -> Relation.cardinality relation
+  | Some p -> Relation.count_pred p relation
 
 let filtered catalog (preds, name) =
   List.fold_left (fun r p -> Relation.filter_pred p r) (Catalog.find catalog name) preds
@@ -261,9 +280,82 @@ let histogram relation attrs =
   done;
   table
 
-let rec strip_projects = function
-  | Expr.Project (_, e) -> strip_projects e
-  | e -> e
+(* A key of multiplicity m on the left and n on the right adds m·n to
+   J, m·n² to SS_left and n·m² to SS_right: a left tuple with that key
+   appears in n result tuples. *)
+let add_key (j, ss_l, ss_r) m n =
+  let m = float_of_int m and n = float_of_int n in
+  (j +. (m *. n), ss_l +. (m *. n *. n), ss_r +. (n *. m *. m))
+
+let histogram_moments catalog pairs cl cr =
+  let hl = histogram (filtered catalog cl) (List.map fst pairs)
+  and hr = histogram (filtered catalog cr) (List.map snd pairs) in
+  Hashtbl.fold
+    (fun key m acc ->
+      match Hashtbl.find_opt hr key with Some n -> add_key acc m n | None -> acc)
+    hl (0., 0., 0.)
+
+(* The key code of row [p] of a side: every row of the base when
+   [rows] is [None], else the rows in [rows]. *)
+let[@inline] code_at codes rows p =
+  Array.unsafe_get codes (match rows with None -> p | Some ids -> Array.unsafe_get ids p)
+
+let side_length codes = function None -> Array.length codes | Some ids -> Array.length ids
+
+(* The same sums from the int key codes of one attribute pair: the
+   per-key counts live in an int table built on the side with fewer
+   passing rows, and the other side is counted into its slots (a key
+   the table lacks lands in an empty slot and is never read). *)
+let code_moments (codes_l, rows_l) (codes_r, rows_r) =
+  let left_builds = side_length codes_l rows_l <= side_length codes_r rows_r in
+  let (bc, br), (pc, pr) =
+    if left_builds then ((codes_l, rows_l), (codes_r, rows_r))
+    else ((codes_r, rows_r), (codes_l, rows_l))
+  in
+  let table = Int_table.create (side_length bc br) in
+  for p = 0 to side_length bc br - 1 do
+    let k = code_at bc br p in
+    let s = Int_table.slot table k in
+    table.keys.(s) <- k;
+    table.vals.(s) <- table.vals.(s) + 1
+  done;
+  let probed = Array.make (Array.length table.vals) 0 in
+  for p = 0 to side_length pc pr - 1 do
+    let s = Int_table.slot table (code_at pc pr p) in
+    probed.(s) <- probed.(s) + 1
+  done;
+  let sums = ref (0., 0., 0.) in
+  Array.iteri
+    (fun s built ->
+      let other = probed.(s) in
+      if built > 0 && other > 0 then
+        sums := if left_builds then add_key !sums built other else add_key !sums other built)
+    table.vals;
+  !sums
+
+(* J = Σ_v m_v·n_v and SS_left, SS_right of an equijoin of two
+   selection chains.  A single attribute pair whose key columns admit
+   int codes ({!Kernel.join_codes}) is counted from each side's passing
+   rows, found by the scan kernels over its base's view; other key
+   shapes (float, generic or nullable int keys, several pairs) keep the
+   histogram of the filtered relations — the line [Physical.count_expr]
+   draws with [Decline]. *)
+let join_moments catalog expr =
+  match strip_projects expr with
+  | Expr.Equijoin (pairs, l, r) when pairs <> [] -> (
+    match (chain (strip_projects l), chain (strip_projects r), pairs) with
+    | Some ((pl, nl) as cl), Some ((pr, nr) as cr), [ (a, b) ] -> (
+      let view name = Relation.columnar (Catalog.find catalog name) in
+      let vl = view nl and vr = view nr in
+      let index v attr = Schema.index_of (Relational.Column.schema v) attr in
+      match Kernel.join_codes vl (index vl a) vr (index vr b) with
+      | Some (kl, kr) ->
+        let rows v preds = Option.map (Kernel.filter_indices v) (conjunction preds) in
+        Some (code_moments (kl, rows vl pl) (kr, rows vr pr))
+      | None -> Some (histogram_moments catalog pairs cl cr))
+    | Some cl, Some cr, _ -> Some (histogram_moments catalog pairs cl cr)
+    | _ -> None)
+  | _ -> None
 
 let leaf_populations catalog expr =
   List.map
@@ -282,38 +374,19 @@ let compute_stats catalog expr =
   in
   match strip_projects expr with
   | e when chain e <> None ->
-    let j = float_of_int (Relation.cardinality (filtered catalog (Option.get (chain e)))) in
+    let j = float_of_int (chain_count catalog (Option.get (chain e))) in
     { j; ss = [| j |]; analytic = true }
   | Expr.Product (l, r) -> (
     match (chain (strip_projects l), chain (strip_projects r)) with
     | Some cl, Some cr ->
-      let m = float_of_int (Relation.cardinality (filtered catalog cl))
-      and n = float_of_int (Relation.cardinality (filtered catalog cr)) in
+      let m = float_of_int (chain_count catalog cl)
+      and n = float_of_int (chain_count catalog cr) in
       { j = m *. n; ss = [| m *. n *. n; n *. m *. m |]; analytic = true }
     | _ -> fallback ())
-  | Expr.Equijoin (pairs, l, r) -> (
-    match (chain (strip_projects l), chain (strip_projects r)) with
-    | Some cl, Some cr when pairs <> [] ->
-      (* One filtered pass per side: J = Σ_v m_v·n_v, and the squared
-         contributions SS_left = Σ_v m_v·n_v², SS_right = Σ_v n_v·m_v²
-         (a left tuple with join value v appears in n_v result tuples). *)
-      let left = filtered catalog cl and right = filtered catalog cr in
-      let hl = histogram left (List.map fst pairs)
-      and hr = histogram right (List.map snd pairs) in
-      let j = ref 0. and ss_l = ref 0. and ss_r = ref 0. in
-      Hashtbl.iter
-        (fun key m ->
-          match Hashtbl.find_opt hr key with
-          | Some n ->
-            let m = float_of_int m and n = float_of_int n in
-            j := !j +. (m *. n);
-            ss_l := !ss_l +. (m *. n *. n);
-            ss_r := !ss_r +. (n *. m *. m)
-          | None -> ())
-        hl;
-      { j = !j; ss = [| !ss_l; !ss_r |]; analytic = true }
-    | _ -> fallback ())
-  | _ -> fallback ()
+  | e -> (
+    match join_moments catalog e with
+    | Some (j, ss_l, ss_r) -> { j; ss = [| ss_l; ss_r |]; analytic = true }
+    | None -> fallback ())
 
 (* --- candidate enumeration and scoring ---------------------------- *)
 

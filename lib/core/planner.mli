@@ -138,6 +138,30 @@ val choose_sampling :
   Relational.Expr.t ->
   choice
 
+(** [join_moments catalog e] is [Some (j, ss_left, ss_right)] when [e]
+    (projections ignored) is an equijoin of two selection chains over
+    base relations, the two-leaf shape whose variance model is exact:
+    [j = Σ_v m_v·n_v], [ss_left = Σ_v m_v·n_v²] and
+    [ss_right = Σ_v n_v·m_v²], where [m_v] and [n_v] count the left and
+    right tuples passing their selections with join key [v].  [None] for
+    every other shape.
+
+    A single attribute pair whose key columns admit int codes
+    ({!Relational.Kernel.join_codes}: null-free ints or dictionaries,
+    Null matching Null) is counted without a boxed key: each side's
+    passing rows come from the scan kernels over its base's view, and
+    the per-key counts live in a {!Relational.Kernel.Int_table} built on
+    the side with fewer passing rows, the other side counted into its
+    slots.  Float, generic or nullable int keys and multi-attribute
+    joins keep a histogram of [Value.t list] keys over the filtered
+    relations.  Only the order in which the per-key terms are added
+    differs between the two, so the sums agree exactly while they stay
+    below 2^53.
+    @raise Not_found on an attribute the schemas lack (callers check
+    with {!Relational.Expr.schema_of} first). *)
+val join_moments :
+  Relational.Catalog.t -> Relational.Expr.t -> (float * float * float) option
+
 (** Render the decision: the winner's plan tree ({!Estplan.render})
     followed by the candidate table, the winner's pushdown trace and
     the rationale.  Byte-identical between the CLI and the daemon. *)

@@ -91,6 +91,13 @@ let add_page_cache_hits t n = if t.enabled then t.cache_hits <- t.cache_hits + n
 let add_indices t n = if t.enabled then t.indices <- t.indices + n
 let probe_hit t = if t.enabled then t.hits <- t.hits + 1
 let probe_miss t = if t.enabled then t.misses <- t.misses + 1
+
+let add_probes t ~hits ~misses =
+  if t.enabled then begin
+    t.hits <- t.hits + hits;
+    t.misses <- t.misses + misses
+  end
+
 let add_rng_draws t n = if t.enabled then t.draws <- t.draws + n
 let plan_cache_hit t = if t.enabled then t.plan_hits <- t.plan_hits + 1
 let plan_cache_miss t = if t.enabled then t.plan_misses <- t.plan_misses + 1

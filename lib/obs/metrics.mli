@@ -100,6 +100,11 @@ val add_page_cache_hits : t -> int -> unit
 val add_indices : t -> int -> unit
 val probe_hit : t -> unit
 val probe_miss : t -> unit
+
+(** [add_probes t ~hits ~misses] records a batch of join probes at
+    once: the same totals as [hits] {!probe_hit}s and [misses]
+    {!probe_miss}es, for a probe loop that tallies them in locals. *)
+val add_probes : t -> hits:int -> misses:int -> unit
 val add_rng_draws : t -> int -> unit
 val plan_cache_hit : t -> unit
 val plan_cache_miss : t -> unit

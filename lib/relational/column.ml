@@ -13,7 +13,7 @@ module Bitset = struct
 
   let set t i = t.words.(i / bits) <- t.words.(i / bits) lor (1 lsl (i mod bits))
 
-  let get t i = (Array.unsafe_get t.words (i / bits) lsr (i mod bits)) land 1 = 1
+  let[@inline] get t i = (Array.unsafe_get t.words (i / bits) lsr (i mod bits)) land 1 = 1
 
   let popcount w =
     let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in

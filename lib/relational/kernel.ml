@@ -1,86 +1,13 @@
 (* Compiled predicate / join kernels over columnar views.
 
-   Every closure produced here must decide exactly like the row path:
-   [compile view p] agrees with [Predicate.compile (Column.schema view) p]
-   on every row, and the join code spaces agree with [Tuple.equal] on
-   key tuples (so Null keys match Null keys and dictionary codes match
-   exactly the string equalities).  The property tests in
-   test/test_columnar.ml pin this contract. *)
+   Everything here must decide exactly like the row path: [compile view
+   p] and the scan kernels agree with [Predicate.compile (Column.schema
+   view) p] on every row, and the join code spaces agree with
+   [Tuple.equal] on key tuples (so Null keys match Null keys and
+   dictionary codes match exactly the string equalities).  The property
+   tests in test/test_columnar.ml pin this contract. *)
 
 let cmp_holds = Predicate.cmp_holds
-
-(* Tests [cmp_holds cmp (Float.compare v c)].  Float.compare is a total
-   order with NaN equal to itself and below every other float, so the
-   primitive comparisons need a NaN patch on the Lt/Le side. *)
-let float_test cmp c =
-  if Float.is_nan c then
-    match (cmp : Predicate.cmp) with
-    | Eq | Le -> Float.is_nan
-    | Neq | Gt -> fun v -> not (Float.is_nan v)
-    | Lt -> fun _ -> false
-    | Ge -> fun _ -> true
-  else
-    match (cmp : Predicate.cmp) with
-    | Eq -> fun v -> v = c
-    | Neq -> fun v -> v <> c
-    | Lt -> fun v -> v < c || Float.is_nan v
-    | Le -> fun v -> v <= c || Float.is_nan v
-    | Gt -> fun v -> v > c
-    | Ge -> fun v -> v >= c
-
-let guard_nulls nulls base =
-  match nulls with
-  | None -> base
-  | Some ns -> fun i -> (not (Column.Bitset.get ns i)) && base i
-
-(* Attr-vs-Const over one typed column.  [k] is non-Null here. *)
-let compile_attr_const view j cmp k =
-  match Column.col view j, (k : Value.t) with
-  | _, Value.Null -> fun _ -> false
-  | Column.Ints { data; nulls }, Value.Int c ->
-    let test = Predicate.int_test cmp c in
-    guard_nulls nulls (fun i -> test (Array.unsafe_get data i))
-  | Column.Ints { data; nulls }, Value.Float c ->
-    let test = float_test cmp c in
-    guard_nulls nulls (fun i -> test (float_of_int (Array.unsafe_get data i)))
-  | Column.Ints { data = _; nulls }, Value.Str _ ->
-    (* rank Int < rank Str: the comparison is a compile-time constant
-       that applies to every non-null row. *)
-    if cmp_holds cmp (-1) then guard_nulls nulls (fun _ -> true) else fun _ -> false
-  | Column.Ints { data = _; nulls }, Value.Bool _ ->
-    if cmp_holds cmp 1 then guard_nulls nulls (fun _ -> true) else fun _ -> false
-  | Column.Floats { data; nulls }, Value.Int c ->
-    let test = float_test cmp (float_of_int c) in
-    guard_nulls nulls (fun i -> test (Bigarray.Array1.unsafe_get data i))
-  | Column.Floats { data; nulls }, Value.Float c ->
-    let test = float_test cmp c in
-    guard_nulls nulls (fun i -> test (Bigarray.Array1.unsafe_get data i))
-  | Column.Floats { data = _; nulls }, Value.Str _ ->
-    if cmp_holds cmp (-1) then guard_nulls nulls (fun _ -> true) else fun _ -> false
-  | Column.Floats { data = _; nulls }, Value.Bool _ ->
-    if cmp_holds cmp 1 then guard_nulls nulls (fun _ -> true) else fun _ -> false
-  | Column.Dict { codes; dict; _ }, Value.Str s ->
-    (* Precompute the verdict per dictionary entry: the scan then tests
-       one byte per row regardless of string lengths. *)
-    let pass = Array.map (fun entry -> cmp_holds cmp (String.compare entry s)) dict in
-    fun i ->
-      let code = Array.unsafe_get codes i in
-      code >= 0 && Array.unsafe_get pass code
-  | Column.Dict { codes; _ }, (Value.Int _ | Value.Float _ | Value.Bool _) ->
-    (* rank Str > every other non-null rank. *)
-    if cmp_holds cmp 1 then fun i -> Array.unsafe_get codes i >= 0 else fun _ -> false
-  | Column.Bools { data; nulls }, Value.Bool b ->
-    let pass_false = cmp_holds cmp (Bool.compare false b) in
-    let pass_true = cmp_holds cmp (Bool.compare true b) in
-    guard_nulls nulls (fun i ->
-        if Column.Bitset.get data i then pass_true else pass_false)
-  | Column.Bools { data = _; nulls }, (Value.Int _ | Value.Float _ | Value.Str _) ->
-    if cmp_holds cmp (-1) then guard_nulls nulls (fun _ -> true) else fun _ -> false
-  | Column.Generic vs, k ->
-    fun i ->
-      (match Array.unsafe_get vs i with
-      | Value.Null -> false
-      | v -> cmp_holds cmp (Value.compare v k))
 
 (* Generic term evaluation over boxed column views — mirrors
    [Predicate.compile_term] (None = Null). *)
@@ -103,15 +30,179 @@ and arith view op t1 t2 =
     | Some v1, Some v2 -> Some (Value.Float (op (Value.to_float v1) (Value.to_float v2)))
     | None, _ | _, None -> None
 
+(* [Between (t, lo, hi)] is lo <= v && v <= hi under Value.compare, as
+   comparisons.  Null bounds collapse (Null is below every value): a
+   Null [hi] passes nothing, which is [None]. *)
+let between t lo hi =
+  match (lo : Value.t), (hi : Value.t) with
+  | _, Value.Null -> None
+  | Value.Null, hi -> Some (Predicate.Cmp (Predicate.Le, t, Predicate.Const hi))
+  | lo, hi ->
+    Some
+      (Predicate.And
+         ( Predicate.Cmp (Predicate.Ge, t, Predicate.Const lo),
+           Predicate.Cmp (Predicate.Le, t, Predicate.Const hi) ))
+
+(* --- scan kernels ------------------------------------------------------ *)
+
+(* A selection decided over a run of rows adds each row's verdict, 0 or
+   1, instead of branching on it.  The verdict of a typed Attr-vs-Const
+   comparison is one comparison on the column's data, negated when
+   [flip] (0 or 1, xored in) is 1, so each column type needs only the
+   comparisons that are not negations of another.  A column's nulls
+   fail every such comparison: they are dropped by a [Not_null] pass
+   first, so the comparison loops never read a null bit.  Any other
+   predicate is [Row_test], its compiled closure called once per row.
+   [compile] turns the same scans into row predicates, so both decide
+   an Attr-vs-Const comparison from one case table. *)
+type float_op =
+  | Feq  (** [v = c] *)
+  | Fgt  (** [v > c] *)
+  | Fge  (** [v >= c] *)
+  | Fnum  (** [v = v]: not NaN *)
+  | Fnone  (** false *)
+
+type scan =
+  | Int_range of { data : int array; lo : int; span : int; flip : int }
+  | Float_cmp of { data : Column.floats; op : float_op; c : float; flip : int }
+  | Code_pass of { codes : int array; pass : int array  (** by code + 1; Null = 0 *) }
+  | Not_null of Column.Bitset.t  (** the null bitset *)
+  | Row_test of (int -> bool)
+
+(* [lo <= v <= hi] in one comparison: [v - lo] read as unsigned is at
+   most [hi - lo] exactly when [v] lies in the range, and flipping the
+   sign bit turns that unsigned order into the signed one. *)
+let int_range data ~lo ~hi ~flip =
+  Int_range { data; lo; span = (hi - lo) lxor min_int; flip }
+
+(* [cmp_holds cmp (Int.compare v c)] as a range, or its negation. *)
+let int_scan data (cmp : Predicate.cmp) c =
+  match cmp with
+  | Eq -> int_range data ~lo:c ~hi:c ~flip:0
+  | Neq -> int_range data ~lo:c ~hi:c ~flip:1
+  | Le -> int_range data ~lo:min_int ~hi:c ~flip:0
+  | Gt -> int_range data ~lo:min_int ~hi:c ~flip:1
+  | Ge -> int_range data ~lo:c ~hi:max_int ~flip:0
+  | Lt -> int_range data ~lo:c ~hi:max_int ~flip:1
+
+(* [cmp_holds cmp (Float.compare v c)] as an op and a flip.
+   Float.compare is a total order with NaN equal to itself and below
+   every other float: Lt and Le, which NaN rows pass, are the negations
+   of Ge and Gt, which they fail. *)
+let float_op (cmp : Predicate.cmp) c =
+  if Float.is_nan c then
+    match cmp with
+    | Eq | Le -> (Fnum, 1)
+    | Neq | Gt -> (Fnum, 0)
+    | Lt -> (Fnone, 0)
+    | Ge -> (Fnone, 1)
+  else
+    match cmp with
+    | Eq -> (Feq, 0)
+    | Neq -> (Feq, 1)
+    | Gt -> (Fgt, 0)
+    | Le -> (Fgt, 1)
+    | Ge -> (Fge, 0)
+    | Lt -> (Fge, 1)
+
+let float_scan data cmp c =
+  let op, flip = float_op cmp c in
+  Float_cmp { data; op; c; flip }
+
+(* A cross-type comparison passes every non-null row or none. *)
+let every_int data holds =
+  int_range data ~lo:min_int ~hi:max_int ~flip:(1 - Bool.to_int holds)
+
+let every_float data holds = Float_cmp { data; op = Fnone; c = 0.; flip = Bool.to_int holds }
+
+let code_scan codes dict verdict =
+  let pass = Array.make (Array.length dict + 1) 0 in
+  Array.iteri (fun code entry -> pass.(code + 1) <- Bool.to_int (verdict entry)) dict;
+  Code_pass { codes; pass }
+
+let[@inline] int_verdict data lo span flip i =
+  Bool.to_int ((Array.unsafe_get data i - lo) lxor min_int <= span) lxor flip
+
+let[@inline] float_hit op c (v : float) =
+  match op with
+  | Feq -> Bool.to_int (v = c)
+  | Fgt -> Bool.to_int (v > c)
+  | Fge -> Bool.to_int (v >= c)
+  | Fnum -> Bool.to_int (v = v)
+  | Fnone -> 0
+
+let[@inline] float_verdict (data : Column.floats) op c flip i =
+  float_hit op c (Bigarray.Array1.unsafe_get data i) lxor flip
+
+let[@inline] code_verdict codes pass i = Array.unsafe_get pass (Array.unsafe_get codes i + 1)
+
+let[@inline] null_verdict nulls i = 1 - Bool.to_int (Column.Bitset.get nulls i)
+
+(* Attr-vs-Const over column [j]: its scan, and the null bitset whose
+   rows fail it and are dropped first.  The comparisons with no typed
+   loop (an int column against a float constant, bools, the Generic
+   fallback, a Null constant) are [Row_test] closures. *)
+let attr_const_scan view j cmp k =
+  match Column.col view j, (k : Value.t) with
+  | _, Value.Null -> (Row_test (fun _ -> false), None)
+  | Column.Ints { data; nulls }, Value.Int c -> (int_scan data cmp c, nulls)
+  | Column.Ints { data; nulls }, Value.Float c ->
+    let op, flip = float_op cmp c in
+    (Row_test (fun i -> float_hit op c (float_of_int (Array.unsafe_get data i)) lxor flip = 1), nulls)
+  | Column.Ints { data; nulls }, Value.Str _ ->
+    (* rank Int < rank Str: the verdict is the same for every non-null
+       row. *)
+    (every_int data (cmp_holds cmp (-1)), nulls)
+  | Column.Ints { data; nulls }, Value.Bool _ -> (every_int data (cmp_holds cmp 1), nulls)
+  | Column.Floats { data; nulls }, Value.Int c -> (float_scan data cmp (float_of_int c), nulls)
+  | Column.Floats { data; nulls }, Value.Float c -> (float_scan data cmp c, nulls)
+  | Column.Floats { data; nulls }, Value.Str _ -> (every_float data (cmp_holds cmp (-1)), nulls)
+  | Column.Floats { data; nulls }, Value.Bool _ -> (every_float data (cmp_holds cmp 1), nulls)
+  | Column.Dict { codes; dict; _ }, Value.Str s ->
+    (* The verdict per dictionary entry: the scan then reads one int per
+       row regardless of string lengths. *)
+    (code_scan codes dict (fun entry -> cmp_holds cmp (String.compare entry s)), None)
+  | Column.Dict { codes; dict; _ }, (Value.Int _ | Value.Float _ | Value.Bool _) ->
+    (* rank Str > every other non-null rank. *)
+    (code_scan codes dict (fun _ -> cmp_holds cmp 1), None)
+  | Column.Bools { data; nulls }, Value.Bool b ->
+    let pass_false = cmp_holds cmp (Bool.compare false b) in
+    let pass_true = cmp_holds cmp (Bool.compare true b) in
+    (Row_test (fun i -> if Column.Bitset.get data i then pass_true else pass_false), nulls)
+  | Column.Bools { nulls; _ }, (Value.Int _ | Value.Float _ | Value.Str _) ->
+    let holds = cmp_holds cmp (-1) in
+    (Row_test (fun _ -> holds), nulls)
+  | Column.Generic vs, k ->
+    ( Row_test
+        (fun i ->
+          match Array.unsafe_get vs i with
+          | Value.Null -> false
+          | v -> cmp_holds cmp (Value.compare v k)),
+      None )
+
+(* A scan as a row predicate, for the row-at-a-time callers. *)
+let row_predicate (scan, nulls) =
+  let pass =
+    match scan with
+    | Int_range { data; lo; span; flip } -> fun i -> int_verdict data lo span flip i = 1
+    | Float_cmp { data; op; c; flip } -> fun i -> float_verdict data op c flip i = 1
+    | Code_pass { codes; pass } -> fun i -> code_verdict codes pass i = 1
+    | Not_null nulls -> fun i -> null_verdict nulls i = 1
+    | Row_test test -> test
+  in
+  match nulls with
+  | None -> pass
+  | Some ns -> fun i -> (not (Column.Bitset.get ns i)) && pass i
+
 let rec compile view (p : Predicate.t) =
   match p with
   | Predicate.True -> fun _ -> true
   | Predicate.False -> fun _ -> false
   | Predicate.Cmp (cmp, Predicate.Attr name, Predicate.Const k) ->
-    compile_attr_const view (Schema.index_of (Column.schema view) name) cmp k
+    row_predicate (attr_const_scan view (Schema.index_of (Column.schema view) name) cmp k)
   | Predicate.Cmp (cmp, Predicate.Const k, Predicate.Attr name) ->
-    compile_attr_const view (Schema.index_of (Column.schema view) name)
-      (Predicate.flip cmp) k
+    row_predicate
+      (attr_const_scan view (Schema.index_of (Column.schema view) name) (Predicate.flip cmp) k)
   | Predicate.Cmp (cmp, t1, t2) ->
     let f1 = term_eval view t1 and f2 = term_eval view t2 in
     fun i ->
@@ -119,19 +210,13 @@ let rec compile view (p : Predicate.t) =
       | Some v1, Some v2 -> cmp_holds cmp (Value.compare v1 v2)
       | None, _ | _, None -> false)
   | Predicate.Between (t, lo, hi) -> (
-    (* lo <= v && v <= hi under Value.compare.  Null bounds collapse at
-       compile time (Null is below every value), but the term must still
-       be resolved so unknown attributes raise like the row path. *)
-    match lo, hi with
-    | _, Value.Null ->
+    match between t lo hi with
+    | Some p -> compile view p
+    | None ->
+      (* The term must still be resolved so unknown attributes raise
+         like the row path. *)
       let _resolved = term_eval view t in
-      fun _ -> false
-    | Value.Null, hi -> compile view (Predicate.Cmp (Predicate.Le, t, Predicate.Const hi))
-    | lo, hi ->
-      compile view
-        (Predicate.And
-           ( Predicate.Cmp (Predicate.Ge, t, Predicate.Const lo),
-             Predicate.Cmp (Predicate.Le, t, Predicate.Const hi) )))
+      fun _ -> false)
   | Predicate.In (t, []) ->
     let _resolved = term_eval view t in
     fun _ -> false
@@ -151,38 +236,155 @@ let rec compile view (p : Predicate.t) =
     let f = compile view p in
     fun i -> not (f i)
 
-let count view p =
-  let pred = compile view p in
+let scan_of view (p : Predicate.t) =
+  match p with
+  | Predicate.Cmp (cmp, Predicate.Attr name, Predicate.Const k) ->
+    attr_const_scan view (Schema.index_of (Column.schema view) name) cmp k
+  | Predicate.Cmp (cmp, Predicate.Const k, Predicate.Attr name) ->
+    attr_const_scan view (Schema.index_of (Column.schema view) name) (Predicate.flip cmp) k
+  | _ -> (Row_test (compile view p), None)
+
+(* Each scan runs one loop to count and one to fill, over [rows]: [None]
+   for the rows [0 .. n-1] of the view, [Some ids] for the rows [ids].
+   A fill writes every row id at the cursor, which advances by the
+   row's verdict, until [out], sized to the passing rows, is full.  The
+   only branches per row test values that never change in a loop (the
+   row source, a float operator). *)
+
+let[@inline] row rows p = match rows with None -> p | Some ids -> Array.unsafe_get ids p
+
+let scan_count scan rows n =
   let hits = ref 0 in
-  for i = 0 to Column.length view - 1 do
-    if pred i then incr hits
-  done;
+  (match scan with
+  | Int_range { data; lo; span; flip } ->
+    for p = 0 to n - 1 do
+      hits := !hits + int_verdict data lo span flip (row rows p)
+    done
+  | Float_cmp { data; op; c; flip } ->
+    for p = 0 to n - 1 do
+      hits := !hits + float_verdict data op c flip (row rows p)
+    done
+  | Code_pass { codes; pass } ->
+    for p = 0 to n - 1 do
+      hits := !hits + code_verdict codes pass (row rows p)
+    done
+  | Not_null nulls ->
+    for p = 0 to n - 1 do
+      hits := !hits + null_verdict nulls (row rows p)
+    done
+  | Row_test test ->
+    for p = 0 to n - 1 do
+      hits := !hits + Bool.to_int (test (row rows p))
+    done);
   !hits
 
-let count_indices view p indices =
-  let pred = compile view p in
-  let hits = ref 0 in
-  Array.iter (fun i -> if pred i then incr hits) indices;
-  !hits
-
-let filter_indices view p =
-  let pred = compile view p in
-  let n = Column.length view in
-  (* Two cheap passes beat accumulating a list: the compiled predicate
-     is branch-predictable and the output is exactly sized. *)
-  let hits = ref 0 in
-  for i = 0 to n - 1 do
-    if pred i then incr hits
-  done;
-  let out = Array.make !hits 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if pred i then begin
+let scan_fill scan rows out =
+  let m = Array.length out in
+  let k = ref 0 and p = ref 0 in
+  (match scan with
+  | Int_range { data; lo; span; flip } ->
+    while !k < m do
+      let i = row rows !p in
       Array.unsafe_set out !k i;
-      incr k
-    end
-  done;
+      k := !k + int_verdict data lo span flip i;
+      incr p
+    done
+  | Float_cmp { data; op; c; flip } ->
+    while !k < m do
+      let i = row rows !p in
+      Array.unsafe_set out !k i;
+      k := !k + float_verdict data op c flip i;
+      incr p
+    done
+  | Code_pass { codes; pass } ->
+    while !k < m do
+      let i = row rows !p in
+      Array.unsafe_set out !k i;
+      k := !k + code_verdict codes pass i;
+      incr p
+    done
+  | Not_null nulls ->
+    while !k < m do
+      let i = row rows !p in
+      Array.unsafe_set out !k i;
+      k := !k + null_verdict nulls i;
+      incr p
+    done
+  | Row_test test ->
+    while !k < m do
+      let i = row rows !p in
+      Array.unsafe_set out !k i;
+      k := !k + Bool.to_int (test i);
+      incr p
+    done)
+
+let length view = function None -> Column.length view | Some ids -> Array.length ids
+
+(* The rows among [rows] that pass [scan]: counted, then filled. *)
+let select view scan rows =
+  let out = Array.make (scan_count scan rows (length view rows)) 0 in
+  scan_fill scan rows out;
   out
+
+let drop_nulls view nulls rows =
+  match nulls with None -> rows | Some ns -> Some (select view (Not_null ns) rows)
+
+(* [p] with a [Between] lowered as [compile] lowers it. *)
+let lowered (p : Predicate.t) =
+  match p with
+  | Predicate.Between (t, lo, hi) -> Option.value (between t lo hi) ~default:p
+  | p -> p
+
+(* A conjunction runs its kernels in sequence, the second over the rows
+   the first keeps. *)
+let rec count_rows view p rows =
+  match lowered p with
+  | Predicate.And (p1, p2) -> count_rows view p2 (Some (filter_rows view p1 rows))
+  | p ->
+    let scan, nulls = scan_of view p in
+    let rows = drop_nulls view nulls rows in
+    scan_count scan rows (length view rows)
+
+and filter_rows view p rows =
+  match lowered p with
+  | Predicate.And (p1, p2) -> filter_rows view p2 (Some (filter_rows view p1 rows))
+  | p ->
+    let scan, nulls = scan_of view p in
+    select view scan (drop_nulls view nulls rows)
+
+let count view p = count_rows view p None
+
+let count_indices view p ids = count_rows view p (Some ids)
+
+let filter_indices view p = filter_rows view p None
+
+(* --- open-addressing int table ----------------------------------------- *)
+
+module Int_table = struct
+  type t = {
+    shift : int;
+    keys : int array;
+    vals : int array;
+  }
+
+  let create n =
+    let bits = ref 4 in
+    while 1 lsl !bits < 2 * n do
+      incr bits
+    done;
+    let size = 1 lsl !bits in
+    { shift = Sys.int_size - !bits; keys = Array.make size 0; vals = Array.make size 0 }
+
+  let slot t k =
+    let mask = Array.length t.vals - 1 in
+    let s = ref ((k * 0x4F1BBCDCBFA53E0B) lsr t.shift) in
+    while
+      Array.unsafe_get t.vals !s <> 0 && Array.unsafe_get t.keys !s <> k
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
+end
 
 (* --- equijoin key codes ---------------------------------------------- *)
 

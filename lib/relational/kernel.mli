@@ -9,23 +9,70 @@
     Nothing here records metrics: the joins built on the codes
     ({!Physical}) account their probes. *)
 
-(** [compile view p] lowers [p] into a row-index predicate.  Single
-    Attr-vs-Const comparisons over int/float/dictionary/bool columns
-    become branch-free typed scans (dictionary constants are decided
-    once per dictionary entry); everything else falls back to a generic
-    closure over boxed column views with identical semantics.
+(** [compile view p] lowers [p] into a row-index predicate, for callers
+    that test one row at a time.  Single Attr-vs-Const comparisons over
+    int/float/dictionary/bool columns read the typed column (dictionary
+    constants are decided once per dictionary entry); everything else
+    falls back to a generic closure over boxed column views with
+    identical semantics.
     @raise Not_found if [p] mentions an unknown attribute. *)
 val compile : Column.t -> Predicate.t -> int -> bool
+
+(** {1 Scan kernels}
+
+    The entry points below decide a predicate over a run of rows and
+    agree with {!compile} on every row (the contract above).  An
+    Attr-vs-Const comparison, in either operand order, over a column of
+    - null-free ints or ints with a null bitset (against an int
+      constant, or a string/bool constant whose verdict is the same for
+      every non-null row),
+    - floats (against an int or float constant, with [compile]'s NaN
+      rule), or
+    - dictionary codes (through a verdict per dictionary entry, Null
+      failing)
+    is a typed loop that adds each row's verdict, [Bool.to_int] of one
+    comparison on the column's data, instead of calling a closure and
+    branching on the outcome.  Nulls fail every comparison, so a column
+    with a null bitset first drops its null rows in a loop over the
+    bitset, and the comparison loop then reads no null bit.  [And] (and
+    [Between], lowered to two comparisons as {!compile} lowers it)
+    applies its kernels in sequence, the second over the rows the first
+    keeps.  Every other predicate is decided by the {!compile}d closure
+    inside the same entry points. *)
 
 (** Number of rows satisfying the predicate. *)
 val count : Column.t -> Predicate.t -> int
 
-(** Number of rows among [indices] satisfying the predicate (sampled
-    selection scans). *)
+(** Number of rows among [indices] satisfying the predicate, each
+    occurrence of a repeated id counting once (sampled selection
+    scans). *)
 val count_indices : Column.t -> Predicate.t -> int array -> int
 
-(** Row indices satisfying the predicate, ascending. *)
+(** Row indices satisfying the predicate, ascending: a selection
+    vector, sized exactly (the rows are counted, then filled in — each
+    row id is written unconditionally and the cursor advances by the
+    row's verdict). *)
 val filter_indices : Column.t -> Predicate.t -> int array
+
+(** Open-addressing table from int keys to positive ints: the key →
+    group and key → multiplicity tables of the code-space joins
+    ({!Physical.count_expr}) and the planner's join statistics.  A slot
+    [s] is empty while [vals.(s) = 0]; the caller stores [keys.(s)] and
+    a positive [vals.(s)] itself. *)
+module Int_table : sig
+  type t = {
+    shift : int;
+    keys : int array;
+    vals : int array;
+  }
+
+  (** A table with at least [2n] slots (at least 16), so it never fills
+      with [n] keys. *)
+  val create : int -> t
+
+  (** The slot holding key [k], or the empty slot where it would go. *)
+  val slot : t -> int -> int
+end
 
 (** [join_codes l jl r jr] is [Some (kl, kr)] when both key columns
     admit a shared int code space in which code equality coincides with

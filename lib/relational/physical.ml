@@ -544,35 +544,7 @@ let count cursor =
 
 exception Decline
 
-(* Open-addressing int table: [vals.(s) = 0] marks an empty slot, so
-   values are stored as positive ints.  Sized to at least twice the
-   keys it will hold, it never fills. *)
-module Int_table = struct
-  type t = {
-    shift : int;
-    keys : int array;
-    vals : int array;
-  }
-
-  let create n =
-    let bits = ref 4 in
-    while 1 lsl !bits < 2 * n do
-      incr bits
-    done;
-    let size = 1 lsl !bits in
-    { shift = Sys.int_size - !bits; keys = Array.make size 0; vals = Array.make size 0 }
-
-  (* The slot holding [k], or the empty slot where it would go. *)
-  let slot t k =
-    let mask = Array.length t.vals - 1 in
-    let s = ref ((k * 0x4F1BBCDCBFA53E0B) lsr t.shift) in
-    while
-      Array.unsafe_get t.vals !s <> 0 && Array.unsafe_get t.keys !s <> k
-    do
-      s := (!s + 1) land mask
-    done;
-    !s
-end
+module Int_table = Kernel.Int_table
 
 (* Subtrees compile to a [plan] over the leaves of a [shape]; [pos]
    maps each schema position to its leaf and that leaf's column. *)
@@ -584,6 +556,9 @@ type shape = {
 
 type plan =
   | Scan_rows of int  (** every row of a leaf, in order *)
+  | Select_rows of Column.t * Predicate.t
+      (** the rows of a leaf at or above the kernel threshold that pass,
+          in order: a selection vector from the scan kernels *)
   | Filter_rows of plan * int * (int -> bool)  (** keep rows whose [leaf] row passes *)
   | Join_rows of side * side
 
@@ -593,15 +568,25 @@ and side = {
   codes : int array;  (** key code by row id of [leaf] *)
 }
 
-(* A selection over a leaf keeps [Relation.count_pred]'s rule: the
-   compiled kernel at and above the kernel threshold, the row predicate
-   below it. *)
-let row_test relation p =
-  if Relation.cardinality relation >= Relation.kernel_threshold then
-    Kernel.compile (Relation.columnar relation) p
-  else
-    let keep = Predicate.compile (Relation.schema relation) p in
-    fun i -> keep (Relation.tuple relation i)
+(* A selection over a leaf keeps [Relation.count_pred]'s rule: the scan
+   kernels at and above the kernel threshold, the row predicate below
+   it.  Over the leaf's full scan or its selection vector it narrows
+   the vector (stacked selections conjoin, and [Kernel] runs a
+   conjunction's kernels in sequence); over a join it tests the leaf's
+   row through the compiled kernel. *)
+let select_rows relation leaf p plan =
+  let above = Relation.cardinality relation >= Relation.kernel_threshold in
+  match plan with
+  | Scan_rows _ when above -> Select_rows (Relation.columnar relation, p)
+  | Select_rows (view, q) -> Select_rows (view, Predicate.And (q, p))
+  | Scan_rows _ | Filter_rows _ | Join_rows _ ->
+    let keep =
+      if above then Kernel.compile (Relation.columnar relation) p
+      else
+        let keep = Predicate.compile (Relation.schema relation) p in
+        fun i -> keep (Relation.tuple relation i)
+    in
+    Filter_rows (plan, leaf, keep)
 
 let rec compile_rows catalog expr =
   match expr with
@@ -624,7 +609,7 @@ let rec compile_rows catalog expr =
     let local name =
       (Schema.attribute (Relation.schema relation) (snd (resolve name))).Schema.name
     in
-    (shape, Filter_rows (plan, leaf, row_test relation (Predicate.map_attributes local p)))
+    (shape, select_rows relation leaf (Predicate.map_attributes local p) plan)
   | Expr.Equijoin ([ (a, b) ], l, r) ->
     let sl, pl = compile_rows catalog l and sr, pr = compile_rows catalog r in
     let kl, jl = sl.pos.(Schema.index_of sl.schema a) in
@@ -679,6 +664,9 @@ let rec stream metrics = function
       ids = None;
       bound = n;
     }
+  | Select_rows (view, p) ->
+    let ids = Kernel.filter_indices view p in
+    { iter = (fun f -> Array.iter f ids); ids = None; bound = Array.length ids }
   | Filter_rows (plan, leaf, keep) ->
     let s = stream metrics plan in
     { s with iter = (fun f -> s.iter (fun t -> if keep (row_id s leaf t) then f t)) }
@@ -732,7 +720,7 @@ and join_rows metrics l r =
     fill.(g) <- fill.(g) + 1
   done;
   (* [hits] holds each matched left row and its group, in turn. *)
-  let hits = ref (Array.make 64 0) and used = ref 0 and total = ref 0 in
+  let hits = ref (Array.make 64 0) and used = ref 0 and total = ref 0 and probes = ref 0 in
   let push x =
     if !used = Array.length !hits then begin
       let grown = Array.make (2 * !used) 0 in
@@ -743,14 +731,14 @@ and join_rows metrics l r =
     incr used
   in
   ls.iter (fun t ->
+      incr probes;
       let g = table.vals.(Int_table.slot table l.codes.(row_id ls l.leaf t)) - 1 in
       if g >= 0 then begin
-        Obs.Metrics.probe_hit metrics;
         push t;
         push g;
         total := !total + starts.(g + 1) - starts.(g)
-      end
-      else Obs.Metrics.probe_miss metrics);
+      end);
+  Obs.Metrics.add_probes metrics ~hits:(!used / 2) ~misses:(!probes - (!used / 2));
   let lw = width ls and rw = width rs in
   let out = Array.init (lw + rw) (fun _ -> Array.make !total 0) in
   let k = ref 0 in
@@ -770,7 +758,8 @@ and join_rows metrics l r =
   out
 
 (* The root join counts from a key → multiplicity table on the right
-   rows, with no pair built. *)
+   rows, with no pair built; its hits and misses are added to [metrics]
+   once. *)
 let join_count metrics l r =
   let rs = stream metrics r.plan in
   let table = Int_table.create rs.bound in
@@ -780,18 +769,18 @@ let join_count metrics l r =
       table.keys.(s) <- k;
       table.vals.(s) <- table.vals.(s) + 1);
   let ls = stream metrics l.plan in
-  let total = ref 0 in
+  let probes = ref 0 and hits = ref 0 and total = ref 0 in
   ls.iter (fun t ->
       let n = table.vals.(Int_table.slot table l.codes.(row_id ls l.leaf t)) in
-      if n > 0 then begin
-        Obs.Metrics.probe_hit metrics;
-        total := !total + n
-      end
-      else Obs.Metrics.probe_miss metrics);
+      incr probes;
+      hits := !hits + Bool.to_int (n > 0);
+      total := !total + n);
+  Obs.Metrics.add_probes metrics ~hits:!hits ~misses:(!probes - !hits);
   !total
 
 let count_plan metrics = function
   | Scan_rows n -> n
+  | Select_rows (view, p) -> Kernel.count view p
   | Join_rows (l, r) -> join_count metrics l r
   | Filter_rows _ as plan ->
     let n = ref 0 in

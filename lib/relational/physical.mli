@@ -90,13 +90,21 @@ val count : cursor -> int
     one leaf, single-pair equijoins whose key columns admit int codes
     ({!Kernel.join_codes}: null-free ints or dictionaries), renames and
     bag projections is counted on row ids without building a tuple:
-    - a selection tests its leaf's row, through the compiled kernel at
-      and above {!Relation.kernel_threshold} and the row predicate below
-      it (the rule of {!Relation.count_pred});
+    - a selection over a leaf at or above {!Relation.kernel_threshold}
+      that reads the leaf's full scan or its row ids becomes that leaf's
+      selection vector: one row id per passing row, in order, sized
+      exactly by the scan kernels ({!Kernel.filter_indices}; stacked
+      selections conjoin, and the kernels run a conjunction in
+      sequence, the second over the first one's vector);
+    - any other selection tests its leaf's row, through the compiled
+      kernel at and above the threshold and the row predicate below it
+      (the rule of {!Relation.count_pred});
     - an inner join emits row-id pairs, and the root join counts from an
-      open-addressing key → multiplicity table;
-    - each join records one probe hit or miss per left row, as
-      {!hash_join} does.
+      open-addressing key → multiplicity table ({!Kernel.Int_table});
+    - each join makes one probe, hit or miss, per left row, as
+      {!hash_join} does; it tallies them in locals and records them with
+      one {!Obs.Metrics.add_probes}, so the totals equal the cursor
+      engine's.
 
     Everything else ([Distinct], set operations, products, θ-joins,
     aggregates, multi-leaf selections, multi-pair joins, float, generic

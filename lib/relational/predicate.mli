@@ -72,10 +72,6 @@ val cmp_holds : cmp -> int -> bool
     attribute-versus-constant. *)
 val flip : cmp -> cmp
 
-(** [int_test cmp c] is [fun v -> cmp_holds cmp (Int.compare v c)],
-    specialized per operator. *)
-val int_test : cmp -> int -> int -> bool
-
 (** Evaluate directly (compiling on the fly); convenient in tests. *)
 val eval : Schema.t -> t -> Tuple.t -> bool
 

@@ -218,6 +218,10 @@ let run_expr ~metrics ~plans ~plan_prefix ~domains ~optimize rng catalog ~fracti
     plan_for ~metrics ~prefix:plan_prefix plans
       (expr_key ~fraction ~groups ~optimize expr)
       (fun () ->
+        (* Validate before planning: the planner's statistics read the
+           attributes directly.  Inside the compile, so a cache hit does
+           not repeat it. *)
+        ignore (Expr.schema_of catalog expr);
         if optimize then
           (Raestat.Planner.choose_sampling ~metrics ~groups catalog ~fraction expr)
             .Raestat.Planner.chosen
@@ -266,13 +270,16 @@ let sql ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?domains ?(optimize
 
 let explain_selection catalog ~relation ~fraction predicate =
   check_fraction fraction;
-  let big_n = Relational.Relation.cardinality (Relational.Catalog.find catalog relation) in
+  let base = Relational.Catalog.find catalog relation in
+  Expr.check_selection (Relational.Relation.schema base) predicate;
+  let big_n = Relational.Relation.cardinality base in
   let n = Sampling.Srs.size_of_fraction ~fraction big_n in
   Raestat.Estplan.selection_plan catalog ~relation ~n predicate
 
 let explain_expr catalog ~fraction ~groups expr =
   check_fraction fraction;
   check_groups groups;
+  ignore (Expr.schema_of catalog expr);
   Raestat.Estplan.compile ~groups catalog ~fraction expr
 
 (* Explains always compile fresh (never cached), so the candidate table
@@ -281,4 +288,5 @@ let explain_expr catalog ~fraction ~groups expr =
 let explain_expr_optimized ?(metrics = Metrics.noop) catalog ~fraction ~groups expr =
   check_fraction fraction;
   check_groups groups;
+  ignore (Expr.schema_of catalog expr);
   Raestat.Planner.choose_sampling ~metrics ~groups catalog ~fraction expr

@@ -254,6 +254,35 @@ candidates (optimizer v1, analytic stats, budget 1000 per group):
 winner: root-sampling wins the tie at score 1.47228e+08 (variance 22678.4, cost 6492): equal-score candidates fall back to the historical strategy
 EOF
 
+# String join keys with a selection on each side: the planner counts
+# the dictionary codes of the passing rows (the case above has int keys
+# and no selection).  The block is the first planner's output, so the
+# statistics pinned here did not move when their computation did.
+{ printf 'fk:string,v:int\n'; seq 0 29999 | awk '{printf "s%d,%d\n", ($1*7919)%3000, $1%100}'; } \
+  > "$workdir/sfact.csv"
+{ printf 'dk:string,region:int\n'; seq 0 1999 | awk '{printf "s%d,%d\n", $1, $1%5}'; } \
+  > "$workdir/sdim.csv"
+env -u RAESTAT_NO_OPTIMIZE "$cli" explain query \
+  "select[v < 40](f) join[fk = dk] select[region <= 2](d)" \
+  --rel "f=$workdir/sfact.csv" --rel "d=$workdir/sdim.csv" -f 0.01 \
+  --optimize > "$workdir/explain.out"
+diff -u - "$workdir/explain.out" <<'EOF' || fail "optimized explain (string keys, selections) drifted"
+estimation plan: pushdown(f#0) (scale-up (5 replicates))
+`- equijoin[fk=dk]  [derived]  scale=93.75  unbiased
+   |- select[v < 40]  [derived]  scale=93.75  unbiased
+   |  `- scan f as f#0  [srswor 320/30000]  scale=93.75  unbiased
+   `- select[region <= 2]  [derived]  scale=1  unbiased
+      `- scan d as d#1  [srswor 2000/2000]  scale=1  unbiased
+candidates (optimizer v1, analytic stats, budget 320 per group):
+    root-sampling  variance=1.04544e+07  cost=1602.4  score=1.67521e+10
+  * pushdown(f#0)  variance=89040  cost=11856  score=1.05566e+09
+    pushdown(d#1)  variance=50400  cost=155440  score=7.83418e+09
+pushdown trace:
+    sample-below-join-left @ equijoin[fk=dk]: +(SS-J)(1/q-1)
+    sample-commutes-select @ select[v < 40]: unchanged
+winner: pushdown(f#0) wins: score 1.05566e+09 (predicted variance 89040 x cost 11856) vs 7.83418e+09 for pushdown(d#1) at equal sampled-tuple budget 320 per group
+EOF
+
 # The kill switch disarms --optimize entirely: output must be
 # byte-identical to a plain (non-optimized) explain.
 RAESTAT_NO_OPTIMIZE=1 "$cli" explain query "fact join[a=b] dim" \
@@ -335,6 +364,22 @@ expect_error "unknown filter attribute" 'Expr.schema_of: unknown attribute "zz" 
 expect_error "unknown ingest filter attribute" \
   'Expr.schema_of: unknown attribute "zz" in selection$' \
   ingest "$workdir/u.csv" --where "zz <= 3"
+
+# the optimizer and the explain paths check the expression first: an
+# unknown attribute is the one-line schema error there too (the planner
+# used to die with an uncaught Not_found, and explain printed a plan)
+printf 'x:int,k:int\n1,2\n3,4\n' > "$workdir/t.csv"
+for args in "query --optimize" "explain query --optimize" "explain query"; do
+  expect_error "unknown attribute ($args)" 'Expr.schema_of: unknown attribute "zz" in selection$' \
+    $args "select[zz <= 3](t)" --rel "t=$workdir/t.csv"
+done
+for args in "sql --optimize" "explain sql"; do
+  expect_error "unknown attribute ($args)" 'Expr.schema_of: unknown attribute "zz" in selection$' \
+    $args "SELECT COUNT(*) FROM t WHERE zz <= 3" --rel "t=$workdir/t.csv"
+done
+expect_error "unknown attribute (explain estimate)" \
+  'Expr.schema_of: unknown attribute "zz" in selection$' \
+  explain estimate --where "zz <= 3" "$workdir/t.csv"
 
 printf 'a:int\n1\n2,3\n' > "$workdir/bad.csv"
 expect_error "malformed csv" "Csv: line 3: row has 2 fields, header has 1" \

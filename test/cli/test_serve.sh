@@ -33,7 +33,10 @@ await_ready() { # await_ready <logfile>
 "$cli" generate -n 20000 --dist uniform:0:999 -c b --seed 5 -o "$workdir/b.csv" >/dev/null
 
 sock="$workdir/raestat.sock"
-"$cli" serve --rel "r=$workdir/u.csv" --rel "p=$workdir/u.raf" --rel "s=$workdir/b.csv" \
+# The daemon runs with the optimizer armed whatever the caller's
+# environment says, so "optimize": true requests compare with the
+# one-shot --optimize below.
+env -u RAESTAT_NO_OPTIMIZE "$cli" serve --rel "r=$workdir/u.csv" --rel "p=$workdir/u.raf" --rel "s=$workdir/b.csv" \
   --socket "$sock" --plan-cache 16 --queue-limit 64 \
   > "$workdir/serve.log" 2>&1 &
 server_pid=$!
@@ -105,6 +108,26 @@ cmp -s "$workdir/client.jquery" "$workdir/ref.jquery" \
   || fail "served join query differs from one-shot CLI"
 cmp -s "$workdir/client.jsql" "$workdir/ref.jsql" \
   || fail "served join sql differs from one-shot CLI"
+
+# an optimized served join is the one-shot --optimize, byte for byte:
+# the planner prices the placements from the daemon's warm views and
+# the CLI's fresh ones, and both must pick and run the same plan
+env -u RAESTAT_NO_OPTIMIZE "$cli" query "select[a < 300](r) join[a = b] s" \
+  --rel "r=$workdir/u.csv" --rel "s=$workdir/b.csv" -f 0.05 -g 4 --optimize \
+  > "$workdir/ref.oquery"
+env -u RAESTAT_NO_OPTIMIZE "$cli" sql "SELECT COUNT(*) FROM r JOIN s ON a = b WHERE a < 300" \
+  --rel "r=$workdir/u.csv" --rel "s=$workdir/b.csv" -f 0.05 -g 4 --optimize \
+  > "$workdir/ref.osql"
+"$cli" client --socket "$sock" --text \
+  '{"op": "query", "expr": "select[a < 300](r) join[a = b] s", "fraction": 0.05, "groups": 4, "optimize": true}' \
+  > "$workdir/client.oquery"
+"$cli" client --socket "$sock" --text \
+  '{"op": "sql", "query": "SELECT COUNT(*) FROM r JOIN s ON a = b WHERE a < 300", "fraction": 0.05, "groups": 4, "optimize": true}' \
+  > "$workdir/client.osql"
+cmp -s "$workdir/client.oquery" "$workdir/ref.oquery" \
+  || fail "served optimized query differs from one-shot query --optimize"
+cmp -s "$workdir/client.osql" "$workdir/ref.osql" \
+  || fail "served optimized sql differs from one-shot sql --optimize"
 
 # --pages through the daemon: cluster sampling over the retained paged
 # view, byte-identical to the one-shot CLI for the same seed.  The

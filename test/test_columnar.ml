@@ -188,6 +188,91 @@ let prop_count_indices =
       | exception Invalid_argument _ -> true
       | expected -> Kernel.count_indices view p indices = expected)
 
+(* The scan kernels against the row path ([Predicate.compile] on the
+   tuples) and the closure [Kernel.compile] builds, row for row.  One
+   column of a chosen representation: ints with and without nulls,
+   floats with NaN, signed zeros and infinities, dictionary strings with
+   Null, bools, and the Generic fallback.  An Attr-vs-Const comparison
+   with every operator in either operand order against extreme and
+   cross-type constants, or two of them under And or Between.  Up to 150
+   rows, so null bitsets span several words; ids repeat. *)
+let scan_gen =
+  let open QCheck.Gen in
+  let column =
+    oneofl [ `Ints; `Ints_null; `Floats; `Dict; `Bools; `Generic ] >>= fun kind ->
+    let maybe_null g = frequency [ (6, g); (1, return Value.Null) ] in
+    let ints = oneofl [ min_int; max_int; min_int + 1; max_int - 1; -3; -1; 0; 1; 2; 3 ] in
+    let ty, value =
+      match kind with
+      | `Ints -> (Value.Tint, map (fun i -> Value.Int i) ints)
+      | `Ints_null -> (Value.Tint, maybe_null (map (fun i -> Value.Int i) ints))
+      | `Floats ->
+        ( Value.Tfloat,
+          maybe_null
+            (map
+               (fun f -> Value.Float f)
+               (oneofl
+                  [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 1.5; -2.25; 3. ]))
+        )
+      | `Dict -> (Value.Tstr, maybe_null (map (fun s -> Value.Str s) (oneofl str_pool)))
+      | `Bools -> (Value.Tbool, maybe_null (map (fun b -> Value.Bool b) bool))
+      | `Generic ->
+        ( Value.Tint,
+          oneofl [ Value.Int 1; Value.Int (-2); Value.Float 0.5; Value.Str "a"; Value.Null ] )
+    in
+    int_range 0 150 >>= fun rows ->
+    array_size (return rows) value >|= fun column ->
+    (Schema.of_list [ ("c", ty) ], Array.map (fun v -> [| v |]) column)
+  in
+  let const =
+    oneofl
+      [
+        Value.Null; Value.Int min_int; Value.Int max_int; Value.Int 0; Value.Int (-1);
+        Value.Int 3; Value.Float Float.nan; Value.Float 0.; Value.Float (-0.);
+        Value.Float Float.infinity; Value.Float Float.neg_infinity; Value.Float 1.5;
+        Value.Float 2.; Value.Str ""; Value.Str "b"; Value.Bool true; Value.Bool false;
+      ]
+  in
+  let cmp =
+    oneofl Predicate.[ Eq; Neq; Lt; Le; Gt; Ge ] >>= fun op ->
+    const >>= fun k ->
+    bool >|= fun attr_first ->
+    if attr_first then Predicate.Cmp (op, Attr "c", Const k)
+    else Predicate.Cmp (op, Const k, Attr "c")
+  in
+  let pred =
+    frequency
+      [
+        (6, cmp);
+        (1, map2 (fun p q -> Predicate.And (p, q)) cmp cmp);
+        (1, map2 (fun lo hi -> Predicate.Between (Attr "c", lo, hi)) const const);
+      ]
+  in
+  column >>= fun (schema, tuples) ->
+  pred >>= fun p ->
+  let n = Array.length tuples in
+  (if n = 0 then return [||] else array_size (int_range 0 (2 * n)) (int_range 0 (n - 1)))
+  >|= fun ids -> (schema, tuples, p, ids)
+
+let prop_scan_kernels =
+  qcheck_case ~count:1000 "scan kernels = row path and compile, row for row"
+    (QCheck.make
+       ~print:(fun (schema, tuples, p, ids) ->
+         Printf.sprintf "%s\nids %s\n%s" (Predicate.to_string p)
+           (String.concat "," (Array.to_list (Array.map string_of_int ids)))
+           (print_scenario (schema, tuples, p)))
+       scan_gen)
+    (fun (schema, tuples, p, ids) ->
+      let view = Column.of_tuples schema tuples in
+      let row = Predicate.compile schema p and compiled = Kernel.compile view p in
+      let keep i = row tuples.(i) in
+      let all = List.filter keep (List.init (Array.length tuples) Fun.id) in
+      let among = List.filter keep (Array.to_list ids) in
+      List.for_all (fun i -> compiled i = keep i) (List.init (Array.length tuples) Fun.id)
+      && Kernel.count view p = List.length all
+      && Array.to_list (Kernel.filter_indices view p) = all
+      && Kernel.count_indices view p ids = List.length among)
+
 (* Predicates over large relations cross the kernel-engagement
    threshold inside [Relation.count_pred]/[filter_pred]; the public API
    must agree with the row predicate there too. *)
@@ -586,6 +671,7 @@ let suite =
     prop_roundtrip;
     prop_kernel_pred;
     prop_count_indices;
+    prop_scan_kernels;
     Alcotest.test_case "count_pred/filter_pred over large relations" `Quick
       test_count_pred_large;
     Alcotest.test_case "kernel raises Not_found like the row compiler" `Quick

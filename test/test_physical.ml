@@ -406,6 +406,36 @@ let test_columnar_count_large () =
       ("plain", catalog);
     ]
 
+(* A root join probing from a leaf's selection vector: two stacked
+   selections on a relation above the kernel threshold narrow one vector,
+   and the probes it makes (hits and misses, added to the sink at once)
+   are the row engine's.  Of every 100 fact rows, 60 pass
+   [10 <= a < 70]; their keys [i mod 50] are 10..49 and 0..19, and the
+   dimension holds 0..39, so 50 hit once and 10 miss. *)
+let test_vector_probe () =
+  let fact =
+    Relation.of_array
+      (Schema.of_list [ ("k", Value.Tint); ("a", Value.Tint) ])
+      (Array.init 3000 (fun i -> [| Value.Int (i mod 50); Value.Int (i mod 100) |]))
+  in
+  Alcotest.(check bool) "above the kernel threshold" true
+    (Relation.cardinality fact >= Relation.kernel_threshold);
+  let catalog =
+    Catalog.of_list [ ("fact", fact); ("dim", int_relation ~attribute:"d" (List.init 40 Fun.id)) ]
+  in
+  let e =
+    Expr.equijoin [ ("k", "d") ]
+      (Expr.select (P.lt (P.attr "a") (P.vint 70))
+         (Expr.select (P.ge (P.attr "a") (P.vint 10)) (Expr.base "fact")))
+      (Expr.base "dim")
+  in
+  let metrics = Metrics.create () in
+  Alcotest.(check int) "count" 1500 (Physical.count_expr ~metrics catalog e);
+  let snap = Metrics.snapshot metrics in
+  Alcotest.(check (pair int int)) "hits and misses" (1500, 300)
+    (snap.Metrics.hash_probe_hits, snap.Metrics.hash_probe_misses);
+  Alcotest.(check bool) "row engine agrees" true (counts_agree catalog e)
+
 let suite =
   [
     Alcotest.test_case "agrees with Eval" `Quick test_agrees_with_eval;
@@ -423,4 +453,6 @@ let suite =
     prop_columnar_count;
     Alcotest.test_case "columnar count above the kernel threshold" `Quick
       test_columnar_count_large;
+    Alcotest.test_case "root join probes a stacked selection vector" `Quick
+      test_vector_probe;
   ]

@@ -433,6 +433,21 @@ let test_server_errors () =
   check_error "unknown filter attribute"
     {|Expr.schema_of: unknown attribute "zz" in selection|}
     {|{"op": "estimate", "where": "zz <= 3"}|};
+  (* the optimizer and the explain paths validate the expression first:
+     an unknown attribute is the same one-line schema error, not a
+     Not_found from the planner's statistics or a plan over a missing
+     column *)
+  List.iter
+    (fun (name, line) ->
+      check_error name {|Expr.schema_of: unknown attribute "zz" in selection|} line)
+    [
+      ( "unknown attribute, optimized query",
+        {|{"op": "query", "expr": "select[zz <= 3](r)", "fraction": 0.5, "optimize": true}|} );
+      ( "unknown attribute, explain estimate",
+        {|{"op": "explain", "target": "estimate", "relation": "r", "where": "zz <= 3"}|} );
+      ( "unknown attribute, optimized explain query",
+        {|{"op": "explain", "target": "query", "expr": "select[zz <= 3](r)", "optimize": true}|} );
+    ];
   (* error responses count as answered requests, and none of them killed
      the state: a good request still works afterwards *)
   match response (Server.handle_line state {|{"op": "ping"}|}) with
