@@ -11,7 +11,8 @@
      only error left is sampling error — the recorded q-errors bound
      it.  Each batch is also followed by the snapshot a query would
      rebuild, timed (wall-clock, not gated) and checked against the
-     model's live count.  A final erosion phase deletes most of the
+     model's live count; the count does not resolve the snapshot's
+     mask, so the time is the mask copy alone.  A final erosion phase deletes most of the
      population to drive [needs_rescan] and measures the rescan's cost
      and the post-rescan (census) accuracy.  Every count in this
      section — epochs, populations, sample sizes, maintenance ops, RNG
@@ -153,7 +154,8 @@ let run_serial ~quick () =
     qerrs.(round) <-
       Stats.Summary.q_error ~estimate:est.Stats.Estimate.point
         ~truth:(float_of_int model.matching);
-    (* The materialization a query after this batch would rebuild. *)
+    (* The snapshot a query after this batch would rebuild; a query's
+       first draw from it would resolve its mask. *)
     let t2 = Unix.gettimeofday () in
     let snapshot = SR.snapshot stream in
     snap_lat.(round) <- Unix.gettimeofday () -. t2;

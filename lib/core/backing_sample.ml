@@ -11,9 +11,12 @@ type t = {
   (* Sample slots: parallel arrays of ids and tuples, [filled] live.
      Slot [k] is occupied exactly when [ids.(k) >= 0]; a vacant slot
      holds id -1 and the empty tuple [[||]], so the occupied slots are
-     [0 .. filled - 1] and an estimate counts them where they lie. *)
-  ids : id array;
-  tuples : Relational.Tuple.t array;
+     [0 .. filled - 1] and an estimate counts them where they lie.  The
+     arrays double as [filled] reaches their length, up to [capacity]:
+     their memory follows the tuples held, not the capacity asked
+     for. *)
+  mutable ids : id array;
+  mutable tuples : Relational.Tuple.t array;
   mutable filled : int;
   (* Members for O(1) deletion checks: id -> slot. *)
   slot_of : (id, int) Hashtbl.t;
@@ -29,15 +32,26 @@ let create ?(metrics = Obs.Metrics.noop) rng ~capacity ~schema =
     schema;
     next_id = 0;
     population = 0;
-    ids = Array.make capacity (-1);
-    tuples = Array.make capacity [||];
+    ids = [||];
+    tuples = [||];
     filled = 0;
-    slot_of = Hashtbl.create (2 * capacity);
+    slot_of = Hashtbl.create 16;
     seen = 0;
     metrics;
   }
 
+(* Slots are put at most one past the occupied ones, so [put] grows
+   the arrays only when [slot = filled] has reached their length. *)
 let put t slot id tuple =
+  let size = Array.length t.ids in
+  if slot = size then begin
+    let grown = min t.capacity (max 16 (2 * size)) in
+    let ids = Array.make grown (-1) and tuples = Array.make grown [||] in
+    Array.blit t.ids 0 ids 0 size;
+    Array.blit t.tuples 0 tuples 0 size;
+    t.ids <- ids;
+    t.tuples <- tuples
+  end;
   if t.ids.(slot) >= 0 then Hashtbl.remove t.slot_of t.ids.(slot);
   t.ids.(slot) <- id;
   t.tuples.(slot) <- tuple;
@@ -127,8 +141,8 @@ let rescan t live =
      later inserts resume Algorithm-R admission at the correct k/n
      rate. *)
   let draws_before = Sampling.Rng.draws t.rng in
-  Array.fill t.ids 0 t.capacity (-1);
-  Array.fill t.tuples 0 t.capacity [||];
+  Array.fill t.ids 0 (Array.length t.ids) (-1);
+  Array.fill t.tuples 0 (Array.length t.tuples) [||];
   Hashtbl.reset t.slot_of;
   t.filled <- 0;
   t.seen <- 0;

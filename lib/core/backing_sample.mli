@@ -17,9 +17,11 @@
 
     The sample is a plain array of tuple slots kept packed: the
     occupied slots are the first {!sample_size}, and a delete moves the
-    last occupied slot into the hole.  {!estimate_count} runs the
-    compiled predicate over those slots where they lie, with no copy
-    of the sample. *)
+    last occupied slot into the hole.  The array doubles as the sample
+    fills, up to the capacity, so its memory follows the tuples held
+    and a capacity far beyond the data (even [max_int]) costs nothing
+    up front.  {!estimate_count} runs the compiled predicate over those
+    slots where they lie, with no copy of the sample. *)
 
 type t
 

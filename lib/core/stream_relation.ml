@@ -1,4 +1,5 @@
 module Relation = Relational.Relation
+module Bitset = Relational.Column.Bitset
 module Metrics = Obs.Metrics
 
 type id = Backing_sample.id
@@ -9,18 +10,19 @@ type t = {
   schema : Relational.Schema.t;
   rng : Sampling.Rng.t;
   (* The live population, exactly, as an id-ordered log: slot [k <
-     len] holds id [ids.(k)] and its tuple [rows.(k)].  Ids are issued
-     by the backing sample (sequential from 0), so appends keep the log
+     len] holds id [ids.(k)] and its tuple [rows.(k)], and it is live
+     exactly when bit [k] of [alive] is set.  Ids are issued by the
+     backing sample (sequential from 0), so appends keep the log
      ascending and liveness checks here are authoritative where the
-     sample alone could only guess.  A deleted slot keeps its id
-     complemented ([lnot id < 0]): the log stays sorted by [slot_id]
-     and a slot's sign is its liveness.  Slots at [len] and beyond hold
-     [[||]]: only dead slots awaiting compaction pin a deleted tuple.
-     No row below [len] is ever rewritten ([append] writes at [len],
-     [remove] marks ids, [compact] fills fresh arrays), so a snapshot
-     can gather from [rows] as it stands. *)
+     sample alone could only guess.  A deleted slot keeps its id and
+     tuple until compaction; slots at [len] and beyond hold [[||]] and
+     clear bits, and [alive] is as long as [ids].  No row below [len]
+     is ever rewritten ([append] writes at [len], [remove] clears a
+     bit, [compact] fills fresh arrays), so a snapshot can read [rows]
+     as it stands through its own copy of [alive]. *)
   mutable ids : id array;
   mutable rows : Relational.Tuple.t array;
+  mutable alive : Bitset.t;
   mutable len : int;
   mutable live : int;
   backing : Backing_sample.t;
@@ -41,6 +43,7 @@ let create ?(capacity = 1024) ?bernoulli ?window ?(window_chains = 1)
     rng;
     ids = [||];
     rows = [||];
+    alive = Bitset.create 0;
     len = 0;
     live = 0;
     backing = Backing_sample.create ~metrics rng ~capacity ~schema;
@@ -71,8 +74,6 @@ let needs_rescan ?min_ratio t = Backing_sample.needs_rescan ?min_ratio t.backing
 
 (* --- the log ------------------------------------------------------------ *)
 
-let slot_id x = if x < 0 then lnot x else x
-
 (* Array length for [n] slots with room to grow. *)
 let room n = max 16 (2 * n)
 
@@ -82,14 +83,14 @@ let find t id =
     if lo >= hi then -1
     else
       let mid = (lo + hi) lsr 1 in
-      let k = slot_id t.ids.(mid) in
+      let k = t.ids.(mid) in
       if k = id then mid else if k < id then search (mid + 1) hi else search lo mid
   in
   search 0 t.len
 
 let mem t id =
   let k = find t id in
-  k >= 0 && t.ids.(k) >= 0
+  k >= 0 && Bitset.get t.alive k
 
 let append t id tuple =
   if t.len = Array.length t.ids then begin
@@ -97,49 +98,38 @@ let append t id tuple =
     Array.blit t.ids 0 ids 0 t.len;
     Array.blit t.rows 0 rows 0 t.len;
     t.ids <- ids;
-    t.rows <- rows
+    t.rows <- rows;
+    t.alive <- Bitset.resize t.alive (room t.len)
   end;
   t.ids.(t.len) <- id;
   t.rows.(t.len) <- tuple;
+  Bitset.set t.alive t.len;
   t.len <- t.len + 1;
   t.live <- t.live + 1
 
-(* The log positions of the live slots, in id order. *)
-let live_slots t =
-  let slots = Array.make t.live 0 in
-  let j = ref 0 in
-  for k = 0 to t.len - 1 do
-    if t.ids.(k) >= 0 then begin
-      slots.(!j) <- k;
-      incr j
-    end
-  done;
-  slots
-
 (* Copy the live slots, in order, into fresh arrays sized for them:
-   snapshots gathering from the old [rows] keep reading what they
-   read. *)
+   snapshots reading the old [rows] keep reading what they read. *)
 let compact t =
   let ids = Array.make (room t.live) 0 and rows = Array.make (room t.live) [||] in
-  let j = ref 0 in
-  for k = 0 to t.len - 1 do
-    if t.ids.(k) >= 0 then begin
-      ids.(!j) <- t.ids.(k);
-      rows.(!j) <- t.rows.(k);
-      incr j
-    end
-  done;
+  let alive = Bitset.create (room t.live) in
+  Array.iteri
+    (fun j k ->
+      ids.(j) <- t.ids.(k);
+      rows.(j) <- t.rows.(k);
+      Bitset.set alive j)
+    (Bitset.positions t.alive);
   t.ids <- ids;
   t.rows <- rows;
+  t.alive <- alive;
   t.len <- t.live
 
 (* Mark [id]'s slot dead; compact once dead slots outnumber live ones,
    so a delete costs O(log n) plus amortised O(1) slot copies. *)
 let remove t id =
   let k = find t id in
-  if k < 0 || t.ids.(k) < 0 then false
+  if k < 0 || not (Bitset.get t.alive k) then false
   else begin
-    t.ids.(k) <- lnot id;
+    Bitset.clear t.alive k;
     t.live <- t.live - 1;
     if t.len - t.live > t.live then compact t;
     true
@@ -191,7 +181,7 @@ let ingest t ~inserts ~deletes =
 
 let rescan t =
   Backing_sample.rescan t.backing
-    (Array.map (fun k -> (t.ids.(k), t.rows.(k))) (live_slots t));
+    (Array.map (fun k -> (t.ids.(k), t.rows.(k))) (Bitset.positions t.alive));
   bump t
 
 (* --- reads -------------------------------------------------------------- *)
@@ -219,10 +209,14 @@ let snapshot t =
   | Some (epoch, relation) when epoch = t.epoch -> relation
   | _ ->
     Metrics.add_tuples t.metrics t.live;
-    (* A gather view over the log's rows at the live slots: no tuple is
-       copied, and a sample drawn from it reads only the rows it drew.
-       No [warm_view]: samples of a snapshot encode their own rows
-       rather than gather from columns this epoch would encode whole. *)
-    let relation = Relation.sample (Relation.of_array t.schema t.rows) (live_slots t) in
+    (* The log's rows under a copy of the first [len] liveness bits:
+       no tuple is copied and no slot is visited until something reads
+       the snapshot's rows, and a sample drawn from it reads only the
+       rows it drew.  No [warm_view]: samples of a snapshot encode
+       their own rows rather than gather from columns this epoch would
+       encode whole. *)
+    let relation =
+      Relation.masked t.schema t.rows (Bitset.resize t.alive t.len) ~live:t.live
+    in
     t.snap <- Some (t.epoch, relation);
     relation

@@ -10,16 +10,19 @@
 
     The population itself is kept exactly, as an id-ordered log:
     parallel arrays of ids and tuples, appended in id order (ids are
-    issued sequentially), with a deleted slot marked dead in place
-    after a binary search.  Once dead slots outnumber live ones the
-    log compacts: it copies the live slots, in order, into fresh
-    arrays sized for them, so it holds at most about twice the live
-    population and a delete costs O(log n) plus amortised O(1) slot
-    copies.  No row below the log's length is ever rewritten: an
-    append writes past it, a delete only marks the id, and compaction
-    leaves the old arrays as they were.  {!mem} is a binary search,
-    O(log n); {!snapshot} and {!rescan} find the live slots in id order
-    in one pass over the log's ids, with no sort.
+    issued sequentially), and a liveness bitset
+    ({!Relational.Column.Bitset}) with one bit per slot.  A delete
+    finds its slot by binary search over the ids and clears its bit.
+    Once dead slots outnumber live ones the log compacts: it copies
+    the live slots, in order, into fresh arrays sized for them, so it
+    holds at most about twice the live population and a delete costs
+    O(log n) plus amortised O(1) slot copies.  No row below the log's
+    length is ever rewritten: an append writes past it, a delete only
+    clears a bit, and compaction leaves the old arrays as they were.
+    {!mem} is a binary search and a bit test, O(log n); compaction,
+    {!rescan} and a snapshot's first read find the live slots in id
+    order in one pass over the bitset's words
+    ({!Relational.Column.Bitset.positions}), with no sort.
 
     {2 Determinism}
 
@@ -34,7 +37,9 @@
 
     The [?metrics] sink given to {!create} receives all maintenance
     work under the real-work rules: [maintenance_ops] and [rng_draws]
-    per write, [tuples_scanned] for rescans and materializations.
+    per write, [tuples_scanned] for rescans and materializations (a
+    {!snapshot} counts the live tuples it exposes when it is built,
+    whether or not anything reads it).
     Callers that attribute per-request deltas snapshot around an
     operation and {!Obs.Metrics.add_snapshot} the difference. *)
 
@@ -128,15 +133,23 @@ val window_sample : t -> Relational.Tuple.t array option
 
 (** The live population as a relation in id order — memoized per
     epoch, so exact/query paths over an unchanged stream reuse one
-    snapshot.  A snapshot is a gather view over the log's row array
-    at the live slots' positions ({!Relational.Relation.sample}):
-    building one is a pass over the log's ids (at most about 2× the
-    live slots) that copies no tuple, a sample drawn from it reads
-    only the rows it drew, and since the log never rewrites a row
-    below its length, the snapshot keeps its tuples through later
-    appends, deletes and compactions.  Its view is not warmed
+    snapshot.  Building one copies the first [n] bits of the liveness
+    bitset, for the log's [n] slots (one word per [Sys.int_size]
+    slots), and wraps the copy and the log's row array as a
+    {!Relational.Relation.masked} relation: no tuple is copied and no
+    slot is visited, and its cardinality is the live count.  The mask
+    is resolved to the live slots' positions on the snapshot's first
+    read (a tuple, a sample or its columnar view), in the same pass
+    compaction uses, and a sample drawn from it reads only the rows it
+    drew.  So a snapshot that nothing reads costs the mask copy alone:
+    the serve daemon rebuilds one per written stream for every query,
+    whichever relations the query reads.  The snapshot owns its mask,
+    and the log never rewrites a row below its length, so the snapshot
+    keeps its tuples through later appends, deletes and compactions,
+    however late it is first read.  Its view is not warmed
     ({!Relational.Relation.warm_view}): a query's samples encode their
     own rows instead of gathering from columns the epoch would encode
-    whole.  This is the path that {e does} scan the base data;
+    whole.  Each build adds the live count to [tuples_scanned], read or
+    not.  This is the path that {e does} scan the base data;
     estimation never calls it. *)
 val snapshot : t -> Relational.Relation.t

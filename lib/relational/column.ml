@@ -13,13 +13,49 @@ module Bitset = struct
 
   let set t i = t.words.(i / bits) <- t.words.(i / bits) lor (1 lsl (i mod bits))
 
+  let clear t i = t.words.(i / bits) <- t.words.(i / bits) land lnot (1 lsl (i mod bits))
+
   let[@inline] get t i = (Array.unsafe_get t.words (i / bits) lsr (i mod bits)) land 1 = 1
 
-  let popcount w =
-    let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-    go w 0
+  (* Branch-free: each step sums adjacent fields into fields twice as
+     wide, and the multiply gathers the byte sums into the top byte,
+     which has room for any count up to [bits]. *)
+  let[@inline] popcount w =
+    let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+    let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+    let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+    (w * 0x0101_0101_0101_0101) lsr 56
 
   let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+
+  (* Bits past [length] stay clear, so a copy that shortens masks its
+     last word. *)
+  let resize t length =
+    let words = Array.make ((length + bits - 1) / bits) 0 in
+    let n = Array.length words in
+    Array.blit t.words 0 words 0 (min n (Array.length t.words));
+    if length < t.length && length mod bits > 0 then
+      words.(n - 1) <- words.(n - 1) land ((1 lsl (length mod bits)) - 1);
+    { length; words }
+
+  (* Empty words are skipped.  A word is walked up to its highest set
+     bit without a branch per bit: every position is written at the
+     cursor, and the cursor moves past it only when its bit is set.
+     While bits remain in the word, at least one set position is still
+     to come, so the cursor is below [count t] at every write. *)
+  let positions t =
+    let out = Array.make (count t) 0 and j = ref 0 in
+    let words = t.words in
+    for w = 0 to Array.length words - 1 do
+      let word = ref (Array.unsafe_get words w) and k = ref (w * bits) in
+      while !word <> 0 do
+        Array.unsafe_set out !j !k;
+        j := !j + (!word land 1);
+        word := !word lsr 1;
+        incr k
+      done
+    done;
+    out
 end
 
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -26,13 +26,27 @@
 module Bitset : sig
   type t
 
+  (** [create n] holds [n] clear bits. *)
   val create : int -> t
+
   val length : t -> int
   val set : t -> int -> unit
+  val clear : t -> int -> unit
   val get : t -> int -> bool
 
   (** Number of set bits. *)
   val count : t -> int
+
+  (** [resize t n] is a fresh bitset of length [n] holding [t]'s bits
+      below [min n (length t)], the rest clear: a prefix copy when [n]
+      is shorter, a grown copy when it is longer.  O(n / Sys.int_size). *)
+  val resize : t -> int -> t
+
+  (** The positions of the set bits, in increasing order.  One pass
+      that skips empty words and walks the others up to their highest
+      set bit, so it reads each word once and never tests a bit with a
+      branch. *)
+  val positions : t -> int array
 end
 
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -1,9 +1,11 @@
 (* A sample's tuples are gathered from its base on first read: columnar
-   consumers read its view and never need them.  One field holds either
-   form, so a racing gather under domains is benign. *)
+   consumers read its view and never need them.  A masked relation
+   resolves its mask to a gather first.  One field holds each form, so
+   a racing resolve or gather under domains is benign. *)
 type rows =
   | Tuples of Tuple.t array
   | Gather of Tuple.t array * int array
+  | Masked of Tuple.t array * Column.Bitset.t * int  (** base, mask, set bits *)
 
 type t = {
   schema : Schema.t;
@@ -43,22 +45,40 @@ let make schema tuples =
 
 let of_array schema tuples = mk schema tuples
 
+let masked schema base mask ~live =
+  if Column.Bitset.length mask > Array.length base then
+    invalid_arg "Relation.masked: mask longer than the rows";
+  { schema; rows = Masked (base, mask, live); view = None }
+
 let schema r = r.schema
 
 let cardinality r =
   match r.rows with
   | Tuples tuples -> Array.length tuples
   | Gather (_, ids) -> Array.length ids
+  | Masked (_, _, live) -> live
 
 let is_empty r = cardinality r = 0
 
-let tuples r =
+(* Replace a masked form by the gather at its set bits.  Resolution is
+   deterministic, so two domains racing to resolve store equal gathers
+   and either store is harmless, as with the gather → tuples store. *)
+let unmask r base mask live =
+  let ids = Column.Bitset.positions mask in
+  if Array.length ids <> live then
+    invalid_arg "Relation.masked: live is not the mask's count";
+  r.rows <- Gather (base, ids)
+
+let rec tuples r =
   match r.rows with
   | Tuples tuples -> tuples
   | Gather (base, ids) ->
     let tuples = Array.map (fun i -> Array.unsafe_get base i) ids in
     r.rows <- Tuples tuples;
     tuples
+  | Masked (base, mask, live) ->
+    unmask r base mask live;
+    tuples r
 
 let tuple r i = (tuples r).(i)
 
@@ -72,19 +92,25 @@ let columnar r =
 
 (* A sample of a gather view gathers from the same base at composed
    row ids, leaving the view's own tuples unbuilt. *)
+let rec gather_rows r ids =
+  match r.rows with
+  | Tuples base -> Gather (base, ids)
+  | Gather (base, inner) -> Gather (base, Array.map (fun i -> Array.unsafe_get inner i) ids)
+  | Masked (base, mask, live) ->
+    unmask r base mask live;
+    gather_rows r ids
+
 let sample r ids =
   let n = cardinality r in
   for k = 0 to Array.length ids - 1 do
     let i = Array.unsafe_get ids k in
     if i < 0 || i >= n then invalid_arg "Relation.sample: row id out of range"
   done;
-  let rows =
-    match r.rows with
-    | Tuples base -> Gather (base, ids)
-    | Gather (base, inner) ->
-      Gather (base, Array.map (fun i -> Array.unsafe_get inner i) ids)
-  in
-  { schema = r.schema; rows; view = Option.map (fun v -> Column.gather v ids) r.view }
+  {
+    schema = r.schema;
+    rows = gather_rows r ids;
+    view = Option.map (fun v -> Column.gather v ids) r.view;
+  }
 
 let iter f r = Array.iter f (tuples r)
 

@@ -17,6 +17,20 @@ val make : Schema.t -> Tuple.t list -> t
     well-typed tuples by construction. *)
 val of_array : Schema.t -> Tuple.t array -> t
 
+(** [masked schema base mask ~live] is the bag of rows [base.(k)] at
+    the set bits [k] of [mask], in increasing [k], sharing [base]'s
+    tuples.  [live] must be the number of set bits: {!cardinality}
+    answers from it, so building the relation and asking its size read
+    neither [mask] nor [base].  The first read of a tuple, a {!sample}
+    or the {!columnar} view resolves the mask to row ids, in one
+    {!Column.Bitset.positions} pass, and from then on the relation is
+    {!sample} of [base] at those ids.  Neither [mask] nor [base] below
+    the mask's length may be mutated afterwards: a stream snapshot
+    passes a copy of its store's mask over the store's row array.
+    @raise Invalid_argument if [mask] is longer than [base], and on
+    that first read if [live] is not the number of set bits. *)
+val masked : Schema.t -> Tuple.t array -> Column.Bitset.t -> live:int -> t
+
 val schema : t -> Schema.t
 
 val cardinality : t -> int
@@ -49,8 +63,9 @@ val count : (Tuple.t -> bool) -> t -> int
     touch, like any relation.  Either way the view decodes to the same
     values.  A sample of a sample composes the row ids: it gathers from
     the first base at [a.(b.(i))] without building the inner sample's
-    tuples, so a draw from a gather view (a stream snapshot) reads only
-    the rows it drew.
+    tuples, so a draw from a gather view reads only the rows it drew.
+    A sample of a {!masked} relation (a stream snapshot) first resolves
+    the mask to row ids, once, and then composes them the same way.
     @raise Invalid_argument if an id is out of range. *)
 val sample : t -> int array -> t
 
@@ -72,7 +87,9 @@ val kernel_threshold : int
     once: from then on its {!sample}s gather their columns from its
     columns instead of encoding their own tuples.  Long-lived catalogs
     (the serve daemon's) call this at load time; a relation rebuilt
-    often (a stream snapshot) should not. *)
+    often (a stream snapshot) should not: warming a {!masked} relation
+    resolves its mask and gathers every tuple, which is the cost a
+    snapshot that no query reads is built to avoid. *)
 val warm_view : t -> unit
 
 (** [count_pred p r] counts tuples satisfying the predicate, through

@@ -76,6 +76,14 @@ for spec in "0-4000000000" "0-4611686018427387903"; do
     || fail "ingest --delete $spec differs from --delete 0-2"
 done
 
+# --capacity bounds the backing sample without sizing it: the sample's
+# arrays grow with the tuples it holds, so max_int serves a 2-row stream
+printf 'a:int\n1\n2\n' > "$workdir/two.csv"
+out="$("$cli" ingest "$workdir/two.csv" --capacity 4611686018427387903 --where "a < 3")" \
+  || fail "ingest --capacity max_int exited non-zero"
+echo "$out" | expect "ingest with a max_int capacity" \
+  "population 2, sample 2/4611686018427387903\)"
+
 # pack / pagefile storage ------------------------------------------------
 # Packing is a change of storage, not of data: every command must give
 # bit-identical output whether it reads the CSV or the packed .raf.

@@ -664,7 +664,48 @@ let test_bitset () =
   Alcotest.(check int) "popcount" 6 (B.count b);
   Alcotest.(check bool) "get set" true (B.get b 64);
   Alcotest.(check bool) "get clear" false (B.get b 2);
-  Alcotest.(check int) "length" 131 (B.length b)
+  Alcotest.(check int) "length" 131 (B.length b);
+  Alcotest.(check (array int)) "positions" [| 0; 1; 63; 64; 65; 130 |] (B.positions b);
+  B.clear b 64;
+  B.clear b 2;
+  Alcotest.(check (array int)) "cleared" [| 0; 1; 63; 65; 130 |] (B.positions b);
+  let prefix = B.resize b 64 in
+  Alcotest.(check int) "prefix length" 64 (B.length prefix);
+  Alcotest.(check (array int))
+    "a prefix inside a word keeps the bits below it" [| 0; 1; 63 |] (B.positions prefix);
+  let grown = B.resize prefix 200 in
+  Alcotest.(check (array int)) "growth adds clear bits" [| 0; 1; 63 |] (B.positions grown);
+  B.set grown 199;
+  Alcotest.(check (array int)) "copies are independent" [| 0; 1; 63; 65; 130 |]
+    (B.positions b);
+  Alcotest.(check (array int)) "a prefix at a word boundary" [| 0; 1 |]
+    (B.positions (B.resize b 63));
+  (* A full word, sign bit included. *)
+  let full = B.create 70 in
+  for i = 0 to 62 do
+    B.set full i
+  done;
+  Alcotest.(check int) "full word count" 63 (B.count full);
+  Alcotest.(check (array int))
+    "full word positions" (Array.init 63 Fun.id) (B.positions full)
+
+(* Every bit position in the first words, so each word's sign bit
+   (bit [Sys.int_size - 1]) is exercised. *)
+let prop_bitset =
+  qcheck_case ~count:500 "bitset positions, count and resize = a bit-by-bit scan"
+    QCheck.(
+      triple (int_range 0 300) (int_range 0 320)
+        (list_of_size (QCheck.Gen.int_range 0 200) (int_range 0 299)))
+    (fun (length, cut, bits) ->
+      let module B = Column.Bitset in
+      let b = B.create length in
+      List.iter (fun i -> if i < length then B.set b i) bits;
+      let scan b = List.filter (B.get b) (List.init (B.length b) Fun.id) in
+      let resized = B.resize b cut in
+      Array.to_list (B.positions b) = scan b
+      && B.count b = List.length (scan b)
+      && B.length resized = cut
+      && Array.to_list (B.positions resized) = List.filter (fun i -> i < cut) (scan b))
 
 let suite =
   [
@@ -692,4 +733,5 @@ let suite =
     Alcotest.test_case "Generic fallback on mistyped columns" `Quick
       test_generic_fallback;
     Alcotest.test_case "bitset" `Quick test_bitset;
+    prop_bitset;
   ]

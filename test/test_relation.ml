@@ -123,6 +123,69 @@ let test_sample_of_sample () =
         [ Array.length a; -1 ])
     [ false; true ]
 
+(* A masked relation over 140 rows: a mask of 130 bits that spans
+   three words, with set bits at both ends of the middle one. *)
+let masked_fixture ?(bits = [ 0; 62; 63; 64; 125; 129 ]) ?live () =
+  let base = Array.init 140 (fun i -> Tuple.make [ Value.Int i ]) in
+  let mask = Relational.Column.Bitset.create 130 in
+  List.iter (Relational.Column.Bitset.set mask) bits;
+  let live = Option.value live ~default:(List.length bits) in
+  Relation.masked (Schema.of_list [ ("a", Value.Tint) ]) base mask ~live
+
+let values r =
+  Array.to_list
+    (Array.map (fun t -> match Tuple.get t 0 with Value.Int i -> i | _ -> -1) (Relation.tuples r))
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_masked () =
+  let rows = [ 0; 62; 63; 64; 125; 129 ] in
+  (* The size comes from the count given, without resolving the mask:
+     a wrong count shows through [cardinality] and fails the first
+     read. *)
+  let wrong = masked_fixture ~live:9 () in
+  Alcotest.(check int) "cardinality is the count given" 9 (Relation.cardinality wrong);
+  Alcotest.(check bool) "a wrong count fails the first read" true
+    (raises_invalid (fun () -> Relation.tuples wrong));
+  Alcotest.(check int) "cardinality" 6 (Relation.cardinality (masked_fixture ()));
+  Alcotest.(check (list int)) "tuples at the set bits, in order" rows
+    (values (masked_fixture ()));
+  Alcotest.(check (list int))
+    "sample: unsorted, repeated ids" [ 129; 0; 0; 64; 62 ]
+    (values (Relation.sample (masked_fixture ()) [| 5; 0; 0; 3; 1 |]));
+  let m = masked_fixture () in
+  let inner = Relation.sample m [| 5; 4; 3; 2 |] in
+  Alcotest.(check (list int))
+    "a sample of a sample" [ 64; 129; 64 ]
+    (values (Relation.sample inner [| 2; 0; 2 |]));
+  Alcotest.(check (list int)) "the masked relation after its samples" rows (values m);
+  Alcotest.(check (list string))
+    "columnar view" (List.map string_of_int rows)
+    (Array.to_list
+       (Array.map Value.to_string
+          (Relational.Column.values (Relation.columnar (masked_fixture ())) 0)));
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool)
+        (Printf.sprintf "row id %d rejected" bad)
+        true
+        (raises_invalid (fun () -> Relation.sample (masked_fixture ()) [| 0; bad |])))
+    [ 6; -1 ];
+  let dead = masked_fixture ~bits:[] () in
+  Alcotest.(check int) "all-dead cardinality" 0 (Relation.cardinality dead);
+  Alcotest.(check (list int)) "all-dead sample" [] (values (Relation.sample dead [||]));
+  Alcotest.(check bool) "all-dead rejects every row id" true
+    (raises_invalid (fun () -> Relation.sample dead [| 0 |]));
+  Alcotest.(check (list int)) "all-dead tuples" [] (values dead);
+  Alcotest.(check bool) "a mask longer than its rows" true
+    (raises_invalid (fun () ->
+         Relation.masked (Schema.of_list [ ("a", Value.Tint) ]) [||]
+           (Relational.Column.Bitset.create 1) ~live:0))
+
 let prop_distinct_idempotent =
   qcheck_case "distinct idempotent"
     QCheck.(list_of_size (QCheck.Gen.int_range 0 30) (QCheck.int_range 0 5))
@@ -153,6 +216,7 @@ let suite =
     Alcotest.test_case "map and fold" `Quick test_map_fold;
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "sample of a sample composes row ids" `Quick test_sample_of_sample;
+    Alcotest.test_case "masked rows resolve on first read" `Quick test_masked;
     prop_distinct_idempotent;
     prop_distinct_bounded;
   ]

@@ -768,6 +768,19 @@ let test_server_stream_writes () =
     "rescan needs an existing stream" true
     (contains "no maintained stream" message)
 
+(* The capacity bounds the backing sample without sizing it: the
+   sample's arrays grow with the tuples it holds, so a capacity of
+   max_int answers like any other. *)
+let test_server_stream_capacity_bound () =
+  with_server @@ fun state ->
+  let line =
+    Server.handle_line state
+      {|{"op": "ingest", "relation": "z", "capacity": 4611686018427387903,
+         "insert": [{"a": 1}]}|}
+  in
+  Alcotest.(check bool) "sample_size" true (result_field line "sample_size" = Json.Int 1);
+  Alcotest.(check bool) "population" true (result_field line "population" = Json.Int 1)
+
 let test_server_stream_estimate_fresh () =
   with_server @@ fun state ->
   (* The first write converts the bound CSV relation (200 tuples,
@@ -953,6 +966,8 @@ let suite =
     Alcotest.test_case "reload during in-flight requests" `Quick
       test_server_reload_during_inflight;
     Alcotest.test_case "stream writes" `Quick test_server_stream_writes;
+    Alcotest.test_case "stream capacity bounds without allocating" `Quick
+      test_server_stream_capacity_bound;
     Alcotest.test_case "stream estimate is fresh" `Quick test_server_stream_estimate_fresh;
     Alcotest.test_case "stream query overlay" `Quick test_server_stream_query_overlay;
     Alcotest.test_case "stream rescan" `Quick test_server_stream_rescan;

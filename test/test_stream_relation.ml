@@ -70,9 +70,12 @@ let test_snapshot_memoized () =
   (* Id order = insertion order. *)
   Alcotest.(check int) "first survivor" 1 (value (Relation.tuple s3 0))
 
-(* A snapshot gathers from the log's rows, so it must read the same
-   tuples after appends, deletes and a compaction of the log under it,
-   and after an append that moves the log to larger arrays. *)
+(* A snapshot reads the log's rows, so it must read the same tuples
+   after appends, deletes and a compaction of the log under it, and
+   after an append that moves the log to larger arrays.  That holds
+   for a snapshot first read early and for one first read only after
+   all of those writes, whose liveness must come from its own copy of
+   the mask. *)
 let test_snapshot_outlives_writes () =
   let t = SR.create ~capacity:4 ~seed:12 ~schema () in
   (* Twenty tuples: the log's arrays hold 32 slots. *)
@@ -80,14 +83,14 @@ let test_snapshot_outlives_writes () =
   let snap = SR.snapshot t in
   let expected = List.init 20 Fun.id in
   (* Through a sample, so the snapshot's own tuples stay unbuilt. *)
-  let check event =
+  let through_sample snap =
     let all = Array.init (Relation.cardinality snap) Fun.id in
-    Alcotest.(check (list int))
-      event expected
-      (Array.to_list (Array.map value (Relation.tuples (Relation.sample snap all))))
+    Array.to_list (Array.map value (Relation.tuples (Relation.sample snap all)))
   in
+  let check event = Alcotest.(check (list int)) event expected (through_sample snap) in
   ignore (SR.ingest t ~inserts:(Array.init 3 (fun k -> tuple (20 + k))) ~deletes:[||]);
   check "after appends into the same arrays";
+  let unread = SR.snapshot t in
   ignore (SR.ingest t ~inserts:[||] ~deletes:[| 0; 3; 7 |]);
   check "after deletes";
   (* 20 live, 3 dead: the ninth of these deletes leaves more dead slots
@@ -99,6 +102,10 @@ let test_snapshot_outlives_writes () =
   Alcotest.(check (list int))
     "read directly" expected
     (Array.to_list (Array.map value (Relation.tuples snap)));
+  Alcotest.(check int) "unread snapshot's size" 23 (Relation.cardinality unread);
+  Alcotest.(check (list int))
+    "a snapshot first read after the deletes, the compaction and the growth"
+    (List.init 23 Fun.id) (through_sample unread);
   Alcotest.(check (list int))
     "a fresh snapshot holds the survivors"
     ([ 1; 2; 4; 5; 6 ] @ List.init 18 (fun k -> 17 + k))
@@ -207,6 +214,17 @@ type op =
   | Cull of int  (** one batch deleting every live id but each [m]-th *)
   | Rescan
 
+(* How a held snapshot is first read. *)
+type read =
+  | Sorted  (** a sample at increasing row ids *)
+  | Unsorted  (** a sample at distinct row ids, shuffled *)
+  | Repeated  (** a sample with repeated row ids *)
+  | Whole  (** its tuples *)
+
+(* An op's snapshot left unread for [ops] more ops, then first read
+   through [read], with row ids drawn from [seed]. *)
+type hold = { ops : int; read : read; seed : int }
+
 let show_target = function
   | Live i -> Printf.sprintf "live %d" i
   | Dead i -> Printf.sprintf "dead %d" i
@@ -220,6 +238,21 @@ let show_op = function
     Printf.sprintf "ingest +%d -[%s]" n (String.concat "; " (List.map show_target targets))
   | Cull m -> Printf.sprintf "cull %d" m
   | Rescan -> "rescan"
+
+let show_read = function
+  | Sorted -> "sorted sample"
+  | Unsorted -> "unsorted sample"
+  | Repeated -> "repeated sample"
+  | Whole -> "tuples"
+
+let show_step (op, hold) =
+  show_op op
+  ^
+  match hold with
+  | None -> ""
+  | Some { ops; read; seed } ->
+    Printf.sprintf " (snapshot unread for %d ops, then %s, seed %d)" ops (show_read read)
+      seed
 
 let ops_arb =
   let open QCheck.Gen in
@@ -246,14 +279,25 @@ let ops_arb =
         (1, return Rescan);
       ]
   in
+  let hold =
+    map3
+      (fun ops read seed -> { ops; read; seed })
+      (int_range 1 8)
+      (oneofl [ Sorted; Unsorted; Repeated; Whole ])
+      nat
+  in
+  let step = pair op (frequency [ (3, return None); (1, map Option.some hold) ]) in
   QCheck.make
-    ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
-    (list_size (int_range 1 60) op)
+    ~print:(fun steps -> String.concat "\n" (List.map show_step steps))
+    (list_size (int_range 1 60) step)
 
 (* The reference is the store this module used to keep: an id -> tuple
    Hashtbl, sorted by id whenever it is read.  Every tuple carries its
-   own id, so the snapshot comparison also checks each id's tuple. *)
-let store_agrees_with_reference ops =
+   own id, so the snapshot comparison also checks each id's tuple.
+   After each op the snapshot is read at once, or, under a hold, left
+   unread across later ops and compactions and checked at its first
+   read against the reference at its epoch. *)
+let store_agrees_with_reference steps =
   let t = SR.create ~capacity:8 ~bernoulli:0.5 ~seed:11 ~schema () in
   let reference = Hashtbl.create 64 and dead = ref [] and next = ref 0 in
   let live_ids () =
@@ -284,7 +328,50 @@ let store_agrees_with_reference ops =
   (* The previous op's snapshot and what it held, re-read after the
      next op has written to the log under it. *)
   let held = ref None in
-  let agree step =
+  (* Snapshots nothing has read yet, with the live ids at their epoch,
+     the step that took them, their hold and the ops left before their
+     first read. *)
+  let unread = ref [] in
+  let first_read step (snap, expected, taken, { read; seed; _ }, _) =
+    let expected = Array.of_list expected in
+    let n = Array.length expected and rng = Random.State.make [| seed |] in
+    let ids =
+      match read with
+      | Whole -> Array.init n Fun.id
+      | Sorted ->
+        Array.of_list (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id))
+      | Unsorted ->
+        let ids = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = ids.(i) in
+          ids.(i) <- ids.(j);
+          ids.(j) <- x
+        done;
+        Array.sub ids 0 (Random.State.int rng (n + 1))
+      | Repeated ->
+        if n = 0 then [||]
+        else Array.init (1 + Random.State.int rng (2 * n)) (fun _ -> Random.State.int rng n)
+    in
+    let read_values r = Array.to_list (Array.map value (Relation.tuples r)) in
+    let got =
+      match read with
+      | Whole -> read_values snap
+      | Sorted | Unsorted | Repeated -> read_values (Relation.sample snap ids)
+    in
+    let want = Array.to_list (Array.map (fun i -> expected.(i)) ids) in
+    if got <> want then
+      QCheck.Test.fail_reportf
+        "after %s: the snapshot taken after %s, first read through a %s, reads [%s], \
+         reference [%s]"
+        step taken (show_read read) (show got) (show want);
+    if read_values snap <> Array.to_list expected then
+      QCheck.Test.fail_reportf "after %s: the snapshot taken after %s reads [%s], held [%s]"
+        step taken
+        (show (read_values snap))
+        (show (Array.to_list expected))
+  in
+  let agree step hold =
     (match !held with
     | Some (snap, before, taken) ->
       let got = Array.to_list (Array.map value (Relation.tuples snap)) in
@@ -293,18 +380,33 @@ let store_agrees_with_reference ops =
           "after %s: the snapshot taken after %s reads [%s], held [%s]" step taken
           (show got) (show before)
     | None -> ());
+    let due, waiting = List.partition (fun (_, _, _, _, left) -> left <= 1) !unread in
+    unread := List.map (fun (s, e, taken, h, left) -> (s, e, taken, h, left - 1)) waiting;
+    List.iter (first_read step) due;
     let expected = live_ids () in
     let snap = SR.snapshot t in
-    (* Read through a sample, which leaves the snapshot's own tuples
-       unbuilt until the re-check. *)
-    let all = Array.init (Relation.cardinality snap) Fun.id in
-    let got =
-      Array.to_list (Array.map value (Relation.tuples (Relation.sample snap all)))
-    in
-    if got <> expected then
-      QCheck.Test.fail_reportf "after %s: snapshot [%s], reference [%s]" step (show got)
-        (show expected);
-    held := Some (snap, expected, step);
+    if Relation.cardinality snap <> List.length expected then
+      QCheck.Test.fail_reportf "after %s: snapshot of %d tuples, reference %d" step
+        (Relation.cardinality snap) (List.length expected);
+    (match hold with
+    | Some h ->
+      unread := (snap, expected, step, h, h.ops) :: !unread;
+      held := None
+    | None when List.exists (fun (s, _, _, _, _) -> s == snap) !unread ->
+      (* The op wrote nothing, so the snapshot is the memoized one a
+         hold keeps unread. *)
+      held := None
+    | None ->
+      (* Read through a sample, which leaves the snapshot's own tuples
+         unbuilt until the re-check. *)
+      let all = Array.init (Relation.cardinality snap) Fun.id in
+      let got =
+        Array.to_list (Array.map value (Relation.tuples (Relation.sample snap all)))
+      in
+      if got <> expected then
+        QCheck.Test.fail_reportf "after %s: snapshot [%s], reference [%s]" step (show got)
+          (show expected);
+      held := Some (snap, expected, step));
     if SR.population t <> Hashtbl.length reference then
       QCheck.Test.fail_reportf "after %s: population %d, reference %d" step
         (SR.population t) (Hashtbl.length reference);
@@ -334,7 +436,7 @@ let store_agrees_with_reference ops =
       ~expected:(show (first_id, n, deleted))
   in
   List.iter
-    (fun op ->
+    (fun (op, hold) ->
       let step = show_op op in
       (match op with
       | Insert ->
@@ -351,8 +453,9 @@ let store_agrees_with_reference ops =
         batch step ~inserts:0 ~deletes:(fun () ->
             List.filteri (fun i _ -> i mod m <> 0) (live_ids ()))
       | Rescan -> SR.rescan t);
-      agree step)
-    ops;
+      agree step hold)
+    steps;
+  List.iter (first_read "the last op") !unread;
   true
 
 let suite =
