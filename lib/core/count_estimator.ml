@@ -3,9 +3,9 @@ module Catalog = Relational.Catalog
 module Relation = Relational.Relation
 module Metrics = Obs.Metrics
 
-(* Thin strategy front-end: every entry point compiles its arguments to
+(* Every entry point but [equijoin_indexed] compiles its arguments to
    an {!Estplan} plan and delegates draw/evaluate/scale/variance to the
-   IR engine.  This module owns only argument validation (with its
+   IR engine; those entries own only argument validation (with its
    historical messages), span labels and strategy choice. *)
 
 let classify expr =
@@ -85,10 +85,31 @@ let equijoin_indexed ?index ?(metrics = Metrics.noop) rng catalog ~left ~right ~
       Relational.Index.build (Catalog.find catalog right) ~attributes:[ right_attr ]
   in
   let key_pos = Relational.Schema.index_of (Relation.schema rl) left_attr in
-  let degree t = Relational.Index.count index [ Relational.Tuple.get t key_pos ] in
-  Estplan.run_indexed_degree ~metrics rng catalog
-    (Estplan.indexed_join_plan catalog ~left ~right ~on ~n)
-    ~degree
+  (* [right] must be bound even when [index] is supplied. *)
+  let (_ : Relation.t) = Catalog.find catalog right in
+  let sample =
+    Sampling.Srs.sample_without_replacement ~metrics rng ~n (Relation.tuples rl)
+  in
+  (* Per-tuple degree is an exact lookup, so the estimator reduces to a
+     mean expansion with the usual SRSWOR variance.  Each index lookup
+     is one hash probe; zero degree is a miss. *)
+  let degrees =
+    Array.map
+      (fun t ->
+        let d = Relational.Index.count index [ Relational.Tuple.get t key_pos ] in
+        if d > 0 then Metrics.probe_hit metrics else Metrics.probe_miss metrics;
+        float_of_int d)
+      sample
+  in
+  let summary = Stats.Summary.of_array degrees in
+  let big_nf = float_of_int big_n and nf = float_of_int n in
+  let point = big_nf *. Stats.Summary.mean summary in
+  let variance =
+    if n < 2 then Float.nan
+    else big_nf *. big_nf *. (1. -. (nf /. big_nf)) *. Stats.Summary.variance summary /. nf
+  in
+  Stats.Estimate.make ~variance ~label:"equijoin (indexed)" ~status:Stats.Estimate.Unbiased
+    ~sample_size:n point
 
 (* Set-operation support.  Operands must be duplicate-free: the
    intersection estimator counts value matches, which only equals the

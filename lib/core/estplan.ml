@@ -2,11 +2,7 @@ module Expr = Relational.Expr
 module Catalog = Relational.Catalog
 module Relation = Relational.Relation
 module Predicate = Relational.Predicate
-module Paged = Relational.Paged
-module Tuple = Relational.Tuple
-module Value = Relational.Value
 module Estimate = Stats.Estimate
-module Summary = Stats.Summary
 module Metrics = Obs.Metrics
 
 type unbiasedness =
@@ -23,13 +19,8 @@ let unbiasedness_to_string = function
 
 type mode =
   | Derived
-  | Exact of { population : int }
   | Srswor of { n : int; population : int }
   | Bernoulli of { p : float; population : int }
-  | Page_srswor of { m : int; pages : int; population : int }
-  | Stratified_srswor of { n : int; population : int }
-  | Prefix of { batch : int; population : int }
-  | Resampled of { n : int; population : int; replicates : int }
 
 type op =
   | Scan of { relation : string; alias : string; occurrence : int }
@@ -44,34 +35,6 @@ type op =
   | Diff
   | Rename of (string * string) list
   | Aggregate of string list * (Relational.Expr.agg * string) list
-  | Group_by of string list
-
-module Moments = struct
-  type t = {
-    mutable summary : Summary.t;
-    mutable analytic : (float * float) option;
-  }
-
-  let create () = { summary = Summary.empty; analytic = None }
-  let observe m x = m.summary <- Summary.add m.summary x
-  let set_analytic m ~mean ~variance = m.analytic <- Some (mean, variance)
-  let count m = Summary.count m.summary
-
-  let mean m =
-    if Summary.count m.summary > 0 then Summary.mean m.summary
-    else
-      match m.analytic with
-      | Some (mean, _) -> mean
-      | None -> invalid_arg "Estplan.Moments.mean: no observations"
-
-  let variance m =
-    if Summary.count m.summary >= 2 then Summary.variance m.summary
-    else match m.analytic with Some (_, v) -> v | None -> 0.
-
-  let second_moment m =
-    let mu = mean m in
-    variance m +. (mu *. mu)
-end
 
 type node = {
   id : int;
@@ -79,7 +42,6 @@ type node = {
   mode : mode;
   scale : float;
   status : unbiasedness;
-  moments : Moments.t;
   children : node list;
 }
 
@@ -91,13 +53,7 @@ type set_op =
 type strategy =
   | Scale_up of { groups : int }
   | Direct_selection
-  | Sequential_selection of { target : float; level : float; batch : int }
-  | Cluster_expansion
-  | Stratified_expansion
-  | Bootstrap_resampling of { replicates : int }
-  | Indexed_degree
   | Set_membership of set_op
-  | Grouped of { sum_attribute : string option }
 
 let set_op_to_string = function
   | Inter_size -> "intersection"
@@ -108,16 +64,7 @@ let strategy_to_string = function
   | Scale_up { groups = 1 } -> "scale-up"
   | Scale_up { groups } -> Printf.sprintf "scale-up (%d replicates)" groups
   | Direct_selection -> "direct selection"
-  | Sequential_selection { target; level; batch } ->
-    Printf.sprintf "sequential (target=%g, level=%g, batch=%d)" target level batch
-  | Cluster_expansion -> "cluster expansion"
-  | Stratified_expansion -> "stratified expansion"
-  | Bootstrap_resampling { replicates } ->
-    Printf.sprintf "bootstrap (%d resamples)" replicates
-  | Indexed_degree -> "indexed degree"
   | Set_membership op -> Printf.sprintf "set membership (%s)" (set_op_to_string op)
-  | Grouped { sum_attribute = None } -> "grouped count"
-  | Grouped { sum_attribute = Some a } -> Printf.sprintf "grouped sum of %s" a
 
 type t = {
   root : node;
@@ -131,13 +78,10 @@ type t = {
 
 (* Set-semantics operators scale up only consistently: deduplicated
    counts do not admit the product-of-leaf-scales expectation
-   (THEORY.md §17).  Mirrors [Expr.has_dedup].  [Group_by] is not in
-   the list: its strategy estimates each group by an unbiased binomial,
-   not by deduplicated scale-up. *)
+   (THEORY.md §17).  Mirrors [Expr.has_dedup]. *)
 let dedup_op = function
   | Dedup | Union | Inter | Diff | Aggregate _ -> true
-  | Scan _ | Select _ | Project _ | Product | Equijoin _ | Theta_join _ | Rename _
-  | Group_by _ ->
+  | Scan _ | Select _ | Project _ | Product | Equijoin _ | Theta_join _ | Rename _ ->
     false
 
 (* An empty population is sampled as the empty census (n = 0): the
@@ -145,33 +89,19 @@ let dedup_op = function
 let census_scale ~population ~n =
   if population = 0 then 1. else float_of_int population /. float_of_int n
 
-let mode_scale = function
-  | Derived | Exact _ -> 1.
-  | Srswor { n; population } -> census_scale ~population ~n
-  | Bernoulli { p; _ } -> 1. /. p
-  | Page_srswor { m; pages; _ } -> census_scale ~population:pages ~n:m
-  | Stratified_srswor { n; population } -> census_scale ~population ~n
-  (* The prefix grows at run time; annotate with the scale at the first
-     stopping opportunity (one full batch, clamped to the census). *)
-  | Prefix { batch; population } ->
-    census_scale ~population ~n:(min batch population)
-  | Resampled { n; population; _ } -> census_scale ~population ~n
-
-let mk ?(mode = Derived) ?status op children =
+let mk ?(mode = Derived) op children =
   let status =
-    match status with
-    | Some s -> s
-    | None ->
-      if dedup_op op || List.exists (fun c -> c.status = Consistent_only) children
-      then Consistent_only
-      else Unbiased
+    if dedup_op op || List.exists (fun c -> c.status = Consistent_only) children then
+      Consistent_only
+    else Unbiased
   in
   let scale =
     match mode with
     | Derived -> List.fold_left (fun acc c -> acc *. c.scale) 1. children
-    | m -> mode_scale m
+    | Srswor { n; population } -> census_scale ~population ~n
+    | Bernoulli { p; _ } -> 1. /. p
   in
-  { id = 0; op; mode; scale; status; moments = Moments.create (); children }
+  { id = 0; op; mode; scale; status; children }
 
 let renumber root =
   let next = ref 0 in
@@ -245,73 +175,17 @@ let equijoin_plan catalog ~left ~right ~on ~fraction ~groups =
     (Sampling_plan.make catalog ~fraction:sub_fraction
        (Expr.equijoin on (Expr.base left) (Expr.base right)))
 
-(* The non-scale-up constructors annotate without validating sizes: the
-   runtime sampling layer raises the historical messages, and the
-   front-end modules keep their own argument guards. *)
-
-let scan_leaf_of catalog ~relation ~occurrence mode_of =
-  let population = Relation.cardinality (Catalog.find catalog relation) in
-  mk ~mode:(mode_of population) (Scan { relation; alias = relation; occurrence }) []
-
+(* The selection plan annotates without validating [n]: the runtime
+   sampling layer raises the historical messages. *)
 let selection_plan catalog ~relation ~n predicate =
-  let leaf =
-    scan_leaf_of catalog ~relation ~occurrence:0 (fun population ->
-        Srswor { n; population })
-  in
-  make_plan ~label:"selection" ~strategy:Direct_selection
-    (mk (Select predicate) [ leaf ])
-
-let sequential_plan catalog ~relation ~target ~level ~batch predicate =
-  let leaf =
-    scan_leaf_of catalog ~relation ~occurrence:0 (fun population ->
-        Prefix { batch; population })
-  in
-  make_plan ~label:"selection"
-    ~strategy:(Sequential_selection { target; level; batch })
-    (mk (Select predicate) [ leaf ])
-
-let cluster_plan paged ~m ?predicate () =
-  let pages = Paged.page_count paged in
-  let population = Paged.cardinality paged in
+  let population = Relation.cardinality (Catalog.find catalog relation) in
   let leaf =
     mk
-      ~mode:(Page_srswor { m; pages; population })
-      (Scan { relation = "<paged>"; alias = "<paged>"; occurrence = 0 })
+      ~mode:(Srswor { n; population })
+      (Scan { relation; alias = relation; occurrence = 0 })
       []
   in
-  let root =
-    match predicate with Some p -> mk (Select p) [ leaf ] | None -> leaf
-  in
-  make_plan ~label:"cluster" ~strategy:Cluster_expansion root
-
-let stratified_plan catalog ~relation ~n predicate =
-  let leaf =
-    scan_leaf_of catalog ~relation ~occurrence:0 (fun population ->
-        Stratified_srswor { n; population })
-  in
-  make_plan ~label:"stratified selection" ~strategy:Stratified_expansion
-    (mk (Select predicate) [ leaf ])
-
-let bootstrap_plan catalog ~relation ~n ~replicates predicate =
-  let leaf =
-    scan_leaf_of catalog ~relation ~occurrence:0 (fun population ->
-        Resampled { n; population; replicates })
-  in
-  make_plan ~label:"selection (bootstrap)"
-    ~strategy:(Bootstrap_resampling { replicates })
-    (mk (Select predicate) [ leaf ])
-
-let indexed_join_plan catalog ~left ~right ~on:(left_attr, right_attr) ~n =
-  let lleaf =
-    scan_leaf_of catalog ~relation:left ~occurrence:0 (fun population ->
-        Srswor { n; population })
-  in
-  let rleaf =
-    scan_leaf_of catalog ~relation:right ~occurrence:1 (fun population ->
-        Exact { population })
-  in
-  make_plan ~label:"equijoin (indexed)" ~strategy:Indexed_degree
-    (mk (Equijoin [ (left_attr, right_attr) ]) [ lleaf; rleaf ])
+  make_plan ~label:"selection" ~strategy:Direct_selection (mk (Select predicate) [ leaf ])
 
 let set_plan catalog ~op ~left ~right ~fraction =
   let combine =
@@ -333,16 +207,6 @@ let set_plan catalog ~op ~left ~right ~fraction =
     strategy = Set_membership op;
     root = { t.root with status = Unbiased };
   }
-
-let grouped_plan catalog ~relation ~by ?sum_attribute ~n predicate =
-  let leaf =
-    scan_leaf_of catalog ~relation ~occurrence:0 (fun population ->
-        Srswor { n; population })
-  in
-  let label = match sum_attribute with None -> "group-count" | Some _ -> "group-sum" in
-  make_plan ~label
-    ~strategy:(Grouped { sum_attribute })
-    (mk (Group_by by) [ mk (Select predicate) [ leaf ] ])
 
 (* ------------------------------------------------------------------ *)
 (* Shared engine plumbing                                              *)
@@ -367,42 +231,10 @@ let the_splan plan =
   | Some sp -> sp
   | None -> invalid_arg "Estplan: plan carries no sampling-plan annotation"
 
-let leaf_nodes plan =
-  let rec go acc n =
-    match n.children with [] -> n :: acc | cs -> List.fold_left go acc cs
-  in
-  List.rev (go [] plan.root)
-
-let leaf_sizes plan sampled =
-  List.map
-    (fun leaf ->
-      match leaf.op with
-      | Scan { alias; _ } -> Relation.cardinality (Catalog.find sampled alias)
-      | _ -> 0)
-    (leaf_nodes plan)
-
-(* Leaf moments record the design-unbiased population estimate of the
-   leaf itself: scale × drawn size (exactly N for a fixed-size draw, a
-   genuine estimate under Bernoulli).  Must only be called from the
-   coordinating thread — replicate bodies return their observations. *)
-let observe_leaves plan sizes =
-  List.iter2
-    (fun leaf size ->
-      match leaf.op with
-      | Scan _ -> Moments.observe leaf.moments (leaf.scale *. float_of_int size)
-      | _ -> ())
-    (leaf_nodes plan) sizes
-
-let draw ?(metrics = Metrics.noop) rng catalog plan =
-  let splan = the_splan plan in
-  let sampled, total = Sampling_plan.draw ~metrics rng catalog splan in
-  observe_leaves plan (leaf_sizes plan sampled);
-  (sampled, total)
-
 (* One scale-up execution: draw every leaf in occurrence order, count
    the rewritten expression on the sampled catalog, multiply by the
    plan scale.  Safe to run inside a domain: touches no plan state. *)
-let run_once ~metrics rng catalog plan splan =
+let run_once ~metrics rng catalog splan =
   let sampled, drawn =
     Metrics.time metrics "draw" (fun () ->
         Sampling_plan.draw ~metrics rng catalog splan)
@@ -414,9 +246,7 @@ let run_once ~metrics rng catalog plan splan =
         Relational.Physical.count_expr ~metrics sampled
           splan.Sampling_plan.expr)
   in
-  ( splan.Sampling_plan.scale *. float_of_int count,
-    drawn,
-    leaf_sizes plan sampled )
+  (splan.Sampling_plan.scale *. float_of_int count, drawn)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form binomial selection                                      *)
@@ -443,9 +273,6 @@ let binomial_estimate ?(label = "selection") ~big_n ~n ~hits () =
   in
   Estimate.make ~variance ~label ~status:Estimate.Unbiased ~sample_size:n point
 
-let record_estimate node (e : Estimate.t) =
-  Moments.set_analytic node.moments ~mean:e.Estimate.point ~variance:e.Estimate.variance
-
 (* ------------------------------------------------------------------ *)
 (* Strategy runners                                                    *)
 
@@ -453,9 +280,7 @@ let run_scale_up ?domains ~metrics rng catalog plan groups =
   let splan = the_splan plan in
   let status = status_to_estimate plan.root.status in
   if groups = 1 then begin
-    let point, drawn, sizes = run_once ~metrics rng catalog plan splan in
-    observe_leaves plan sizes;
-    Moments.observe plan.root.moments point;
+    let point, drawn = run_once ~metrics rng catalog splan in
     Estimate.make ~label:plan.label ~status ~sample_size:drawn point
   end
   else begin
@@ -467,15 +292,10 @@ let run_scale_up ?domains ~metrics rng catalog plan groups =
     let results =
       with_replicate_sinks metrics groups (fun sinks ->
           Parallel.replicate_init ?domains rng groups (fun child i ->
-              run_once ~metrics:sinks.(i) child catalog plan splan))
+              run_once ~metrics:sinks.(i) child catalog splan))
     in
     Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
-    Array.iter
-      (fun (point, _, sizes) ->
-        observe_leaves plan sizes;
-        Moments.observe plan.root.moments point)
-      results;
-    let points = Array.map (fun (point, _, _) -> point) results in
+    let points = Array.map fst results in
     let summary = Stats.Summary.of_array points in
     let variance = Stats.Summary.variance summary /. float_of_int groups in
     let drawn =
@@ -527,12 +347,7 @@ let run_direct_selection ~metrics ?index_source rng catalog plan =
   in
   Metrics.add_tuples metrics n;
   let hits = Relational.Kernel.count_indices (Relation.columnar r) predicate indices in
-  let estimate =
-    binomial_estimate ~label:plan.label ~big_n:universe ~n ~hits ()
-  in
-  Moments.observe leaf.moments (leaf.scale *. float_of_int n);
-  record_estimate plan.root estimate;
-  estimate
+  binomial_estimate ~label:plan.label ~big_n:universe ~n ~hits ()
 
 (* Set-operation sizes via the membership estimator.
 
@@ -587,481 +402,14 @@ let run_set ~metrics rng catalog plan flavor =
     | Union_size -> big_n1 +. big_n2 -. k_hat
     | Diff_size -> big_n1 -. k_hat
   in
-  observe_leaves plan (leaf_sizes plan sampled);
-  let estimate =
-    Estimate.make ~variance ~label:plan.label ~status:Estimate.Unbiased
-      ~sample_size:drawn point
-  in
-  record_estimate plan.root estimate;
-  estimate
+  Estimate.make ~variance ~label:plan.label ~status:Estimate.Unbiased ~sample_size:drawn
+    point
 
 let run ?domains ?(metrics = Metrics.noop) ?index_source rng catalog plan =
   match plan.strategy with
   | Scale_up { groups } -> run_scale_up ?domains ~metrics rng catalog plan groups
   | Direct_selection -> run_direct_selection ~metrics ?index_source rng catalog plan
   | Set_membership flavor -> run_set ~metrics rng catalog plan flavor
-  | Sequential_selection _ | Cluster_expansion | Stratified_expansion
-  | Bootstrap_resampling _ | Indexed_degree | Grouped _ ->
-    invalid_arg
-      (Printf.sprintf "Estplan.run: %s plans need their dedicated runner"
-         (strategy_to_string plan.strategy))
-
-type sequential_step = {
-  step_n : int;
-  step_point : float;
-  step_half_width : float;
-}
-
-let run_sequential ?(metrics = Metrics.noop) rng catalog plan =
-  let target, level, batch =
-    match plan.strategy with
-    | Sequential_selection { target; level; batch } -> (target, level, batch)
-    | _ -> invalid_arg "Estplan.run_sequential: not a sequential plan"
-  in
-  let predicate, relation, leaf = selection_shape plan in
-  let r = Catalog.find catalog relation in
-  let big_n = Relation.cardinality r in
-  let keep = Relational.Predicate.compile (Relation.schema r) predicate in
-  (* A uniformly random permutation makes every prefix an SRSWOR. *)
-  let order = Array.init big_n (fun i -> i) in
-  let draws_before = Sampling.Rng.draws rng in
-  Sampling.Rng.shuffle_in_place rng order;
-  Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
-  let z = Stats.Confidence.z_value ~level in
-  let trajectory = ref [] in
-  (* [batches] counts completed batches; the trajectory list stays
-     write-only inside the loop, so growth is O(batches), not
-     O(batches²) as a [List.length] stopping test would make it. *)
-  let rec grow n hits batches =
-    let stop = min (n + batch) big_n in
-    let hits = ref hits in
-    for k = n to stop - 1 do
-      if keep (Relation.tuple r order.(k)) then incr hits
-    done;
-    Metrics.add_tuples metrics (stop - n);
-    let n = stop in
-    let estimate = binomial_estimate ~big_n ~n ~hits:!hits () in
-    let half_width =
-      if Estimate.has_variance estimate then z *. Estimate.stderr estimate
-      else Float.infinity
-    in
-    trajectory :=
-      { step_n = n; step_point = estimate.Estimate.point; step_half_width = half_width }
-      :: !trajectory;
-    let precise =
-      estimate.Estimate.point > 0. && half_width /. estimate.Estimate.point <= target
-    in
-    (* Demand at least two batches so a lucky first batch cannot stop
-       on a degenerate variance estimate. *)
-    if (precise && batches >= 2) || n >= big_n then
-      (estimate, precise || (n >= big_n && half_width = 0.))
-    else grow n !hits (batches + 1)
-  in
-  let estimate, reached_target = grow 0 0 1 in
-  Moments.observe leaf.moments (float_of_int big_n);
-  record_estimate plan.root estimate;
-  (estimate, reached_target, List.rev !trajectory)
-
-let run_cluster ?(metrics = Metrics.noop) rng paged plan ~measure =
-  (match plan.strategy with
-  | Cluster_expansion -> ()
-  | _ -> invalid_arg "Estplan.run_cluster: not a cluster plan");
-  let leaf =
-    match leaf_nodes plan with
-    | [ leaf ] -> leaf
-    | _ -> invalid_arg "Estplan.run_cluster: cluster plans take one page leaf"
-  in
-  let m, big_m =
-    match leaf.mode with
-    | Page_srswor { m; pages; _ } -> (m, pages)
-    | _ -> invalid_arg "Estplan.run_cluster: cluster plans need a page leaf"
-  in
-  let sample = Sampling.Page_sampling.measures ~metrics rng ~m paged ~measure in
-  let summary = Stats.Summary.of_array sample.Sampling.Page_sampling.values in
-  let big_mf = float_of_int big_m and mf = float_of_int m in
-  let point = big_mf /. mf *. Stats.Summary.total summary in
-  let variance =
-    if m < 2 then Float.nan
-    else
-      big_mf *. big_mf *. (1. -. (mf /. big_mf)) *. Stats.Summary.variance summary /. mf
-  in
-  let tuples_read = sample.Sampling.Page_sampling.tuples in
-  let estimate =
-    Estimate.make ~variance ~label:plan.label ~status:Estimate.Unbiased
-      ~sample_size:tuples_read point
-  in
-  Moments.observe leaf.moments (leaf.scale *. float_of_int tuples_read);
-  record_estimate plan.root estimate;
-  (estimate, m, tuples_read)
-
-let run_stratified rng catalog plan ~key =
-  (match plan.strategy with
-  | Stratified_expansion -> ()
-  | _ -> invalid_arg "Estplan.run_stratified: not a stratified plan");
-  let predicate, relation, leaf = selection_shape plan in
-  let n =
-    match leaf.mode with
-    | Stratified_srswor { n; _ } -> n
-    | _ -> invalid_arg "Estplan.run_stratified: stratified plans need a stratified leaf"
-  in
-  let r = Catalog.find catalog relation in
-  let keep = Relational.Predicate.compile (Relation.schema r) predicate in
-  let strata = Sampling.Stratified.sample rng ~n ~key (Relation.tuples r) in
-  (* Recover per-stratum population sizes with one grouping pass. *)
-  let populations = Hashtbl.create 16 in
-  Relation.iter
-    (fun t ->
-      let k = key t in
-      Hashtbl.replace populations k
-        (1 + Option.value (Hashtbl.find_opt populations k) ~default:0))
-    r;
-  let point = ref 0. and variance = ref 0. and drawn = ref 0 in
-  let summary =
-    List.map
-      (fun stratum ->
-        let k = stratum.Sampling.Stratified.key in
-        let n_h = stratum.Sampling.Stratified.allocated in
-        let big_nh = Hashtbl.find populations k in
-        drawn := !drawn + n_h;
-        if n_h > 0 then begin
-          let hits =
-            Array.fold_left
-              (fun acc t -> if keep t then acc + 1 else acc)
-              0 stratum.Sampling.Stratified.members
-          in
-          let nf = float_of_int n_h and big_nf = float_of_int big_nh in
-          let p_hat = float_of_int hits /. nf in
-          point := !point +. (big_nf *. p_hat);
-          if n_h >= 2 then
-            variance :=
-              !variance
-              +. big_nf *. big_nf
-                 *. (1. -. (nf /. big_nf))
-                 *. p_hat *. (1. -. p_hat) /. (nf -. 1.)
-        end;
-        (k, big_nh, n_h))
-      strata
-  in
-  let estimate =
-    Estimate.make ~variance:!variance ~label:plan.label ~status:Estimate.Unbiased
-      ~sample_size:!drawn !point
-  in
-  Moments.observe leaf.moments (leaf.scale *. float_of_int !drawn);
-  record_estimate plan.root estimate;
-  (estimate, summary)
-
-let bootstrap_replicates ?domains ?(metrics = Metrics.noop) rng ~replicates ~statistic
-    sample =
-  if Array.length sample = 0 then invalid_arg "Estplan.bootstrap_replicates: empty sample";
-  if replicates <= 0 then
-    invalid_arg "Estplan.bootstrap_replicates: replicates must be positive";
-  let n = Array.length sample in
-  (* One split stream per replicate, derived serially: replicate r sees
-     the same draws whatever the domain count.  Each chunk reuses a
-     single scratch buffer, matching the serial code's allocation. *)
-  let draws_before = Sampling.Rng.draws rng in
-  let children = Array.init replicates (fun _ -> Sampling.Rng.split rng) in
-  Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
-  (* Per-replicate sinks, absorbed in replicate order below: counter
-     totals are independent of the domain count. *)
-  let sinks = Array.init replicates (fun _ -> Metrics.child metrics) in
-  let values =
-    Parallel.chunked_init ?domains replicates (fun start len ->
-        let resampled = Array.make n sample.(0) in
-        Array.init len (fun k ->
-            let child = children.(start + k) in
-            for i = 0 to n - 1 do
-              resampled.(i) <- sample.(Sampling.Rng.int child n)
-            done;
-            let sink = sinks.(start + k) in
-            Metrics.add_indices sink n;
-            Metrics.add_rng_draws sink (Sampling.Rng.draws child);
-            statistic resampled))
-  in
-  Array.iter (fun sink -> Metrics.absorb metrics sink) sinks;
-  values
-
-let run_bootstrap ?domains ?(metrics = Metrics.noop) rng catalog plan ~level =
-  let replicates =
-    match plan.strategy with
-    | Bootstrap_resampling { replicates } -> replicates
-    | _ -> invalid_arg "Estplan.run_bootstrap: not a bootstrap plan"
-  in
-  let predicate, relation, leaf = selection_shape plan in
-  let n =
-    match leaf.mode with
-    | Resampled { n; _ } -> n
-    | _ -> invalid_arg "Estplan.run_bootstrap: bootstrap plans need a resampled leaf"
-  in
-  let r = Catalog.find catalog relation in
-  let big_n = Relation.cardinality r in
-  let sample =
-    Sampling.Srs.sample_without_replacement ~metrics rng ~n (Relation.tuples r)
-  in
-  let keep = Relational.Predicate.compile (Relation.schema r) predicate in
-  (* Statistic over 0/1 hit indicators: scale-up count. *)
-  let indicators = Array.map (fun t -> if keep t then 1. else 0.) sample in
-  let statistic hits =
-    float_of_int big_n *. (Array.fold_left ( +. ) 0. hits /. float_of_int n)
-  in
-  let values =
-    bootstrap_replicates ?domains ~metrics rng ~replicates ~statistic indicators
-  in
-  let point = statistic indicators in
-  let variance = Stats.Summary.variance (Stats.Summary.of_array values) in
-  let estimate =
-    Estimate.make ~variance ~label:plan.label ~status:Estimate.Unbiased ~sample_size:n
-      point
-  in
-  (* Historical message: this validation lived in
-     [Bootstrap.percentile_interval], after the resampling ran. *)
-  if level <= 0. || level >= 1. then
-    invalid_arg "Bootstrap.percentile_interval: level outside (0, 1)";
-  let alpha2 = (1. -. level) /. 2. in
-  let interval =
-    Stats.Confidence.clamp_nonnegative
-      {
-        Stats.Confidence.lo = Stats.Summary.quantile alpha2 values;
-        hi = Stats.Summary.quantile (1. -. alpha2) values;
-        level;
-      }
-  in
-  Moments.observe leaf.moments (leaf.scale *. float_of_int n);
-  record_estimate plan.root estimate;
-  (estimate, interval)
-
-let run_indexed_degree ?(metrics = Metrics.noop) rng catalog plan ~degree =
-  (match plan.strategy with
-  | Indexed_degree -> ()
-  | _ -> invalid_arg "Estplan.run_indexed_degree: not an indexed-degree plan");
-  let relation, leaf =
-    match leaf_nodes plan with
-    | ({ op = Scan { relation; _ }; _ } as leaf) :: _ -> (relation, leaf)
-    | _ -> invalid_arg "Estplan.run_indexed_degree: plan has no scan leaf"
-  in
-  let n =
-    match leaf.mode with
-    | Srswor { n; _ } -> n
-    | _ -> invalid_arg "Estplan.run_indexed_degree: left leaf must be SRSWOR"
-  in
-  let rl = Catalog.find catalog relation in
-  let big_n = Relation.cardinality rl in
-  let sample =
-    Sampling.Srs.sample_without_replacement ~metrics rng ~n (Relation.tuples rl)
-  in
-  (* Per-tuple degree is an exact lookup, so the estimator reduces to a
-     mean expansion with the usual SRSWOR variance.  Each index lookup
-     is one hash probe; zero degree is a miss. *)
-  let degrees =
-    Array.map
-      (fun t ->
-        let d = degree t in
-        if d > 0 then Metrics.probe_hit metrics else Metrics.probe_miss metrics;
-        float_of_int d)
-      sample
-  in
-  let summary = Stats.Summary.of_array degrees in
-  let big_nf = float_of_int big_n and nf = float_of_int n in
-  let point = big_nf *. Stats.Summary.mean summary in
-  let variance =
-    if n < 2 then Float.nan
-    else big_nf *. big_nf *. (1. -. (nf /. big_nf)) *. Stats.Summary.variance summary /. nf
-  in
-  let estimate =
-    Estimate.make ~variance ~label:plan.label ~status:Estimate.Unbiased ~sample_size:n
-      point
-  in
-  Moments.observe leaf.moments (leaf.scale *. float_of_int n);
-  record_estimate plan.root estimate;
-  estimate
-
-(* ------------------------------------------------------------------ *)
-(* Grouped tallies                                                     *)
-
-let compare_keys k1 k2 = List.compare Value.compare k1 k2
-
-let key_of indices tuple = List.map (fun i -> Tuple.get tuple i) indices
-
-(* Parallel tallies run over fixed-size blocks, not per-domain chunks:
-   the block decomposition — and with it the per-key merge order of
-   partial aggregates — is independent of the domain count, so results
-   are bit-identical whether tallied on 1 or N domains. *)
-let tally_block = 8192
-
-let blocked_tables ?domains ~per_block n =
-  let nblocks = max 1 ((n + tally_block - 1) / tally_block) in
-  Parallel.init ?domains nblocks (fun b ->
-      let start = b * tally_block in
-      per_block start (min tally_block (n - start)))
-
-let group_tally ?domains ~indices ~keep tuples =
-  let per_block start len =
-    let table = Hashtbl.create 64 in
-    for i = start to start + len - 1 do
-      let t = tuples.(i) in
-      if keep t then begin
-        let key = key_of indices t in
-        Hashtbl.replace table key
-          (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
-      end
-    done;
-    table
-  in
-  let merged = Hashtbl.create 64 in
-  Array.iter
-    (fun table ->
-      Hashtbl.iter
-        (fun key count ->
-          Hashtbl.replace merged key
-            (count + Option.value (Hashtbl.find_opt merged key) ~default:0))
-        table)
-    (blocked_tables ?domains ~per_block (Array.length tuples));
-  Hashtbl.fold (fun key count acc -> (key, count) :: acc) merged []
-  |> List.sort (fun (k1, _) (k2, _) -> compare_keys k1 k2)
-
-(* Per-group sums of [value] over the given tuples, with the per-group
-   sum of squares (needed for the expansion variance).  Blocked like
-   {!group_tally}: per-block partials combine in block order, so a
-   fixed seed gives the same sums on any domain count. *)
-let group_tally_sums ?domains ~indices ~keep ~value tuples =
-  let per_block start len =
-    let table = Hashtbl.create 64 in
-    for i = start to start + len - 1 do
-      let t = tuples.(i) in
-      if keep t then begin
-        let key = key_of indices t in
-        let y = value t in
-        let sum, sum_sq, hits =
-          Option.value (Hashtbl.find_opt table key) ~default:(0., 0., 0)
-        in
-        Hashtbl.replace table key (sum +. y, sum_sq +. (y *. y), hits + 1)
-      end
-    done;
-    table
-  in
-  let merged = Hashtbl.create 64 in
-  Array.iter
-    (fun table ->
-      Hashtbl.iter
-        (fun key (sum, sum_sq, hits) ->
-          let acc_sum, acc_sq, acc_hits =
-            Option.value (Hashtbl.find_opt merged key) ~default:(0., 0., 0)
-          in
-          Hashtbl.replace merged key (acc_sum +. sum, acc_sq +. sum_sq, acc_hits + hits))
-        table)
-    (blocked_tables ?domains ~per_block (Array.length tuples));
-  Hashtbl.fold (fun key totals acc -> (key, totals) :: acc) merged []
-  |> List.sort (fun (k1, _) (k2, _) -> compare_keys k1 k2)
-
-type grouped_row = {
-  group_key : Relational.Value.t list;
-  group_estimate : Stats.Estimate.t;
-  group_interval : Stats.Confidence.interval;
-}
-
-let contribution r attribute =
-  let i = Relational.Schema.index_of (Relation.schema r) attribute in
-  fun tuple ->
-    match Tuple.get tuple i with Value.Null -> 0. | v -> Value.to_float v
-
-let run_grouped ?domains ?(metrics = Metrics.noop) rng catalog plan ~level =
-  let sum_attribute =
-    match plan.strategy with
-    | Grouped { sum_attribute } -> sum_attribute
-    | _ -> invalid_arg "Estplan.run_grouped: not a grouped plan"
-  in
-  let by, predicate, relation, leaf =
-    match plan.root with
-    | {
-     op = Group_by by;
-     children =
-       [
-         {
-           op = Select predicate;
-           children = [ ({ op = Scan { relation; _ }; _ } as leaf) ];
-           _;
-         };
-       ];
-     _;
-    } ->
-      (by, predicate, relation, leaf)
-    | _ -> invalid_arg "Estplan.run_grouped: expected group-by over select over scan"
-  in
-  let n =
-    match leaf.mode with
-    | Srswor { n; _ } -> n
-    | _ -> invalid_arg "Estplan.run_grouped: grouped plans need an SRSWOR leaf"
-  in
-  let r = Catalog.find catalog relation in
-  let schema = Relation.schema r in
-  let indices = List.map (fun a -> Relational.Schema.index_of schema a) by in
-  let big_n = Relation.cardinality r in
-  let keep = Relational.Predicate.compile schema predicate in
-  let sample =
-    Sampling.Srs.sample_without_replacement ~metrics rng ~n (Relation.tuples r)
-  in
-  Moments.observe leaf.moments (leaf.scale *. float_of_int n);
-  match sum_attribute with
-  | None ->
-    let counts =
-      Metrics.time metrics "tally" (fun () -> group_tally ?domains ~indices ~keep sample)
-    in
-    let k = List.length counts in
-    let per_group_level =
-      if k = 0 then level else 1. -. ((1. -. level) /. float_of_int k)
-    in
-    List.map
-      (fun (key, hits) ->
-        let estimate = binomial_estimate ~label:plan.label ~big_n ~n ~hits () in
-        let interval =
-          if Estimate.has_variance estimate then
-            Estimate.ci ~level:per_group_level estimate
-          else
-            { Stats.Confidence.lo = 0.; hi = float_of_int big_n; level = per_group_level }
-        in
-        { group_key = key; group_estimate = estimate; group_interval = interval })
-      counts
-  | Some attribute ->
-    let value = contribution r attribute in
-    let sums =
-      Metrics.time metrics "tally" (fun () ->
-          group_tally_sums ?domains ~indices ~keep ~value sample)
-    in
-    let k = List.length sums in
-    let per_group_level =
-      if k = 0 then level else 1. -. ((1. -. level) /. float_of_int k)
-    in
-    let big_nf = float_of_int big_n and nf = float_of_int n in
-    List.map
-      (fun (key, (sum, sum_sq, _hits)) ->
-        (* Expansion over per-tuple contributions: y for the group's
-           tuples, 0 for everything else in the sample. *)
-        let mean = sum /. nf in
-        let point = big_nf *. mean in
-        let variance =
-          if n < 2 then Float.nan
-          else begin
-            let ss = sum_sq -. (nf *. mean *. mean) in
-            big_nf *. big_nf *. (1. -. (nf /. big_nf)) *. (ss /. (nf -. 1.)) /. nf
-          end
-        in
-        let estimate =
-          Estimate.make ~variance ~label:plan.label ~status:Estimate.Unbiased
-            ~sample_size:n point
-        in
-        let interval =
-          if Estimate.has_variance estimate then
-            Stats.Confidence.normal ~level:per_group_level ~point
-              ~stderr:(Estimate.stderr estimate)
-          else
-            {
-              Stats.Confidence.lo = Float.neg_infinity;
-              hi = Float.infinity;
-              level = per_group_level;
-            }
-        in
-        { group_key = key; group_estimate = estimate; group_interval = interval })
-      sums
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -1070,20 +418,14 @@ let expected_sample_size plan =
   match plan.splan with
   | Some sp -> Sampling_plan.expected_sample_size sp
   | None ->
-    List.fold_left
-      (fun acc leaf ->
-        acc
-        +.
-        match leaf.mode with
-        | Srswor { n; _ } | Stratified_srswor { n; _ } | Resampled { n; _ } ->
-          float_of_int n
-        | Exact { population } -> float_of_int population
-        | Bernoulli { p; population } -> p *. float_of_int population
-        | Page_srswor { m; pages; population } ->
-          float_of_int population *. float_of_int m /. float_of_int pages
-        | Prefix { batch; population } -> float_of_int (min batch population)
-        | Derived -> 0.)
-      0. (leaf_nodes plan)
+    (* Leaves left to right; a sampled node has no children. *)
+    let rec go acc node =
+      match node.mode with
+      | Srswor { n; _ } -> acc +. float_of_int n
+      | Bernoulli { p; population } -> acc +. (p *. float_of_int population)
+      | Derived -> List.fold_left go acc node.children
+    in
+    go 0. plan.root
 
 let node_count plan =
   let rec go acc n = List.fold_left go (acc + 1) n.children in
@@ -1091,13 +433,7 @@ let node_count plan =
 
 let mode_sizes = function
   | Derived | Bernoulli _ -> None
-  | Exact { population } -> Some (population, population)
-  | Srswor { n; population }
-  | Stratified_srswor { n; population }
-  | Resampled { n; population; _ } ->
-    Some (population, n)
-  | Page_srswor { m; pages; _ } -> Some (pages, m)
-  | Prefix { batch; population } -> Some (population, min batch population)
+  | Srswor { n; population } -> Some (population, n)
 
 let agg_to_string = function
   | Expr.Count -> "count"
@@ -1131,21 +467,11 @@ let op_to_string = function
          (List.map
             (fun (agg, name) -> Printf.sprintf "%s as %s" (agg_to_string agg) name)
             specs))
-  | Group_by by -> Printf.sprintf "group-by[%s]" (String.concat ", " by)
 
 let mode_to_string = function
   | Derived -> "derived"
-  | Exact { population } -> Printf.sprintf "exact scan N=%d" population
   | Srswor { n; population } -> Printf.sprintf "srswor %d/%d" n population
   | Bernoulli { p; population } -> Printf.sprintf "bernoulli p=%g N=%d" p population
-  | Page_srswor { m; pages; population } ->
-    Printf.sprintf "pages %d/%d (N=%d)" m pages population
-  | Stratified_srswor { n; population } ->
-    Printf.sprintf "stratified srswor %d/%d" n population
-  | Prefix { batch; population } ->
-    Printf.sprintf "permutation prefix batch=%d N=%d" batch population
-  | Resampled { n; population; replicates } ->
-    Printf.sprintf "srswor %d/%d, %d resamples" n population replicates
 
 let node_line node =
   Printf.sprintf "%s  [%s]  scale=%.6g  %s" (op_to_string node.op)

@@ -23,20 +23,44 @@ let selection ?(metrics = Obs.Metrics.noop) rng catalog ~relation ~target ?(leve
   check_common ~target ~level;
   if batch <= 0 then invalid_arg "Sequential.selection: batch must be positive";
   Obs.Metrics.with_span metrics (Printf.sprintf "sequential %s" relation) (fun () ->
-      (* The batched permutation-prefix loop lives in the IR engine;
-         this front-end only validates, labels the span and re-shapes
-         the trajectory. *)
-      let estimate, reached_target, steps =
-        Estplan.run_sequential ~metrics rng catalog
-          (Estplan.sequential_plan catalog ~relation ~target ~level ~batch predicate)
+      let r = Catalog.find catalog relation in
+      let big_n = Relation.cardinality r in
+      let keep = Relational.Predicate.compile (Relation.schema r) predicate in
+      (* A uniformly random permutation makes every prefix an SRSWOR. *)
+      let order = Array.init big_n (fun i -> i) in
+      let draws_before = Sampling.Rng.draws rng in
+      Sampling.Rng.shuffle_in_place rng order;
+      Obs.Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
+      let z = Stats.Confidence.z_value ~level in
+      let trajectory = ref [] in
+      (* [batches] counts completed batches; the trajectory list stays
+         write-only inside the loop, so growth is O(batches), not
+         O(batches²) as a [List.length] stopping test would make it. *)
+      let rec grow n hits batches =
+        let stop = min (n + batch) big_n in
+        let hits = ref hits in
+        for k = n to stop - 1 do
+          if keep (Relation.tuple r order.(k)) then incr hits
+        done;
+        Obs.Metrics.add_tuples metrics (stop - n);
+        let n = stop in
+        let estimate = Estplan.binomial_estimate ~big_n ~n ~hits:!hits () in
+        let half_width =
+          if Estimate.has_variance estimate then z *. Estimate.stderr estimate
+          else Float.infinity
+        in
+        trajectory := { n; point = estimate.Estimate.point; half_width } :: !trajectory;
+        let precise =
+          estimate.Estimate.point > 0. && half_width /. estimate.Estimate.point <= target
+        in
+        (* Demand at least two batches so a lucky first batch cannot stop
+           on a degenerate variance estimate. *)
+        if (precise && batches >= 2) || n >= big_n then
+          (estimate, precise || (n >= big_n && half_width = 0.))
+        else grow n !hits (batches + 1)
       in
-      let trajectory =
-        List.map
-          (fun (s : Estplan.sequential_step) ->
-            { n = s.step_n; point = s.step_point; half_width = s.step_half_width })
-          steps
-      in
-      { estimate; reached_target; trajectory })
+      let estimate, reached_target = grow 0 0 1 in
+      { estimate; reached_target; trajectory = List.rev !trajectory })
 
 let two_phase ?domains ?(metrics = Obs.Metrics.noop) rng catalog ~target ?(level = 0.95)
     ?(pilot_fraction = 0.01) ?(groups = 5) expr =

@@ -9,9 +9,8 @@
     Expr → {!Raestat.Estplan} compilation is skipped for repeated query
     shapes (the daemon's prepared-plan cache); without one, every call
     compiles fresh (the one-shot CLI).  Results are identical either
-    way — a cached plan re-run draws from the same RNG stream and the
-    only state a run mutates in the plan is the inspection-only moment
-    accumulators. *)
+    way — a cached plan re-run draws from the same RNG stream, and a
+    run writes nothing into the (immutable) plan. *)
 
 (** {1 Input parsing and loading} *)
 
@@ -168,10 +167,9 @@ val sql :
 
 (** {1 Explain}
 
-    Fresh compiles (never cached): explain output includes the plan's
-    moment accumulators, which on a served cached plan would reflect
-    prior runs — a fresh compile keeps daemon explain byte-identical to
-    the one-shot CLI. *)
+    Fresh compiles (never cached), so daemon explain prints what the
+    one-shot CLI compiles from the current catalog, byte for byte, and
+    leaves the cache's hit and miss counters alone. *)
 
 val explain_selection :
   Relational.Catalog.t ->

@@ -9,10 +9,10 @@
     two textual spellings of the same expression normalize to the same
     key because {!Relational.Parser.print_expr} is canonical.
 
-    Re-running a cached {!Raestat.Estplan.t} is sound: the engine
-    derives results from the request's RNG stream, and the only plan
-    state mutated by a run is the per-node {!Raestat.Estplan.Moments}
-    accumulators, which feed inspection, not results.
+    Re-running a cached {!Raestat.Estplan.t} is sound: a plan is
+    immutable, and the engine derives results from the request's RNG
+    stream in run-local state, so any number of worker domains may run
+    one cached plan at once.
 
     {2 Concurrency}
 

@@ -55,6 +55,28 @@ let test_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* The selection count reports its errors under the public entry
+   points that check them. *)
+let test_selection_count_errors () =
+  let r =
+    Workload.Generator.int_relation (rng ()) ~n:100 ~attribute:"a"
+      (Workload.Dist.Uniform { lo = 0; hi = 9 })
+  in
+  let c = Catalog.of_list [ ("r", r) ] in
+  let pred = P.lt (P.attr "a") (P.vint 3) in
+  let count ?replicates ?level n () =
+    ignore (Bootstrap.selection_count (rng ()) c ~relation:"r" ~n ?replicates ?level pred)
+  in
+  Alcotest.check_raises "zero replicates"
+    (Invalid_argument "Bootstrap.run: replicates must be positive")
+    (count ~replicates:0 10);
+  Alcotest.check_raises "sample size"
+    (Invalid_argument "Bootstrap.selection_count: sample size out of range")
+    (count 101);
+  Alcotest.check_raises "level"
+    (Invalid_argument "Bootstrap.percentile_interval: level outside (0, 1)")
+    (count ~level:1. 10)
+
 let test_selection_count_estimate () =
   let rng_ = rng ~seed:173 () in
   let r =
@@ -103,6 +125,7 @@ let suite =
       test_bootstrap_variance_close_to_theory;
     Alcotest.test_case "intervals" `Quick test_intervals;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "selection count errors" `Quick test_selection_count_errors;
     Alcotest.test_case "selection count estimate" `Quick test_selection_count_estimate;
     Alcotest.test_case "selection count coverage (MC)" `Slow test_selection_count_coverage;
   ]

@@ -143,26 +143,6 @@ let test_status_propagation () =
   let set = EP.set_plan c ~op:EP.Inter_size ~left:"r" ~right:"r" ~fraction:0.2 in
   Alcotest.(check bool) "set-op root override" true (set.EP.root.EP.status = EP.Unbiased)
 
-let test_moments_observed () =
-  let c = catalog () in
-  let plan =
-    EP.compile ~groups:4 c ~fraction:0.1
-      (Expr.select (P.le (P.attr "a") (P.vint 3)) (Expr.base "r"))
-  in
-  let est = EP.run (rng ()) c plan in
-  Alcotest.(check int) "one observation per replicate" 4
-    (EP.Moments.count plan.EP.root.EP.moments);
-  check_float ~eps:1e-6 "root mean is the reported point" est.Estimate.point
-    (EP.Moments.mean plan.EP.root.EP.moments);
-  check_float ~eps:1e-6 "root variance backs the reported s^2/g"
-    (est.Estimate.variance *. 4.)
-    (EP.Moments.variance plan.EP.root.EP.moments);
-  (* Leaf moments estimate the population from each replicate's draw. *)
-  let leaf = List.hd plan.EP.root.EP.children in
-  Alcotest.(check int) "leaf observed per replicate" 4 (EP.Moments.count leaf.EP.moments);
-  check_float ~eps:1e-6 "leaf mean estimates the population" 800.
-    (EP.Moments.mean leaf.EP.moments)
-
 let test_engine_matches_front_end () =
   let c = catalog () in
   let e = Expr.equijoin [ ("a", "b") ] (Expr.base "r") (Expr.base "s") in
@@ -178,6 +158,5 @@ let suite =
     test_rewrite_invariance_random;
     Alcotest.test_case "selection plan shape" `Quick test_selection_plan_shape;
     Alcotest.test_case "status propagation" `Quick test_status_propagation;
-    Alcotest.test_case "moments observed per replicate" `Quick test_moments_observed;
     Alcotest.test_case "engine matches front-end" `Quick test_engine_matches_front_end;
   ]

@@ -7,10 +7,14 @@
 
    The table was captured from the pre-Estplan implementation (PR 3
    tree) and pins the compile-to-IR refactor to bit-identical
-   behaviour.  To regenerate after an *intentional* contract change:
+   behaviour.  A second table, [extras], pins what the lines above do
+   not show: the labels, trajectories, strata and per-group intervals
+   of the estimators that run outside the plan IR.  To regenerate after
+   an *intentional* contract change:
 
      RAESTAT_GOLDEN_OUT=/tmp/golden dune exec test/test_main.exe -- test golden
-     # then paste /tmp/golden over the [expected] list below.  *)
+     # then paste /tmp/golden over the [expected] list below, and
+     # /tmp/golden.extras over the [expected_extras] list.  *)
 
 module Estimate = Stats.Estimate
 module Metrics = Obs.Metrics
@@ -232,11 +236,112 @@ let expected =
     "group-sum/dom2 | 0:point=0x1.bb55555555556p+10 var=0x1.292174895ed8bp+17 n=300 status=unbiased ci=[0x1.f86f61d4e2896p+9,0x1.3d397ce01cb3p+11] ; 1:point=0x1.d6p+10 var=0x1.88f236cbc5c77p+18 n=300 status=unbiased ci=[0x1.3e5dda7ee288cp+9,0x1.86688960475ddp+11] ; 2:point=0x1.c555555555555p+9 var=0x1.a9c11e28254acp+16 n=300 status=unbiased ci=[0x1.039a3bc10324ap+8,0x1.846ec665148c2p+10] ; 3:point=0x1.ed55555555556p+10 var=0x1.0e7382ce6faf5p+19 n=300 status=unbiased ci=[0x1.0154cf9ce31fep+9,0x1.ad00216e1c8d6p+11] | tuples=300 pages=0 bytes=0 batches=0 cache=0 idx=300 hit=0 miss=0 draws=300";
   ]
 
-let test_golden () =
-  let actual = scenarios () in
+(* --- extras -------------------------------------------------------------
+
+   The same seeds and catalogs as [scenarios], rendering the parts of
+   each result that the table above leaves out. *)
+
+let fmt_interval (ci : Stats.Confidence.interval) =
+  Printf.sprintf "[%s,%s]@%s" (fmt_float ci.Stats.Confidence.lo)
+    (fmt_float ci.Stats.Confidence.hi) (fmt_float ci.Stats.Confidence.level)
+
+let fmt_groups (r : Raestat.Group_count.result) =
+  Printf.sprintf "label=%s level=%s n=%d groups=%s"
+    (match r.Raestat.Group_count.groups with
+    | g :: _ -> g.Raestat.Group_count.estimate.Estimate.label
+    | [] -> "-")
+    (fmt_float r.Raestat.Group_count.level) r.Raestat.Group_count.sample_size
+    (String.concat " ; "
+       (List.map
+          (fun g ->
+            Printf.sprintf "%s:%s"
+              (String.concat "," (List.map Relational.Value.to_string g.Raestat.Group_count.key))
+              (fmt_interval g.Raestat.Group_count.interval))
+          r.Raestat.Group_count.groups))
+
+let extras () =
+  [
+    scenario "cluster/m12" (fun rng m ->
+        let catalog = fixed_catalog () in
+        let paged =
+          Relational.Paged.make ~page_capacity:100
+            (Relational.Catalog.find catalog "orders")
+        in
+        let r = Raestat.Cluster_estimator.count ~metrics:m rng ~m:12 paged orders_filter in
+        Printf.sprintf "label=%s" r.Raestat.Cluster_estimator.estimate.Estimate.label);
+    scenario "sequential/selection" (fun rng m ->
+        let catalog = fixed_catalog () in
+        let r =
+          Raestat.Sequential.selection ~metrics:m rng catalog ~relation:"orders"
+            ~target:0.2 ~batch:200 orders_filter
+        in
+        Printf.sprintf "label=%s trajectory=%s"
+          r.Raestat.Sequential.estimate.Estimate.label
+          (String.concat " ; "
+             (List.map
+                (fun (p : Raestat.Sequential.trajectory_point) ->
+                  Printf.sprintf "n=%d point=%s hw=%s" p.Raestat.Sequential.n
+                    (fmt_float p.Raestat.Sequential.point)
+                    (fmt_float p.Raestat.Sequential.half_width))
+                r.Raestat.Sequential.trajectory)));
+    scenario "stratified/count" (fun rng _ ->
+        let catalog = fixed_catalog () in
+        let r =
+          Raestat.Stratified_estimator.count_by_attribute rng catalog ~relation:"suppliers"
+            ~attribute:"s_region" ~n:40 (P.ge (P.attr "s_balance") (P.vint 5000))
+        in
+        Printf.sprintf "label=%s strata=%s"
+          r.Raestat.Stratified_estimator.estimate.Estimate.label
+          (String.concat " ; "
+             (List.map
+                (fun (key, population, allocated) ->
+                  Printf.sprintf "%s:%d:%d" key population allocated)
+                r.Raestat.Stratified_estimator.strata)));
+    scenario "bootstrap/selection/dom2" (fun rng m ->
+        let catalog = fixed_catalog () in
+        let e, ci =
+          Raestat.Bootstrap.selection_count ~domains:2 ~metrics:m rng catalog
+            ~relation:"orders" ~n:400 ~replicates:64 ~level:0.9 orders_filter
+        in
+        Printf.sprintf "label=%s boot-ci=%s" e.Estimate.label (fmt_interval ci));
+    scenario "equijoin-indexed" (fun rng m ->
+        let catalog = fixed_catalog () in
+        let e =
+          Raestat.Count_estimator.equijoin_indexed ~metrics:m rng catalog ~left:"orders"
+            ~right:"parts" ~on:("o_part", "p_key") ~n:600
+        in
+        Printf.sprintf "label=%s" e.Estimate.label);
+    scenario "group-count/dom2" (fun rng m ->
+        let catalog = fixed_catalog () in
+        fmt_groups
+          (Raestat.Group_count.estimate ~domains:2 ~metrics:m rng catalog
+             ~relation:"suppliers" ~by:[ "s_region" ] ~n:50 ()));
+    scenario "group-sum/dom2" (fun rng m ->
+        let catalog = fixed_catalog () in
+        fmt_groups
+          (Raestat.Group_count.estimate_sum ~domains:2 ~metrics:m rng catalog
+             ~relation:"orders" ~by:[ "o_part" ] ~attribute:"o_quantity" ~n:300
+             ~where:(P.le (P.attr "o_part") (P.vint 3)) ()));
+  ]
+
+let expected_extras =
+  [
+    "cluster/m12 | label=cluster | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=12 hit=0 miss=0 draws=12";
+    "sequential/selection | label=selection trajectory=n=200 point=0x1.36p+11 hw=0x1.06ec9efe8ffbcp+8 ; n=400 point=0x1.1a8p+11 hw=0x1.712ecce257dadp+7 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=3999";
+    "stratified/count | label=stratified selection strata=4:17:8 ; 0:16:8 ; 3:17:9 ; 2:12:6 ; 1:18:9 | tuples=0 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=0";
+    "bootstrap/selection/dom2 | label=selection (bootstrap) boot-ci=[0x1.f52p+10,0x1.2b7p+11]@0x1.ccccccccccccdp-1 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=26000 hit=0 miss=0 draws=26064";
+    "equijoin-indexed | label=equijoin (indexed) | tuples=600 pages=0 bytes=0 batches=0 cache=0 idx=600 hit=600 miss=0 draws=600";
+    "group-count/dom2 | label=group-count level=0x1.e666666666666p-1 n=50 groups=0:[0x1.9c91196b4dca1p+3,0x1.cb510ce3f2b4ap+4]@0x1.fae147ae147aep-1 ; 1:[0x1.9c91196b4dca1p+3,0x1.cb510ce3f2b4ap+4]@0x1.fae147ae147aep-1 ; 2:[0x1.4bc2bf782cabap+1,0x1.ad0f5021f4d52p+3]@0x1.fae147ae147aep-1 ; 3:[0x1.3c784caf20b51p+2,0x1.1748533a9e393p+4]@0x1.fae147ae147aep-1 ; 4:[0x1.7007bdc8bb003p+3,0x1.ae62878208e64p+4]@0x1.fae147ae147aep-1 | tuples=50 pages=0 bytes=0 batches=0 cache=0 idx=50 hit=0 miss=0 draws=50";
+    "group-sum/dom2 | label=group-sum level=0x1.e666666666666p-1 n=300 groups=0:[0x1.8f907ffb581e3p+9,0x1.577135567f4ddp+11]@0x1.f99999999999ap-1 ; 1:[0x1.27a01c1c2f6acp+8,0x1.b10bfc7c7a12ap+11]@0x1.f99999999999ap-1 ; 2:[0x1.4848fb932046p+6,0x1.b0d0c59c2350fp+10]@0x1.f99999999999ap-1 ; 3:[0x1.c9d29889213ep+6,0x1.df06c0910c4b7p+11]@0x1.f99999999999ap-1 | tuples=300 pages=0 bytes=0 batches=0 cache=0 idx=300 hit=0 miss=0 draws=300";
+  ]
+
+(* Compare a rendered table with its pinned lines; with
+   RAESTAT_GOLDEN_OUT set, also write the lines to that path plus
+   [suffix], ready to paste. *)
+let check_table ~suffix expected actual =
   (match Sys.getenv_opt "RAESTAT_GOLDEN_OUT" with
   | Some path ->
-    let oc = open_out path in
+    let oc = open_out (path ^ suffix) in
     List.iter (fun line -> output_string oc ("    \"" ^ String.escaped line ^ "\";\n")) actual;
     close_out oc
   | None -> ());
@@ -245,4 +350,12 @@ let test_golden () =
     (fun want got -> Alcotest.(check string) "golden line" want got)
     expected actual
 
-let suite = [ Alcotest.test_case "golden-seed snapshots" `Quick test_golden ]
+let test_golden () = check_table ~suffix:"" expected (scenarios ())
+
+let test_golden_extras () = check_table ~suffix:".extras" expected_extras (extras ())
+
+let suite =
+  [
+    Alcotest.test_case "golden-seed snapshots" `Quick test_golden;
+    Alcotest.test_case "golden extras" `Quick test_golden_extras;
+  ]

@@ -350,8 +350,8 @@ let test_server_explain () =
     (String.length text > 0 && text.[String.length text - 1] = '\n');
   Alcotest.(check bool) "json explain parses" true
     (match Json.parse (String.trim text) with Ok _ -> true | Error _ -> false);
-  (* explain never populates the plan cache: it must compile fresh so
-     its moment accumulators match the one-shot CLI's *)
+  (* explain never populates the plan cache: it compiles fresh, as the
+     one-shot CLI does *)
   Alcotest.(check int) "explain bypasses cache" 0 (Plan_cache.size (Server.plans state))
 
 let test_server_metrics_and_reload () =
