@@ -913,10 +913,10 @@ let a6 () =
     [ (0.05, 0.2); (0.05, 0.1); (0.2, 0.1); (0.5, 0.05) ];
   Report.note "Bonferroni joint coverage ≥ nominal; planner sizes achieve the target at ≥ the confidence level"
 
-(* A7: the streaming engine on wide products, and the join algorithms
-   it offers. *)
+(* A7: the row-id engine on wide products and duplicate elimination,
+   and its hash join beside index probes. *)
 let a7 () =
-  Report.heading "A7" "ablation: streaming Physical engine and join algorithms";
+  Report.heading "A7" "ablation: the row-id Physical engine and index probes";
   let rng = rng_for "a7" in
   let widths = [ 34; 12; 14 ] in
   Report.columns widths [ "query"; "count"; "stream (ms)" ];
@@ -941,23 +941,6 @@ let a7 () =
       let count, seconds = time_once (fun () -> Physical.count_expr catalog e) in
       Report.row widths [ name; string_of_int count; Printf.sprintf "%.1f" (1000. *. seconds) ])
     cases;
-  Report.note "the streaming engine never materializes wide intermediates (σ over ×)";
-  (* Join algorithm shoot-out on the same 30k ⋈ 30k input. *)
-  print_newline ();
-  let widths = [ 26; 12; 14 ] in
-  Report.columns widths [ "join algorithm"; "count"; "time (ms)" ];
-  let join_schema =
-    Expr.schema_of catalog (Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "r"))
-  in
-  let time_join name maker =
-    let left = Relational.Physical.of_expr catalog (Expr.base "l") in
-    let right = Relational.Physical.of_expr catalog (Expr.base "r") in
-    let cursor = maker join_schema ~left_key:[| 0 |] ~right_key:[| 0 |] left right in
-    let count, seconds = time_once (fun () -> Relational.Physical.count cursor) in
-    Report.row widths [ name; string_of_int count; Printf.sprintf "%.1f" (1000. *. seconds) ]
-  in
-  time_join "hash join" (Relational.Physical.hash_join ?metrics:None);
-  time_join "sort-merge join" Relational.Physical.merge_join;
   let _, index_seconds =
     time_once (fun () ->
         let index =
@@ -966,7 +949,8 @@ let a7 () =
         Relational.Relation.cardinality
           (Relational.Index.probe_join index (Catalog.find catalog "l") ~key:[ "a" ]))
   in
-  Report.row widths [ "index probe (build+probe)"; "-"; Printf.sprintf "%.1f" (1000. *. index_seconds) ]
+  Report.row widths [ "index probe (build+probe)"; "-"; Printf.sprintf "%.1f" (1000. *. index_seconds) ];
+  Report.note "the engine never materializes wide intermediates (σ over ×)"
 
 (* A8: PPS + Horvitz–Thompson vs SRS for SUM over skewed amounts, and
    order-statistic quantile CIs. *)

@@ -23,10 +23,11 @@ module P = Relational.Predicate
 module Expr = Relational.Expr
 module Estimate = Stats.Estimate
 
-(* --- tiny predicate parser ------------------------------------------- *)
+(* --- filters ------------------------------------------------------------ *)
 
-(* The parser itself lives in Serve.Engine so the serve daemon accepts
-   exactly the filter language this CLI does. *)
+(* Filters go through Serve.Engine, so the serve daemon accepts exactly
+   the filter language this CLI does: the predicate grammar of
+   select[…]. *)
 
 let predicate_conv =
   let parse s = Serve.Engine.parse_predicate s in
@@ -48,7 +49,7 @@ let where_arg =
   Arg.(
     required
     & opt (some predicate_conv) None
-    & info [ "where"; "w" ] ~docv:"FILTER" ~doc:"Filter, e.g. \"age <= 40\".")
+    & info [ "where"; "w" ] ~docv:"FILTER" ~doc:"Filter in the predicate grammar of select[…], e.g. \"age <= 40 and name = 'alice'\".")
 
 let fraction_arg =
   Arg.(

@@ -4,8 +4,10 @@
      ("a0"/"b0" for r0, "a1"/"b1" for r1, ...) so products and joins
      concatenate without name clashes and predicates above them stay
      unambiguous; the expression is a random tree of selections, bag
-     projections, [Distinct], products and equi-joins in which each
-     relation appears once — plus an occasional self-join, whose
+     projections, [Distinct], products, θ-joins (an attribute [<=] an
+     attribute across the two sides) and equi-joins on one or two
+     attribute pairs in which each relation appears once — plus an
+     occasional self-join, whose
      clashing schemas {!Relational.Schema.concat} qualifies and which
      therefore carries no predicate above it;
    - set cases: one duplicate-free {!Workload.Generator.set_pair}
@@ -138,12 +140,20 @@ let rec gen_tree rng specs =
     let right = List.filteri (fun i _ -> i >= k) specs in
     let le, lattrs = gen_tree rng left in
     let re, rattrs = gen_tree rng right in
+    let pair () =
+      ( List.nth lattrs (Rng.int rng (List.length lattrs)),
+        List.nth rattrs (Rng.int rng (List.length rattrs)) )
+    in
     let e =
-      if Rng.int rng 3 = 0 then Expr.Product (le, re)
-      else
-        let la = List.nth lattrs (Rng.int rng (List.length lattrs)) in
-        let ra = List.nth rattrs (Rng.int rng (List.length rattrs)) in
-        Expr.Equijoin ([ (la, ra) ], le, re)
+      match Rng.int rng 6 with
+      | 0 | 1 -> Expr.Product (le, re)
+      | 2 ->
+        let la, ra = pair () in
+        Expr.Theta_join (P.le (P.attr la) (P.attr ra), le, re)
+      | 3 ->
+        let first = pair () in
+        Expr.Equijoin ([ first; pair () ], le, re)
+      | _ -> Expr.Equijoin ([ pair () ], le, re)
     in
     let attrs = lattrs @ rattrs in
     if Rng.int rng 3 = 0 then (Expr.Select (gen_predicate rng attrs 1, e), attrs)

@@ -13,7 +13,8 @@ type spec = {
 }
 
 (** How the case's relations are built: [Bag] relations feed the
-    scale-up family (selection / projection / product / join shapes);
+    scale-up family (selection / projection / product / θ-join /
+    equi-join shapes);
     [Set_pair] builds the duplicate-free operands the set-operator
     estimators require (via {!Workload.Generator.set_pair}, attribute
     ["k"], relations ["s0"]/["s1"]). *)

@@ -65,7 +65,7 @@ let avg_selection rng catalog ~relation ~attribute ~n predicate =
   end
 
 let result_sum catalog ~attribute expr =
-  let result = Relational.Physical.(run (of_expr catalog expr)) in
+  let result = Relational.Physical.eval catalog expr in
   if Relation.is_empty result then 0.
   else begin
     let value_of = contribution_fn result attribute in
@@ -101,7 +101,7 @@ let sum_expr ?(groups = 1) rng catalog ~fraction ~attribute expr =
 let exact_sum catalog ~attribute expr = result_sum catalog ~attribute expr
 
 let exact_avg catalog ~attribute expr =
-  let result = Relational.Physical.(run (of_expr catalog expr)) in
+  let result = Relational.Physical.eval catalog expr in
   let schema = Relation.schema result in
   let i = Relational.Schema.index_of schema attribute in
   let summary =

@@ -239,8 +239,8 @@ let run_once ~metrics rng catalog splan =
     Metrics.time metrics "draw" (fun () ->
         Sampling_plan.draw ~metrics rng catalog splan)
   in
-  (* The streaming engine avoids materializing intermediates — cheaper
-     on product-heavy sample evaluations, identical counts. *)
+  (* The row-id engine builds no intermediate tuple — cheaper on
+     product-heavy sample evaluations, identical counts. *)
   let count =
     Metrics.time metrics "eval" (fun () ->
         Relational.Physical.count_expr ~metrics sampled

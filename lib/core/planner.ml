@@ -267,33 +267,12 @@ let chain_count catalog (preds, name) =
   | None -> Relation.cardinality relation
   | Some p -> Relation.count_pred p relation
 
-let filtered catalog (preds, name) =
-  List.fold_left (fun r p -> Relation.filter_pred p r) (Catalog.find catalog name) preds
-
-(* Joint histogram of a relation on a list of attributes. *)
-let histogram relation attrs =
-  let columns = List.map (Relation.column relation) attrs in
-  let table = Hashtbl.create 256 in
-  for i = 0 to Relation.cardinality relation - 1 do
-    let key = List.map (fun column -> column.(i)) columns in
-    Hashtbl.replace table key (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
-  done;
-  table
-
 (* A key of multiplicity m on the left and n on the right adds m·n to
    J, m·n² to SS_left and n·m² to SS_right: a left tuple with that key
    appears in n result tuples. *)
 let add_key (j, ss_l, ss_r) m n =
   let m = float_of_int m and n = float_of_int n in
   (j +. (m *. n), ss_l +. (m *. n *. n), ss_r +. (n *. m *. m))
-
-let histogram_moments catalog pairs cl cr =
-  let hl = histogram (filtered catalog cl) (List.map fst pairs)
-  and hr = histogram (filtered catalog cr) (List.map snd pairs) in
-  Hashtbl.fold
-    (fun key m acc ->
-      match Hashtbl.find_opt hr key with Some n -> add_key acc m n | None -> acc)
-    hl (0., 0., 0.)
 
 (* The key code of row [p] of a side: every row of the base when
    [rows] is [None], else the rows in [rows]. *)
@@ -334,26 +313,41 @@ let code_moments (codes_l, rows_l) (codes_r, rows_r) =
   !sums
 
 (* J = Σ_v m_v·n_v and SS_left, SS_right of an equijoin of two
-   selection chains.  A single attribute pair whose key columns admit
-   int codes ({!Kernel.join_codes}) is counted from each side's passing
-   rows, found by the scan kernels over its base's view; other key
-   shapes (float, generic or nullable int keys, several pairs) keep the
-   histogram of the filtered relations — the line [Physical.count_expr]
-   draws with [Decline]. *)
+   selection chains, counted from each side's passing rows, found by the
+   scan kernels over its base's view.  The keys are coded as
+   [Physical.count_expr] codes them: a single attribute pair whose key
+   columns admit int codes ({!Kernel.join_codes}) reads them, and every
+   other key shape numbers the right side's key tuples in a
+   {!Kernel.Key_dict}, which gives a left key the right side lacks the
+   code [-1]. *)
 let join_moments catalog expr =
   match strip_projects expr with
   | Expr.Equijoin (pairs, l, r) when pairs <> [] -> (
-    match (chain (strip_projects l), chain (strip_projects r), pairs) with
-    | Some ((pl, nl) as cl), Some ((pr, nr) as cr), [ (a, b) ] -> (
-      let view name = Relation.columnar (Catalog.find catalog name) in
-      let vl = view nl and vr = view nr in
+    match (chain (strip_projects l), chain (strip_projects r)) with
+    | Some (pl, nl), Some (pr, nr) ->
+      let rl = Catalog.find catalog nl and rr = Catalog.find catalog nr in
+      let vl = Relation.columnar rl and vr = Relation.columnar rr in
       let index v attr = Schema.index_of (Relational.Column.schema v) attr in
-      match Kernel.join_codes vl (index vl a) vr (index vr b) with
-      | Some (kl, kr) ->
-        let rows v preds = Option.map (Kernel.filter_indices v) (conjunction preds) in
-        Some (code_moments (kl, rows vl pl) (kr, rows vr pr))
-      | None -> Some (histogram_moments catalog pairs cl cr))
-    | Some cl, Some cr, _ -> Some (histogram_moments catalog pairs cl cr)
+      let rows v preds = Option.map (Kernel.filter_indices v) (conjunction preds) in
+      let codes =
+        match pairs with
+        | [ (a, b) ] -> Kernel.join_codes vl (index vl a) vr (index vr b)
+        | _ -> None
+      in
+      (match codes with
+      | Some (kl, kr) -> Some (code_moments (kl, rows vl pl) (kr, rows vr pr))
+      | None ->
+        let dict = Kernel.Key_dict.create () in
+        let key_codes relation attrs rows coder =
+          let key = Array.of_list (List.map (Schema.index_of (Relation.schema relation)) attrs) in
+          let code i = coder dict (Relational.Tuple.project (Relation.tuple relation i) key) in
+          match rows with
+          | None -> Array.init (Relation.cardinality relation) code
+          | Some ids -> Array.map code ids
+        in
+        let kr = key_codes rr (List.map snd pairs) (rows vr pr) Kernel.Key_dict.code in
+        let kl = key_codes rl (List.map fst pairs) (rows vl pl) Kernel.Key_dict.find in
+        Some (code_moments (kl, None) (kr, None)))
     | _ -> None)
   | _ -> None
 

@@ -59,7 +59,7 @@ val exact_cost : Relational.Catalog.t -> plan -> float
     {v Var = J·(Π 1/q_i − 1) + Σ_i (SS_i − J)·(1/q_i − 1) v}
 
     (exact for selection chains and two-leaf equijoins/products of
-    them, computed by one filtered histogram pass per side; bounded by
+    them, computed from one pass over each side's passing rows; bounded by
     the {!Baselines.Pessimistic} cardinality cap with the
     uniform-contribution approximation [SS_i = J²/N_i] otherwise) and
     a tuples-touched cost, then picks the minimum
@@ -146,17 +146,18 @@ val choose_sampling :
     right tuples passing their selections with join key [v].  [None] for
     every other shape.
 
-    A single attribute pair whose key columns admit int codes
-    ({!Relational.Kernel.join_codes}: null-free ints or dictionaries,
-    Null matching Null) is counted without a boxed key: each side's
-    passing rows come from the scan kernels over its base's view, and
-    the per-key counts live in a {!Relational.Kernel.Int_table} built on
-    the side with fewer passing rows, the other side counted into its
-    slots.  Float, generic or nullable int keys and multi-attribute
-    joins keep a histogram of [Value.t list] keys over the filtered
-    relations.  Only the order in which the per-key terms are added
-    differs between the two, so the sums agree exactly while they stay
-    below 2^53.
+    Each side's passing rows come from the scan kernels over its base's
+    view, and the keys are coded as {!Relational.Physical.count_expr}
+    codes them: a single attribute pair whose key columns admit int
+    codes ({!Relational.Kernel.join_codes}: null-free ints or
+    dictionaries, Null matching Null) reads them without a boxed key,
+    and every other key shape (float, bool, generic or nullable int
+    columns, mixed types, several pairs) numbers the right side's key
+    tuples in a {!Relational.Kernel.Key_dict}, under [Tuple.equal], so
+    [Int 1] matches [Float 1.0] as in {!Relational.Eval}.  The per-key
+    counts live in a {!Relational.Kernel.Int_table} built on the side
+    with fewer passing rows, the other side counted into its slots.
+    The sums are exact while they stay below 2^53.
     @raise Not_found on an attribute the schemas lack (callers check
     with {!Relational.Expr.schema_of} first). *)
 val join_moments :

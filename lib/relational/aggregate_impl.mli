@@ -1,5 +1,6 @@
-(** Shared hash-aggregation kernel used by both evaluation engines
-    ({!Eval} materializing, {!Physical} streaming). *)
+(** The hash-aggregation kernel shared by the reference evaluator
+    ({!Eval}) and the production engine ({!Physical}), so both group and
+    sum in the same order. *)
 
 (** [run ~input_schema ~by ~specs tuples] groups the tuple sequence and
     returns one output tuple per group (group-by values first, then the

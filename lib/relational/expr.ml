@@ -26,7 +26,6 @@ let project_distinct names e = Distinct (Project (names, e))
 let distinct e = Distinct e
 let product l r = Product (l, r)
 let equijoin pairs l r = Equijoin (pairs, l, r)
-let natural_join_on name l r = Equijoin ([ (name, name) ], l, r)
 let theta_join p l r = Theta_join (p, l, r)
 let union l r = Union (l, r)
 let inter l r = Inter (l, r)

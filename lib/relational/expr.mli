@@ -52,7 +52,6 @@ val project_distinct : string list -> t -> t
 val distinct : t -> t
 val product : t -> t -> t
 val equijoin : (string * string) list -> t -> t -> t
-val natural_join_on : string -> t -> t -> t
 val theta_join : Predicate.t -> t -> t -> t
 val union : t -> t -> t
 val inter : t -> t -> t

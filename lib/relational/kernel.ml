@@ -388,11 +388,34 @@ end
 
 (* --- equijoin key codes ---------------------------------------------- *)
 
+module Key_dict = struct
+  module H = Hashtbl.Make (struct
+    type t = Tuple.t
+
+    let equal = Tuple.equal
+    let hash = Tuple.hash
+  end)
+
+  type t = int H.t
+
+  let create () = H.create 16
+
+  let code t key =
+    match H.find_opt t key with
+    | Some c -> c
+    | None ->
+      let c = H.length t in
+      H.add t key c;
+      c
+
+  let find t key = match H.find_opt t key with Some c -> c | None -> -1
+end
+
 let join_codes l jl r jr =
   match Column.col l jl, Column.col r jr with
   | Column.Ints { data = dl; nulls = None }, Column.Ints { data = dr; nulls = None } ->
     (* Raw ints are their own codes.  A null on either side has no int
-       sentinel available, so those relations take the row path. *)
+       sentinel available, so those keys take the dictionary. *)
     Some (dl, dr)
   | ( Column.Dict { codes = lcodes; dict = ldict; _ },
       Column.Dict { codes = rcodes; lookup = rlookup; _ } ) ->

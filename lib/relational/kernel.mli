@@ -55,7 +55,7 @@ val count_indices : Column.t -> Predicate.t -> int array -> int
 val filter_indices : Column.t -> Predicate.t -> int array
 
 (** Open-addressing table from int keys to positive ints: the key →
-    group and key → multiplicity tables of the code-space joins
+    group and key → multiplicity tables of the joins
     ({!Physical.count_expr}) and the planner's join statistics.  A slot
     [s] is empty while [vals.(s) = 0]; the caller stores [keys.(s)] and
     a positive [vals.(s)] itself. *)
@@ -79,5 +79,27 @@ end
     [Value.equal] of the key values: null-free int columns (raw values)
     and dictionary pairs (left codes remapped into the right dictionary;
     [-1] = Null on both sides, [-2] = absent from the right).  [None]
-    means the caller must take the row path. *)
+    for every other pair of columns: the join codes its keys through a
+    {!Key_dict} instead. *)
 val join_codes : Column.t -> int -> Column.t -> int -> (int array * int array) option
+
+(** Dense int codes for join key tuples that {!join_codes} cannot code:
+    float, bool and generic columns, nullable ints, mixed types, several
+    attribute pairs, or a key read from several relations.  Keys are
+    equal under [Tuple.equal] and [Tuple.hash], as in {!Eval}: Null
+    matches Null, and [Int 1] matches [Float 1.0].  The build side
+    numbers its keys with {!Key_dict.code}; the probe side looks them up
+    with {!Key_dict.find}. *)
+module Key_dict : sig
+  type t
+
+  val create : unit -> t
+
+  (** The key's code, numbering a key not seen before with the next
+      code: [0], [1], … in order of first sight. *)
+  val code : t -> Tuple.t -> int
+
+  (** The key's code, or [-1] (a code {!code} never gives) when it is
+      absent. *)
+  val find : t -> Tuple.t -> int
+end

@@ -172,11 +172,6 @@ let sample_without_replacement ?metrics rng ~n array =
      count, so there is exactly one pass and one result allocation. *)
   Array.map (fun i -> Array.unsafe_get array i) indices
 
-let sample_with_replacement ?metrics rng ~n array =
-  let indices = indices_with_replacement ?metrics rng ~n ~universe:(Array.length array) in
-  Option.iter (fun m -> Obs.Metrics.add_tuples m n) metrics;
-  Array.map (fun i -> Array.unsafe_get array i) indices
-
 (* The relation samplers return [Relation.sample base ids]: the drawn
    rows in draw order, sharing the base's tuples and, when the base has
    a columnar view, gathering their columns from it. *)

@@ -33,13 +33,9 @@ val indices_without_replacement :
 val indices_with_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> universe:int -> int array
 
-(** The gather variants additionally record the sampled tuples as
-    tuples scanned. *)
-
+(** The gather variant: the elements at {!indices_without_replacement},
+    additionally recording them as tuples scanned. *)
 val sample_without_replacement :
-  ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> 'a array -> 'a array
-
-val sample_with_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> 'a array -> 'a array
 
 (** SRSWOR of a relation at an explicit size: {!Relational.Relation.sample}

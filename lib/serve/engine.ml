@@ -6,39 +6,9 @@ module Metrics = Obs.Metrics
 (* --- input parsing and loading --------------------------------------- *)
 
 let parse_predicate text =
-  let text = String.trim text in
-  let ops =
-    (* Longest operators first so "<=" is not read as "<". *)
-    [ ("<=", P.le); (">=", P.ge); ("!=", P.neq); ("<", P.lt); (">", P.gt); ("=", P.eq) ]
-  in
-  let find_op () =
-    List.find_map
-      (fun (symbol, make) ->
-        let sl = String.length symbol and tl = String.length text in
-        let rec search i =
-          if i + sl > tl then None
-          else if String.sub text i sl = symbol then Some (i, sl, make)
-          else search (i + 1)
-        in
-        search 0)
-      ops
-  in
-  match find_op () with
-  | None -> Error (`Msg (Printf.sprintf "no comparison operator in filter %S" text))
-  | Some (i, sl, make) ->
-    let attr = String.trim (String.sub text 0 i) in
-    let value = String.trim (String.sub text (i + sl) (String.length text - i - sl)) in
-    if attr = "" || value = "" then Error (`Msg "empty side in filter")
-    else
-      let rhs =
-        match int_of_string_opt value with
-        | Some n -> P.vint n
-        | None -> (
-          match float_of_string_opt value with
-          | Some f -> P.vfloat f
-          | None -> P.vstr value)
-      in
-      Ok (make (P.attr attr) rhs)
+  match Relational.Parser.parse_predicate text with
+  | predicate -> Ok predicate
+  | exception Failure message -> Error (`Msg message)
 
 let predicate_of_string text =
   match parse_predicate text with

@@ -14,8 +14,10 @@
 
 (** {1 Input parsing and loading} *)
 
-(** Tiny filter language ["attr OP value"], OP ∈ = != < <= > >=.
-    Numeric literals become ints or floats, anything else a string. *)
+(** A filter in the predicate grammar of [select[…]] and SQL [WHERE]
+    ({!Relational.Parser.parse_predicate}): comparisons joined by [and],
+    [or] and [not], strings in quotes ([name = 'alice']), bare words
+    as attribute names. *)
 val parse_predicate : string -> (Relational.Predicate.t, [ `Msg of string ]) result
 
 (** Like {!parse_predicate} but raising [Failure] (serve error path). *)

@@ -124,14 +124,6 @@ let current_view state =
   Mutex.unlock state.view_lock;
   view
 
-(* For tests: the warm state behind the current view (borrowed, not
-   retained — don't stash it across a reload). *)
-let warm_state state =
-  Mutex.lock state.view_lock;
-  let warm = state.view.warm in
-  Mutex.unlock state.view_lock;
-  warm
-
 let slot_snapshot slot =
   Mutex.lock slot.sink_lock;
   let snap = Metrics.snapshot slot.sink in

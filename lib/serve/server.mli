@@ -138,10 +138,6 @@ val stopping : state -> bool
 (** The plan cache (for tests: size/hits/misses/evictions assertions). *)
 val plans : state -> Plan_cache.t
 
-(** The warm state behind the current view — borrowed, for tests; do
-    not stash it across a [reload]. *)
-val warm_state : state -> Warm.t
-
 (** Merged metrics over the base sink and every worker sink: the same
     totals the [metrics] op reports and {!run} passes to [on_stop].
     Integer counters are schedule-independent; float timings are not. *)

@@ -24,6 +24,9 @@ head -1 "$workdir/u.csv" | expect "csv header" "^a:int$"
 
 # exact -----------------------------------------------------------------
 "$cli" exact "$workdir/u.csv" --where "a < 30" | expect "exact count" "exact COUNT: 5[0-9]{3} |exact COUNT: 6[0-9]{3} "
+# --where reads the predicate grammar of select[…]: <> is not-equal
+awk 'BEGIN { print "a:int"; for (i = 0; i < 1000; i++) print i % 100 }' > "$workdir/k.csv"
+"$cli" exact "$workdir/k.csv" --where "a <> 5" | expect "exact not-equal" "^exact COUNT: 990 "
 
 # estimate --------------------------------------------------------------
 out="$("$cli" estimate "$workdir/u.csv" --where "a < 30" -f 0.05)"

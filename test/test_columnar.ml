@@ -374,16 +374,15 @@ let join_catalog l r = Catalog.of_list [ ("l", l); ("r", r) ]
 
 let join_expr = Expr.equijoin [ ("k", "k") ] (Expr.base "l") (Expr.base "r")
 
-(* The production streaming join of two base relations (the code-space
-   kernel wherever the keys admit one) against the reference row
-   join. *)
+(* The production join of two base relations (int codes wherever the
+   keys admit them, the key dictionary otherwise) against the reference
+   row join. *)
 let prop_join =
   qcheck_case ~count:400 "hash_equijoin columnar = row (tuples, order, counters)"
     join_arb
     (fun (l, r) ->
       let m1 = Metrics.create () and m2 = Metrics.create () in
-      let cursor = Physical.of_expr ~metrics:m1 (join_catalog l r) join_expr in
-      let a = Relation.tuples (Physical.run cursor) in
+      let a = Relation.tuples (Physical.eval ~metrics:m1 (join_catalog l r) join_expr) in
       let b = Eval.hash_equijoin ~metrics:m2 [ ("k", "k") ] l r in
       Array.length a = Array.length b
       && Array.for_all2 Tuple.equal a b

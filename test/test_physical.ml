@@ -2,11 +2,6 @@ open Helpers
 module Physical = Relational.Physical
 module P = Predicate
 
-let sorted_tuples relation =
-  let tuples = Array.copy (Relation.tuples relation) in
-  Array.sort Tuple.compare tuples;
-  Array.to_list (Array.map Tuple.to_string tuples)
-
 (* Same schema, same tuples in the same order: [Aggregate] sums floats
    in tuple order, so production must match the reference exactly. *)
 let same_relation r1 r2 =
@@ -56,7 +51,7 @@ let test_agrees_with_eval () =
       Alcotest.(check bool)
         (Expr.to_string e)
         true
-        (same_relation (Eval.eval c e) (Physical.run (Physical.of_expr c e))))
+        (same_relation (Eval.eval c e) (Physical.eval c e)))
     expressions
 
 let test_count_matches () =
@@ -64,16 +59,6 @@ let test_count_matches () =
   List.iter
     (fun e ->
       Alcotest.(check int) (Expr.to_string e) (Eval.count c e) (Physical.count_expr c e))
-    expressions
-
-let test_reset_replays () =
-  let c = catalog () in
-  List.iter
-    (fun e ->
-      let cursor = Physical.of_expr c e in
-      let first = Physical.count cursor in
-      let second = Physical.count cursor in
-      Alcotest.(check int) ("replay " ^ Expr.to_string e) first second)
     expressions
 
 let test_streaming_product_is_lazy () =
@@ -86,69 +71,6 @@ let test_streaming_product_is_lazy () =
   let count = Physical.count_expr c (Expr.product (Expr.base "b") (Expr.base "b")) in
   Alcotest.(check int) "9M combinations" (n * n) count
 
-let test_partial_consumption_then_reset () =
-  let c = catalog () in
-  let cursor = Physical.of_expr c (Expr.base "x") in
-  Alcotest.(check bool) "first pull" true (Physical.next cursor <> None);
-  Physical.reset cursor;
-  Alcotest.(check int) "full count after reset" 4 (Physical.count cursor)
-
-let test_operator_level_api () =
-  let c = catalog () in
-  let r = Catalog.find c "r" in
-  let scan = Physical.scan r in
-  let keep = P.compile (Relation.schema r) (P.ge (P.attr "b") (P.vint 20)) in
-  let filtered = Physical.filter keep scan in
-  Alcotest.(check int) "filter" 2 (Physical.count filtered);
-  let indices = [| 0 |] in
-  let projected =
-    Physical.project (Schema.project (Relation.schema r) [ "a" ]) indices filtered
-  in
-  Alcotest.(check int) "project keeps count" 2 (Physical.count projected);
-  Alcotest.(check (list string)) "schema" [ "a" ] (Schema.names (Physical.schema projected))
-
-let test_sort () =
-  let c = catalog () in
-  let cursor = Physical.of_expr c (Expr.base "x") in
-  let sorted = Physical.sort_by [| 0 |] cursor in
-  let values =
-    Array.to_list (Array.map Tuple.to_string (Relation.tuples (Physical.run sorted)))
-  in
-  Alcotest.(check (list string)) "ascending" [ "<1>"; "<2>"; "<2>"; "<3>" ] values;
-  (* Reset re-sorts. *)
-  Alcotest.(check int) "replay" 4 (Physical.count sorted)
-
-let test_merge_join_matches_hash_join () =
-  let c = catalog () in
-  let run_with join_maker =
-    let left = Physical.of_expr c (Expr.base "r") in
-    let right = Physical.of_expr c (Expr.base "s") in
-    let schema =
-      Expr.schema_of c (Expr.equijoin [ ("a", "c") ] (Expr.base "r") (Expr.base "s"))
-    in
-    let joined = join_maker schema ~left_key:[| 0 |] ~right_key:[| 0 |] left right in
-    sorted_tuples (Physical.run joined)
-  in
-  Alcotest.(check bool) "same result" true
-    (run_with (Physical.hash_join ?metrics:None) = run_with Physical.merge_join)
-
-let prop_merge_join_equals_hash_join =
-  qcheck_case ~count:80 "merge join ≍ hash join on random bags"
-    QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 15) (int_range 0 4))
-              (list_of_size (QCheck.Gen.int_range 0 15) (int_range 0 4)))
-    (fun (xs, ys) ->
-      let c = Catalog.of_list [ ("x", int_relation xs); ("y", int_relation ys) ] in
-      let schema =
-        Expr.schema_of c (Expr.equijoin [ ("a", "a") ] (Expr.base "x") (Expr.base "y"))
-      in
-      let build maker =
-        let left = Physical.of_expr c (Expr.base "x") in
-        let right = Physical.of_expr c (Expr.base "y") in
-        sorted_tuples
-          (Physical.run (maker schema ~left_key:[| 0 |] ~right_key:[| 0 |] left right))
-      in
-      build (Physical.hash_join ?metrics:None) = build Physical.merge_join)
-
 let prop_engines_agree =
   qcheck_case ~count:60 "engines agree on random set-op inputs"
     QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 12) (int_range 0 4))
@@ -157,7 +79,7 @@ let prop_engines_agree =
       let c = Catalog.of_list [ ("x", int_relation xs); ("y", int_relation ys) ] in
       List.for_all
         (fun e ->
-          same_relation (Eval.eval c e) (Physical.run (Physical.of_expr c e))
+          same_relation (Eval.eval c e) (Physical.eval c e)
           && Eval.count c e = Physical.count_expr c e)
         [
           Expr.union (Expr.base "x") (Expr.base "y");
@@ -170,7 +92,7 @@ let prop_engines_agree =
         ])
 
 (* [count_expr] counts a selection over a base relation without a
-   cursor: through the kernel at and above [kernel_threshold], through
+   tuple: through the kernel at and above [kernel_threshold], through
    the row predicate below it.  Both must match the reference. *)
 let test_select_count_fast_path () =
   let threshold = Relation.kernel_threshold in
@@ -185,8 +107,8 @@ let test_select_count_fast_path () =
             (Eval.count c e) (Physical.count_expr c e))
         [ P.le (P.attr "a") (P.vint 2); P.neq (P.attr "a") (P.vint 3); P.True ])
     [ threshold - 1; threshold; threshold + 100 ];
-  (* An unknown attribute raises the cursor path's schema error, not
-     the predicate compiler's Not_found. *)
+  (* An unknown attribute raises the schema error, not the predicate
+     compiler's Not_found. *)
   let c = Catalog.of_list [ ("r", int_relation [ 1 ]) ] in
   let e = Expr.select (P.eq (P.attr "zz") (P.vint 1)) (Expr.base "r") in
   Alcotest.check_raises "unknown attribute"
@@ -197,14 +119,16 @@ let test_select_count_fast_path () =
 (* Counting on row ids                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [count_expr] counts SPJ trees on row ids and sends everything else to
-   the cursor engine; either way it must equal the reference count and
-   record the same probe hits and misses.  Random catalogs mix
-   int columns with and without nulls, string and float columns and
-   empty relations; random trees mix left-deep and bushy equijoins on
-   keys of every type (the nullable, float and mixed ones decline),
-   single- and multi-leaf selections, self-joins with their qualified
-   names, and root renames and projections. *)
+(* [count_expr] and [eval] compile every operator to row ids; they must
+   equal the reference count and relation (schema, tuples and order) and
+   record the same probe hits and misses.  Random catalogs mix int
+   columns with and without nulls, string and float columns (some
+   floats integer-valued, so mixed int/float keys match) and empty
+   relations; random trees mix left-deep and bushy equijoins on one or
+   two attribute pairs of every type, products and θ-joins, single- and
+   multi-leaf selections, duplicate elimination, the set operations and
+   aggregates, self-joins with their qualified names, and root renames
+   and projections. *)
 
 module Metrics = Obs.Metrics
 
@@ -223,7 +147,7 @@ let random_value st ty ~nullable =
     match (ty : Value.ty) with
     | Value.Tint -> Value.Int (Random.State.int st 4)
     | Value.Tstr -> Value.Str (List.nth [ "x"; "y"; "z" ] (Random.State.int st 3))
-    | Value.Tfloat -> Value.Float (List.nth [ 0.5; 1.5; 2.5 ] (Random.State.int st 3))
+    | Value.Tfloat -> Value.Float (List.nth [ 0.5; 1.; 1.5; 2.; 2.5 ] (Random.State.int st 5))
     | Value.Tbool -> Value.Bool (Random.State.bool st)
     | Value.Tnull -> Value.Null
 
@@ -251,7 +175,7 @@ let random_predicate st schema =
   let one () =
     let a = random_attr st schema in
     if Random.State.int st 3 = 0 then
-      (* Possibly two leaves: declines to the cursor engine. *)
+      (* Possibly two leaves: tests the gathered tuple. *)
       P.Cmp (cmp, P.Attr a.Schema.name, P.Attr (random_attr st schema).Schema.name)
     else
       P.Cmp
@@ -260,32 +184,78 @@ let random_predicate st schema =
   if Random.State.int st 4 = 0 then P.And (one (), one ()) else one ()
 
 (* A valid tree over [names], or [None] when Schema.concat's
-   qualification would repeat a name. *)
+   qualification would repeat a name or set operands do not match. *)
 let rec random_tree st catalog names depth =
   let valid e =
     match Expr.schema_of catalog e with
     | schema -> Some (e, schema)
     | exception (Failure _ | Invalid_argument _) -> None
   in
-  let leaf () = valid (Expr.base (pick st names)) in
-  match if depth = 0 then 0 else Random.State.int st 5 with
-  | 0 -> leaf ()
+  let sub () = random_tree st catalog names (depth - 1) in
+  (* An attribute of [sr], of [a]'s type when there is one and most of
+     the time: more matches. *)
+  let partner a sr =
+    let same = List.filter (fun b -> b.Schema.ty = a.Schema.ty) (Schema.attributes sr) in
+    if same <> [] && Random.State.int st 4 > 0 then pick st same else random_attr st sr
+  in
+  match if depth = 0 then 0 else Random.State.int st 10 with
+  | 0 -> valid (Expr.base (pick st names))
   | 1 ->
-    Option.bind (random_tree st catalog names (depth - 1)) (fun (e, schema) ->
-        valid (Expr.select (random_predicate st schema) e))
+    Option.bind (sub ()) (fun (e, schema) -> valid (Expr.select (random_predicate st schema) e))
+  | 2 ->
+    Option.bind (sub ()) (fun (e, schema) ->
+        let a = random_attr st schema in
+        match Random.State.int st 3 with
+        | 0 -> valid (Expr.distinct e)
+        | 1 -> valid (Expr.project_distinct [ a.Schema.name ] e)
+        | _ -> (
+          let numeric =
+            List.filter
+              (fun b -> b.Schema.ty = Value.Tint || b.Schema.ty = Value.Tfloat)
+              (Schema.attributes schema)
+          in
+          match numeric with
+          | b :: _ when Random.State.bool st ->
+            valid
+              (Expr.aggregate ~by:[ a.Schema.name ]
+                 [ (Expr.Sum b.Schema.name, "total"); (Expr.Count, "count") ]
+                 e)
+          | _ -> valid (Expr.group_count ~by:[ a.Schema.name ] e)))
+  | 3 ->
+    Option.bind (sub ()) (fun (l, sl) ->
+        Option.bind (sub ()) (fun (r, sr) ->
+            let op = pick st [ Expr.union; Expr.inter; Expr.diff ] in
+            if Schema.compatible sl sr then valid (op l r)
+            else
+              let a = random_attr st sl in
+              let b = partner a sr in
+              valid (op (Expr.project [ a.Schema.name ] l) (Expr.project [ b.Schema.name ] r))))
   | _ ->
-    Option.bind (random_tree st catalog names (depth - 1)) (fun (l, sl) ->
-        Option.bind (random_tree st catalog names (depth - 1)) (fun (r, sr) ->
+    Option.bind (sub ()) (fun (l, sl) ->
+        Option.bind (sub ()) (fun (r, sr) ->
             let a = random_attr st sl in
-            (* Prefer a key of the same type: more matches. *)
-            let same =
-              List.filter (fun b -> b.Schema.ty = a.Schema.ty) (Schema.attributes sr)
-            in
-            let b =
-              if same <> [] && Random.State.int st 4 > 0 then pick st same
-              else random_attr st sr
-            in
-            valid (Expr.equijoin [ (a.Schema.name, b.Schema.name) ] l r)))
+            let b = partner a sr in
+            match Random.State.int st 6 with
+            | 0 -> valid (Expr.product l r)
+            | 1 -> (
+              (* An attribute of each side, by position in the joined
+                 schema, which qualifies clashing names. *)
+              match Expr.schema_of catalog (Expr.product l r) with
+              | joined ->
+                let name i = P.Attr (Schema.attribute joined i).Schema.name in
+                let cmp = pick st [ P.Eq; P.Neq; P.Lt; P.Le; P.Gt; P.Ge ] in
+                let i = Random.State.int st (Schema.arity sl) in
+                let j = Schema.arity sl + Random.State.int st (Schema.arity sr) in
+                valid (Expr.theta_join (P.Cmp (cmp, name i, name j)) l r)
+              | exception (Failure _ | Invalid_argument _) -> None)
+            | 2 ->
+              let c = random_attr st sl in
+              let d = partner c sr in
+              valid
+                (Expr.equijoin
+                   [ (a.Schema.name, b.Schema.name); (c.Schema.name, d.Schema.name) ]
+                   l r)
+            | _ -> valid (Expr.equijoin [ (a.Schema.name, b.Schema.name) ] l r)))
 
 let random_root st (e, schema) =
   match Random.State.int st 4 with
@@ -320,6 +290,13 @@ let counts_agree catalog e =
   Physical.count_expr ~metrics:m1 catalog e = Eval.count ~metrics:m2 catalog e
   && Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2)
 
+let relations_agree catalog e =
+  let m1 = Metrics.create () and m2 = Metrics.create () in
+  same_relation (Physical.eval ~metrics:m1 catalog e) (Eval.eval ~metrics:m2 catalog e)
+  && Metrics.counters_equal (Metrics.snapshot m1) (Metrics.snapshot m2)
+
+let agrees catalog e = counts_agree catalog e && relations_agree catalog e
+
 (* One sample per relation, all drawn from fresh copies of the plain
    relations: with [viewed], each copy's view is forced first, so the
    samples gather their columns from it; without, they encode their own
@@ -344,13 +321,13 @@ let sample_catalog ~viewed ~seed catalog =
          (name, sample))
        (Catalog.names catalog))
 
-let prop_columnar_count =
-  qcheck_case ~count:500 "count_expr = Eval.count with equal probes on SPJ trees"
+let prop_engine =
+  qcheck_case ~count:500 "count_expr/eval = Eval with equal probes on every operator"
     (QCheck.make ~print:print_count_case count_case_gen)
     (fun (catalog, e, seed) ->
-      counts_agree (sample_catalog ~viewed:true ~seed catalog) e
-      && counts_agree (sample_catalog ~viewed:false ~seed catalog) e
-      && counts_agree catalog e)
+      agrees (sample_catalog ~viewed:true ~seed catalog) e
+      && agrees (sample_catalog ~viewed:false ~seed catalog) e
+      && agrees catalog e)
 
 (* The same agreement above the kernel threshold, where selections
    compile to column kernels, on shapes the estimators evaluate: fk
@@ -440,17 +417,10 @@ let suite =
   [
     Alcotest.test_case "agrees with Eval" `Quick test_agrees_with_eval;
     Alcotest.test_case "counts match" `Quick test_count_matches;
-    Alcotest.test_case "reset replays" `Quick test_reset_replays;
     Alcotest.test_case "streaming product is lazy" `Quick test_streaming_product_is_lazy;
-    Alcotest.test_case "partial consumption then reset" `Quick
-      test_partial_consumption_then_reset;
-    Alcotest.test_case "operator-level API" `Quick test_operator_level_api;
-    Alcotest.test_case "sort" `Quick test_sort;
-    Alcotest.test_case "merge join = hash join" `Quick test_merge_join_matches_hash_join;
-    prop_merge_join_equals_hash_join;
     prop_engines_agree;
     Alcotest.test_case "select count fast path" `Quick test_select_count_fast_path;
-    prop_columnar_count;
+    prop_engine;
     Alcotest.test_case "columnar count above the kernel threshold" `Quick
       test_columnar_count_large;
     Alcotest.test_case "root join probes a stacked selection vector" `Quick

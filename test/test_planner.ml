@@ -316,28 +316,37 @@ let test_explain_surfaces () =
 (* --- join statistics ------------------------------------------------ *)
 
 (* The join moments the way the planner first computed them, kept here
-   as the reference: materialize each filtered side, histogram it on
-   [Value.t list] keys with polymorphic hashing, and sum over the left
+   as the reference: materialize each filtered side, histogram it on its
+   key tuples under [Tuple.equal] and [Tuple.hash] (Null matching Null,
+   [Int 1] matching [Float 1.0], as in [Eval]), and sum over the left
    histogram's keys. *)
+module Tuple_hash = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
 let reference_moments catalog pairs (pl, nl) (pr, nr) =
   let filtered preds name =
     List.fold_left (fun r p -> Relation.filter_pred p r) (Catalog.find catalog name) preds
   in
   let histogram relation attrs =
-    let columns = List.map (Relation.column relation) attrs in
-    let table = Hashtbl.create 256 in
+    let columns = Array.of_list (List.map (Relation.column relation) attrs) in
+    let table = Tuple_hash.create 256 in
     for i = 0 to Relation.cardinality relation - 1 do
-      let key = List.map (fun column -> column.(i)) columns in
-      Hashtbl.replace table key (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
+      let key = Array.map (fun column -> column.(i)) columns in
+      Tuple_hash.replace table key
+        (1 + Option.value (Tuple_hash.find_opt table key) ~default:0)
     done;
     table
   in
   let hl = histogram (filtered pl nl) (List.map fst pairs)
   and hr = histogram (filtered pr nr) (List.map snd pairs) in
   let j = ref 0. and ss_l = ref 0. and ss_r = ref 0. in
-  Hashtbl.iter
+  Tuple_hash.iter
     (fun key m ->
-      match Hashtbl.find_opt hr key with
+      match Tuple_hash.find_opt hr key with
       | Some n ->
         let m = float_of_int m and n = float_of_int n in
         j := !j +. (m *. n);
@@ -349,69 +358,87 @@ let reference_moments catalog pairs (pl, nl) (pr, nr) =
 
 (* Random two-leaf catalogs: int keys (null-free, so they take the int
    table), int keys with Nulls, string keys with Nulls (dictionary codes,
-   Null matching Null), and float keys (both histogram); each side draws
-   its keys from its own range, so some keys exist on one side only, and
-   one key is heavy about half the time.  Either side may carry one or
-   two selections, on its payload or on its key. *)
+   Null matching Null), float keys, mixed keys (ints on the left,
+   integer-valued floats on the right, both with Nulls) and a two-pair
+   key (the key and the payload, drawn from a small range); the last
+   four go through the key dictionary.  Each side draws its keys from its
+   own range, so some keys exist on one side only, and one key is heavy
+   about half the time.  Either side may carry one or two selections, on
+   its payload or on its key. *)
 let moments_gen =
   let open QCheck.Gen in
-  oneofl [ `Int; `Int_null; `Str; `Float ] >>= fun kind ->
-  let ty =
+  oneofl [ `Int; `Int_null; `Str; `Float; `Mixed; `Two ] >>= fun kind ->
+  let ty ~right =
     match kind with
-    | `Int | `Int_null -> Value.Tint
+    | `Int | `Int_null | `Two -> Value.Tint
+    | `Mixed -> if right then Value.Tfloat else Value.Tint
     | `Str -> Value.Tstr
     | `Float -> Value.Tfloat
   in
-  let key_value k =
+  let key_value ~right k =
     match kind with
-    | `Int | `Int_null -> Value.Int k
+    | `Int | `Int_null | `Two -> Value.Int k
+    | `Mixed -> if right then Value.Float (float_of_int k) else Value.Int k
     | `Str -> Value.Str (Printf.sprintf "k%d" k)
     | `Float -> Value.Float (float_of_int k /. 2.)
   in
-  let side key payload =
+  let payload_g = if kind = `Two then int_range 0 3 else int_range 0 99 in
+  let side ~right key payload =
     int_range 0 1500 >>= fun rows ->
     int_range 0 30 >>= fun lo ->
     int_range 1 40 >>= fun width ->
     float_range 0. 0.9 >>= fun heavy ->
     let key_g =
       float_range 0. 1. >>= fun u ->
-      int_range 1 width >|= fun d -> if u < heavy then key_value lo else key_value (lo + d)
+      int_range 1 width >|= fun d ->
+      key_value ~right (if u < heavy then lo else lo + d)
     in
-    let key_g = if kind = `Int then key_g else frequency [ (1, return Value.Null); (9, key_g) ] in
-    list_size (return rows) (pair key_g (int_range 0 99)) >|= fun pairs ->
+    let key_g =
+      match kind with
+      | `Int | `Two -> key_g
+      | `Int_null | `Str | `Float | `Mixed -> frequency [ (1, return Value.Null); (9, key_g) ]
+    in
+    list_size (return rows) (pair key_g payload_g) >|= fun pairs ->
     Relation.of_array
-      (Schema.of_list [ (key, ty); (payload, Value.Tint) ])
+      (Schema.of_list [ (key, ty ~right); (payload, Value.Tint) ])
       (Array.of_list (List.map (fun (k, v) -> [| k; Value.Int v |]) pairs))
   in
-  let preds key payload =
+  let preds ~right key payload =
     let cmp =
       oneofl P.[ Eq; Neq; Lt; Le; Gt; Ge ] >>= fun op ->
       int_range 0 99 >>= fun c ->
       oneofl
-        [ P.Cmp (op, P.Attr payload, P.vint c); P.Cmp (op, P.Attr key, P.Const (key_value (c mod 40))) ]
+        [
+          P.Cmp (op, P.Attr payload, P.vint c);
+          P.Cmp (op, P.Attr key, P.Const (key_value ~right (c mod 40)));
+        ]
     in
     list_size (int_range 0 2) cmp
   in
-  side "k" "x" >>= fun l ->
-  side "k2" "y" >>= fun r ->
-  preds "k" "x" >>= fun pl ->
-  preds "k2" "y" >|= fun pr -> (l, r, pl, pr)
+  side ~right:false "k" "x" >>= fun l ->
+  side ~right:true "k2" "y" >>= fun r ->
+  preds ~right:false "k" "x" >>= fun pl ->
+  preds ~right:true "k2" "y" >|= fun pr ->
+  let pairs = if kind = `Two then [ ("k", "k2"); ("x", "y") ] else [ ("k", "k2") ] in
+  (pairs, l, r, pl, pr)
 
 let prop_join_moments =
   qcheck_case ~count:200 "join_moments = histogram reference"
     (QCheck.make
-       ~print:(fun (l, r, pl, pr) ->
-         Printf.sprintf "left %s\n%s\nright %s\n%s"
+       ~print:(fun (pairs, l, r, pl, pr) ->
+         Printf.sprintf "on %s\nleft %s\n%s\nright %s\n%s"
+           (String.concat ", " (List.map (fun (a, b) -> a ^ " = " ^ b) pairs))
            (String.concat " ; " (List.map P.to_string pl)) (Relation.to_string l)
            (String.concat " ; " (List.map P.to_string pr)) (Relation.to_string r))
        moments_gen)
-    (fun (l, r, pl, pr) ->
+    (fun (pairs, l, r, pl, pr) ->
       let catalog = Catalog.of_list [ ("l", l); ("r", r) ] in
       let chain preds name = List.fold_left (fun e p -> Expr.select p e) (Expr.base name) preds in
-      let pairs = [ ("k", "k2") ] in
       let expr = Expr.equijoin pairs (chain pl "l") (chain pr "r") in
-      Planner.join_moments catalog expr
-      = Some (reference_moments catalog pairs (List.rev pl, "l") (List.rev pr, "r")))
+      let reference = reference_moments catalog pairs (List.rev pl, "l") (List.rev pr, "r") in
+      let j, _, _ = reference in
+      Planner.join_moments catalog expr = Some reference
+      && j = float_of_int (Eval.count catalog expr))
 
 let suite =
   [

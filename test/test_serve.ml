@@ -417,7 +417,7 @@ let test_server_errors () =
     {|{"op": "estimate", "where": "a < 30", "fraction": "lots"}|};
   check_error "fraction range" "outside (0, 1]"
     {|{"op": "estimate", "where": "a < 30", "fraction": 2.0}|};
-  check_error "bad predicate" "no comparison operator"
+  check_error "bad predicate" "expected a comparison operator"
     {|{"op": "estimate", "where": "just words"}|};
   check_error "unknown relation" {|unknown relation "ghost"|}
     {|{"op": "estimate", "relation": "ghost", "where": "a < 30"}|};
@@ -723,6 +723,22 @@ let point_of line =
   | Json.Int p -> float_of_int p
   | _ -> Alcotest.failf "response %S has a non-numeric point" line
 
+(* A served filter reads the grammar of [select[…]]: a conjunction at
+   fraction 1 is a census and answers the exact count. *)
+let test_server_filter_grammar () =
+  with_server @@ fun state ->
+  let where = "a < 30 and a >= 10" in
+  let line =
+    Server.handle_line state
+      (Printf.sprintf {|{"op": "estimate", "where": %S, "fraction": 1.0}|} where)
+  in
+  let exact =
+    Eval.count (mirror_catalog ())
+      (Expr.select (Relational.Parser.parse_predicate where) (Expr.base "r"))
+  in
+  Alcotest.(check int) "exact count" 40 exact;
+  Alcotest.(check (float 0.)) "census estimate" (float_of_int exact) (point_of line)
+
 let test_server_stream_writes () =
   with_server @@ fun state ->
   (* Unbound relation: schema inferred from the first tuple. *)
@@ -950,6 +966,7 @@ let suite =
     Alcotest.test_case "plan cache clear" `Quick test_cache_clear;
     Alcotest.test_case "ping and request ids" `Quick test_server_ping_and_ids;
     Alcotest.test_case "estimate parity" `Quick test_server_estimate_parity;
+    Alcotest.test_case "filter grammar" `Quick test_server_filter_grammar;
     Alcotest.test_case "query and sql share plans" `Quick test_server_query_sql_share_plans;
     Alcotest.test_case "optimizer setting keys the plan cache" `Quick
       test_server_optimize_keys_cache;
