@@ -7,7 +7,7 @@
    exact baseline over a full scan, and records the real-I/O counters
    (pages_read / bytes_read / io_batches / page_cache_hits) next to
    wall time.  The counters are seed-fixed and deterministic — unlike
-   the timings — so the compare gate pins them exactly.
+   the timings — so each row pins them for the gate.
 
    Each row self-asserts the contract it exists to demonstrate:
    sampling m of M pages reads exactly m pages and at most ~(m/M) of
@@ -67,63 +67,47 @@ let ensure_packed () =
   else Printf.printf "reusing cached %s\n%!" path;
   path
 
-type row = {
-  name : string;
-  fraction : float;
-  pages_sampled : int;
-  counters : Metrics.snapshot;
-  seconds : float;
-}
+(* Every row runs [runs] times, each time on a fresh reader.  The
+   counters are seed-fixed, so the repeats must agree; the timing is
+   over the repeats.  [once] returns a run's counters and seconds. *)
+let runs = 5
 
-let failed = ref false
-
-let check name condition detail =
-  if not condition then begin
-    failed := true;
-    Printf.eprintf "io bench ASSERT FAILED [%s]: %s\n%!" name detail
-  end
+let repeated name once =
+  let results = Array.init runs (fun _ -> once ()) in
+  let counters = fst results.(0) in
+  Array.iter
+    (fun (s, _) ->
+      Report.check (Metrics.counters_equal s counters) (name ^ ": counters differ between repeats"))
+    results;
+  (counters, Report.timing_ns (Array.map snd results))
 
 let timed f =
   let t0 = Unix.gettimeofday () in
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
-(* One cold cluster run: fresh reader (empty cache), fresh rng. *)
-let cluster_row path ~pages_total ~fraction =
-  let m = Int.max 2 (int_of_float (fraction *. float_of_int pages_total)) in
-  let pf = Pagefile.openfile path in
-  Fun.protect ~finally:(fun () -> Pagefile.close pf) @@ fun () ->
-  let paged = Paged.of_pagefile pf in
-  let metrics = Metrics.create () in
-  let rng = Sampling.Rng.create ~seed:(seed + m) () in
-  let _, seconds =
-    timed (fun () -> Raestat.Cluster_estimator.count ~metrics rng ~m paged pred)
-  in
-  let name = Printf.sprintf "cluster-f%gpct" (100. *. fraction) in
-  let s = Metrics.snapshot metrics in
-  check name
-    (s.Metrics.pages_read = m)
-    (Printf.sprintf "sampling %d pages cold must read exactly %d pages, read %d" m m
-       s.Metrics.pages_read);
-  check name
-    (float_of_int s.Metrics.bytes_read
-    <= (fraction +. 0.02) *. float_of_int (Pagefile.data_bytes pf))
-    (Printf.sprintf "read %d bytes, more than fraction %.3f (+2%% slack) of %d" s.Metrics.bytes_read
-       fraction (Pagefile.data_bytes pf));
-  check name
-    (s.Metrics.io_batches <= m)
-    (Printf.sprintf "%d batches for %d pages: coalescing went backwards"
-       s.Metrics.io_batches m);
-  { name; fraction; pages_sampled = m; counters = s; seconds }
+let report_row name ~fraction ~pages_sampled ((s : Metrics.snapshot), ns) =
+  Report.bench_row name
+    ~pinned:
+      Report.
+        [
+          pin_float "fraction" fraction;
+          pin_int "pages_sampled" pages_sampled;
+          pin_int "pages_read" s.pages_read;
+          pin_int "bytes_read" s.bytes_read;
+          pin_int "io_batches" s.io_batches;
+          pin_int "page_cache_hits" s.page_cache_hits;
+        ]
+    ~timings:[ ("ns", ns) ]
 
-(* The same sample re-drawn against a warm reader: every page is served
-   from the cache, zero reads. *)
-let warm_row path ~pages_total ~fraction =
+(* Cold cluster runs: fresh reader (empty cache), fresh rng. *)
+let cluster_row path ~pages_total ~data_bytes ~fraction =
   let m = Int.max 2 (int_of_float (fraction *. float_of_int pages_total)) in
-  let pf = Pagefile.openfile path ~cache_pages:(Int.max 64 m) in
-  Fun.protect ~finally:(fun () -> Pagefile.close pf) @@ fun () ->
-  let paged = Paged.of_pagefile pf in
-  let run () =
+  let name = Printf.sprintf "cluster-f%gpct" (100. *. fraction) in
+  let once () =
+    let pf = Pagefile.openfile path in
+    Fun.protect ~finally:(fun () -> Pagefile.close pf) @@ fun () ->
+    let paged = Paged.of_pagefile pf in
     let metrics = Metrics.create () in
     let rng = Sampling.Rng.create ~seed:(seed + m) () in
     let _, seconds =
@@ -131,98 +115,106 @@ let warm_row path ~pages_total ~fraction =
     in
     (Metrics.snapshot metrics, seconds)
   in
-  let _cold = run () in
-  let s, seconds = run () in
+  let ((s, _) as measured) = repeated name once in
+  Report.check
+    (s.Metrics.pages_read = m)
+    (Printf.sprintf "%s: sampling %d pages cold must read exactly %d pages, read %d" name m m
+       s.Metrics.pages_read);
+  Report.check
+    (float_of_int s.Metrics.bytes_read <= (fraction +. 0.02) *. float_of_int data_bytes)
+    (Printf.sprintf "%s: read %d bytes, more than fraction %.3f (+2%% slack) of %d" name
+       s.Metrics.bytes_read fraction data_bytes);
+  Report.check
+    (s.Metrics.io_batches <= m)
+    (Printf.sprintf "%s: %d batches for %d pages: coalescing went backwards" name
+       s.Metrics.io_batches m);
+  report_row name ~fraction ~pages_sampled:m measured
+
+(* The same sample re-drawn against a warm reader: every page is served
+   from the cache, zero reads. *)
+let warm_row path ~pages_total ~fraction =
+  let m = Int.max 2 (int_of_float (fraction *. float_of_int pages_total)) in
   let name = Printf.sprintf "cluster-f%gpct-warm" (100. *. fraction) in
-  check name
+  let once () =
+    let pf = Pagefile.openfile path ~cache_pages:(Int.max 64 m) in
+    Fun.protect ~finally:(fun () -> Pagefile.close pf) @@ fun () ->
+    let paged = Paged.of_pagefile pf in
+    let run () =
+      let metrics = Metrics.create () in
+      let rng = Sampling.Rng.create ~seed:(seed + m) () in
+      let _, seconds =
+        timed (fun () -> Raestat.Cluster_estimator.count ~metrics rng ~m paged pred)
+      in
+      (Metrics.snapshot metrics, seconds)
+    in
+    ignore (run ());
+    run ()
+  in
+  let ((s, _) as measured) = repeated name once in
+  Report.check
     (s.Metrics.pages_read = 0 && s.Metrics.page_cache_hits = m)
-    (Printf.sprintf "warm re-run read %d pages, hit %d (want 0 read, %d hits)"
+    (Printf.sprintf "%s: warm re-run read %d pages, hit %d (want 0 read, %d hits)" name
        s.Metrics.pages_read s.Metrics.page_cache_hits m);
-  { name; fraction; pages_sampled = m; counters = s; seconds }
+  report_row name ~fraction ~pages_sampled:m measured
 
 (* Exact baseline: materialize through the page reader and count. *)
-let exact_row path ~pages_total =
-  let pf = Pagefile.openfile path in
-  Fun.protect ~finally:(fun () -> Pagefile.close pf) @@ fun () ->
-  let metrics = Metrics.create () in
-  let count, seconds =
-    timed (fun () ->
-        let relation = Pagefile.to_relation ~metrics pf in
-        let compiled = Relational.Predicate.compile (Relational.Relation.schema relation) pred in
-        let n = ref 0 in
-        Relational.Relation.iter (fun t -> if compiled t then incr n) relation;
-        !n)
-  in
-  ignore count;
+let exact_row path ~pages_total ~data_bytes =
   let name = "exact-full-scan" in
-  let s = Metrics.snapshot metrics in
-  check name
+  let once () =
+    let pf = Pagefile.openfile path in
+    Fun.protect ~finally:(fun () -> Pagefile.close pf) @@ fun () ->
+    let metrics = Metrics.create () in
+    let _, seconds =
+      timed (fun () ->
+          let relation = Pagefile.to_relation ~metrics pf in
+          let compiled =
+            Relational.Predicate.compile (Relational.Relation.schema relation) pred
+          in
+          let n = ref 0 in
+          Relational.Relation.iter (fun t -> if compiled t then incr n) relation;
+          !n)
+    in
+    (Metrics.snapshot metrics, seconds)
+  in
+  let ((s, _) as measured) = repeated name once in
+  Report.check
     (s.Metrics.pages_read = pages_total)
-    (Printf.sprintf "full scan read %d of %d pages" s.Metrics.pages_read pages_total);
-  check name
-    (s.Metrics.bytes_read = Pagefile.data_bytes pf)
-    (Printf.sprintf "full scan read %d of %d data bytes" s.Metrics.bytes_read
-       (Pagefile.data_bytes pf));
-  check name
+    (Printf.sprintf "%s: full scan read %d of %d pages" name s.Metrics.pages_read pages_total);
+  Report.check
+    (s.Metrics.bytes_read = data_bytes)
+    (Printf.sprintf "%s: full scan read %d of %d data bytes" name s.Metrics.bytes_read
+       data_bytes);
+  Report.check
     (s.Metrics.io_batches <= (pages_total / 64) + 1)
-    (Printf.sprintf "full scan took %d batches for %d pages (64-page batch cap)"
+    (Printf.sprintf "%s: full scan took %d batches for %d pages (64-page batch cap)" name
        s.Metrics.io_batches pages_total);
-  { name; fraction = 1.0; pages_sampled = pages_total; counters = s; seconds }
+  report_row name ~fraction:1.0 ~pages_sampled:pages_total measured
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.6f" x else "null"
-
-let write_json ~path ~pages_total ~bytes_total rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"raestat-bench-io/1\",\n";
-  Printf.fprintf oc
-    "  \"cardinality\": %d,\n  \"page_capacity\": %d,\n  \"pages_total\": %d,\n  \
-     \"bytes_total\": %d,\n"
-    cardinality page_capacity pages_total bytes_total;
-  Printf.fprintf oc "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      let s = r.counters in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"fraction\": %s, \"pages_sampled\": %d, \
-         \"pages_read\": %d, \"bytes_read\": %d, \"io_batches\": %d, \
-         \"page_cache_hits\": %d, \"pages_ratio\": %s, \"bytes_ratio\": %s, \
-         \"seconds\": %s}%s\n"
-        r.name (json_float r.fraction) r.pages_sampled s.Metrics.pages_read
-        s.Metrics.bytes_read s.Metrics.io_batches s.Metrics.page_cache_hits
-        (json_float (float_of_int s.Metrics.pages_read /. float_of_int pages_total))
-        (json_float (float_of_int s.Metrics.bytes_read /. float_of_int bytes_total))
-        (json_float r.seconds)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
-
-let run ?(json = false) () =
+let run () =
   Printf.printf "\n=== IO bench (pagefile, real reads) ===\n%!";
   let path = ensure_packed () in
   let pf = Pagefile.openfile path in
-  let pages_total = Pagefile.page_count pf in
-  let bytes_total = Pagefile.data_bytes pf in
+  let pages_total = Pagefile.page_count pf and data_bytes = Pagefile.data_bytes pf in
   Pagefile.close pf;
   let rows =
     [
-      cluster_row path ~pages_total ~fraction:0.01;
-      cluster_row path ~pages_total ~fraction:0.05;
-      cluster_row path ~pages_total ~fraction:0.20;
+      cluster_row path ~pages_total ~data_bytes ~fraction:0.01;
+      cluster_row path ~pages_total ~data_bytes ~fraction:0.05;
+      cluster_row path ~pages_total ~data_bytes ~fraction:0.20;
       warm_row path ~pages_total ~fraction:0.05;
-      exact_row path ~pages_total;
+      exact_row path ~pages_total ~data_bytes;
     ]
   in
-  Printf.printf "%-24s %8s %10s %12s %8s %8s %10s\n" "run" "pages" "of total"
-    "bytes" "batches" "hits" "seconds";
+  Printf.printf "%-24s %8s %10s %12s %8s %8s %12s\n" "run" "pages" "of total" "bytes"
+    "batches" "hits" "median us";
   List.iter
-    (fun r ->
-      let s = r.counters in
-      Printf.printf "%-24s %8d %9.1f%% %12d %8d %8d %10.4f\n" r.name
-        s.Metrics.pages_read
-        (100. *. float_of_int s.Metrics.pages_read /. float_of_int pages_total)
-        s.Metrics.bytes_read s.Metrics.io_batches s.Metrics.page_cache_hits r.seconds)
+    (fun (r : Report.row) ->
+      let pin key =
+        match List.assoc_opt key r.pinned with Some (Serve.Json.Int n) -> n | _ -> -1
+      in
+      Printf.printf "%-24s %8d %9.1f%% %12d %8d %8d %12.1f\n" r.name (pin "pages_read")
+        (100. *. float_of_int (pin "pages_read") /. float_of_int pages_total)
+        (pin "bytes_read") (pin "io_batches") (pin "page_cache_hits")
+        ((List.assoc "ns" r.timings).Report.median /. 1e3))
     rows;
-  if json then write_json ~path:"BENCH_io.json" ~pages_total ~bytes_total rows;
-  if !failed then exit 1
+  rows

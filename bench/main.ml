@@ -34,9 +34,7 @@ let () =
   let invalid =
     List.filter
       (fun id ->
-        id <> "micro" && id <> "io" && id <> "serve" && id <> "plans"
-        && id <> "stream"
-        && not (List.mem id known))
+        not (List.mem id ([ "micro"; "io"; "serve"; "plans"; "stream" ] @ known)))
       requested
   in
   if invalid <> [] then begin
@@ -56,9 +54,24 @@ let () =
         Printf.printf "  [%s: %.1fs]\n%!" id (Unix.gettimeofday () -. t0)
       end)
     Experiments.all;
-  if run_all || List.mem "micro" requested then Micro.run ~json ~quick ~metrics ();
-  if run_all || List.mem "io" requested then Io.run ~json ();
-  if run_all || List.mem "serve" requested then Serve_bench.run ~json ~quick ();
-  if run_all || List.mem "plans" requested then Plans.run ~json ~quick ();
-  if run_all || List.mem "stream" requested then Stream_bench.run ~json ~quick ();
-  Printf.printf "\ntotal harness time: %.1fs\n" (Unix.gettimeofday () -. started)
+  (* Each bench returns its report's rows; --json writes them as
+     BENCH_<bench>.json, recording the arguments that reproduce it. *)
+  let flags =
+    List.filter (fun flag -> List.mem flag args) [ "--quick"; "--json"; "--metrics" ]
+  in
+  List.iter
+    (fun (bench, run) ->
+      if run_all || List.mem bench requested then begin
+        let rows = run () in
+        if json then
+          Report.write ~bench ~command:(String.concat " " (bench :: flags)) rows
+      end)
+    [
+      ("micro", Micro.run ~quick ~metrics);
+      ("io", Io.run);
+      ("serve", Serve_bench.run ~quick);
+      ("plans", Plans.run ~quick);
+      ("stream", Stream_bench.run ~quick);
+    ];
+  Printf.printf "\ntotal harness time: %.1fs\n" (Unix.gettimeofday () -. started);
+  if !Report.failed then exit 1

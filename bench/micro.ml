@@ -1,6 +1,7 @@
-(* Bechamel micro-benchmarks: one Test.make per experiment, measuring
-   the estimation kernel each table exercises, plus the exact-evaluation
-   and maintenance baselines. *)
+(* Micro-benchmarks: one timed case per experiment, measuring the
+   estimation kernel each table exercises, plus the exact-evaluation and
+   maintenance baselines.  Every case runs in k interleaved rounds; its
+   row records the median, p95 and max nanoseconds per run. *)
 
 module Expr = Relational.Expr
 module P = Relational.Predicate
@@ -9,8 +10,8 @@ module CE = Raestat.Count_estimator
 module Dist = Workload.Dist
 module Generator = Workload.Generator
 
-(* Domain count for the parallel bench variants: 4 if the machine has
-   the cores, fewer otherwise (the speedup report records the value). *)
+(* Domain count for the "-parallel" bench variants: 4 if the machine
+   has the cores, fewer otherwise (the report records the core count). *)
 let bench_domains = min 4 (Raestat.Parallel.auto ())
 
 let fixtures () =
@@ -36,8 +37,8 @@ let fixtures () =
 (* Reference rows: t2-equijoin-1pct, f1-selection-n5000 and
    f6-exact-join-baseline each run the work of their "-columnar" twin,
    the same draw included, counted by the row-at-a-time reference
-   evaluator ([Relational.Eval]).  The compare tool guards each pair's
-   ratio, and the kept names let the committed baseline pair up. *)
+   evaluator ([Relational.Eval]).  The kernel row records the pair's
+   per-round speedup and declares the gate's check on its median. *)
 let equijoin_expr = Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr")
 
 let reference_equijoin ?metrics rng catalog =
@@ -50,76 +51,58 @@ let reference_selection ?metrics rng r ~n pred =
   let sample = Sampling.Srs.relation_without_replacement ?metrics rng ~n r in
   Relational.Eval.count (Catalog.of_list [ ("s", sample) ]) (Expr.select pred (Expr.base "s"))
 
+let case name f = (name, fun () -> ignore (Sys.opaque_identity (f ())))
+
 let tests () =
   let rng, catalog, tpc, r = fixtures () in
   let pred = P.lt (P.attr "a") (P.vint 100) in
   let paged = Relational.Paged.make ~page_capacity:100 r in
-  let open Bechamel in
   [
-    Test.make ~name:"t1-selection-n500"
-      (Staged.stage (fun () -> CE.selection rng catalog ~relation:"r" ~n:500 pred));
-    Test.make ~name:"t2-equijoin-1pct"
-      (Staged.stage (fun () -> reference_equijoin rng catalog));
-    Test.make ~name:"t2-equijoin-columnar"
-      (Staged.stage (fun () ->
-           CE.equijoin ~groups:1 rng catalog ~left:"l" ~right:"rr" ~on:[ ("a", "a") ]
-             ~fraction:0.01));
-    Test.make ~name:"t3-distinct-chao1-n1000"
-      (Staged.stage (fun () ->
-           Raestat.Distinct.estimate rng catalog ~method_:Raestat.Distinct.Chao1
-             ~relation:"r" ~attributes:[ "a" ] ~n:1_000));
-    Test.make ~name:"t4-intersection-2pct"
-      (Staged.stage (fun () ->
-           CE.intersection rng catalog ~left:"sx" ~right:"sy" ~fraction:0.02));
-    Test.make ~name:"t5-chain-scaleup-5pct"
-      (Staged.stage (fun () ->
-           CE.estimate rng tpc ~fraction:0.05 (Workload.Tpc_mini.chain_query ())));
-    Test.make ~name:"t6-ci-construction"
-      (Staged.stage
-         (let est =
-            Stats.Estimate.make ~variance:123. ~status:Stats.Estimate.Unbiased
-              ~sample_size:100 4567.
-          in
-          fun () -> Stats.Estimate.ci ~level:0.95 est));
-    Test.make ~name:"f1-selection-n5000"
-      (Staged.stage (fun () -> reference_selection rng r ~n:5_000 pred));
-    Test.make ~name:"f1-selection-columnar"
-      (Staged.stage (fun () -> CE.selection rng catalog ~relation:"r" ~n:5_000 pred));
-    Test.make ~name:"f2-join-profile"
-      (Staged.stage (fun () -> Raestat.Join_variance.profile r "a"));
-    Test.make ~name:"f3-cluster-m20"
-      (Staged.stage (fun () -> Raestat.Cluster_estimator.count rng ~m:20 paged pred));
-    Test.make ~name:"f4-sequential-target20pct"
-      (Staged.stage (fun () ->
-           Raestat.Sequential.selection rng catalog ~relation:"r" ~target:0.2 ~batch:200 pred));
-    Test.make ~name:"f5-oracle-variance"
-      (let p = Raestat.Join_variance.profile r "a" in
-       Staged.stage (fun () -> Raestat.Join_variance.oracle_variance ~q1:0.1 ~q2:0.1 p p));
-    Test.make ~name:"f6-exact-join-baseline"
-      (Staged.stage (fun () -> Relational.Eval.count catalog equijoin_expr));
-    Test.make ~name:"f6-exact-join-columnar"
-      (Staged.stage (fun () -> Relational.Physical.count_expr catalog equijoin_expr));
-    Test.make ~name:"maintenance-reservoir-add"
-      (let reservoir = Sampling.Reservoir.create ~algorithm:`L rng ~capacity:1_000 in
-       let tuple = Relational.Tuple.make [ Relational.Value.Int 7 ] in
-       Staged.stage (fun () -> Sampling.Reservoir.add reservoir tuple));
-    Test.make ~name:"a6-group-count-n1000"
-      (Staged.stage (fun () ->
-           Raestat.Group_count.estimate rng catalog ~relation:"r" ~by:[ "a" ] ~n:1_000 ()));
-    Test.make ~name:"a6-sample-size-planner"
-      (Staged.stage (fun () ->
-           Raestat.Sample_size.selection ~big_n:1_000_000 ~level:0.95 ~target:0.05 ~p:0.1));
-    Test.make ~name:"a7-streaming-join-count"
-      (Staged.stage (fun () -> Relational.Physical.count_expr catalog equijoin_expr));
-    Test.make ~name:"parser-roundtrip"
-      (let text = "select[a <= 10 and b > 2](r) join[a = c] pidist[c, d](s)" in
-       Staged.stage (fun () ->
-           Relational.Parser.print_expr (Relational.Parser.parse_expr text)));
+    case "t1-selection-n500" (fun () -> CE.selection rng catalog ~relation:"r" ~n:500 pred);
+    case "t2-equijoin-1pct" (fun () -> reference_equijoin rng catalog);
+    case "t2-equijoin-columnar" (fun () ->
+        CE.equijoin ~groups:1 rng catalog ~left:"l" ~right:"rr" ~on:[ ("a", "a") ]
+          ~fraction:0.01);
+    case "t3-distinct-chao1-n1000" (fun () ->
+        Raestat.Distinct.estimate rng catalog ~method_:Raestat.Distinct.Chao1 ~relation:"r"
+          ~attributes:[ "a" ] ~n:1_000);
+    case "t4-intersection-2pct" (fun () ->
+        CE.intersection rng catalog ~left:"sx" ~right:"sy" ~fraction:0.02);
+    case "t5-chain-scaleup-5pct" (fun () ->
+        CE.estimate rng tpc ~fraction:0.05 (Workload.Tpc_mini.chain_query ()));
+    (let est =
+       Stats.Estimate.make ~variance:123. ~status:Stats.Estimate.Unbiased ~sample_size:100
+         4567.
+     in
+     case "t6-ci-construction" (fun () -> Stats.Estimate.ci ~level:0.95 est));
+    case "f1-selection-n5000" (fun () -> reference_selection rng r ~n:5_000 pred);
+    case "f1-selection-columnar" (fun () ->
+        CE.selection rng catalog ~relation:"r" ~n:5_000 pred);
+    case "f2-join-profile" (fun () -> Raestat.Join_variance.profile r "a");
+    case "f3-cluster-m20" (fun () -> Raestat.Cluster_estimator.count rng ~m:20 paged pred);
+    case "f4-sequential-target20pct" (fun () ->
+        Raestat.Sequential.selection rng catalog ~relation:"r" ~target:0.2 ~batch:200 pred);
+    (let p = Raestat.Join_variance.profile r "a" in
+     case "f5-oracle-variance" (fun () ->
+         Raestat.Join_variance.oracle_variance ~q1:0.1 ~q2:0.1 p p));
+    case "f6-exact-join-baseline" (fun () -> Relational.Eval.count catalog equijoin_expr);
+    case "f6-exact-join-columnar" (fun () ->
+        Relational.Physical.count_expr catalog equijoin_expr);
+    (let reservoir = Sampling.Reservoir.create ~algorithm:`L rng ~capacity:1_000 in
+     let tuple = Relational.Tuple.make [ Relational.Value.Int 7 ] in
+     case "maintenance-reservoir-add" (fun () -> Sampling.Reservoir.add reservoir tuple));
+    case "a6-group-count-n1000" (fun () ->
+        Raestat.Group_count.estimate rng catalog ~relation:"r" ~by:[ "a" ] ~n:1_000 ());
+    case "a6-sample-size-planner" (fun () ->
+        Raestat.Sample_size.selection ~big_n:1_000_000 ~level:0.95 ~target:0.05 ~p:0.1);
+    (let text = "select[a <= 10 and b > 2](r) join[a = c] pidist[c, d](s)" in
+     case "parser-roundtrip" (fun () ->
+         Relational.Parser.print_expr (Relational.Parser.parse_expr text)));
   ]
 
 (* Serial vs parallel variants of the replicated estimators.  Each pair
    runs the identical workload with [domains:1] and [domains:bench_domains];
-   the JSON report derives the speedup from the pair. *)
+   the parallel row records the pair's speedup. *)
 let parallel_tests () =
   let rng = Sampling.Rng.create ~seed:909 () in
   let pl, pr =
@@ -131,7 +114,6 @@ let parallel_tests () =
   let mean xs = Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs) in
   let pred = P.le (P.attr "a") (P.vint 800) in
   let sel = Expr.select pred (Expr.base "pl") in
-  let open Bechamel in
   (* Each invocation re-seeds, so the serial and parallel variants of a
      pair evaluate the exact same replicate draws — the measured delta
      is scheduling, not sampling luck. *)
@@ -150,49 +132,28 @@ let parallel_tests () =
       ~groups:5 sel
   in
   [
-    Test.make ~name:"t2-equijoin-1pct-g8-serial" (Staged.stage (equijoin ~domains:1));
-    Test.make
-      ~name:(Printf.sprintf "t2-equijoin-1pct-g8-dom%d" bench_domains)
-      (Staged.stage (equijoin ~domains:bench_domains));
-    Test.make ~name:"bootstrap-n10k-serial" (Staged.stage (bootstrap ~domains:1));
-    Test.make
-      ~name:(Printf.sprintf "bootstrap-n10k-dom%d" bench_domains)
-      (Staged.stage (bootstrap ~domains:bench_domains));
-    Test.make ~name:"f4-sequential-target20pct-g5-serial"
-      (Staged.stage (two_phase ~domains:1));
-    Test.make
-      ~name:(Printf.sprintf "f4-sequential-target20pct-g5-dom%d" bench_domains)
-      (Staged.stage (two_phase ~domains:bench_domains));
+    case "t2-equijoin-1pct-g8-serial" (equijoin ~domains:1);
+    case "t2-equijoin-1pct-g8-parallel" (equijoin ~domains:bench_domains);
+    case "bootstrap-n10k-serial" (bootstrap ~domains:1);
+    case "bootstrap-n10k-parallel" (bootstrap ~domains:bench_domains);
+    case "f4-sequential-target20pct-g5-serial" (two_phase ~domains:1);
+    case "f4-sequential-target20pct-g5-parallel" (two_phase ~domains:bench_domains);
   ]
 
-(* Pair up "<base>-serial" / "<base>-dom<d>" rows into speedup records:
-   (base, serial_ns, parallel_ns). *)
-let speedups rows =
-  let strip_prefix name =
-    (* Bechamel prefixes grouped test names with "raestat/". *)
-    match String.rindex_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
-  let suffix = "-serial" in
-  List.filter_map
-    (fun (name, serial_ns) ->
-      let short = strip_prefix name in
-      if String.length short > String.length suffix
-         && String.sub short (String.length short - String.length suffix)
-              (String.length suffix)
-            = suffix
-      then begin
-        let base = String.sub short 0 (String.length short - String.length suffix) in
-        let dom_name = Printf.sprintf "%s-dom%d" base bench_domains in
-        List.find_map
-          (fun (other, par_ns) ->
-            if strip_prefix other = dom_name then Some (base, serial_ns, par_ns)
-            else None)
-          rows
-      end
-      else None)
-    rows
+(* (reference, kernel) pairs: the kernel row records the per-round
+   speedup and the gate holds its median within 25% of the baseline's.
+   The (serial, parallel) pairs only record theirs. *)
+let guarded_pairs =
+  [
+    ("f1-selection-n5000", "f1-selection-columnar");
+    ("t2-equijoin-1pct", "t2-equijoin-columnar");
+    ("f6-exact-join-baseline", "f6-exact-join-columnar");
+  ]
+
+let parallel_pairs =
+  List.map
+    (fun base -> (base ^ "-serial", base ^ "-parallel"))
+    [ "t2-equijoin-1pct-g8"; "bootstrap-n10k"; "f4-sequential-target20pct-g5" ]
 
 (* Work counters for the estimation kernels: run each once with an
    enabled sink and report the snapshot next to the timing row of the
@@ -314,104 +275,102 @@ let overhead_check () =
     in
     match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false
   in
-  if not (overhead_measure () < 0.03 || retry () || retry ()) then begin
-    Printf.eprintf "metrics overhead check FAILED: >= 3%% in 3 processes\n";
-    exit 1
-  end
+  Report.check
+    (overhead_measure () < 0.03 || retry () || retry ())
+    "metrics overhead >= 3% in 3 processes"
 
-let json_float x = if Float.is_finite x then Printf.sprintf "%.3f" x else "null"
+(* Seconds per run of [f]: run it until [quota] seconds have passed, at
+   least once.  A full major collection first settles the garbage of
+   whatever ran before, so no case pays for another's. *)
+let seconds_per_run ~quota f =
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  let rec go runs =
+    f ();
+    let elapsed = Unix.gettimeofday () -. t0 in
+    if elapsed < quota then go (runs + 1) else elapsed /. float_of_int runs
+  in
+  go 1
 
-let write_json ~path ~quota ?(counters = []) rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"raestat-bench-micro/1\",\n";
-  Printf.fprintf oc "  \"quota_s\": %g,\n  \"domains\": %d,\n  \"available_cores\": %d,\n"
-    quota bench_domains (Raestat.Parallel.auto ());
-  Printf.fprintf oc "  \"results\": [\n";
-  let strip_prefix name =
-    match String.rindex_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
-  List.iteri
-    (fun i (name, ns) ->
-      let work =
-        match List.assoc_opt (strip_prefix name) counters with
-        | None -> ""
-        | Some s ->
-          Printf.sprintf
-            ", \"tuples_scanned\": %d, \"pages_read\": %d, \"bytes_read\": %d, \
-             \"io_batches\": %d, \"page_cache_hits\": %d, \"sample_indices\": %d, \
-             \"hash_probe_hits\": %d, \"hash_probe_misses\": %d, \"rng_draws\": %d"
-            s.Obs.Metrics.tuples_scanned s.Obs.Metrics.pages_read
-            s.Obs.Metrics.bytes_read s.Obs.Metrics.io_batches
-            s.Obs.Metrics.page_cache_hits s.Obs.Metrics.sample_indices
-            s.Obs.Metrics.hash_probe_hits s.Obs.Metrics.hash_probe_misses
-            s.Obs.Metrics.rng_draws
-      in
-      Printf.fprintf oc "    {\"name\": \"%s\", \"ns_per_run\": %s%s}%s\n"
-        (Obs.Metrics.escape name) (json_float ns) work
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"speedups\": [\n";
-  let pairs = speedups rows in
-  List.iteri
-    (fun i (base, serial_ns, par_ns) ->
-      Printf.fprintf oc
-        "    {\"bench\": \"%s\", \"serial_ns\": %s, \"parallel_ns\": %s, \"domains\": %d, \"speedup\": %s}%s\n"
-        (Obs.Metrics.escape base) (json_float serial_ns) (json_float par_ns) bench_domains
-        (json_float (serial_ns /. par_ns))
-        (if i = List.length pairs - 1 then "" else ","))
-    pairs;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
+let pretty_ns ns =
+  if ns >= 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
+  else if ns >= 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
+  else Printf.sprintf "%.1f ns" ns
 
-let run ?(json = false) ?(quick = false) ?(metrics = false) () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  Printf.printf "\n=== Microbenchmarks (bechamel, ns/run) ===\n%!";
-  let quota = if quick then 0.05 else 0.5 in
-  let limit = if quick then 50 else 200 in
-  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:None () in
-  let instances = [ Instance.monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
+let counter_pins (s : Obs.Metrics.snapshot) =
+  Report.
+    [
+      pin_int "tuples_scanned" s.tuples_scanned;
+      pin_int "pages_read" s.pages_read;
+      pin_int "bytes_read" s.bytes_read;
+      pin_int "io_batches" s.io_batches;
+      pin_int "page_cache_hits" s.page_cache_hits;
+      pin_int "sample_indices" s.sample_indices;
+      pin_int "hash_probe_hits" s.hash_probe_hits;
+      pin_int "hash_probe_misses" s.hash_probe_misses;
+      pin_int "rng_draws" s.rng_draws;
+    ]
+
+let run ?(quick = false) ?(metrics = false) () =
+  Printf.printf "\n=== Microbenchmarks (per run, median of interleaved rounds) ===\n%!";
+  (* k rounds.  A round times every case for [quota] seconds, in list
+     order on even rounds and reversed on odd ones, so the two rows of a
+     pair run back to back and take turns going first.  A speedup is
+     the median of its k per-round ratios. *)
+  let rounds = if quick then 7 else 15 in
+  let quota = if quick then 0.02 else 0.1 in
+  let cases = Array.of_list (tests () @ parallel_tests ()) in
+  let n = Array.length cases in
+  (* Untimed warm-up: lazily built columns, caches, heap growth. *)
+  Array.iter (fun (_, f) -> f ()) cases;
+  let seconds = Array.make_matrix n rounds 0. in
+  for round = 0 to rounds - 1 do
+    for j = 0 to n - 1 do
+      let i = if round mod 2 = 0 then j else n - 1 - j in
+      seconds.(i).(round) <- seconds_per_run ~quota (snd cases.(i))
+    done
+  done;
+  let index name =
+    let rec find i = if fst cases.(i) = name then i else find (i + 1) in
+    find 0
   in
-  let grouped =
-    Test.make_grouped ~name:"raestat" (tests () @ parallel_tests ())
+  let speedup pairs name =
+    List.find_map
+      (fun (reference, kernel) ->
+        if kernel <> name then None
+        else
+          let r = index reference and k = index kernel in
+          Some
+            (Report.timing
+               (Array.init rounds (fun round -> seconds.(r).(round) /. seconds.(k).(round)))))
+      pairs
   in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some [ t ] -> (name, t) :: acc
-        | Some _ | None -> (name, Float.nan) :: acc)
-      results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, ns) ->
-      if Float.is_finite ns then
-        if ns >= 1e6 then Printf.printf "%-40s %12.3f ms\n" name (ns /. 1e6)
-        else if ns >= 1e3 then Printf.printf "%-40s %12.3f us\n" name (ns /. 1e3)
-        else Printf.printf "%-40s %12.1f ns\n" name ns
-      else Printf.printf "%-40s %12s\n" name "n/a")
-    rows;
-  List.iter
-    (fun (base, serial_ns, par_ns) ->
-      Printf.printf "%-40s %12.2fx (dom%d)\n" (base ^ " speedup") (serial_ns /. par_ns)
-        bench_domains)
-    (speedups rows);
   let counters = if metrics then counter_rows () else [] in
-  if metrics then
-    List.iter
-      (fun (name, s) ->
-        Printf.printf "%-40s %8d tuples %6d idx %6d draws %d/%d probes\n" name
-          s.Obs.Metrics.tuples_scanned s.Obs.Metrics.sample_indices
-          s.Obs.Metrics.rng_draws s.Obs.Metrics.hash_probe_hits
-          s.Obs.Metrics.hash_probe_misses)
-      counters;
-  if json then write_json ~path:"BENCH_micro.json" ~quota ~counters rows;
-  if quick then overhead_check ()
+  let rows =
+    List.mapi
+      (fun i (name, _) ->
+        let ns = Report.timing_ns seconds.(i) in
+        let checks, speedups =
+          match (speedup guarded_pairs name, speedup parallel_pairs name) with
+          | Some s, _ -> ([ Report.At_least_base ("speedup", 0.25) ], [ ("speedup", s) ])
+          | None, Some s -> ([], [ ("speedup", s) ])
+          | None, None -> ([], [])
+        in
+        Printf.printf "%-40s %12s%s\n" name (pretty_ns ns.median)
+          (match speedups with
+          | [ (_, s) ] -> Printf.sprintf "  %.2fx (%d rounds)" s.Report.median s.k
+          | _ -> "");
+        let pinned =
+          match List.assoc_opt name counters with
+          | Some s ->
+            Printf.printf "%-40s %8d tuples %6d idx %6d draws %d/%d probes\n" ""
+              s.Obs.Metrics.tuples_scanned s.sample_indices s.rng_draws s.hash_probe_hits
+              s.hash_probe_misses;
+            counter_pins s
+          | None -> []
+        in
+        Report.bench_row name ~pinned ~checks ~timings:(("ns", ns) :: speedups))
+      (Array.to_list cases)
+  in
+  if quick then overhead_check ();
+  rows

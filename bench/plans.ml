@@ -11,19 +11,11 @@
    Everything here is deterministic — relation contents, the planner
    (no RNG), and the replicate streams are all seed-fixed — so the
    winner labels and the measured variance ratios are reproducible
-   bit-for-bit across machines and runs.  The compare gate (--plans)
-   pins the winner per scenario and holds the pushdown scenarios to a
-   >= 1.5x measured variance improvement. *)
+   bit-for-bit across machines and runs.  Each row pins them, and a
+   row whose winner is a pushdown declares the >= 1.5x measured
+   variance improvement as a check for the gate. *)
 
 let seed = 2024
-
-let failed = ref false
-
-let check condition detail =
-  if not condition then begin
-    failed := true;
-    Printf.eprintf "plans bench ASSERT FAILED: %s\n%!" detail
-  end
 
 (* --- scenarios --------------------------------------------------------- *)
 
@@ -37,7 +29,6 @@ type scenario = {
   fraction : float;
   relations : (string * string * int * column) list;
       (** relation name, column name, cardinality, key shape *)
-  pushdown_wins : bool;  (** expected strategy class, asserted *)
 }
 
 (* Foreign-key equijoins (unique keys on the dimension side): root
@@ -65,7 +56,6 @@ let scenarios =
          selective) instead of degenerating to an exact count. *)
       relations =
         [ ("fact", "a", 40_000, Uniform 3_999); ("dim", "b", 2_000, Unique) ];
-      pushdown_wins = true;
     };
     {
       name = "select-fk-join";
@@ -73,14 +63,12 @@ let scenarios =
       fraction = 0.02;
       relations =
         [ ("fact", "a", 30_000, Uniform 999); ("dim", "b", 1_000, Unique) ];
-      pushdown_wins = true;
     };
     {
       name = "single-leaf-select";
       expr = "select[a < 50](r)";
       fraction = 0.1;
       relations = [ ("r", "a", 5_000, Uniform 99) ];
-      pushdown_wins = false;
     };
   ]
 
@@ -170,54 +158,38 @@ let run_scenario ~replicates index scenario =
 
 (* --- harness ----------------------------------------------------------- *)
 
-let write_json ~path ~replicates results =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"raestat-bench-plans/1\",\n";
-  Printf.fprintf oc "  \"replicates\": %d,\n  \"scenarios\": [\n" replicates;
-  List.iteri
-    (fun i m ->
-      Printf.fprintf oc
-        "    { \"name\": \"%s\", \"winner\": \"%s\", \"candidates\": %d, \
-         \"budget\": %d, \"root_drawn\": %.0f, \"winner_drawn\": %.0f, \
-         \"root_var\": %.6g, \"winner_var\": %.6g, \"variance_ratio\": %.6g }%s\n"
-        m.scenario.name m.winner m.candidates m.budget m.root_drawn m.winner_drawn
-        m.root_var m.winner_var m.ratio
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
-
-let run ?(json = false) ?(quick = false) () =
+let run ?(quick = false) () =
   Printf.printf "\n=== plans bench (strategy selection, measured variance) ===\n%!";
   let replicates = if quick then 200 else 400 in
   let results = List.mapi (fun i s -> run_scenario ~replicates i s) scenarios in
   Printf.printf "%-20s %-20s %12s %12s %8s\n" "scenario" "winner" "root var"
     "winner var" "ratio";
-  List.iter
+  List.map
     (fun m ->
       Printf.printf "%-20s %-20s %12.4g %12.4g %7.2fx\n" m.scenario.name m.winner
         m.root_var m.winner_var m.ratio;
       (* Budget parity: the winner never draws more sampled tuples than
          the root strategy's total. *)
-      check
+      Report.check
         (m.winner_drawn <= m.root_drawn +. 0.5)
         (Printf.sprintf "%s: winner drew %.0f tuples, over the root budget %.0f"
            m.scenario.name m.winner_drawn m.root_drawn);
-      if m.scenario.pushdown_wins then begin
-        check
-          (String.length m.winner >= 8 && String.sub m.winner 0 8 = "pushdown")
-          (Printf.sprintf "%s: expected a pushdown winner, planner chose %s"
-             m.scenario.name m.winner);
-        check (m.ratio >= 1.5)
-          (Printf.sprintf
-             "%s: measured variance ratio %.2fx below the 1.5x acceptance floor"
-             m.scenario.name m.ratio)
-      end
-      else
-        check (m.winner = "root-sampling")
-          (Printf.sprintf "%s: expected the root-sampling tie-break, planner chose %s"
-             m.scenario.name m.winner))
-    results;
-  if json then write_json ~path:"BENCH_plans.json" ~replicates results;
-  if !failed then exit 1
+      Report.bench_row m.scenario.name
+        ~pinned:
+          Report.
+            [
+              pin_str "winner" m.winner;
+              pin_int "candidates" m.candidates;
+              pin_int "replicates" replicates;
+              pin_int "budget" m.budget;
+              pin_float "root_drawn" m.root_drawn;
+              pin_float "winner_drawn" m.winner_drawn;
+              pin_float "root_var" m.root_var;
+              pin_float "winner_var" m.winner_var;
+              pin_float "variance_ratio" m.ratio;
+            ]
+        ~checks:
+          (if String.starts_with ~prefix:"pushdown" m.winner then
+             [ Report.At_least ("variance_ratio", Report.Value 1.5) ]
+           else []))
+    results

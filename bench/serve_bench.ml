@@ -12,27 +12,30 @@
      seed (the warm sample cache serves the draw), isolating what the
      warm state is worth per request.
 
+   Each mix runs 10 times, each time on a fresh daemon, and the
+   latencies of the runs are pooled, so the tail is read from 1,600
+   requests.
    Three classes of number come out:
 
-   - Latencies (p50/p95/p99) are wall-clock and machine-dependent.  The
-     compare gate judges p95 *normalized by the p50 ratio* between
-     baseline and fresh runs, so a uniformly slower machine cancels out
-     and only a shape change in the latency distribution fails.
+   - Latencies are wall-clock and machine-dependent.  The row's tail
+     check judges p95 *normalized by the p50 ratio* between baseline
+     and fresh runs, so a uniformly slower machine cancels out and only
+     a shape change in the latency distribution fails.
    - Cache and request totals are deterministic: the mix has a fixed
      number of distinct query shapes, each compiled exactly once
      (misses = shapes) with every repeat a hit, and the request count
-     is fixed.  The gate pins these exactly — a hit-rate drop means
-     plan-cache normalization or invalidation actually changed.
-   - The warm/cold ratio is wall-clock but self-normalizing (both
-     passes run on the same machine seconds apart); the gate requires
-     warm to stay no slower than cold.
+     is fixed.  Every run must reproduce them, and the row pins them —
+     a hit-rate drop means plan-cache normalization or invalidation
+     actually changed.
+   - The warm/cold medians are wall-clock but self-normalizing (both
+     passes run on the same machine seconds apart); the row checks that
+     warm stays no slower than cold.
 
    Client threads interleave nondeterministically, but totals are
    order-independent: the queue limit is sized so nothing is rejected,
    and hit/miss totals depend only on how many times each shape runs. *)
 
 let seed = 1988
-let level_label = "serve"
 
 (* The mix: distinct shapes × repeats, round-robined over clients. *)
 let shape_mix =
@@ -42,14 +45,6 @@ let shape_mix =
     {|{"op": "query", "expr": "select[a < 300](r)", "fraction": 0.02, "groups": 4}|};
     {|{"op": "sql", "query": "SELECT COUNT(*) FROM r WHERE a < 120", "fraction": 0.02}|};
   ]
-
-let failed = ref false
-
-let check condition detail =
-  if not condition then begin
-    failed := true;
-    Printf.eprintf "serve bench ASSERT FAILED [%s]: %s\n%!" level_label detail
-  end
 
 (* --- one client connection ------------------------------------------- *)
 
@@ -96,39 +91,28 @@ let client path requests latencies offset =
       send_line fd request;
       (match read_line () with
       | Some response ->
-        check (response_ok response)
-          (Printf.sprintf "request failed: %s -> %s" request response)
-      | None -> check false "server closed the connection mid-mix");
+        Report.check (response_ok response)
+          (Printf.sprintf "serve: request failed: %s -> %s" request response)
+      | None -> Report.check false "serve: server closed the connection mid-mix");
       latencies.(offset + i) <- Unix.gettimeofday () -. t0)
     requests
 
-(* --- metrics scraping ------------------------------------------------- *)
+(* --- replies ----------------------------------------------------------- *)
 
-(* Pull one "key": N integer out of a metrics response. *)
-let scrape_int response key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat and rlen = String.length response in
-  let rec find j = if j + plen > rlen then None
-    else if String.sub response j plen = pat then Some (j + plen)
-    else find (j + 1)
+(* The number under the first member named [key] in a JSON reply,
+   searched depth first. *)
+let reply_number line key =
+  let rec find = function
+    | Serve.Json.Obj fields -> (
+      match List.assoc_opt key fields with
+      | Some v -> Some v
+      | None -> List.find_map (fun (_, v) -> find v) fields)
+    | Serve.Json.List items -> List.find_map find items
+    | _ -> None
   in
-  match find 0 with
-  | None -> None
-  | Some vstart ->
-    let vend = ref vstart in
-    while
-      !vend < rlen && match response.[!vend] with '0' .. '9' -> true | _ -> false
-    do
-      incr vend
-    done;
-    int_of_string_opt (String.sub response vstart (!vend - vstart))
-
-(* --- percentiles ------------------------------------------------------ *)
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else sorted.(Int.min (n - 1) (int_of_float (q *. float_of_int n)))
+  match Serve.Json.parse line with
+  | Ok reply -> Option.bind (find reply) Report.number
+  | Error _ -> None
 
 (* --- daemon lifecycle ------------------------------------------------- *)
 
@@ -178,20 +162,31 @@ let with_daemon ~workers ~csv ~socket ~queue_limit drive =
 
 (* --- the concurrent mix ----------------------------------------------- *)
 
-type mix_result = {
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  mean : float;
-  wall : float;
-  total : int;
+(* The deterministic totals of one run, read from the metrics reply. *)
+type totals = {
   hits : int;
   misses : int;
-  served : int;
+  served : int;  (** requests the daemon counted, the metrics request included *)
   errors : int;
   overloaded : int;
+  workers : int;
 }
 
+let totals_of metrics_line =
+  let get key =
+    match reply_number metrics_line key with Some v -> int_of_float v | None -> -1
+  in
+  {
+    hits = get "hits";
+    misses = get "misses";
+    served = get "requests";
+    errors = get "errors";
+    overloaded = get "overloaded";
+    workers = get "workers";
+  }
+
+(* One run of the mix on a fresh daemon: per-request latencies in
+   seconds, the wall time, and the run's totals. *)
 let run_mix ~workers ~clients ~repeats ~csv ~socket =
   let shapes = List.length shape_mix in
   let total = clients * repeats * shapes in
@@ -206,7 +201,7 @@ let run_mix ~workers ~clients ~repeats ~csv ~socket =
         ^ Printf.sprintf ", \"seed\": %d}" (1 + (c * 1000) + i))
   in
   let latencies = Array.make total 0. in
-  let (wall, ()), metrics_line =
+  let wall, metrics_line =
     (* Queue sized so the full client fleet can be admitted: overloads
        would make the hit/miss totals nondeterministic. *)
     with_daemon ~workers ~csv ~socket ~queue_limit:(2 * clients) (fun socket ->
@@ -218,42 +213,23 @@ let run_mix ~workers ~clients ~repeats ~csv ~socket =
                 ())
         in
         List.iter Thread.join threads;
-        (Unix.gettimeofday () -. t_start, ()))
+        Unix.gettimeofday () -. t_start)
   in
-  let scrape key = Option.value (scrape_int metrics_line key) ~default:(-1) in
-  let hits = scrape "hits" and misses = scrape "misses" in
-  (* Deterministic contract, independent of the worker count: each
-     shape compiles once, every repeat hits; nothing rejected, nothing
-     errored. *)
-  check (misses = shapes)
-    (Printf.sprintf "workers=%d: expected %d plan compilations (one per shape), saw %d"
-       workers shapes misses);
-  check
-    (hits = total - shapes)
-    (Printf.sprintf "workers=%d: expected %d plan-cache hits, saw %d" workers
-       (total - shapes) hits);
-  check (scrape "errors" = 0) (Printf.sprintf "%d requests errored" (scrape "errors"));
-  check
-    (scrape "overloaded" = 0)
-    (Printf.sprintf "%d requests rejected as overloaded" (scrape "overloaded"));
-  check
-    (scrape "workers" = workers)
-    (Printf.sprintf "metrics reports %d workers, expected %d" (scrape "workers") workers);
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
-  {
-    p50 = percentile sorted 0.50;
-    p95 = percentile sorted 0.95;
-    p99 = percentile sorted 0.99;
-    mean = Array.fold_left ( +. ) 0. latencies /. float_of_int total;
-    wall;
-    total;
-    hits;
-    misses;
-    served = scrape "requests";
-    errors = scrape "errors";
-    overloaded = scrape "overloaded";
-  }
+  (latencies, wall, totals_of metrics_line)
+
+(* [runs] runs of the mix; every run must reproduce the first's totals.
+   The timing pools the latencies of all runs. *)
+let pooled_mix ~runs ~workers ~clients ~repeats ~csv ~socket =
+  let results = List.init runs (fun _ -> run_mix ~workers ~clients ~repeats ~csv ~socket) in
+  let _, _, first = List.hd results in
+  List.iteri
+    (fun i (_, _, totals) ->
+      Report.check (totals = first)
+        (Printf.sprintf "serve: workers=%d run %d changed the totals of run 1" workers (i + 1)))
+    results;
+  ( Report.timing_ns (Array.concat (List.map (fun (l, _, _) -> l) results)),
+    List.fold_left (fun acc (_, w, _) -> acc +. w) 0. results,
+    first )
 
 (* --- warm vs cold ------------------------------------------------------ *)
 
@@ -279,8 +255,8 @@ let run_warm_cold ~rounds ~csv ~socket =
           send_line fd (request seed);
           (match read_line () with
           | Some response ->
-            check (response_ok response) ("warm/cold request failed: " ^ response)
-          | None -> check false "server closed during warm/cold pass");
+            Report.check (response_ok response) ("serve: warm/cold request failed: " ^ response)
+          | None -> Report.check false "serve: server closed during warm/cold pass");
           Unix.gettimeofday () -. t0
         in
         (* Prime the plan cache (and the warm seed) so both passes hit
@@ -291,74 +267,25 @@ let run_warm_cold ~rounds ~csv ~socket =
         let warm = Array.init rounds (fun _ -> timed 500_000) in
         (cold, warm))
   in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    percentile s 0.50
+  let sample_hits =
+    match reply_number metrics_line "sample_hits" with Some v -> int_of_float v | None -> -1
   in
-  let cold_us = 1e6 *. median cold and warm_us = 1e6 *. median warm in
-  let sample_hits = Option.value (scrape_int metrics_line "sample_hits") ~default:(-1) in
   (* rounds warm repeats + 1 re-prime of the already-cached warm seed *)
-  check (sample_hits = rounds + 1)
-    (Printf.sprintf "expected %d warm sample-cache hits, saw %d" (rounds + 1) sample_hits);
-  check (warm_us <= cold_us)
-    (Printf.sprintf "warm pass slower than cold: warm %.1fus vs cold %.1fus" warm_us
-       cold_us);
-  (cold_us, warm_us)
+  Report.check (sample_hits = rounds + 1)
+    (Printf.sprintf "serve: expected %d warm sample-cache hits, saw %d" (rounds + 1)
+       sample_hits);
+  (Report.timing_ns cold, Report.timing_ns warm, sample_hits)
 
 (* --- harness ---------------------------------------------------------- *)
 
-let write_json ~path ~clients ~shapes ~(one : mix_result) ~(two : mix_result) ~cold_us
-    ~warm_us =
-  let us x = Printf.sprintf "%.1f" (1e6 *. x) in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"raestat-bench-serve/2\",\n";
-  Printf.fprintf oc "  \"clients\": %d,\n  \"requests\": %d,\n  \"shapes\": %d,\n"
-    clients one.total shapes;
-  Printf.fprintf oc "  \"workers\": 1,\n  \"available_cores\": %d,\n"
-    (Domain.recommended_domain_count ());
-  Printf.fprintf oc
-    "  \"p50_us\": %s,\n  \"p95_us\": %s,\n  \"p99_us\": %s,\n  \"mean_us\": %s,\n"
-    (us one.p50) (us one.p95) (us one.p99) (us one.mean);
-  Printf.fprintf oc
-    "  \"plan_cache_hits\": %d,\n  \"plan_cache_misses\": %d,\n  \"hit_rate\": %.6f,\n"
-    one.hits one.misses
-    (if one.hits + one.misses = 0 then 0.
-     else float_of_int one.hits /. float_of_int (one.hits + one.misses));
-  Printf.fprintf oc
-    "  \"requests_served\": %d,\n  \"errors\": %d,\n  \"overloaded\": %d,\n" one.served
-    one.errors one.overloaded;
-  (* Same mix on two worker domains: the totals must match the
-     one-worker run exactly (the determinism contract); only the
-     latencies may differ. *)
-  Printf.fprintf oc "  \"w2_workers\": 2,\n  \"w2_requests\": %d,\n" two.total;
-  Printf.fprintf oc "  \"w2_plan_cache_hits\": %d,\n  \"w2_plan_cache_misses\": %d,\n"
-    two.hits two.misses;
-  Printf.fprintf oc "  \"w2_errors\": %d,\n  \"w2_overloaded\": %d,\n" two.errors
-    two.overloaded;
-  Printf.fprintf oc "  \"w2_p50_us\": %s,\n  \"w2_p95_us\": %s,\n" (us two.p50)
-    (us two.p95);
-  Printf.fprintf oc "  \"cold_us\": %.1f,\n  \"warm_us\": %.1f,\n" cold_us warm_us;
-  Printf.fprintf oc "  \"warm_speedup\": %.3f\n}\n"
-    (if warm_us > 0. then cold_us /. warm_us else 0.);
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
-
-let run ?(json = false) ?(quick = false) () =
+let run ?(quick = false) () =
   Printf.printf "\n=== serve bench (daemon latency, plan cache, worker pool) ===\n%!";
   let cardinality = if quick then 20_000 else 100_000 in
   let clients = 8 in
   let repeats = if quick then 5 else 25 in
+  let runs = 10 in
   let warm_rounds = if quick then 40 else 100 in
-  let dir = Filename.temp_file "raestat-serve" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Sys.rmdir dir with Sys_error _ -> ())
-  @@ fun () ->
+  Report.with_temp_dir "raestat-serve" @@ fun dir ->
   let csv = Filename.concat dir "r.csv" in
   let rng = Sampling.Rng.create ~seed () in
   Relational.Csv.save csv
@@ -366,30 +293,55 @@ let run ?(json = false) ?(quick = false) () =
        (Workload.Dist.Uniform { lo = 0; hi = 999 }));
   let socket = Filename.concat dir "serve.sock" in
   let shapes = List.length shape_mix in
-  let report label (r : mix_result) =
-    Printf.printf "%s: %d clients x %d requests (%d shapes): wall %.2fs, %.0f req/s\n"
-      label clients (repeats * shapes) shapes r.wall
-      (float_of_int r.total /. r.wall);
-    Printf.printf "%s: latency p50 %.1fus  p95 %.1fus  p99 %.1fus  mean %.1fus\n" label
-      (1e6 *. r.p50) (1e6 *. r.p95) (1e6 *. r.p99) (1e6 *. r.mean);
-    Printf.printf "%s: plan cache %d hits / %d misses (hit rate %.1f%%)\n" label r.hits
-      r.misses
-      (100. *. float_of_int r.hits /. float_of_int (Int.max 1 (r.hits + r.misses)))
+  let total = clients * repeats * shapes in
+  let mix workers =
+    let t, wall, totals = pooled_mix ~runs ~workers ~clients ~repeats ~csv ~socket in
+    Printf.printf
+      "workers=%d: %d runs x %d clients x %d requests (%d shapes): %.0f req/s, latency \
+       p50 %.1fus p95 %.1fus max %.1fus; plan cache %d hits / %d misses\n"
+      workers runs clients (repeats * shapes) shapes
+      (float_of_int (runs * total) /. wall)
+      (t.median /. 1e3) (t.p95 /. 1e3) (t.max /. 1e3) totals.hits totals.misses;
+    (t, totals)
   in
-  let one = run_mix ~workers:1 ~clients ~repeats ~csv ~socket in
-  report "workers=1" one;
-  let two = run_mix ~workers:2 ~clients ~repeats ~csv ~socket in
-  report "workers=2" two;
+  let one_latency, one = mix 1 in
+  let two_latency, two = mix 2 in
   (* The pool must be invisible in every deterministic total. *)
-  check (two.hits = one.hits && two.misses = one.misses)
-    (Printf.sprintf "worker count changed cache totals: w1 %d/%d vs w2 %d/%d" one.hits
+  Report.check
+    ({ two with workers = one.workers } = one)
+    (Printf.sprintf "serve: worker count changed the totals: w1 %d/%d vs w2 %d/%d" one.hits
        one.misses two.hits two.misses);
-  check (two.total = one.total) "worker count changed the request total";
-  let cold_us, warm_us = run_warm_cold ~rounds:warm_rounds ~csv ~socket in
+  let cold, warm, sample_hits = run_warm_cold ~rounds:warm_rounds ~csv ~socket in
   Printf.printf
     "warm vs cold (fraction 0.2, %d rounds): cold p50 %.1fus, warm p50 %.1fus (%.2fx)\n"
-    warm_rounds cold_us warm_us
-    (if warm_us > 0. then cold_us /. warm_us else 0.);
-  if json then
-    write_json ~path:"BENCH_serve.json" ~clients ~shapes ~one ~two ~cold_us ~warm_us;
-  if !failed then exit 1
+    warm_rounds (cold.median /. 1e3) (warm.median /. 1e3) (cold.median /. warm.median);
+  Report.
+    [
+      bench_row "mix"
+        ~pinned:
+          [
+            pin_int "clients" clients;
+            pin_int "requests" total;
+            pin_int "shapes" shapes;
+            pin_int "workers" one.workers;
+            pin_int "plan_cache_hits" one.hits;
+            pin_int "plan_cache_misses" one.misses;
+            pin_float "hit_rate"
+              (float_of_int one.hits /. float_of_int (Int.max 1 (one.hits + one.misses)));
+            pin_int "requests_served" one.served;
+            pin_int "errors" one.errors;
+            pin_int "overloaded" one.overloaded;
+            pin_int "w2_workers" two.workers;
+            pin_int "w2_requests" total;
+            pin_int "w2_plan_cache_hits" two.hits;
+            pin_int "w2_plan_cache_misses" two.misses;
+            pin_int "w2_errors" two.errors;
+            pin_int "w2_overloaded" two.overloaded;
+          ]
+        ~checks:[ At_least_base ("hit_rate", 0.); Tail ("latency_ns", 0.25, 200_000.) ]
+        ~timings:[ ("latency_ns", one_latency); ("w2_latency_ns", two_latency) ];
+      bench_row "warm-cold"
+        ~pinned:[ pin_int "rounds" warm_rounds; pin_int "sample_hits" sample_hits ]
+        ~checks:[ At_most ("warm_ns", Field "cold_ns") ]
+        ~timings:[ ("cold_ns", cold); ("warm_ns", warm) ];
+    ]

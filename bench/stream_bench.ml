@@ -17,15 +17,15 @@
      and the post-rescan (census) accuracy.  Every count in this
      section — epochs, populations, sample sizes, maintenance ops, RNG
      draws, and the q-errors themselves — is a pure function of the
-     seed, so the compare gate pins them.
+     seed, so the row pins them.
 
    - A concurrent daemon section: one writer connection streams ingest
      batches while reader connections hammer estimates on the same
      relation.  Read latency percentiles and both throughputs are
      wall-clock; the maintenance totals, the final stream state and
      the final served-estimate-vs-census q-error are deterministic
-     (writes serialize on one connection, reads draw nothing) and are
-     pinned by the gate. *)
+     (writes serialize on one connection, reads draw nothing) and the
+     row pins them. *)
 
 module SR = Raestat.Stream_relation
 module Rng = Sampling.Rng
@@ -33,14 +33,6 @@ module P = Relational.Predicate
 
 let seed = 1988
 let threshold_predicate = P.lt (P.attr "a") (P.vint 300)
-
-let failed = ref false
-
-let check condition detail =
-  if not condition then begin
-    failed := true;
-    Printf.eprintf "stream bench ASSERT FAILED: %s\n%!" detail
-  end
 
 (* --- serial section ---------------------------------------------------- *)
 
@@ -60,9 +52,9 @@ type serial_result = {
   eroded_population : int;
   eroded_fill_ratio : float;
   qerr_after_rescan : float;
-  writes_per_sec : float;  (** wall-clock, not gated *)
-  estimate_us : float;  (** median maintained-estimate latency, not gated *)
-  snapshot_us : float;  (** median post-batch snapshot latency, not gated *)
+  write : Report.timing;  (** per-batch ingest latency, ns *)
+  estimate : Report.timing;  (** maintained-estimate latency, ns *)
+  snapshot : Report.timing;  (** post-batch snapshot latency, ns *)
 }
 
 (* The model: live ids in a swap-remove array for O(1) uniform picks,
@@ -124,8 +116,8 @@ let run_serial ~quick () =
   let qerrs = Array.make rounds 0. in
   let est_lat = Array.make rounds 0. in
   let snap_lat = Array.make rounds 0. in
+  let write_lat = Array.make rounds 0. in
   let writes = ref 0 in
-  let t_writes = ref 0. in
   for round = 0 to rounds - 1 do
     let inserts = Array.make batch_inserts (Relational.Tuple.make [], 0) in
     for k = 0 to batch_inserts - 1 do
@@ -139,14 +131,14 @@ let run_serial ~quick () =
     let counts =
       SR.ingest stream ~inserts:(Array.map fst inserts) ~deletes
     in
-    t_writes := !t_writes +. (Unix.gettimeofday () -. t0);
+    write_lat.(round) <- Unix.gettimeofday () -. t0;
     writes := !writes + batch_inserts + batch_deletes;
     Array.iteri
       (fun k (_, value) -> model_add model (counts.SR.first_id + k) value)
       inserts;
-    check
+    Report.check
       (SR.population stream = model.live)
-      (Printf.sprintf "round %d: population %d, model %d" round
+      (Printf.sprintf "stream: round %d: population %d, model %d" round
          (SR.population stream) model.live);
     let t1 = Unix.gettimeofday () in
     let est = SR.estimate_count stream threshold_predicate in
@@ -159,15 +151,15 @@ let run_serial ~quick () =
     let t2 = Unix.gettimeofday () in
     let snapshot = SR.snapshot stream in
     snap_lat.(round) <- Unix.gettimeofday () -. t2;
-    check
+    Report.check
       (Relational.Relation.cardinality snapshot = model.live)
-      (Printf.sprintf "round %d: snapshot holds %d tuples, model %d" round
+      (Printf.sprintf "stream: round %d: snapshot holds %d tuples, model %d" round
          (Relational.Relation.cardinality snapshot) model.live)
   done;
   let qerr_mean = Array.fold_left ( +. ) 0. qerrs /. float_of_int rounds in
   let qerr_max = Array.fold_left Float.max 1. qerrs in
-  check (Float.is_finite qerr_max && qerr_max < 1.5)
-    (Printf.sprintf "staleness q-error blew up: max %.3f" qerr_max);
+  Report.check (Float.is_finite qerr_max && qerr_max < 1.5)
+    (Printf.sprintf "stream: staleness q-error blew up: max %.3f" qerr_max);
   let epoch = SR.epoch stream
   and population = SR.population stream
   and sample_size = SR.sample_size stream in
@@ -182,13 +174,13 @@ let run_serial ~quick () =
   ignore (SR.ingest stream ~inserts:[||] ~deletes:victims);
   let eroded_population = SR.population stream in
   let eroded_fill_ratio = SR.fill_ratio stream in
-  check (SR.needs_rescan stream)
-    (Printf.sprintf "deleting %d of %d tuples did not trip needs_rescan (fill %.3f)"
+  Report.check (SR.needs_rescan stream)
+    (Printf.sprintf "stream: deleting %d of %d tuples did not trip needs_rescan (fill %.3f)"
        (Array.length victims)
        (eroded_population + Array.length victims)
        eroded_fill_ratio);
   SR.rescan stream;
-  check (not (SR.needs_rescan stream)) "rescan did not clear needs_rescan";
+  Report.check (not (SR.needs_rescan stream)) "stream: rescan did not clear needs_rescan";
   let est = SR.estimate_count stream threshold_predicate in
   let qerr_after_rescan =
     Stats.Summary.q_error ~estimate:est.Stats.Estimate.point
@@ -211,10 +203,9 @@ let run_serial ~quick () =
     eroded_population;
     eroded_fill_ratio;
     qerr_after_rescan;
-    writes_per_sec =
-      (if !t_writes > 0. then float_of_int !writes /. !t_writes else 0.);
-    estimate_us = 1e6 *. Stats.Summary.median est_lat;
-    snapshot_us = 1e6 *. Stats.Summary.median snap_lat;
+    write = Report.timing_ns write_lat;
+    estimate = Report.timing_ns est_lat;
+    snapshot = Report.timing_ns snap_lat;
   }
 
 (* --- concurrent daemon section ----------------------------------------- *)
@@ -229,33 +220,9 @@ type served_result = {
   srv_epoch : int;
   srv_population : int;
   srv_final_qerr : float;
-  srv_read_p50_us : float;  (** wall-clock, not gated *)
-  srv_read_p95_us : float;  (** wall-clock, not gated *)
-  srv_writes_per_sec : float;  (** wall-clock, not gated *)
+  srv_read : Report.timing;  (** read latency, ns *)
+  srv_write : Report.timing;  (** per-batch write latency, ns *)
 }
-
-let scrape_float response key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat and rlen = String.length response in
-  let rec find j =
-    if j + plen > rlen then None
-    else if String.sub response j plen = pat then Some (j + plen)
-    else find (j + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some vstart ->
-    let vend = ref vstart in
-    while
-      !vend < rlen
-      &&
-      match response.[!vend] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr vend
-    done;
-    float_of_string_opt (String.sub response vstart (!vend - vstart))
 
 let run_served ~quick ~csv ~socket =
   let batches = if quick then 50 else 200 in
@@ -276,56 +243,46 @@ let run_served ~quick ~csv ~socket =
       batch_body
   in
   let read_latencies = Array.make (readers * reads_each) 0. in
-  let write_wall = ref 0. in
-  let (final_qerr, ()), metrics_line =
+  let write_latencies = Array.make batches 0. in
+  (* One request on [fd], timed in seconds. *)
+  let timed_request fd read_line request what =
+    let t0 = Unix.gettimeofday () in
+    Serve_bench.send_line fd request;
+    (match read_line () with
+    | Some response ->
+      Report.check (Serve_bench.response_ok response)
+        (Printf.sprintf "stream: %s failed: %s" what response)
+    | None -> Report.check false ("stream: server closed on a " ^ what));
+    Unix.gettimeofday () -. t0
+  in
+  let with_connection socket f =
+    let fd = Serve_bench.connect socket in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> f fd (Serve_bench.line_reader fd))
+  in
+  let final_qerr, metrics_line =
     Serve_bench.with_daemon ~workers:1 ~csv ~socket ~queue_limit:64 (fun socket ->
         let writer =
           Thread.create
             (fun () ->
-              let fd = Serve_bench.connect socket in
-              Fun.protect
-                ~finally:(fun () ->
-                  try Unix.close fd with Unix.Unix_error _ -> ())
-              @@ fun () ->
-              let read_line = Serve_bench.line_reader fd in
-              let t0 = Unix.gettimeofday () in
-              for _ = 1 to batches do
-                Serve_bench.send_line fd write_request;
-                match read_line () with
-                | Some response ->
-                  check
-                    (Serve_bench.response_ok response)
-                    ("write failed: " ^ response)
-                | None -> check false "server closed on the writer"
-              done;
-              write_wall := Unix.gettimeofday () -. t0)
+              with_connection socket (fun fd read_line ->
+                  for b = 0 to batches - 1 do
+                    write_latencies.(b) <- timed_request fd read_line write_request "write"
+                  done))
             ()
         in
         let reader_threads =
           List.init readers (fun r ->
               Thread.create
                 (fun () ->
-                  let fd = Serve_bench.connect socket in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      try Unix.close fd with Unix.Unix_error _ -> ())
-                  @@ fun () ->
-                  let read_line = Serve_bench.line_reader fd in
-                  let request =
-                    {|{"op": "estimate", "relation": "r", "where": "a < 300"}|}
-                  in
-                  for i = 0 to reads_each - 1 do
-                    let t0 = Unix.gettimeofday () in
-                    Serve_bench.send_line fd request;
-                    (match read_line () with
-                    | Some response ->
-                      check
-                        (Serve_bench.response_ok response)
-                        ("read failed: " ^ response)
-                    | None -> check false "server closed on a reader");
-                    read_latencies.((r * reads_each) + i) <-
-                      Unix.gettimeofday () -. t0
-                  done)
+                  with_connection socket (fun fd read_line ->
+                      for i = 0 to reads_each - 1 do
+                        read_latencies.((r * reads_each) + i) <-
+                          timed_request fd read_line
+                            {|{"op": "estimate", "relation": "r", "where": "a < 300"}|}
+                            "read"
+                      done))
                 ())
         in
         Thread.join writer;
@@ -333,37 +290,28 @@ let run_served ~quick ~csv ~socket =
         (* Freshness at rest: the maintained estimate against the
            census the overlay query computes from the same stream
            snapshot.  Deterministic — every write has landed. *)
-        let fd = Serve_bench.connect socket in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        @@ fun () ->
-        let read_line = Serve_bench.line_reader fd in
-        Serve_bench.send_line fd
-          {|{"op": "estimate", "relation": "r", "where": "a < 300"}|};
-        let estimate_line = Option.value (read_line ()) ~default:"" in
-        Serve_bench.send_line fd
-          {|{"op": "query", "expr": "select[a < 300](r)", "fraction": 1.0, "groups": 1}|};
-        let census_line = Option.value (read_line ()) ~default:"" in
-        let point line =
-          match scrape_float line "point" with
-          | Some p -> p
-          | None ->
-            check false ("no point in response: " ^ line);
-            Float.nan
-        in
-        (Stats.Summary.q_error ~estimate:(point estimate_line)
-           ~truth:(point census_line), ()))
+        with_connection socket (fun fd read_line ->
+            Serve_bench.send_line fd
+              {|{"op": "estimate", "relation": "r", "where": "a < 300"}|};
+            let estimate_line = Option.value (read_line ()) ~default:"" in
+            Serve_bench.send_line fd
+              {|{"op": "query", "expr": "select[a < 300](r)", "fraction": 1.0, "groups": 1}|};
+            let census_line = Option.value (read_line ()) ~default:"" in
+            let point line =
+              match Serve_bench.reply_number line "point" with
+              | Some p -> p
+              | None ->
+                Report.check false ("stream: no point in response: " ^ line);
+                Float.nan
+            in
+            Stats.Summary.q_error ~estimate:(point estimate_line)
+              ~truth:(point census_line)))
   in
   let scrape key =
-    match scrape_float metrics_line key with Some v -> int_of_float v | None -> -1
+    match Serve_bench.reply_number metrics_line key with
+    | Some v -> int_of_float v
+    | None -> -1
   in
-  check (scrape "errors" = 0)
-    (Printf.sprintf "%d served requests errored" (scrape "errors"));
-  check
-    (scrape "overloaded" = 0)
-    (Printf.sprintf "%d served requests rejected" (scrape "overloaded"));
-  let sorted = Array.copy read_latencies in
-  Array.sort compare sorted;
   {
     srv_write_batches = batches;
     srv_batch_size = batch_size;
@@ -374,62 +322,20 @@ let run_served ~quick ~csv ~socket =
     srv_epoch = scrape "epoch";
     srv_population = scrape "population";
     srv_final_qerr = final_qerr;
-    srv_read_p50_us = 1e6 *. Serve_bench.percentile sorted 0.50;
-    srv_read_p95_us = 1e6 *. Serve_bench.percentile sorted 0.95;
-    srv_writes_per_sec =
-      (if !write_wall > 0. then
-         float_of_int (batches * batch_size) /. !write_wall
-       else 0.);
+    srv_read = Report.timing_ns read_latencies;
+    srv_write = Report.timing_ns write_latencies;
   }
 
 (* --- harness ----------------------------------------------------------- *)
 
-let write_json ~path ~quick ~(serial : serial_result) ~(served : served_result) =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"raestat-bench-stream/1\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc
-    "  \"rounds\": %d,\n  \"batch_inserts\": %d,\n  \"batch_deletes\": %d,\n"
-    serial.rounds serial.batch_inserts serial.batch_deletes;
-  Printf.fprintf oc "  \"writes\": %d,\n  \"epoch\": %d,\n  \"population\": %d,\n"
-    serial.writes serial.epoch serial.population;
-  Printf.fprintf oc "  \"sample_size\": %d,\n  \"capacity\": %d,\n"
-    serial.sample_size serial.capacity;
-  Printf.fprintf oc "  \"maintenance_ops\": %d,\n  \"rng_draws\": %d,\n"
-    serial.maintenance_ops serial.rng_draws;
-  Printf.fprintf oc "  \"qerr_mean\": %.6f,\n  \"qerr_max\": %.6f,\n" serial.qerr_mean
-    serial.qerr_max;
-  Printf.fprintf oc
-    "  \"eroded_population\": %d,\n  \"eroded_fill_ratio\": %.6f,\n"
-    serial.eroded_population serial.eroded_fill_ratio;
-  Printf.fprintf oc "  \"qerr_after_rescan\": %.6f,\n" serial.qerr_after_rescan;
-  Printf.fprintf oc
-    "  \"writes_per_sec\": %.0f,\n  \"estimate_us\": %.1f,\n  \"snapshot_us\": %.1f,\n"
-    serial.writes_per_sec serial.estimate_us serial.snapshot_us;
-  Printf.fprintf oc
-    "  \"srv_write_batches\": %d,\n  \"srv_batch_size\": %d,\n\
-    \  \"srv_reader_requests\": %d,\n"
-    served.srv_write_batches served.srv_batch_size served.srv_reader_requests;
-  Printf.fprintf oc "  \"srv_errors\": %d,\n  \"srv_overloaded\": %d,\n"
-    served.srv_errors served.srv_overloaded;
-  Printf.fprintf oc
-    "  \"srv_maintenance_ops\": %d,\n  \"srv_epoch\": %d,\n  \"srv_population\": %d,\n"
-    served.srv_maintenance_ops served.srv_epoch served.srv_population;
-  Printf.fprintf oc "  \"srv_final_qerr\": %.6f,\n" served.srv_final_qerr;
-  Printf.fprintf oc "  \"srv_read_p50_us\": %.1f,\n  \"srv_read_p95_us\": %.1f,\n"
-    served.srv_read_p50_us served.srv_read_p95_us;
-  Printf.fprintf oc "  \"srv_writes_per_sec\": %.0f\n}\n" served.srv_writes_per_sec;
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" path
-
-let run ?(json = false) ?(quick = false) () =
+let run ?(quick = false) () =
   Printf.printf "\n=== stream bench (maintained samples under writes) ===\n%!";
   let serial = run_serial ~quick () in
   Printf.printf
-    "serial: %d rounds of +%d/-%d: %.0f writes/s, estimate p50 %.1fus, snapshot \
+    "serial: %d rounds of +%d/-%d: write p50 %.1fus, estimate p50 %.1fus, snapshot \
      p50 %.1fus\n"
-    serial.rounds serial.batch_inserts serial.batch_deletes serial.writes_per_sec
-    serial.estimate_us serial.snapshot_us;
+    serial.rounds serial.batch_inserts serial.batch_deletes (serial.write.median /. 1e3)
+    (serial.estimate.median /. 1e3) (serial.snapshot.median /. 1e3);
   Printf.printf
     "serial: staleness q-error mean %.4f max %.4f over %d checkpoints (pop %d, \
      sample %d/%d)\n"
@@ -439,17 +345,8 @@ let run ?(json = false) ?(quick = false) () =
     "serial: erosion to %d tuples (fill %.3f) tripped needs_rescan; census after \
      rescan q-error %.4f\n"
     serial.eroded_population serial.eroded_fill_ratio serial.qerr_after_rescan;
-  let dir = Filename.temp_file "raestat-stream" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
   let served =
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-          (try Sys.readdir dir with Sys_error _ -> [||]);
-        try Sys.rmdir dir with Sys_error _ -> ())
-    @@ fun () ->
+    Report.with_temp_dir "raestat-stream" @@ fun dir ->
     let csv = Filename.concat dir "r.csv" in
     let rng = Rng.create ~seed () in
     Relational.Csv.save csv
@@ -460,12 +357,53 @@ let run ?(json = false) ?(quick = false) () =
     run_served ~quick ~csv ~socket:(Filename.concat dir "stream.sock")
   in
   Printf.printf
-    "served: %d batches of %d inserts vs %d reads: %.0f writes/s, read p50 %.1fus \
+    "served: %d batches of %d inserts vs %d reads: write p50 %.1fus, read p50 %.1fus \
      p95 %.1fus\n"
     served.srv_write_batches served.srv_batch_size served.srv_reader_requests
-    served.srv_writes_per_sec served.srv_read_p50_us served.srv_read_p95_us;
+    (served.srv_write.median /. 1e3) (served.srv_read.median /. 1e3)
+    (served.srv_read.p95 /. 1e3);
   Printf.printf "served: final maintained estimate vs census q-error %.4f (pop %d, \
                  epoch %d)\n"
     served.srv_final_qerr served.srv_population served.srv_epoch;
-  if json then write_json ~path:"BENCH_stream.json" ~quick ~serial ~served;
-  if !failed then exit 1
+  Report.
+    [
+      bench_row "serial"
+        ~pinned:
+          [
+            pin_int "rounds" serial.rounds;
+            pin_int "batch_inserts" serial.batch_inserts;
+            pin_int "batch_deletes" serial.batch_deletes;
+            pin_int "writes" serial.writes;
+            pin_int "epoch" serial.epoch;
+            pin_int "population" serial.population;
+            pin_int "sample_size" serial.sample_size;
+            pin_int "capacity" serial.capacity;
+            pin_int "maintenance_ops" serial.maintenance_ops;
+            pin_int "rng_draws" serial.rng_draws;
+            pin_float "qerr_mean" serial.qerr_mean;
+            pin_float "qerr_max" serial.qerr_max;
+            pin_int "eroded_population" serial.eroded_population;
+            pin_float "eroded_fill_ratio" serial.eroded_fill_ratio;
+            pin_float "qerr_after_rescan" serial.qerr_after_rescan;
+          ]
+        ~timings:
+          [
+            ("write_ns", serial.write);
+            ("estimate_ns", serial.estimate);
+            ("snapshot_ns", serial.snapshot);
+          ];
+      bench_row "served"
+        ~pinned:
+          [
+            pin_int "srv_write_batches" served.srv_write_batches;
+            pin_int "srv_batch_size" served.srv_batch_size;
+            pin_int "srv_reader_requests" served.srv_reader_requests;
+            pin_int "srv_errors" served.srv_errors;
+            pin_int "srv_overloaded" served.srv_overloaded;
+            pin_int "srv_maintenance_ops" served.srv_maintenance_ops;
+            pin_int "srv_epoch" served.srv_epoch;
+            pin_int "srv_population" served.srv_population;
+            pin_float "srv_final_qerr" served.srv_final_qerr;
+          ]
+        ~timings:[ ("read_ns", served.srv_read); ("write_ns", served.srv_write) ];
+    ]

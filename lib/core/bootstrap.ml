@@ -68,13 +68,3 @@ let selection_count ?domains ?(metrics = Obs.Metrics.noop) rng catalog ~relation
       ~status:Stats.Estimate.Unbiased ~sample_size:n resample.point
   in
   (estimate, Stats.Confidence.clamp_nonnegative (percentile_interval ~level resample))
-
-(* Goal-based entry: the goal resolves to the original-sample size
-   (root-sampling strategy); the resampling machinery is unchanged. *)
-let selection_count_with_goal ?domains ?metrics rng catalog ~relation ~goal ?replicates
-    ?level predicate =
-  let big_n =
-    Relational.Relation.cardinality (Relational.Catalog.find catalog relation)
-  in
-  let n = Planner.size_of_goal ~population:big_n goal in
-  selection_count ?domains ?metrics rng catalog ~relation ~n ?replicates ?level predicate

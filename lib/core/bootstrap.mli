@@ -61,20 +61,3 @@ val selection_count :
   ?level:float ->
   Relational.Predicate.t ->
   Stats.Estimate.t * Stats.Confidence.interval
-
-(** [selection_count_with_goal rng catalog ~relation ~goal predicate] —
-    goal-based entry: the {!Planner.goal} resolves to the
-    original-sample size ({!Planner.size_of_goal}, root-sampling
-    strategy); resampling is unchanged.
-    @raise Invalid_argument as {!Planner.fraction_of_goal}. *)
-val selection_count_with_goal :
-  ?domains:int ->
-  ?metrics:Obs.Metrics.t ->
-  Sampling.Rng.t ->
-  Relational.Catalog.t ->
-  relation:string ->
-  goal:Planner.goal ->
-  ?replicates:int ->
-  ?level:float ->
-  Relational.Predicate.t ->
-  Stats.Estimate.t * Stats.Confidence.interval

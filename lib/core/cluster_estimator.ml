@@ -33,17 +33,3 @@ let count ?metrics rng ~m paged predicate =
     Array.fold_left (fun acc t -> if keep t then acc +. 1. else acc) 0. page
   in
   estimate ?metrics rng ~m paged ~measure
-
-(* Goal-based entry: cluster sampling draws whole pages, so the
-   resolved tuple fraction becomes a page count — the root-sampling
-   strategy at page granularity.  At least 2 pages whenever the file
-   has 2, so a variance estimate is always attached. *)
-let count_with_goal ?metrics rng ~goal paged predicate =
-  let big_m = Paged.page_count paged in
-  let fraction = Planner.fraction_of_goal ~population:(Paged.cardinality paged) goal in
-  let m =
-    Stdlib.max
-      (Stdlib.min big_m 2)
-      (Stdlib.min big_m (int_of_float (Float.ceil (fraction *. float_of_int big_m))))
-  in
-  count ?metrics rng ~m paged predicate

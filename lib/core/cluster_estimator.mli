@@ -35,21 +35,6 @@ val count :
   Relational.Predicate.t ->
   result
 
-(** [count_with_goal rng ~goal paged predicate] — goal-based entry
-    ({!Planner.goal}): the goal resolves to a tuple fraction over the
-    file's cardinality, which becomes a page count [m] (the
-    root-sampling strategy at page granularity).  Clamped to
-    [[2, page_count]] (or [m = 1] for a single-page file) so a
-    variance estimate is attached whenever possible.
-    @raise Invalid_argument as {!Planner.fraction_of_goal}. *)
-val count_with_goal :
-  ?metrics:Obs.Metrics.t ->
-  Sampling.Rng.t ->
-  goal:Planner.goal ->
-  Relational.Paged.t ->
-  Relational.Predicate.t ->
-  result
-
 (** Generalized form: [estimate rng ~m paged ~measure] scales the total
     of an arbitrary per-page statistic (e.g. a per-page aggregate). *)
 val estimate :

@@ -153,14 +153,6 @@ let estimate ?domains ?(metrics = Obs.Metrics.noop) rng catalog ~relation ~by ~n
   in
   { groups; level; sample_size = n }
 
-(* Goal-based entry: the goal resolves to the shared SRSWOR size over
-   the relation's population (root-sampling strategy). *)
-let estimate_with_goal ?domains ?metrics rng catalog ~relation ~by ~goal ?level ?where ()
-    =
-  let big_n = Relation.cardinality (Catalog.find catalog relation) in
-  let n = Planner.size_of_goal ~population:big_n goal in
-  estimate ?domains ?metrics rng catalog ~relation ~by ~n ?level ?where ()
-
 let exact catalog ~relation ~by ?(where = Relational.Predicate.True) () =
   let r, indices = group_indices catalog ~relation ~by in
   let keep = Relational.Predicate.compile (Relation.schema r) where in

@@ -43,24 +43,6 @@ val estimate :
   unit ->
   result
 
-(** [estimate_with_goal rng catalog ~relation ~by ~goal ()] —
-    goal-based entry: the {!Planner.goal} resolves to the shared
-    SRSWOR size ({!Planner.size_of_goal}, root-sampling strategy).
-    @raise Invalid_argument as {!estimate} and
-    {!Planner.fraction_of_goal}. *)
-val estimate_with_goal :
-  ?domains:int ->
-  ?metrics:Obs.Metrics.t ->
-  Sampling.Rng.t ->
-  Relational.Catalog.t ->
-  relation:string ->
-  by:string list ->
-  goal:Planner.goal ->
-  ?level:float ->
-  ?where:Relational.Predicate.t ->
-  unit ->
-  result
-
 (** Exact per-group counts, for evaluation; same ordering as
     {!estimate}. *)
 val exact :

@@ -75,8 +75,8 @@ val exact_cost : Relational.Catalog.t -> plan -> float
 val optimizer_version : int
 
 (** False iff [RAESTAT_NO_OPTIMIZE] was 1/true/yes/on at startup — the
-    optimizer's kill switch: every goal-based entry point then keeps
-    the historical root-sampling behavior. *)
+    optimizer's kill switch: [Count_estimator.estimate_with_goal] and
+    the daemon then keep the historical root-sampling behavior. *)
 val optimize_enabled : unit -> bool
 
 (** What the caller wants, instead of a hard-coded placement. *)
@@ -93,10 +93,9 @@ type goal =
     fraction outside (0, 1]. *)
 val fraction_of_goal : population:int -> goal -> float
 
-(** The same translation as a sample {e size} for one population —
-    what the fixed-[n] front-ends (stratified, bootstrap, grouped,
-    sequential budget walks) need.  Clamped to [[1, population]]; 0
-    only for an empty population.
+(** The same translation as a sample {e size} for one population, for
+    a front-end that draws a fixed [n].  Clamped to [[1, population]];
+    0 only for an empty population.
     @raise Invalid_argument as {!fraction_of_goal}. *)
 val size_of_goal : population:int -> goal -> int
 

@@ -114,52 +114,3 @@ let two_phase ?domains ?(metrics = Obs.Metrics.noop) rng catalog ~target ?(level
     in
     { estimate = final; reached_target; trajectory = [ pilot_point; final_point ] }
   end
-
-(* Goal-based entries.  A CI-width goal is this module's native
-   contract (the width is the relative half-width target); a budget
-   goal fixes the sample size up front, so the walk degenerates to one
-   fixed-size draw — the goal (spend the budget) is met by
-   construction. *)
-
-let fixed_size_result ~level ~n estimate =
-  let z = Stats.Confidence.z_value ~level in
-  let half_width =
-    if Estimate.has_variance estimate then z *. Estimate.stderr estimate
-    else Float.infinity
-  in
-  {
-    estimate;
-    reached_target = true;
-    trajectory = [ { n; point = estimate.Estimate.point; half_width } ];
-  }
-
-let selection_with_goal ?metrics rng catalog ~relation ~goal ?(level = 0.95) ?batch
-    predicate =
-  match (goal : Planner.goal) with
-  | Ci_width { width; level } ->
-    selection ?metrics rng catalog ~relation ~target:width ~level ?batch predicate
-  | (Budget_fraction _ | Budget_tuples _) as goal ->
-    let big_n = Relation.cardinality (Catalog.find catalog relation) in
-    let n = Planner.size_of_goal ~population:big_n goal in
-    let estimate = Count_estimator.selection ?metrics rng catalog ~relation ~n predicate in
-    fixed_size_result ~level ~n estimate
-
-let two_phase_with_goal ?domains ?metrics rng catalog ~goal ?(level = 0.95)
-    ?pilot_fraction ?(groups = 5) expr =
-  match (goal : Planner.goal) with
-  | Ci_width { width; level } ->
-    two_phase ?domains ?metrics rng catalog ~target:width ~level ?pilot_fraction ~groups
-      expr
-  | (Budget_fraction _ | Budget_tuples _) as goal ->
-    if groups < 2 then invalid_arg "Sequential.two_phase: need at least 2 groups";
-    let population =
-      List.fold_left
-        (fun acc name -> acc + Relation.cardinality (Catalog.find catalog name))
-        0
-        (Relational.Expr.leaves expr)
-    in
-    let fraction = Planner.fraction_of_goal ~population goal in
-    let estimate =
-      Count_estimator.estimate ~groups ?domains ?metrics rng catalog ~fraction expr
-    in
-    fixed_size_result ~level ~n:estimate.Estimate.sample_size estimate

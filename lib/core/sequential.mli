@@ -58,37 +58,3 @@ val two_phase :
   ?groups:int ->
   Relational.Expr.t ->
   result
-
-(** {1 Goal-based entries}
-
-    {!Planner.goal} translations: a [Ci_width] goal is this module's
-    native contract — the width is interpreted as the {e relative}
-    half-width target at the goal's own level (the [level] argument is
-    ignored).  A budget goal fixes the sample size up front
-    ({!Planner.size_of_goal}), so the adaptive walk degenerates to one
-    fixed-size root-sampling draw: [reached_target] is [true] (the
-    budget was spent) and the trajectory holds that single point, with
-    its half-width at [level] (default 0.95). *)
-
-val selection_with_goal :
-  ?metrics:Obs.Metrics.t ->
-  Sampling.Rng.t ->
-  Relational.Catalog.t ->
-  relation:string ->
-  goal:Planner.goal ->
-  ?level:float ->
-  ?batch:int ->
-  Relational.Predicate.t ->
-  result
-
-val two_phase_with_goal :
-  ?domains:int ->
-  ?metrics:Obs.Metrics.t ->
-  Sampling.Rng.t ->
-  Relational.Catalog.t ->
-  goal:Planner.goal ->
-  ?level:float ->
-  ?pilot_fraction:float ->
-  ?groups:int ->
-  Relational.Expr.t ->
-  result

@@ -53,14 +53,6 @@ let count rng catalog ~relation ~key ~n predicate =
   in
   { estimate; strata }
 
-(* Goal-based entry: the goal resolves to the total sample size over
-   the relation's population (root-sampling strategy; the proportional
-   allocation then splits it across strata as usual). *)
-let count_with_goal rng catalog ~relation ~key ~goal predicate =
-  let big_n = Relation.cardinality (Catalog.find catalog relation) in
-  let n = Planner.size_of_goal ~population:big_n goal in
-  count rng catalog ~relation ~key ~n predicate
-
 let count_by_attribute rng catalog ~relation ~attribute ~n predicate =
   let r = Catalog.find catalog relation in
   let i = Relational.Schema.index_of (Relation.schema r) attribute in

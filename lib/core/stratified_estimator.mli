@@ -34,21 +34,6 @@ val count :
   Relational.Predicate.t ->
   result
 
-(** [count_with_goal rng catalog ~relation ~key ~goal predicate] —
-    goal-based entry: the {!Planner.goal} resolves to the total sample
-    size over the relation's population ({!Planner.size_of_goal},
-    root-sampling strategy), which the proportional allocation then
-    splits across strata exactly as {!count} does.
-    @raise Invalid_argument as {!Planner.fraction_of_goal}. *)
-val count_with_goal :
-  Sampling.Rng.t ->
-  Relational.Catalog.t ->
-  relation:string ->
-  key:(Relational.Tuple.t -> string) ->
-  goal:Planner.goal ->
-  Relational.Predicate.t ->
-  result
-
 (** Stratify by an attribute's value (the common case). *)
 val count_by_attribute :
   Sampling.Rng.t ->

@@ -68,12 +68,17 @@ let tokenize source =
           done
         end;
         let text = String.sub source !i (!j - !i) in
-        push (Float_lit (float_of_string text)) start
+        match float_of_string_opt text with
+        | Some v -> push (Float_lit v) start
+        | None -> raise (Parse_error (Printf.sprintf "malformed number %s" text, start))
       end
       else begin
         (* Plain integer (scientific notation only with a dot). *)
         let text = String.sub source !i (!j - !i) in
-        push (Int_lit (int_of_string text)) start
+        match int_of_string_opt text with
+        | Some v -> push (Int_lit v) start
+        | None ->
+          raise (Parse_error (Printf.sprintf "integer literal %s out of range" text, start))
       end;
       i := !j
     end
@@ -582,57 +587,99 @@ let print_value = function
     Buffer.add_char buffer '\'';
     Buffer.contents buffer
 
-let rec print_term = function
-  | Predicate.Attr name -> name
-  | Predicate.Const v -> print_value v
-  | Predicate.Add (t1, t2) -> Printf.sprintf "(%s + %s)" (print_term t1) (print_term t2)
-  | Predicate.Sub (t1, t2) -> Printf.sprintf "(%s - %s)" (print_term t1) (print_term t2)
-  | Predicate.Mul (t1, t2) -> Printf.sprintf "(%s * %s)" (print_term t1) (print_term t2)
-  | Predicate.Div (t1, t2) -> Printf.sprintf "(%s / %s)" (print_term t1) (print_term t2)
+(* The printers append to one buffer, so printing is linear in the size
+   of the expression however deep it nests. *)
+let rec add_term b = function
+  | Predicate.Attr name -> Buffer.add_string b name
+  | Predicate.Const v -> Buffer.add_string b (print_value v)
+  | Predicate.Add (t1, t2) -> add_arith b t1 " + " t2
+  | Predicate.Sub (t1, t2) -> add_arith b t1 " - " t2
+  | Predicate.Mul (t1, t2) -> add_arith b t1 " * " t2
+  | Predicate.Div (t1, t2) -> add_arith b t1 " / " t2
+
+and add_arith b t1 op t2 =
+  Buffer.add_char b '(';
+  add_term b t1;
+  Buffer.add_string b op;
+  add_term b t2;
+  Buffer.add_char b ')'
 
 let print_cmp = function
-  | Predicate.Eq -> "="
-  | Predicate.Neq -> "!="
-  | Predicate.Lt -> "<"
-  | Predicate.Le -> "<="
-  | Predicate.Gt -> ">"
-  | Predicate.Ge -> ">="
+  | Predicate.Eq -> " = "
+  | Predicate.Neq -> " != "
+  | Predicate.Lt -> " < "
+  | Predicate.Le -> " <= "
+  | Predicate.Gt -> " > "
+  | Predicate.Ge -> " >= "
 
-let rec print_predicate = function
-  | Predicate.True -> "true"
-  | Predicate.False -> "false"
+let rec add_predicate b = function
+  | Predicate.True -> Buffer.add_string b "true"
+  | Predicate.False -> Buffer.add_string b "false"
   | Predicate.Cmp (cmp, t1, t2) ->
-    Printf.sprintf "%s %s %s" (print_term t1) (print_cmp cmp) (print_term t2)
+    add_term b t1;
+    Buffer.add_string b (print_cmp cmp);
+    add_term b t2
   | Predicate.Between (t, lo, hi) ->
-    Printf.sprintf "%s between %s and %s" (print_term t) (print_value lo) (print_value hi)
+    add_term b t;
+    Buffer.add_string b (" between " ^ print_value lo ^ " and " ^ print_value hi)
   | Predicate.In (t, values) ->
-    Printf.sprintf "%s in (%s)" (print_term t) (String.concat ", " (List.map print_value values))
-  | Predicate.And (p1, p2) ->
-    Printf.sprintf "(%s and %s)" (print_predicate p1) (print_predicate p2)
-  | Predicate.Or (p1, p2) ->
-    Printf.sprintf "(%s or %s)" (print_predicate p1) (print_predicate p2)
-  | Predicate.Not p -> Printf.sprintf "not (%s)" (print_predicate p)
+    add_term b t;
+    Buffer.add_string b (" in (" ^ String.concat ", " (List.map print_value values) ^ ")")
+  | Predicate.And (p1, p2) -> add_connective b p1 " and " p2
+  | Predicate.Or (p1, p2) -> add_connective b p1 " or " p2
+  | Predicate.Not p ->
+    Buffer.add_string b "not (";
+    add_predicate b p;
+    Buffer.add_char b ')'
 
-let rec print_expr = function
-  | Expr.Base name -> name
-  | Expr.Select (p, e) -> Printf.sprintf "select[%s](%s)" (print_predicate p) (print_expr e)
+and add_connective b p1 word p2 =
+  Buffer.add_char b '(';
+  add_predicate b p1;
+  Buffer.add_string b word;
+  add_predicate b p2;
+  Buffer.add_char b ')'
+
+(* [head], then [e], then the closing parenthesis: every unary operator. *)
+let rec add_unary b head e =
+  Buffer.add_string b head;
+  add_expr b e;
+  Buffer.add_char b ')'
+
+and add_binary b l middle r =
+  Buffer.add_char b '(';
+  add_expr b l;
+  Buffer.add_string b middle;
+  add_expr b r;
+  Buffer.add_char b ')'
+
+and add_expr b = function
+  | Expr.Base name -> Buffer.add_string b name
+  | Expr.Select (p, e) ->
+    Buffer.add_string b "select[";
+    add_predicate b p;
+    add_unary b "](" e
   | Expr.Distinct (Expr.Project (attrs, e)) ->
-    Printf.sprintf "pidist[%s](%s)" (String.concat ", " attrs) (print_expr e)
-  | Expr.Project (attrs, e) ->
-    Printf.sprintf "pi[%s](%s)" (String.concat ", " attrs) (print_expr e)
-  | Expr.Distinct e -> Printf.sprintf "distinct(%s)" (print_expr e)
+    add_unary b ("pidist[" ^ String.concat ", " attrs ^ "](") e
+  | Expr.Project (attrs, e) -> add_unary b ("pi[" ^ String.concat ", " attrs ^ "](") e
+  | Expr.Distinct e -> add_unary b "distinct(" e
   | Expr.Rename (pairs, e) ->
-    let pairs = List.map (fun (a, b) -> a ^ " -> " ^ b) pairs in
-    Printf.sprintf "rho[%s](%s)" (String.concat ", " pairs) (print_expr e)
-  | Expr.Product (l, r) -> Printf.sprintf "(%s cross %s)" (print_expr l) (print_expr r)
+    let pairs = List.map (fun (x, y) -> x ^ " -> " ^ y) pairs in
+    add_unary b ("rho[" ^ String.concat ", " pairs ^ "](") e
+  | Expr.Product (l, r) -> add_binary b l " cross " r
   | Expr.Equijoin (pairs, l, r) ->
-    let pairs = List.map (fun (a, b) -> a ^ " = " ^ b) pairs in
-    Printf.sprintf "(%s join[%s] %s)" (print_expr l) (String.concat ", " pairs) (print_expr r)
+    let pairs = List.map (fun (x, y) -> x ^ " = " ^ y) pairs in
+    add_binary b l (" join[" ^ String.concat ", " pairs ^ "] ") r
   | Expr.Theta_join (p, l, r) ->
-    Printf.sprintf "(%s theta[%s] %s)" (print_expr l) (print_predicate p) (print_expr r)
-  | Expr.Union (l, r) -> Printf.sprintf "(%s union %s)" (print_expr l) (print_expr r)
-  | Expr.Inter (l, r) -> Printf.sprintf "(%s inter %s)" (print_expr l) (print_expr r)
-  | Expr.Diff (l, r) -> Printf.sprintf "(%s minus %s)" (print_expr l) (print_expr r)
+    Buffer.add_char b '(';
+    add_expr b l;
+    Buffer.add_string b " theta[";
+    add_predicate b p;
+    Buffer.add_string b "] ";
+    add_expr b r;
+    Buffer.add_char b ')'
+  | Expr.Union (l, r) -> add_binary b l " union " r
+  | Expr.Inter (l, r) -> add_binary b l " inter " r
+  | Expr.Diff (l, r) -> add_binary b l " minus " r
   | Expr.Aggregate (by, specs, e) ->
     let print_spec (f, output) =
       let f_text =
@@ -645,6 +692,15 @@ let rec print_expr = function
       in
       f_text ^ " as " ^ output
     in
-    Printf.sprintf "gamma[%s; %s](%s)" (String.concat ", " by)
-      (String.concat ", " (List.map print_spec specs))
-      (print_expr e)
+    add_unary b
+      (Printf.sprintf "gamma[%s; %s](" (String.concat ", " by)
+         (String.concat ", " (List.map print_spec specs)))
+      e
+
+let to_string add x =
+  let b = Buffer.create 64 in
+  add b x;
+  Buffer.contents b
+
+let print_predicate p = to_string add_predicate p
+let print_expr e = to_string add_expr e

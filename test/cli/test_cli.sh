@@ -411,6 +411,9 @@ expect_error "bad sql position" \
 expect_error "bad algebra position" \
   'Parser: unexpected character .!. at offset 7 \(line 1\) in "select\[!\]\(r\)"' \
   query "select[!](r)" --rel "r=$workdir/u.csv" -f 0.05
+expect_error "integer literal out of range" \
+  'Parser: integer literal 99999999999999999999 out of range at offset 11 \(line 1\) in "select\[a < 99999999999999999999\]\(r\)"' \
+  query "select[a < 99999999999999999999](r)" --rel "r=$workdir/k.csv" -f 1
 
 expect_error "missing file" ".*missing.csv: No such file or directory" \
   query "select[a < 30](r)" --rel "r=$workdir/missing.csv"
@@ -493,6 +496,17 @@ expect_dist_error "dist bad float skew" 'zipf skew "fast" is not a number' \
 # (cmdliner rewraps the full alternatives list, so match its head)
 expect_dist_error "dist unknown shape" 'expected uniform:LO:HI \| zipf:N:Z' \
   "poisson:3"
+
+# a --where literal beyond the int range is the parser's positioned
+# error too, through the same one-line converter contract (exit 124)
+status=0
+output="$("$cli" exact "$workdir/k.csv" --where "a < 99999999999999999999" 2>&1 >/dev/null)" \
+  || status=$?
+[ "$status" -eq 124 ] || fail "where literal out of range: exit $status, wanted 124"
+# (cmdliner wraps the message, so match both halves)
+echo "$output" | expect "where literal out of range message" \
+  "Parser: integer literal 99999999999999999999 out"
+echo "$output" | expect "where literal out of range position" "at offset 4 \(line 1\)"
 
 # a pack that fails mid-stream is atomic: no partial .raf (which a later
 # open would happily read) and no leftover staging file

@@ -147,6 +147,40 @@ let test_error_mentions_offset () =
        (String.length message > 0
        && String.exists (fun c -> c = 'o') message))
 
+(* A literal beyond the int range is the parser's positioned error, not
+   a bare [int_of_string] failure. *)
+let test_literal_out_of_range () =
+  let message parse text =
+    match parse text with
+    | _ -> Alcotest.fail ("accepted " ^ text)
+    | exception Failure message -> message
+  in
+  Alcotest.(check string) "expression"
+    {|Parser: integer literal 99999999999999999999 out of range at offset 11 (line 1) in "select[a < 99999999999999999999](r)"|}
+    (message Parser.parse_expr "select[a < 99999999999999999999](r)");
+  Alcotest.(check string) "predicate"
+    {|Parser: integer literal 99999999999999999999 out of range at offset 4 (line 1) in "a < 99999999999999999999"|}
+    (message Parser.parse_predicate "a < 99999999999999999999");
+  Alcotest.(check string) "exponent without digits"
+    {|Parser: malformed number 1.5e at offset 4 (line 1) in "a < 1.5e"|}
+    (message Parser.parse_predicate "a < 1.5e")
+
+(* Printing writes one buffer: a 4,000-deep chain of selections
+   allocates a small multiple of its text, not a copy of it per level. *)
+let test_print_linear () =
+  let e = ref (Expr.base "r") in
+  for i = 1 to 4_000 do
+    e := Expr.select (P.le (P.attr "a") (P.vint (i mod 100))) !e
+  done;
+  let before = Gc.allocated_bytes () in
+  let text = Parser.print_expr !e in
+  let allocated = Gc.allocated_bytes () -. before in
+  let ratio = allocated /. float_of_int (String.length text) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated for %d of text (%.1fx)" allocated
+       (String.length text) ratio)
+    true (ratio < 16.)
+
 (* Random ASTs for the print/parse roundtrip property. *)
 
 let attr_gen = QCheck.Gen.oneofl [ "a"; "b"; "c1"; "l.a"; "r.b"; "x_y" ]
@@ -299,6 +333,8 @@ let suite =
     Alcotest.test_case "case-insensitive keywords" `Quick test_case_insensitive_keywords;
     Alcotest.test_case "rejects malformed input" `Quick test_errors;
     Alcotest.test_case "errors carry position" `Quick test_error_mentions_offset;
+    Alcotest.test_case "out-of-range literals" `Quick test_literal_out_of_range;
+    Alcotest.test_case "printing is linear in depth" `Quick test_print_linear;
     prop_predicate_roundtrip;
     prop_expr_roundtrip;
     Alcotest.test_case "parse/print examples" `Quick test_parse_print_examples;
