@@ -114,9 +114,15 @@ let prop_sample_size =
       Array.length (Srs.indices_without_replacement r ~n ~universe) = n)
 
 (* ------------------------------------------------------------------ *)
-(* Statistical and determinism tests for the rewritten sampler.  The
-   sparse path (universe > 16n, Vitter's Algorithm D) and the dense
-   path (partial Fisher–Yates) are exercised separately. *)
+(* Distribution tests.  SRSWOR must give every size-n subset of the
+   universe probability 1/C(N, n), whichever algorithm draws it, so the
+   tests below check the design, not a draw stream: subset frequencies,
+   first-order inclusion n/N and second-order inclusion
+   n(n-1)/(N(N-1)).  The draws are split at universe = 16n: the dense
+   path (partial Fisher–Yates) at or below it, Vitter's Algorithm D
+   above.  Each test names the sizes it draws; the sparse ones stay
+   above 128n, so they draw through Algorithm D on any cutoff up to
+   that. *)
 
 let check_invariants ~n ~universe idx =
   Alcotest.(check int) "exact n" n (Array.length idx);
@@ -127,85 +133,137 @@ let check_invariants ~n ~universe idx =
 
 let test_sparse_invariants () =
   let r = rng ~seed:808 () in
-  (* universe = 5000 > 16·25: every draw goes through Algorithm D. *)
+  (* universe = 5000 > 128·25: every draw is sparse. *)
   for _ = 1 to 200 do
     check_invariants ~n:25 ~universe:5_000
       (Srs.indices_without_replacement r ~n:25 ~universe:5_000)
   done
 
+(* A Pearson statistic over [cells] cells must stay within 6 sigma of
+   its chi-square mean, so a correct sampler never flakes while a
+   biased one (an off-by-one in a skip or a bounded draw) fails. *)
+let check_chi_square label ~cells stat =
+  let df = float_of_int (cells - 1) in
+  let bound = df +. (6. *. Float.sqrt (2. *. df)) in
+  if stat > bound then
+    Alcotest.failf "%s chi-square %.1f exceeds %.1f (df %.0f)" label stat bound df
+
+let pearson ~expected counts =
+  Array.fold_left
+    (fun acc c ->
+      let d = float_of_int c -. expected in
+      acc +. (d *. d /. expected))
+    0. counts
+
 (* Pearson chi-square of per-index inclusion counts against the uniform
    inclusion probability n/universe.  For SRSWOR the statistic is
-   approximately (1 − n/universe)·χ²(universe − 1); we test against a
-   generous 6-sigma band so a correct sampler never flakes while a
-   biased one (e.g. an off-by-one in the skip distribution) fails. *)
+   approximately (1 − n/universe)·χ²(universe − 1), so it is scaled by
+   1/(1 − n/universe).  Every draw is also checked for size, range and
+   order. *)
 let inclusion_chi_square ~seed ~n ~universe ~reps =
   let r = rng ~seed () in
   let counts = Array.make universe 0 in
   for _ = 1 to reps do
-    Array.iter
-      (fun i -> counts.(i) <- counts.(i) + 1)
-      (Srs.indices_without_replacement r ~n ~universe)
+    let idx = Srs.indices_without_replacement r ~n ~universe in
+    check_invariants ~n ~universe idx;
+    Array.iter (fun i -> counts.(i) <- counts.(i) + 1) idx
   done;
   let expected = float_of_int (reps * n) /. float_of_int universe in
-  let chi2 =
-    Array.fold_left
-      (fun acc c ->
-        let d = float_of_int c -. expected in
-        acc +. (d *. d /. expected))
-      0. counts
-  in
   let f = float_of_int n /. float_of_int universe in
-  chi2 /. (1. -. f)
+  pearson ~expected counts /. (1. -. f)
+
+let check_inclusion ~seed ~n ~universe ~reps =
+  check_chi_square
+    (Printf.sprintf "inclusion of %d of %d" n universe)
+    ~cells:universe
+    (inclusion_chi_square ~seed ~n ~universe ~reps)
 
 let test_sparse_inclusion_chi_square () =
-  let universe = 200 in
-  let df = float_of_int (universe - 1) in
-  let stat = inclusion_chi_square ~seed:809 ~n:5 ~universe ~reps:20_000 in
-  let bound = df +. (6. *. Float.sqrt (2. *. df)) in
-  if stat > bound then
-    Alcotest.failf "sparse chi-square %.1f exceeds %.1f (df %.0f)" stat bound df
+  (* 5 of 1,000 > 128·5: sparse. *)
+  check_inclusion ~seed:809 ~n:5 ~universe:1_000 ~reps:20_000
 
 let test_dense_inclusion_chi_square () =
-  let universe = 64 in
-  let df = float_of_int (universe - 1) in
-  (* n = 16 ⇒ universe = 4n: dense partial-Fisher–Yates path. *)
-  let stat = inclusion_chi_square ~seed:810 ~n:16 ~universe ~reps:20_000 in
-  let bound = df +. (6. *. Float.sqrt (2. *. df)) in
-  if stat > bound then
-    Alcotest.failf "dense chi-square %.1f exceeds %.1f (df %.0f)" stat bound df
+  (* 16 of 64 = 4n: dense. *)
+  check_inclusion ~seed:810 ~n:16 ~universe:64 ~reps:20_000
 
-let test_sparse_pair_inclusion () =
-  (* Joint inclusion: every unordered pair should appear together with
-     probability n(n−1)/(N(N−1)).  Catches samplers with correct
-     marginals but broken joint structure. *)
-  let universe = 40 and n = 4 in
-  let r = rng ~seed:811 () in
-  let reps = 30_000 in
-  let counts = Hashtbl.create 800 in
+(* The edges of the design, and the sizes either side of universe =
+   128n: one draw per universe element (n = 1), all but one (n = N − 1),
+   and N = 128n against 128n + 1 at a small and a larger n. *)
+let test_inclusion_edges () =
+  List.iteri
+    (fun i (n, universe, reps) -> check_inclusion ~seed:(820 + i) ~n ~universe ~reps)
+    [
+      (1, 50, 10_000);
+      (1, 300, 30_000);
+      (29, 30, 3_000);
+      (2, 256, 20_000);
+      (2, 257, 20_000);
+      (40, 5_120, 2_000);
+      (40, 5_121, 2_000);
+    ]
+
+(* Joint inclusion: every unordered pair should appear together with
+   probability n(n−1)/(N(N−1)).  Catches samplers with correct
+   marginals but broken joint structure.  Pairs are counted in an
+   N × N table at (smaller, larger). *)
+let pair_chi_square ~seed ~n ~universe ~reps =
+  let r = rng ~seed () in
+  let counts = Array.make (universe * universe) 0 in
   for _ = 1 to reps do
     let idx = Srs.indices_without_replacement r ~n ~universe in
     for a = 0 to n - 1 do
       for b = a + 1 to n - 1 do
-        let key = (idx.(a), idx.(b)) in
-        Hashtbl.replace counts key
-          (1 + Option.value (Hashtbl.find_opt counts key) ~default:0)
+        let key = (idx.(a) * universe) + idx.(b) in
+        counts.(key) <- counts.(key) + 1
       done
     done
   done;
   let pairs = universe * (universe - 1) / 2 in
   let expected = float_of_int (reps * n * (n - 1) / 2) /. float_of_int pairs in
-  let chi2 = ref 0. in
+  let cells = ref [] in
   for i = 0 to universe - 1 do
     for j = i + 1 to universe - 1 do
-      let c = Option.value (Hashtbl.find_opt counts (i, j)) ~default:0 in
-      let d = float_of_int c -. expected in
-      chi2 := !chi2 +. (d *. d /. expected)
+      cells := counts.((i * universe) + j) :: !cells
     done
   done;
-  let df = float_of_int (pairs - 1) in
-  let bound = df +. (6. *. Float.sqrt (2. *. df)) in
-  if !chi2 > bound then
-    Alcotest.failf "pair chi-square %.1f exceeds %.1f (df %.0f)" !chi2 bound df
+  check_chi_square
+    (Printf.sprintf "pairs of %d of %d" n universe)
+    ~cells:pairs
+    (pearson ~expected (Array.of_list !cells))
+
+let test_sparse_pair_inclusion () =
+  (* 3 of 400 > 128·3: sparse.  79,800 pairs at about 7.5 each. *)
+  pair_chi_square ~seed:811 ~n:3 ~universe:400 ~reps:200_000
+
+let test_dense_pair_inclusion () =
+  (* 4 of 40 = 10n: dense. *)
+  pair_chi_square ~seed:812 ~n:4 ~universe:40 ~reps:30_000
+
+(* The whole design on a small universe: each of the C(10, 3) = 120
+   subsets of 10 has probability 1/120.  A sorted draw (a, b, c) is
+   counted at 100a + 10b + c. *)
+let test_all_subsets_chi_square () =
+  let universe = 10 and n = 3 and reps = 24_000 in
+  let r = rng ~seed:813 () in
+  let counts = Array.make 1_000 0 in
+  for _ = 1 to reps do
+    let idx = Srs.indices_without_replacement r ~n ~universe in
+    check_invariants ~n ~universe idx;
+    let key = (100 * idx.(0)) + (10 * idx.(1)) + idx.(2) in
+    counts.(key) <- counts.(key) + 1
+  done;
+  let subsets = ref [] in
+  for a = 0 to universe - 1 do
+    for b = a + 1 to universe - 1 do
+      for c = b + 1 to universe - 1 do
+        subsets := counts.((100 * a) + (10 * b) + c) :: !subsets
+      done
+    done
+  done;
+  let cells = List.length !subsets in
+  Alcotest.(check int) "C(10, 3) subsets" 120 cells;
+  check_chi_square "subsets of 3 of 10" ~cells
+    (pearson ~expected:(float_of_int reps /. float_of_int cells) (Array.of_list !subsets))
 
 let golden_sparse = [ 71; 259; 507; 651; 749; 774; 890; 978 ]
 let golden_dense = [ 11; 29; 31; 34; 39; 47; 48; 88 ]
@@ -246,6 +304,9 @@ let suite =
     Alcotest.test_case "sparse inclusion chi-square" `Slow test_sparse_inclusion_chi_square;
     Alcotest.test_case "dense inclusion chi-square" `Slow test_dense_inclusion_chi_square;
     Alcotest.test_case "sparse pair inclusion" `Slow test_sparse_pair_inclusion;
+    Alcotest.test_case "dense pair inclusion" `Slow test_dense_pair_inclusion;
+    Alcotest.test_case "inclusion edges and cutoff" `Slow test_inclusion_edges;
+    Alcotest.test_case "all subsets chi-square" `Slow test_all_subsets_chi_square;
     Alcotest.test_case "golden determinism" `Quick test_golden_determinism;
     Alcotest.test_case "repeatability / divergence" `Quick test_repeatability_and_divergence;
   ]
