@@ -328,9 +328,8 @@ let run_direct_selection ~metrics ?index_source rng catalog plan =
   in
   let r = Catalog.find catalog relation in
   (* The sampled rows are tested in place on the base relation's
-     columnar view — no per-sample tuple materialization, and no index
-     sort (counting is order-insensitive).  The sampled rows count as
-     scanned tuples, as in every other strategy.
+     columnar view — no per-sample tuple materialization.  The sampled
+     rows count as scanned tuples, as in every other strategy.
 
      An [index_source] (the daemon's warm backing-sample cache) may
      supply the index set instead of drawing: because the draw is fully
@@ -339,9 +338,7 @@ let run_direct_selection ~metrics ?index_source rng catalog plan =
      bit-identical — only the draw work (and its rng_draws /
      sample_indices accounting) is skipped. *)
   let universe = Relation.cardinality r in
-  let draw () =
-    Sampling.Srs.indices_without_replacement ~metrics ~sorted:false rng ~n ~universe
-  in
+  let draw () = Sampling.Srs.indices_without_replacement ~metrics rng ~n ~universe in
   let indices =
     match index_source with Some source -> source ~n ~universe draw | None -> draw ()
   in

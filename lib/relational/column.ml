@@ -26,7 +26,12 @@ module Bitset = struct
     let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
     (w * 0x0101_0101_0101_0101) lsr 56
 
-  let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+  let count t =
+    let c = ref 0 in
+    for w = 0 to Array.length t.words - 1 do
+      c := !c + popcount (Array.unsafe_get t.words w)
+    done;
+    !c
 
   (* Bits past [length] stay clear, so a copy that shortens masks its
      last word. *)
@@ -38,22 +43,47 @@ module Bitset = struct
       words.(n - 1) <- words.(n - 1) land ((1 lsl (length mod bits)) - 1);
     { length; words }
 
-  (* Empty words are skipped.  A word is walked up to its highest set
-     bit without a branch per bit: every position is written at the
-     cursor, and the cursor moves past it only when its bit is set.
-     While bits remain in the word, at least one set position is still
-     to come, so the cursor is below [count t] at every write. *)
+  (* [ctz.((low lsr 1) mod 67)] is the index of the single set bit of
+     [low]: 2 has order 66 modulo the prime 67, so the keys of the 63
+     positions are distinct.  The shift keeps the key non-negative when
+     [low] is bit 62, OCaml's sign bit. *)
+  let ctz =
+    let table = Array.make 67 0 in
+    for k = 1 to bits - 1 do
+      table.((1 lsl (k - 1)) mod 67) <- k
+    done;
+    table
+
+  (* Empty words are skipped, and each word is read once.  A sparse
+     word (at most 16 set bits) peels off its lowest set bit,
+     [w land (-w)], one position per step.  A denser word is walked up
+     to its highest set bit without a branch per bit: every position is
+     written at the cursor, and the cursor moves past it only when its
+     bit is set.  While bits remain in the word, at least one set
+     position is still to come, so the cursor is below [count t] at
+     every write. *)
   let positions t =
     let out = Array.make (count t) 0 and j = ref 0 in
     let words = t.words in
     for w = 0 to Array.length words - 1 do
-      let word = ref (Array.unsafe_get words w) and k = ref (w * bits) in
-      while !word <> 0 do
-        Array.unsafe_set out !j !k;
-        j := !j + (!word land 1);
-        word := !word lsr 1;
-        incr k
-      done
+      let x = Array.unsafe_get words w in
+      if x <> 0 then begin
+        let word = ref x and k = ref (w * bits) in
+        if popcount x <= 16 then
+          while !word <> 0 do
+            let low = !word land (- !word) in
+            Array.unsafe_set out !j (!k + Array.unsafe_get ctz ((low lsr 1) mod 67));
+            incr j;
+            word := !word lxor low
+          done
+        else
+          while !word <> 0 do
+            Array.unsafe_set out !j !k;
+            j := !j + (!word land 1);
+            word := !word lsr 1;
+            incr k
+          done
+      end
     done;
     out
 end

@@ -43,9 +43,9 @@ module Bitset : sig
   val resize : t -> int -> t
 
   (** The positions of the set bits, in increasing order.  One pass
-      that skips empty words and walks the others up to their highest
-      set bit, so it reads each word once and never tests a bit with a
-      branch. *)
+      that skips empty words and reads each word once: a word with at
+      most 16 set bits peels them off lowest first, a denser one is
+      walked up to its highest set bit without a branch per bit. *)
   val positions : t -> int array
 end
 

@@ -1,3 +1,5 @@
+module Bitset = Relational.Column.Bitset
+
 let size_of_fraction ~fraction n =
   if n < 0 then invalid_arg "Srs.size_of_fraction: negative universe";
   if fraction <= 0. || fraction > 1. then
@@ -7,30 +9,28 @@ let size_of_fraction ~fraction n =
     let size = int_of_float (Float.round (fraction *. float_of_int n)) in
     max 1 (min n size)
 
-(* Dense draws (n within a constant factor of the universe): partial
-   Fisher–Yates over an explicit index array.  Shuffling only the first
-   n positions costs n swaps; the array is O(universe) but the dense
-   guard keeps that within 16n words. *)
-let dense_indices rng ~sorted ~n ~universe =
-  let pool = Array.init universe (fun i -> i) in
-  for i = 0 to n - 1 do
-    let j = i + Rng.int rng (universe - i) in
-    let tmp = pool.(i) in
-    pool.(i) <- pool.(j);
-    pool.(j) <- tmp
+(* Floyd's algorithm (Bentley and Floyd, "A sample of brilliance",
+   CACM 30(9), 1987) over a bitset of the universe: for j = N − n …
+   N − 1, draw t uniform on [0, j] and take t, or j if t is already
+   taken.  By induction every size-n subset comes out with probability
+   1/C(N, n).  That is exactly n bounded draws, with no float, no hash
+   and no sort: the bitset reads the indices back in increasing order.
+   The dispatch below keeps the bitset (N/63 words) within about 2n
+   words. *)
+let floyd rng ~n ~universe =
+  let taken = Bitset.create universe in
+  for j = universe - n to universe - 1 do
+    let t = Rng.int rng (j + 1) in
+    Bitset.set taken (if Bitset.get taken t then j else t)
   done;
-  let indices = Array.sub pool 0 n in
-  (* The sort costs more than the draws for large dense samples;
-     order-insensitive consumers (the columnar counting kernels) skip
-     it.  The draw stream is identical either way. *)
-  if sorted then Array.sort Int.compare indices;
-  indices
+  Bitset.positions taken
 
 (* Sparse draws: Vitter's sequential sampling (Algorithm D with the
    Algorithm A finish), "An Efficient Algorithm for Sequential Random
    Sampling", ACM TOMS 13(1), 1987.  Emits the n selected indices in
    increasing order directly — no hash table, no sort, O(n) expected
-   time and exactly n words of output allocation. *)
+   time and exactly n words of output allocation, where a bitset of
+   the universe would dwarf the sample. *)
 
 (* Algorithm A: skip distances by sequential search over the
    hypergeometric skip distribution.  O(universe - position) total, used
@@ -132,13 +132,17 @@ let method_d rng ~n ~universe =
 
 (* Metrics accounting: the index kernels record the indices generated
    and the PRNG draws they consumed (delta of the generator's draw
-   counter — exact for both Fisher–Yates and the rejection loops of
+   counter — exact for Floyd's bounded draws and the rejection loops of
    Algorithm D); the gathers record the tuples materialized.  Counts
    are derived from the seed-determined stream, so they are identical
-   on every run and every domain layout. *)
+   on every run and every domain layout.
 
-let indices_without_replacement ?(metrics = Obs.Metrics.noop) ?(sorted = true) rng
-    ~n ~universe =
+   Floyd runs while universe <= 128n, written so it cannot overflow.
+   The constant is measured: at N/n = 128 Floyd drew 1.8–1.9× faster
+   than Algorithm D for n = 100, 1,000 and 10,000, and at N/n = 256 it
+   lost for n = 100. *)
+
+let indices_without_replacement ?(metrics = Obs.Metrics.noop) rng ~n ~universe =
   if n < 0 then invalid_arg "Srs: negative sample size";
   if n > universe then invalid_arg "Srs: sample size exceeds universe";
   if n = 0 then [||]
@@ -146,7 +150,7 @@ let indices_without_replacement ?(metrics = Obs.Metrics.noop) ?(sorted = true) r
     let draws_before = Rng.draws rng in
     let indices =
       if n = universe then Array.init n (fun i -> i)
-      else if universe <= 16 * n then dense_indices rng ~sorted ~n ~universe
+      else if (universe - 1) / 128 < n then floyd rng ~n ~universe
       else method_d rng ~n ~universe
     in
     Obs.Metrics.add_indices metrics n;

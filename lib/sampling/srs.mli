@@ -11,21 +11,18 @@
 val size_of_fraction : fraction:float -> int -> int
 
 (** [indices_without_replacement rng ~n ~universe] draws [n] distinct
-    indices uniformly from [0, universe), returned in increasing order.
-    Dense draws ([universe <= 16n]) use a partial Fisher–Yates shuffle;
-    sparse draws use Vitter's sequential sampling (Algorithm D, TOMS
-    1987), which emits the indices already sorted in O(n) expected time
-    with no hashing and O(n) space.  [metrics] (default disabled)
-    records the indices generated and the PRNG draws consumed.
-
-    [~sorted:false] skips the final sort of the dense path (sparse
-    draws are sorted for free): the index {e set}, the PRNG stream and
-    the metrics are identical, only the order is unspecified.
-    Order-insensitive consumers (columnar counting kernels) use it to
-    shed the dominant cost of large dense draws.
+    indices uniformly from [0, universe), returned in increasing order:
+    every size-[n] subset has probability 1/C(universe, n).  Two
+    branches draw them.  While [universe <= 128n], Floyd's algorithm
+    over a bitset of the universe makes exactly [n] bounded draws and
+    reads the indices back sorted.  Sparser draws use Vitter's
+    sequential sampling (Algorithm D, TOMS 1987), which emits the
+    indices already sorted in O(n) expected time and O(n) space.
+    [metrics] (default disabled) records the indices generated and the
+    PRNG draws consumed.
     @raise Invalid_argument if [n < 0] or [n > universe]. *)
 val indices_without_replacement :
-  ?metrics:Obs.Metrics.t -> ?sorted:bool -> Rng.t -> n:int -> universe:int -> int array
+  ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> universe:int -> int array
 
 (** [indices_with_replacement rng ~n ~universe] draws [n] i.i.d. uniform
     indices (duplicates possible), in draw order.

@@ -679,6 +679,12 @@ let test_bitset () =
     (B.positions b);
   Alcotest.(check (array int)) "a prefix at a word boundary" [| 0; 1 |]
     (B.positions (B.resize b 63));
+  (* Sparse words holding only their sign bit (bit 62), which peel
+     through the ctz table's shifted key. *)
+  let signs = B.create 130 in
+  B.set signs 62;
+  B.set signs 125;
+  Alcotest.(check (array int)) "sign bits alone" [| 62; 125 |] (B.positions signs);
   (* A full word, sign bit included. *)
   let full = B.create 70 in
   for i = 0 to 62 do

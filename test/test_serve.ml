@@ -594,7 +594,7 @@ let test_warm_sample_cache () =
   let draw seed () =
     incr draw_count;
     let rng = Sampling.Rng.create ~seed () in
-    Sampling.Srs.indices_without_replacement ~sorted:false rng ~n:10 ~universe:100
+    Sampling.Srs.indices_without_replacement rng ~n:10 ~universe:100
   in
   let a =
     Serve.Warm.sample_indices warm ~relation:"r" ~seed:1 ~n:10 ~universe:100 (draw 1)
@@ -647,7 +647,7 @@ let test_warm_sample_concurrent () =
                 let seed = (i + d) mod 4 in
                 let draw () =
                   let rng = Sampling.Rng.create ~seed () in
-                  Sampling.Srs.indices_without_replacement ~sorted:false rng ~n:5
+                  Sampling.Srs.indices_without_replacement rng ~n:5
                     ~universe:100
                 in
                 ( seed,
