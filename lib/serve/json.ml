@@ -212,6 +212,17 @@ let escape buffer s =
     s;
   Buffer.add_char buffer '"'
 
+(* The shortest of %.15g, %.16g and %.17g that reads back as the same
+   float.  %.17g always does; the shorter forms drop the noise digits
+   of a decimal such as 0.975, which %.17g prints as
+   0.97499999999999998. *)
+let float_text f =
+  let text = Printf.sprintf "%.15g" f in
+  if float_of_string text = f then text
+  else
+    let text = Printf.sprintf "%.16g" f in
+    if float_of_string text = f then text else Printf.sprintf "%.17g" f
+
 let to_string value =
   let buffer = Buffer.create 64 in
   let rec go = function
@@ -219,9 +230,7 @@ let to_string value =
     | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
     | Int n -> Buffer.add_string buffer (string_of_int n)
     | Float f ->
-      if Float.is_finite f then
-        (* Shortest round-trip representation keeps the line compact. *)
-        Buffer.add_string buffer (Printf.sprintf "%.17g" f)
+      if Float.is_finite f then Buffer.add_string buffer (float_text f)
       else Buffer.add_string buffer "null"
     | Str s -> escape buffer s
     | List items ->

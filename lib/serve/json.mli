@@ -21,7 +21,9 @@ type t =
 val parse : string -> (t, string) result
 
 (** Compact single-line rendering (no newlines, ASCII-safe escapes).
-    Non-finite floats print as [null]. *)
+    A finite float prints as the first of [%.15g], [%.16g] and [%.17g]
+    that reads back as the same float, so [0.975] prints as [0.975];
+    non-finite floats print as [null]. *)
 val to_string : t -> string
 
 (** {1 Object accessors} *)

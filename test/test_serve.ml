@@ -62,7 +62,20 @@ let test_json_numbers () =
        false
      with Failure _ -> true);
   (* non-finite floats render as null: the wire never carries nan/inf *)
-  Alcotest.(check string) "nan prints null" "null" (Json.to_string (Json.Float Float.nan))
+  Alcotest.(check string) "nan prints null" "null" (Json.to_string (Json.Float Float.nan));
+  (* a float prints in its shortest round-trip form of 15 to 17 digits *)
+  Alcotest.(check string) "0.975 prints short" "0.975" (Json.to_string (Json.Float 0.975));
+  Alcotest.(check string) "0.1 + 0.2 needs 17 digits" "0.30000000000000004"
+    (Json.to_string (Json.Float (0.1 +. 0.2)))
+
+(* Every finite float, drawn as a random bit pattern or by QCheck's
+   float generator, reads back from its rendering as the same float. *)
+let prop_json_float_roundtrip =
+  qcheck_case ~count:2000 "json floats round-trip"
+    QCheck.(oneof [ map Int64.float_of_bits int64; float ])
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Float.equal (float_of_string (Json.to_string (Json.Float f))) f)
 
 let test_json_errors () =
   let fails text =
@@ -960,6 +973,7 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json numbers" `Quick test_json_numbers;
+    prop_json_float_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "plan cache counters" `Quick test_cache_counters;
     Alcotest.test_case "plan cache lru" `Quick test_cache_lru;
