@@ -53,6 +53,15 @@ let reference_selection ?metrics rng r ~n pred =
 
 let case name f = (name, fun () -> ignore (Sys.opaque_identity (f ())))
 
+(* One SRSWOR draw per branch of the sampler: 4,000 of 200,000 draws
+   through Floyd's algorithm over a bitset, 100 of 10,000,000 through
+   Vitter's Algorithm D.  Each row draws from its own stream. *)
+let srswor_rows =
+  [ ("srswor-4000-of-200000", 4_000, 200_000); ("srswor-100-of-10000000", 100, 10_000_000) ]
+
+let srswor ?metrics rng ~n ~universe () =
+  Sampling.Srs.indices_without_replacement ?metrics rng ~n ~universe
+
 let tests () =
   let rng, catalog, tpc, r = fixtures () in
   let pred = P.lt (P.attr "a") (P.vint 100) in
@@ -99,6 +108,10 @@ let tests () =
      case "parser-roundtrip" (fun () ->
          Relational.Parser.print_expr (Relational.Parser.parse_expr text)));
   ]
+  @ List.map
+      (fun (name, n, universe) ->
+        case name (srswor (Sampling.Rng.create ~seed:808 ()) ~n ~universe))
+      srswor_rows
 
 (* Serial vs parallel variants of the replicated estimators.  Each pair
    runs the identical workload with [domains:1] and [domains:bench_domains];
@@ -201,6 +214,11 @@ let counter_rows () =
         Raestat.Group_count.estimate ~metrics:m rng catalog ~relation:"r" ~by:[ "a" ]
           ~n:1_000 ());
   ]
+  @ List.map
+      (fun (name, n, universe) ->
+        probe name (fun m ->
+            srswor ~metrics:m (Sampling.Rng.create ~seed:808 ()) ~n ~universe ()))
+      srswor_rows
 
 (* Guard for the instrumentation cost: time a representative kernel
    against the shared noop sink and against an enabled sink, min of
