@@ -5,11 +5,14 @@
    match the table below bit-for-bit (floats are printed as %h, the
    exact hexadecimal form).
 
-   The table was captured from the pre-Estplan implementation (PR 3
-   tree) and pins the compile-to-IR refactor to bit-identical
-   behaviour.  A second table, [extras], pins what the lines above do
-   not show: the labels, trajectories, strata and per-group intervals
-   of the estimators that run outside the plan IR.  To regenerate after
+   The table was captured before the plan IR existed and pinned the
+   compile-to-IR refactor to bit-identical behaviour.  It was
+   re-captured once on purpose, when Floyd's algorithm replaced the
+   dense SRSWOR path: the draw stream moved, so did estimates, probe
+   counts and draws, and no other counter.  A second table, [extras],
+   pins what the lines above do not show: the labels, trajectories,
+   strata and per-group intervals of the estimators that run outside
+   the plan IR.  To regenerate after
    an *intentional* contract change:
 
      RAESTAT_GOLDEN_OUT=/tmp/golden dune exec test/test_main.exe -- test golden
@@ -214,26 +217,26 @@ let scenarios () =
 
 let expected =
   [
-    "estimate/select/g1/col | point=0x1.0f4p+11 var=nan n=400 status=unbiased ci=[-] | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=400 hit=0 miss=0 draws=400";
-    "estimate/chain/g4/dom1 | point=0x1.63e71c71c71c8p+12 var=0x1.96964a88f4697p+20 n=2480 status=unbiased ci=[0x1.8ba3d4d5054fep+11,0x1.00fe273c85c88p+13] | tuples=2480 pages=0 bytes=0 batches=0 cache=0 idx=2480 hit=504 miss=2318 draws=2484";
-    "estimate/chain/g4/dom2 | point=0x1.63e71c71c71c8p+12 var=0x1.96964a88f4697p+20 n=2480 status=unbiased ci=[0x1.8ba3d4d5054fep+11,0x1.00fe273c85c88p+13] | tuples=2480 pages=0 bytes=0 batches=0 cache=0 idx=2480 hit=504 miss=2318 draws=2484";
-    "estimate/self-join/g1 | point=0x1.137dp+19 var=nan n=1600 status=unbiased ci=[-] | tuples=1600 pages=0 bytes=0 batches=0 cache=0 idx=1600 hit=800 miss=0 draws=1600";
-    "estimate/distinct/g1 | point=0x1.0aaaaaaaaaaabp+8 var=nan n=1200 status=consistent ci=[-] | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=1200 hit=0 miss=0 draws=1200";
-    "selection/col | point=0x1.1p+11 var=0x1.b2fb61fcebfdfp+12 n=500 status=unbiased ci=[0x1.f71f618ba2c4ep+10,0x1.24704f3a2e9d9p+11] | tuples=500 pages=0 bytes=0 batches=0 cache=0 idx=500 hit=0 miss=0 draws=500";
-    "equijoin/g1 | point=0x1.de2p+11 var=nan n=816 status=unbiased ci=[-] | tuples=816 pages=0 bytes=0 batches=0 cache=0 idx=816 hit=153 miss=647 draws=816";
-    "equijoin/g8/dom2 | point=0x1.a900000000001p+11 var=0x1.75e2492492492p+18 n=1632 status=unbiased ci=[0x1.11687423eeb2ep+11,0x1.204bc5ee08a6ap+12] | tuples=1632 pages=0 bytes=0 batches=0 cache=0 idx=1632 hit=68 miss=1532 draws=1829";
+    "estimate/select/g1/col | point=0x1.02cp+11 var=nan n=400 status=unbiased ci=[-] | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=400 hit=0 miss=0 draws=400";
+    "estimate/chain/g4/dom1 | point=0x1.3428e38e38e3ap+12 var=0x1.d6f34587e6b7p+16 n=2480 status=unbiased ci=[0x1.09a034e6ea2p+12,0x1.5eb1923587a74p+12] | tuples=2480 pages=0 bytes=0 batches=0 cache=0 idx=2480 hit=460 miss=2329 draws=2484";
+    "estimate/chain/g4/dom2 | point=0x1.3428e38e38e3ap+12 var=0x1.d6f34587e6b7p+16 n=2480 status=unbiased ci=[0x1.09a034e6ea2p+12,0x1.5eb1923587a74p+12] | tuples=2480 pages=0 bytes=0 batches=0 cache=0 idx=2480 hit=460 miss=2329 draws=2484";
+    "estimate/self-join/g1 | point=0x1.0903cp+19 var=nan n=1600 status=unbiased ci=[-] | tuples=1600 pages=0 bytes=0 batches=0 cache=0 idx=1600 hit=800 miss=0 draws=1600";
+    "estimate/distinct/g1 | point=0x1.04p+8 var=nan n=1200 status=consistent ci=[-] | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=1200 hit=0 miss=0 draws=1200";
+    "selection/col | point=0x1.f6p+10 var=0x1.b65ea73f1a2a1p+12 n=500 status=unbiased ci=[0x1.ccf6b58eee465p+10,0x1.0f84a53888dcep+11] | tuples=500 pages=0 bytes=0 batches=0 cache=0 idx=500 hit=0 miss=0 draws=500";
+    "equijoin/g1 | point=0x1.162p+12 var=nan n=816 status=unbiased ci=[-] | tuples=816 pages=0 bytes=0 batches=0 cache=0 idx=816 hit=178 miss=622 draws=816";
+    "equijoin/g8/dom2 | point=0x1.c2p+11 var=0x1.4ed2492492492p+18 n=1632 status=unbiased ci=[0x1.328ba01b8bc5ep+11,0x1.28ba2ff23a1d1p+12] | tuples=1632 pages=0 bytes=0 batches=0 cache=0 idx=1632 hit=72 miss=1528 draws=1640";
     "equijoin-indexed | point=0x1.f4p+11 var=0x0p+0 n=600 status=unbiased ci=[0x1.f4p+11,0x1.f4p+11] | tuples=600 pages=0 bytes=0 batches=0 cache=0 idx=600 hit=600 miss=0 draws=600";
-    "intersection | point=0x1.34p+8 var=0x1.64e12102a9afep+9 n=900 status=unbiased ci=[0x1.ff4633d5097a5p+7,0x1.685ce6157b42ep+8] | tuples=900 pages=0 bytes=0 batches=0 cache=0 idx=900 hit=0 miss=0 draws=900";
-    "union | point=0x1.75p+10 var=0x1.64e12102a9afep+9 n=900 status=unbiased ci=[0x1.67e8c67aa12f5p+10,0x1.821739855ed0bp+10] | tuples=900 pages=0 bytes=0 batches=0 cache=0 idx=900 hit=0 miss=0 draws=900";
-    "difference | point=0x1.28p+9 var=0x1.64e12102a9afep+9 n=900 status=unbiased ci=[0x1.0dd18cf5425e9p+9,0x1.422e730abda17p+9] | tuples=900 pages=0 bytes=0 batches=0 cache=0 idx=900 hit=0 miss=0 draws=900";
-    "cluster/m12 | point=0x1.0755555555556p+11 var=0x1.cfd6a052bf5a8p+10 n=1200 status=unbiased ci=[0x1.f98f9700ff9b2p+10,0x1.11e2df2a2add3p+11] pages=12 tuples=1200 | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=12 hit=0 miss=0 draws=12";
-    "cluster/raf/m12 | point=0x1.0755555555556p+11 var=0x1.cfd6a052bf5a8p+10 n=1200 status=unbiased ci=[0x1.f98f9700ff9b2p+10,0x1.11e2df2a2add3p+11] pages=12 tuples=1200 | tuples=1200 pages=12 bytes=48780 batches=9 cache=0 idx=12 hit=0 miss=0 draws=12";
+    "intersection | point=0x1.38p+8 var=0x1.68207407211e6p+9 n=900 status=unbiased ci=[0x1.03664068fbef9p+8,0x1.6c99bf9704107p+8] | tuples=900 pages=0 bytes=0 batches=0 cache=0 idx=900 hit=0 miss=0 draws=900";
+    "union | point=0x1.74p+10 var=0x1.68207407211e6p+9 n=900 status=unbiased ci=[0x1.66d9901a3efbep+10,0x1.81266fe5c1042p+10] | tuples=900 pages=0 bytes=0 batches=0 cache=0 idx=900 hit=0 miss=0 draws=900";
+    "difference | point=0x1.26p+9 var=0x1.68207407211e6p+9 n=900 status=unbiased ci=[0x1.0bb320347df7cp+9,0x1.404cdfcb82084p+9] | tuples=900 pages=0 bytes=0 batches=0 cache=0 idx=900 hit=0 miss=0 draws=900";
+    "cluster/m12 | point=0x1.004p+11 var=0x1.00cc9b26c9b27p+12 n=1200 status=unbiased ci=[0x1.e1177861ad54p+10,0x1.0ff443cf2956p+11] pages=12 tuples=1200 | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=12 hit=0 miss=0 draws=12";
+    "cluster/raf/m12 | point=0x1.004p+11 var=0x1.00cc9b26c9b27p+12 n=1200 status=unbiased ci=[0x1.e1177861ad54p+10,0x1.0ff443cf2956p+11] pages=12 tuples=1200 | tuples=1200 pages=12 bytes=48780 batches=9 cache=0 idx=12 hit=0 miss=0 draws=12";
     "sequential/selection | point=0x1.1a8p+11 var=0x1.153099fc267f1p+13 n=400 status=unbiased ci=[0x1.036d1331da825p+11,0x1.3192ecce257dbp+11] reached=true steps=2 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=3999";
-    "sequential/two-phase/dom2 | point=0x1.fb8p+10 var=0x1.ce8p+12 n=400 status=unbiased ci=[0x1.d15972ae3cd5dp+10,0x1.12d346a8e1952p+11] reached=true steps=1 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=400 hit=0 miss=0 draws=421";
-    "stratified/count | point=0x1.3171c71c71c72p+5 var=0x1.6177b709a97e2p+4 n=40 status=unbiased ci=[0x1.cf7e71c9a47p+4,0x1.7b24555411564p+5] strata=5 | tuples=0 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=0";
-    "bootstrap/selection/dom2 | point=0x1.0f4p+11 var=0x1.9310208208205p+13 n=400 status=unbiased ci=[0x1.e6da1eedfa007p+10,0x1.2b12f08902ffdp+11] boot-ci=[0x1.f52p+10,0x1.2b7p+11] | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=26000 hit=0 miss=0 draws=26064";
-    "group-count/dom2 | 0:point=0x1.4cccccccccccdp+4 var=0x1.2d8ebba9e6812p+3 n=50 status=unbiased ci=[0x1.d910d72dbf73p+3,0x1.ad112e02b9e02p+4] ; 1:point=0x1.4cccccccccccdp+4 var=0x1.2d8ebba9e6812p+3 n=50 status=unbiased ci=[0x1.d910d72dbf73p+3,0x1.ad112e02b9e02p+4] ; 2:point=0x1p+3 var=0x1.1a1f58d0fac68p+2 n=50 status=unbiased ci=[0x1.f1458f9485912p+1,0x1.83ae9c1ade9bcp+3] ; 3:point=0x1.6666666666667p+3 var=0x1.796ac9dfd1305p+2 n=50 status=unbiased ci=[0x1.9c2fd653a461p+2,0x1.feb4e1a2fa9c6p+3] ; 4:point=0x1.3333333333333p+4 var=0x1.1de2532c833d4p+3 n=50 status=unbiased ci=[0x1.aaef9fcab6c4ep+3,0x1.90ee96810b03fp+4] | tuples=50 pages=0 bytes=0 batches=0 cache=0 idx=50 hit=0 miss=0 draws=50";
-    "group-sum/dom2 | 0:point=0x1.bb55555555556p+10 var=0x1.292174895ed8bp+17 n=300 status=unbiased ci=[0x1.f86f61d4e2896p+9,0x1.3d397ce01cb3p+11] ; 1:point=0x1.d6p+10 var=0x1.88f236cbc5c77p+18 n=300 status=unbiased ci=[0x1.3e5dda7ee288cp+9,0x1.86688960475ddp+11] ; 2:point=0x1.c555555555555p+9 var=0x1.a9c11e28254acp+16 n=300 status=unbiased ci=[0x1.039a3bc10324ap+8,0x1.846ec665148c2p+10] ; 3:point=0x1.ed55555555556p+10 var=0x1.0e7382ce6faf5p+19 n=300 status=unbiased ci=[0x1.0154cf9ce31fep+9,0x1.ad00216e1c8d6p+11] | tuples=300 pages=0 bytes=0 batches=0 cache=0 idx=300 hit=0 miss=0 draws=300";
+    "sequential/two-phase/dom2 | point=0x1.108p+11 var=0x1.a838p+14 n=400 status=unbiased ci=[0x1.d043522d9aba4p+10,0x1.38de56e932a2ep+11] reached=true steps=1 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=400 hit=0 miss=0 draws=405";
+    "stratified/count | point=0x1.5255555555555p+5 var=0x1.562e1ee1ee1eep+4 n=40 status=unbiased ci=[0x1.09d275c070d37p+5,0x1.9ad834ea39d73p+5] strata=5 | tuples=0 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=0";
+    "bootstrap/selection/dom2 | point=0x1.02cp+11 var=0x1.92dfb6db6db75p+13 n=400 status=unbiased ci=[0x1.cddd7694965d5p+10,0x1.1e9144b5b4d15p+11] boot-ci=[0x1.e06p+10,0x1.18ep+11] | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=26000 hit=0 miss=0 draws=26064";
+    "group-count/dom2 | 0:point=0x1.199999999999ap+4 var=0x1.0cf4ec909d272p+3 n=50 status=unbiased ci=[0x1.7d5ee1b64af7ep+3,0x1.7483c2580db75p+4] ; 1:point=0x1.6666666666667p+3 var=0x1.796ac9dfd1305p+2 n=50 status=unbiased ci=[0x1.9c2fd653a461p+2,0x1.feb4e1a2fa9c6p+3] ; 2:point=0x1p+4 var=0x1.f58d0fac687d6p+2 n=50 status=unbiased ci=[0x1.506c853181dbp+3,0x1.57c9bd673f128p+4] ; 3:point=0x1.6666666666667p+4 var=0x1.3bfa2608c6f2ep+3 n=50 status=unbiased ci=[0x1.03dbb0881f532p+4,0x1.c8f11c44ad79cp+4] ; 4:point=0x1.999999999999ap+3 var=0x1.a54d880bb3ee7p+2 n=50 status=unbiased ci=[0x1.f15d1bd81e91dp+2,0x1.1d4252a391f53p+4] | tuples=50 pages=0 bytes=0 batches=0 cache=0 idx=50 hit=0 miss=0 draws=50";
+    "group-sum/dom2 | 0:point=0x1.c8aaaaaaaaaabp+11 var=0x1.dc6ee78d14a4dp+19 n=300 status=unbiased ci=[0x1.ad52eaa993011p+10,0x1.5d55f00045ea7p+12] ; 1:point=0x1.0255555555556p+11 var=0x1.9baac08c08c08p+18 n=300 status=unbiased ci=[0x1.8d1070ed73ac4p+9,0x1.a1668e6f4dbfbp+11] ; 2:point=0x1.5c55555555555p+11 var=0x1.877dab9e34528p+19 n=300 status=unbiased ci=[0x1.01eb910be83c3p+10,0x1.1bda71125b464p+12] ; 3:point=0x1.faaaaaaaaaaabp+9 var=0x1.09224e94372d3p+17 n=300 status=unbiased ci=[0x1.2333fe022d1e6p+8,0x1.b1ddab2a1f632p+10] | tuples=300 pages=0 bytes=0 batches=0 cache=0 idx=300 hit=0 miss=0 draws=300";
   ]
 
 (* --- extras -------------------------------------------------------------
@@ -329,10 +332,10 @@ let expected_extras =
     "cluster/m12 | label=cluster | tuples=1200 pages=0 bytes=0 batches=0 cache=0 idx=12 hit=0 miss=0 draws=12";
     "sequential/selection | label=selection trajectory=n=200 point=0x1.36p+11 hw=0x1.06ec9efe8ffbcp+8 ; n=400 point=0x1.1a8p+11 hw=0x1.712ecce257dadp+7 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=3999";
     "stratified/count | label=stratified selection strata=4:17:8 ; 0:16:8 ; 3:17:9 ; 2:12:6 ; 1:18:9 | tuples=0 pages=0 bytes=0 batches=0 cache=0 idx=0 hit=0 miss=0 draws=0";
-    "bootstrap/selection/dom2 | label=selection (bootstrap) boot-ci=[0x1.f52p+10,0x1.2b7p+11]@0x1.ccccccccccccdp-1 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=26000 hit=0 miss=0 draws=26064";
+    "bootstrap/selection/dom2 | label=selection (bootstrap) boot-ci=[0x1.e06p+10,0x1.18ep+11]@0x1.ccccccccccccdp-1 | tuples=400 pages=0 bytes=0 batches=0 cache=0 idx=26000 hit=0 miss=0 draws=26064";
     "equijoin-indexed | label=equijoin (indexed) | tuples=600 pages=0 bytes=0 batches=0 cache=0 idx=600 hit=600 miss=0 draws=600";
-    "group-count/dom2 | label=group-count level=0x1.e666666666666p-1 n=50 groups=0:[0x1.9c91196b4dca1p+3,0x1.cb510ce3f2b4ap+4]@0x1.fae147ae147aep-1 ; 1:[0x1.9c91196b4dca1p+3,0x1.cb510ce3f2b4ap+4]@0x1.fae147ae147aep-1 ; 2:[0x1.4bc2bf782cabap+1,0x1.ad0f5021f4d52p+3]@0x1.fae147ae147aep-1 ; 3:[0x1.3c784caf20b51p+2,0x1.1748533a9e393p+4]@0x1.fae147ae147aep-1 ; 4:[0x1.7007bdc8bb003p+3,0x1.ae62878208e64p+4]@0x1.fae147ae147aep-1 | tuples=50 pages=0 bytes=0 batches=0 cache=0 idx=50 hit=0 miss=0 draws=50";
-    "group-sum/dom2 | label=group-sum level=0x1.e666666666666p-1 n=300 groups=0:[0x1.8f907ffb581e3p+9,0x1.577135567f4ddp+11]@0x1.f99999999999ap-1 ; 1:[0x1.27a01c1c2f6acp+8,0x1.b10bfc7c7a12ap+11]@0x1.f99999999999ap-1 ; 2:[0x1.4848fb932046p+6,0x1.b0d0c59c2350fp+10]@0x1.f99999999999ap-1 ; 3:[0x1.c9d29889213ep+6,0x1.df06c0910c4b7p+11]@0x1.f99999999999ap-1 | tuples=300 pages=0 bytes=0 batches=0 cache=0 idx=300 hit=0 miss=0 draws=300";
+    "group-count/dom2 | label=group-count level=0x1.e666666666666p-1 n=50 groups=0:[0x1.443c41265c756p+3,0x1.911512a004f89p+4]@0x1.fae147ae147aep-1 ; 1:[0x1.3c784caf20b51p+2,0x1.1748533a9e393p+4]@0x1.fae147ae147aep-1 ; 2:[0x1.1940ea7d64393p+3,0x1.735f8ac14de36p+4]@0x1.fae147ae147aep-1 ; 3:[0x1.c9c9ac31cc4b5p+3,0x1.e7e7f6b3e6a74p+4]@0x1.fae147ae147aep-1 ; 4:[0x1.8c3c1d4b5046p+2,0x1.368a9246c5882p+4]@0x1.fae147ae147aep-1 | tuples=50 pages=0 bytes=0 batches=0 cache=0 idx=50 hit=0 miss=0 draws=50";
+    "group-sum/dom2 | label=group-sum level=0x1.e666666666666p-1 n=300 groups=0:[0x1.288770dad3c12p+10,0x1.7e88ce73f5ba6p+12]@0x1.f99999999999ap-1 ; 1:[0x1.bcfd56fecad18p+8,0x1.cd0affcad1509p+11]@0x1.f99999999999ap-1 ; 2:[0x1.13167834e26e4p+9,0x1.39f2864eb9078p+12]@0x1.f99999999999ap-1 ; 3:[0x1.744e4c20359ep+6,0x1.e365c5e8a750dp+10]@0x1.f99999999999ap-1 | tuples=300 pages=0 bytes=0 batches=0 cache=0 idx=300 hit=0 miss=0 draws=300";
   ]
 
 (* Compare a rendered table with its pinned lines; with

@@ -118,11 +118,9 @@ let prop_sample_size =
    universe probability 1/C(N, n), whichever algorithm draws it, so the
    tests below check the design, not a draw stream: subset frequencies,
    first-order inclusion n/N and second-order inclusion
-   n(n-1)/(N(N-1)).  The draws are split at universe = 16n: the dense
-   path (partial Fisher–Yates) at or below it, Vitter's Algorithm D
-   above.  Each test names the sizes it draws; the sparse ones stay
-   above 128n, so they draw through Algorithm D on any cutoff up to
-   that. *)
+   n(n-1)/(N(N-1)).  The sampler has two branches: Floyd's algorithm
+   over a bitset while universe <= 128n, Vitter's Algorithm D above.
+   Each test names the branch its draws take. *)
 
 let check_invariants ~n ~universe idx =
   Alcotest.(check int) "exact n" n (Array.length idx);
@@ -133,7 +131,7 @@ let check_invariants ~n ~universe idx =
 
 let test_sparse_invariants () =
   let r = rng ~seed:808 () in
-  (* universe = 5000 > 128·25: every draw is sparse. *)
+  (* universe = 5000 > 128·25: every draw is Algorithm D's. *)
   for _ = 1 to 200 do
     check_invariants ~n:25 ~universe:5_000
       (Srs.indices_without_replacement r ~n:25 ~universe:5_000)
@@ -179,16 +177,17 @@ let check_inclusion ~seed ~n ~universe ~reps =
     (inclusion_chi_square ~seed ~n ~universe ~reps)
 
 let test_sparse_inclusion_chi_square () =
-  (* 5 of 1,000 > 128·5: sparse. *)
+  (* 5 of 1,000 > 128·5: Algorithm D. *)
   check_inclusion ~seed:809 ~n:5 ~universe:1_000 ~reps:20_000
 
 let test_dense_inclusion_chi_square () =
-  (* 16 of 64 = 4n: dense. *)
+  (* 16 of 64 = 4n: Floyd. *)
   check_inclusion ~seed:810 ~n:16 ~universe:64 ~reps:20_000
 
-(* The edges of the design, and the sizes either side of universe =
-   128n: one draw per universe element (n = 1), all but one (n = N − 1),
-   and N = 128n against 128n + 1 at a small and a larger n. *)
+(* The edges of the design, and the sizes either side of the cutoff:
+   one element (n = 1) on each branch, all but one (n = N − 1, Floyd),
+   and N = 128n (Floyd) against 128n + 1 (Algorithm D) at a small and
+   a larger n. *)
 let test_inclusion_edges () =
   List.iteri
     (fun i (n, universe, reps) -> check_inclusion ~seed:(820 + i) ~n ~universe ~reps)
@@ -232,14 +231,14 @@ let pair_chi_square ~seed ~n ~universe ~reps =
     (pearson ~expected (Array.of_list !cells))
 
 let test_sparse_pair_inclusion () =
-  (* 3 of 400 > 128·3: sparse.  79,800 pairs at about 7.5 each. *)
+  (* 3 of 400 > 128·3: Algorithm D.  79,800 pairs at about 7.5 each. *)
   pair_chi_square ~seed:811 ~n:3 ~universe:400 ~reps:200_000
 
 let test_dense_pair_inclusion () =
-  (* 4 of 40 = 10n: dense. *)
+  (* 4 of 40 = 10n: Floyd. *)
   pair_chi_square ~seed:812 ~n:4 ~universe:40 ~reps:30_000
 
-(* The whole design on a small universe: each of the C(10, 3) = 120
+(* The whole design on Floyd's branch: each of the C(10, 3) = 120
    subsets of 10 has probability 1/120.  A sorted draw (a, b, c) is
    counted at 100a + 10b + c. *)
 let test_all_subsets_chi_square () =
@@ -265,22 +264,20 @@ let test_all_subsets_chi_square () =
   check_chi_square "subsets of 3 of 10" ~cells
     (pearson ~expected:(float_of_int reps /. float_of_int cells) (Array.of_list !subsets))
 
-let golden_sparse = [ 71; 259; 507; 651; 749; 774; 890; 978 ]
-let golden_dense = [ 11; 29; 31; 34; 39; 47; 48; 88 ]
+(* Pinned seed → index traces, one per branch, so any rewrite of the
+   sampler is observably reproducible (or observably not).  Regenerate
+   by printing the draws if a branch begins consuming the Rng stream
+   differently on purpose.  The Algorithm D trace is unchanged since
+   Floyd's algorithm replaced the partial Fisher–Yates dense path. *)
+let golden_floyd = [ 0; 16; 40; 55; 69; 77; 80; 90 ]
+let golden_method_d = [ 142; 518; 1016; 1304; 1500; 1550; 1782; 1957 ]
 
 let test_golden_determinism () =
-  (* Pinned seed → indices traces, one per algorithm path, so any
-     rewrite of the sampler is observably reproducible (or observably
-     not).  Regenerate by printing the draws if the sampler begins
-     consuming the Rng stream differently on purpose. *)
-  let sparse =
-    Srs.indices_without_replacement (rng ~seed:12345 ()) ~n:8 ~universe:1_000
+  let draw universe =
+    Array.to_list (Srs.indices_without_replacement (rng ~seed:12345 ()) ~n:8 ~universe)
   in
-  let dense =
-    Srs.indices_without_replacement (rng ~seed:12345 ()) ~n:8 ~universe:100
-  in
-  Alcotest.(check (list int)) "sparse golden" golden_sparse (Array.to_list sparse);
-  Alcotest.(check (list int)) "dense golden" golden_dense (Array.to_list dense)
+  Alcotest.(check (list int)) "Floyd golden (8 of 100)" golden_floyd (draw 100);
+  Alcotest.(check (list int)) "Algorithm D golden (8 of 2,000)" golden_method_d (draw 2_000)
 
 let test_repeatability_and_divergence () =
   let draw seed =
