@@ -59,9 +59,6 @@ let case name f = (name, fun () -> ignore (Sys.opaque_identity (f ())))
 let srswor_rows =
   [ ("srswor-4000-of-200000", 4_000, 200_000); ("srswor-100-of-10000000", 100, 10_000_000) ]
 
-let srswor ?metrics rng ~n ~universe () =
-  Sampling.Srs.indices_without_replacement ?metrics rng ~n ~universe
-
 let tests () =
   let rng, catalog, tpc, r = fixtures () in
   let pred = P.lt (P.attr "a") (P.vint 100) in
@@ -110,7 +107,8 @@ let tests () =
   ]
   @ List.map
       (fun (name, n, universe) ->
-        case name (srswor (Sampling.Rng.create ~seed:808 ()) ~n ~universe))
+        let rng = Sampling.Rng.create ~seed:808 () in
+        case name (fun () -> Sampling.Srs.indices_without_replacement rng ~n ~universe))
       srswor_rows
 
 (* Serial vs parallel variants of the replicated estimators.  Each pair
@@ -216,8 +214,9 @@ let counter_rows () =
   ]
   @ List.map
       (fun (name, n, universe) ->
-        probe name (fun m ->
-            srswor ~metrics:m (Sampling.Rng.create ~seed:808 ()) ~n ~universe ()))
+        probe name (fun metrics ->
+            Sampling.Srs.indices_without_replacement ~metrics
+              (Sampling.Rng.create ~seed:808 ()) ~n ~universe))
       srswor_rows
 
 (* Guard for the instrumentation cost: time a representative kernel

@@ -43,21 +43,12 @@ module Bitset = struct
       words.(n - 1) <- words.(n - 1) land ((1 lsl (length mod bits)) - 1);
     { length; words }
 
-  (* [ctz.((low lsr 1) mod 67)] is the index of the single set bit of
-     [low]: 2 has order 66 modulo the prime 67, so the keys of the 63
-     positions are distinct.  The shift keeps the key non-negative when
-     [low] is bit 62, OCaml's sign bit. *)
-  let ctz =
-    let table = Array.make 67 0 in
-    for k = 1 to bits - 1 do
-      table.((1 lsl (k - 1)) mod 67) <- k
-    done;
-    table
-
   (* Empty words are skipped, and each word is read once.  A sparse
      word (at most 16 set bits) peels off its lowest set bit,
-     [w land (-w)], one position per step.  A denser word is walked up
-     to its highest set bit without a branch per bit: every position is
+     [low = w land (-w)], one position per step, at index
+     [popcount (low - 1)]; for bit 62, the sign bit, [low] is [min_int]
+     and [low - 1] is [max_int].  A denser word is walked up to its
+     highest set bit without a branch per bit: every position is
      written at the cursor, and the cursor moves past it only when its
      bit is set.  While bits remain in the word, at least one set
      position is still to come, so the cursor is below [count t] at
@@ -72,7 +63,7 @@ module Bitset = struct
         if popcount x <= 16 then
           while !word <> 0 do
             let low = !word land (- !word) in
-            Array.unsafe_set out !j (!k + Array.unsafe_get ctz ((low lsr 1) mod 67));
+            Array.unsafe_set out !j (!k + popcount (low - 1));
             incr j;
             word := !word lxor low
           done

@@ -138,9 +138,9 @@ let method_d rng ~n ~universe =
    on every run and every domain layout.
 
    Floyd runs while universe <= 128n, written so it cannot overflow.
-   The constant is measured: at N/n = 128 Floyd drew 1.8–1.9× faster
-   than Algorithm D for n = 100, 1,000 and 10,000, and at N/n = 256 it
-   lost for n = 100. *)
+   The constant is measured (release build): for n = 100, 1,000 and
+   10,000, Floyd drew 1.1–1.6× faster than Algorithm D at N/n = 128,
+   0.8–1.1× at 256 and 0.5–0.8× at 512. *)
 
 let indices_without_replacement ?(metrics = Obs.Metrics.noop) rng ~n ~universe =
   if n < 0 then invalid_arg "Srs: negative sample size";

@@ -679,8 +679,8 @@ let test_bitset () =
     (B.positions b);
   Alcotest.(check (array int)) "a prefix at a word boundary" [| 0; 1 |]
     (B.positions (B.resize b 63));
-  (* Sparse words holding only their sign bit (bit 62), which peel
-     through the ctz table's shifted key. *)
+  (* Sparse words holding only their sign bit (bit 62): the peeled
+     lowest bit is [min_int]. *)
   let signs = B.create 130 in
   B.set signs 62;
   B.set signs 125;

@@ -5,15 +5,13 @@
    match the table below bit-for-bit (floats are printed as %h, the
    exact hexadecimal form).
 
-   The table was captured before the plan IR existed and pinned the
-   compile-to-IR refactor to bit-identical behaviour.  It was
-   re-captured once on purpose, when Floyd's algorithm replaced the
-   dense SRSWOR path: the draw stream moved, so did estimates, probe
-   counts and draws, and no other counter.  A second table, [extras],
-   pins what the lines above do not show: the labels, trajectories,
-   strata and per-group intervals of the estimators that run outside
-   the plan IR.  To regenerate after
-   an *intentional* contract change:
+   A refactor keeps the table bit-identical.  A change to how a
+   sampler consumes the Rng stream re-captures it: estimates, probe
+   counts and draws may move, and no other counter.  A second table,
+   [extras], pins what the lines above do not show: the labels,
+   trajectories, strata and per-group intervals of the estimators that
+   run outside the plan IR.  To regenerate after an *intentional*
+   contract change:
 
      RAESTAT_GOLDEN_OUT=/tmp/golden dune exec test/test_main.exe -- test golden
      # then paste /tmp/golden over the [expected] list below, and

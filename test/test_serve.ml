@@ -660,8 +660,7 @@ let test_warm_sample_concurrent () =
                 let seed = (i + d) mod 4 in
                 let draw () =
                   let rng = Sampling.Rng.create ~seed () in
-                  Sampling.Srs.indices_without_replacement rng ~n:5
-                    ~universe:100
+                  Sampling.Srs.indices_without_replacement rng ~n:5 ~universe:100
                 in
                 ( seed,
                   Serve.Warm.sample_indices warm ~relation:"r" ~seed ~n:5 ~universe:100

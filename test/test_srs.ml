@@ -267,8 +267,7 @@ let test_all_subsets_chi_square () =
 (* Pinned seed → index traces, one per branch, so any rewrite of the
    sampler is observably reproducible (or observably not).  Regenerate
    by printing the draws if a branch begins consuming the Rng stream
-   differently on purpose.  The Algorithm D trace is unchanged since
-   Floyd's algorithm replaced the partial Fisher–Yates dense path. *)
+   differently on purpose. *)
 let golden_floyd = [ 0; 16; 40; 55; 69; 77; 80; 90 ]
 let golden_method_d = [ 142; 518; 1016; 1304; 1500; 1550; 1782; 1957 ]
 
