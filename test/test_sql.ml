@@ -172,6 +172,141 @@ let test_count_star_target () =
   Alcotest.(check bool) "plain query has none" true
     (Sql.count_star_target (Sql.parse "SELECT * FROM orders") = None)
 
+(* Random queries of the supported subset, each built together with the
+   expression it must parse to. Keywords come in random case and words
+   are separated by random whitespace, newlines included; WHERE and ON
+   conditions are random predicates printed by [Parser.print_predicate]. *)
+
+let random_case word =
+  QCheck.Gen.(
+    map
+      (fun upper ->
+        String.mapi
+          (fun i c -> if upper land (1 lsl i) <> 0 then Char.uppercase_ascii c else c)
+          word)
+      (int_bound ((1 lsl String.length word) - 1)))
+
+(* [blank] separates words; [blank0] may be empty. *)
+let blank = QCheck.Gen.oneofl [ " "; "  "; "\n"; "\t"; "\r\n"; " \n\t " ]
+let blank0 = QCheck.Gen.oneofl [ ""; " "; "\n"; " \t" ]
+
+let sql_attr_gen = QCheck.Gen.oneofl [ "a"; "b"; "c1"; "l.a"; "x_y" ]
+
+let agg_gen =
+  QCheck.Gen.(
+    let* which = int_range 0 4 and* attr = sql_attr_gen in
+    let f, name =
+      match which with
+      | 0 -> (Expr.Count, "count")
+      | 1 -> (Expr.Sum attr, "sum")
+      | 2 -> (Expr.Avg attr, "avg")
+      | 3 -> (Expr.Min attr, "min")
+      | _ -> (Expr.Max attr, "max")
+    in
+    let default = match f with Expr.Count -> name | _ -> name ^ "_" ^ attr in
+    let* func = random_case name and* b1 = blank0 and* b2 = blank0 and* b3 = blank0 in
+    let arg = match f with Expr.Count -> "*" | _ -> attr in
+    let call = Printf.sprintf "%s%s(%s%s%s)" func b1 b2 arg b3 in
+    let* alias = opt (oneofl [ "n"; "total"; "o1" ]) in
+    match alias with
+    | None -> return (call, (f, default))
+    | Some output ->
+      let* as_ = random_case "as" and* b1 = blank and* b2 = blank0 in
+      return (Printf.sprintf "%s%s%s %s%s" call b1 as_ b2 output, (f, output)))
+
+let sql_gen =
+  QCheck.Gen.(
+    let kw = random_case in
+    let* distinct = bool and* names = list_size (int_range 1 3) (oneofl [ "r"; "s"; "orders" ]) in
+    let* joins = bool and* ons = list_repeat 2 Test_parser.pred_gen in
+    let first = List.hd names and rest = List.tl names in
+    let* from_text, from_expr =
+      if joins then
+        let step (text, acc) (name, on) =
+          let* join = kw "join" and* on_kw = kw "on"
+          and* b = list_repeat 4 blank in
+          let nth = List.nth b in
+          return
+            ( String.concat "" [ text; nth 0; join; nth 1; name; nth 2; on_kw; nth 3;
+                                 Relational.Parser.print_predicate on ],
+              Expr.Theta_join (on, acc, Expr.Base name) )
+        in
+        List.fold_left
+          (fun acc pair -> acc >>= fun acc -> step acc pair)
+          (return (first, Expr.Base first))
+          (List.combine rest (List.filteri (fun i _ -> i < List.length rest) ons))
+      else
+        let* commas = list_repeat (List.length rest) (pair blank0 blank0) in
+        return
+          ( first ^ String.concat "" (List.map2 (fun n (b1, b2) -> b1 ^ "," ^ b2 ^ n) rest commas),
+            List.fold_left (fun acc n -> Expr.Product (acc, Expr.Base n)) (Expr.Base first) rest )
+    in
+    let* where = opt Test_parser.pred_gen in
+    let filtered =
+      match where with Some p -> Expr.Select (p, from_expr) | None -> from_expr
+    in
+    let* group = opt (list_size (int_range 1 2) sql_attr_gen) in
+    (* Plain select items must be grouping attributes when there is a
+       GROUP BY; without one they cannot sit beside aggregates. *)
+    let* shape = int_range 0 2 in
+    let* plain =
+      match group with
+      | Some g -> list_size (int_range 0 2) (oneofl g)
+      | None -> list_size (int_range 1 3) sql_attr_gen
+    in
+    let* aggs = list_size (int_range 1 2) agg_gen in
+    let items, expected =
+      match (shape, group) with
+      | 0, None -> ([ "*" ], if distinct then Expr.Distinct filtered else filtered)
+      | 1, None ->
+        ( plain,
+          if distinct then Expr.Distinct (Expr.Project (plain, filtered))
+          else Expr.Project (plain, filtered) )
+      | _, None -> (List.map fst aggs, Expr.Aggregate ([], List.map snd aggs, filtered))
+      | 2, Some g ->
+        (plain @ List.map fst aggs, Expr.Aggregate (g, List.map snd aggs, filtered))
+      | _, Some g ->
+        ((if plain = [] then g else plain), Expr.Distinct (Expr.Project (g, filtered)))
+    in
+    let* select = kw "select" and* distinct_kw = kw "distinct" and* from = kw "from"
+    and* b = list_repeat 8 blank and* commas = list_repeat 6 (pair blank0 blank0) in
+    let nth = List.nth b in
+    let* where_text =
+      match where with
+      | None -> return ""
+      | Some p ->
+        let* w = kw "where" in
+        return (nth 3 ^ w ^ nth 4 ^ Relational.Parser.print_predicate p)
+    in
+    let* group_text =
+      match group with
+      | None -> return ""
+      | Some g ->
+        let* group_kw = kw "group" and* by = kw "by" in
+        return (String.concat "" [ nth 5; group_kw; nth 6; by; nth 7; String.concat ", " g ])
+    in
+    let items_text =
+      String.concat ""
+        (List.mapi
+           (fun i item ->
+             if i = 0 then item
+             else
+               let b1, b2 = List.nth commas (i mod 6) in
+               b1 ^ "," ^ b2 ^ item)
+           items)
+    in
+    let* trailing = blank0 in
+    return
+      ( String.concat ""
+          [ select; nth 0; (if distinct then distinct_kw ^ " " else ""); items_text; nth 1;
+            from; nth 2; from_text; where_text; group_text; trailing ],
+        expected ))
+
+let prop_sql_to_expr =
+  qcheck_case ~count:500 "sql parses to its expression"
+    (QCheck.make ~print:fst sql_gen)
+    (fun (text, expected) -> Sql.parse text = expected)
+
 let test_estimation_pipeline () =
   (* SQL → optimizer → sampled estimate, the end-to-end workflow. *)
   let rng_ = rng ~seed:141 () in
@@ -207,4 +342,5 @@ let suite =
     Alcotest.test_case "keywords inside strings" `Quick test_keyword_inside_string_literal;
     Alcotest.test_case "count(*) target" `Quick test_count_star_target;
     Alcotest.test_case "sql → estimate pipeline" `Quick test_estimation_pipeline;
+    prop_sql_to_expr;
   ]
