@@ -638,7 +638,7 @@ let sql_cmd =
   let text_arg =
     Arg.(
       required & pos 0 (some string) None
-      & info [] ~docv:"SQL" ~doc:"SQL query (SELECT subset; see Relational.Sql).")
+      & info [] ~docv:"SQL" ~doc:"SQL query (SELECT subset; see Relational.Parser.parse_sql).")
   in
   let groups_arg =
     Arg.(value & opt int 5 & info [ "groups"; "g" ] ~docv:"G" ~doc:"Replicate groups.")
@@ -1123,7 +1123,7 @@ let explain_sql_cmd =
   let text_arg =
     Arg.(
       required & pos 0 (some string) None
-      & info [] ~docv:"SQL" ~doc:"SQL query (SELECT subset; see Relational.Sql).")
+      & info [] ~docv:"SQL" ~doc:"SQL query (SELECT subset; see Relational.Parser.parse_sql).")
   in
   Cmd.v
     (Cmd.info "sql" ~doc:"Explain the plan behind $(b,raestat sql)")

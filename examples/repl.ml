@@ -85,11 +85,11 @@ let () =
              if String.length line > 4 && String.lowercase_ascii (String.sub line 0 4) = "sql "
              then begin
                let parsed =
-                 Relational.Sql.parse_optimized catalog
-                   (String.sub line 4 (String.length line - 4))
+                 Relational.Optimizer.optimize catalog
+                   (Relational.Parser.parse_sql (String.sub line 4 (String.length line - 4)))
                in
                (* SELECT COUNT( * ) means "estimate this cardinality". *)
-               Option.value (Relational.Sql.count_star_target parsed) ~default:parsed
+               Option.value (Relational.Parser.count_star_target parsed) ~default:parsed
              end
              else Relational.Parser.parse_expr line
            in

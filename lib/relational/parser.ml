@@ -1,7 +1,9 @@
-(* Recursive-descent parser over a hand-rolled tokenizer.  The only
-   delicate spot is '(' in predicate position, which may open either a
-   nested predicate or a parenthesized arithmetic term; it is resolved
-   by bounded backtracking (see [try_parse]). *)
+(* Recursive-descent parser over a hand-rolled tokenizer, for algebra
+   and for the SQL subset alike: both read the same token array, and
+   SQL's WHERE and ON conditions are parsed in place by the predicate
+   grammar.  The only delicate spot is '(' in predicate position, which
+   may open either a nested predicate or a parenthesized arithmetic
+   term; it is resolved by bounded backtracking (see [try_parse]). *)
 
 type token =
   | Ident of string
@@ -19,9 +21,11 @@ type state = {
 
 exception Parse_error of string * int
 
-let fail_at state message =
+(* Fails at token [at], by default the current one. *)
+let fail_at ?at state message =
+  let at = Option.value at ~default:state.pos in
   let offset =
-    if state.pos < Array.length state.tokens then snd state.tokens.(state.pos)
+    if at < Array.length state.tokens then snd state.tokens.(at)
     else String.length state.source
   in
   raise (Parse_error (message, offset))
@@ -167,6 +171,14 @@ let ident state =
     advance state;
     name
   | _ -> fail_at state "expected an identifier"
+
+(* One or more [parse]s separated by commas. *)
+let comma_list state parse =
+  let items = ref [ parse state ] in
+  while accept_sym state "," do
+    items := parse state :: !items
+  done;
+  List.rev !items
 
 let try_parse state f =
   let saved = state.pos in
@@ -341,12 +353,9 @@ and parse_comparison state =
   | Some "in" ->
     advance state;
     eat_sym state "(";
-    let values = ref [ parse_value state ] in
-    while accept_sym state "," do
-      values := parse_value state :: !values
-    done;
+    let values = comma_list state parse_value in
     eat_sym state ")";
-    Predicate.In (left, List.rev !values)
+    Predicate.In (left, values)
   | _ -> (
     match peek state with
     | Sym s -> (
@@ -398,38 +407,12 @@ let parse_agg_spec state =
   in
   (f, output)
 
-let parse_attr_list state =
-  let attrs = ref [ ident state ] in
-  while accept_sym state "," do
-    attrs := ident state :: !attrs
-  done;
-  List.rev !attrs
-
-let parse_rename_pairs state =
-  let pair state =
-    let old_name = ident state in
-    eat_sym state "->";
-    let new_name = ident state in
-    (old_name, new_name)
-  in
-  let pairs = ref [ pair state ] in
-  while accept_sym state "," do
-    pairs := pair state :: !pairs
-  done;
-  List.rev !pairs
-
-let parse_join_pairs state =
-  let pair state =
-    let left = ident state in
-    eat_sym state "=";
-    let right = ident state in
-    (left, right)
-  in
-  let pairs = ref [ pair state ] in
-  while accept_sym state "," do
-    pairs := pair state :: !pairs
-  done;
-  List.rev !pairs
+(* [a sep b], as in rename's [a -> b] and join's [a = b]. *)
+let parse_pair sep state =
+  let left = ident state in
+  eat_sym state sep;
+  let right = ident state in
+  (left, right)
 
 let rec parse_expr_level state = parse_set_ops state
 
@@ -462,7 +445,7 @@ and parse_join_ops state =
     | Some "join" ->
       advance state;
       eat_sym state "[";
-      let pairs = parse_join_pairs state in
+      let pairs = comma_list state (parse_pair "=") in
       eat_sym state "]";
       left := Expr.Equijoin (pairs, !left, parse_expr_atom state)
     | Some "theta" ->
@@ -489,7 +472,7 @@ and parse_expr_atom state =
   | Some "pi" ->
     advance state;
     eat_sym state "[";
-    let attrs = parse_attr_list state in
+    let attrs = comma_list state ident in
     eat_sym state "]";
     eat_sym state "(";
     let e = parse_expr_level state in
@@ -498,7 +481,7 @@ and parse_expr_atom state =
   | Some "pidist" ->
     advance state;
     eat_sym state "[";
-    let attrs = parse_attr_list state in
+    let attrs = comma_list state ident in
     eat_sym state "]";
     eat_sym state "(";
     let e = parse_expr_level state in
@@ -513,7 +496,7 @@ and parse_expr_atom state =
   | Some "rho" ->
     advance state;
     eat_sym state "[";
-    let pairs = parse_rename_pairs state in
+    let pairs = comma_list state (parse_pair "->") in
     eat_sym state "]";
     eat_sym state "(";
     let e = parse_expr_level state in
@@ -522,17 +505,14 @@ and parse_expr_atom state =
   | Some "gamma" ->
     advance state;
     eat_sym state "[";
-    let by = if peek state = Sym ";" then [] else parse_attr_list state in
+    let by = if peek state = Sym ";" then [] else comma_list state ident in
     eat_sym state ";";
-    let specs = ref [ parse_agg_spec state ] in
-    while accept_sym state "," do
-      specs := parse_agg_spec state :: !specs
-    done;
+    let specs = comma_list state parse_agg_spec in
     eat_sym state "]";
     eat_sym state "(";
     let e = parse_expr_level state in
     eat_sym state ")";
-    Expr.Aggregate (by, List.rev !specs, e)
+    Expr.Aggregate (by, specs, e)
   | Some k when List.mem k expr_keywords -> fail_at state (Printf.sprintf "misplaced keyword %S" k)
   | Some _ -> Expr.Base (ident state)
   | None ->
@@ -543,29 +523,176 @@ and parse_expr_atom state =
     end
     else fail_at state "expected an expression"
 
-(* ----------------------------------------------------------- entrypoints *)
-
 let finish state result =
   match peek state with
   | Eof -> result
   | _ -> fail_at state "trailing input"
 
-let describe_error source (message, offset) =
+(* ------------------------------------------------------------------ SQL *)
+
+(* Words that open or end a SQL clause: none names a relation or an
+   attribute. *)
+let sql_keywords =
+  [ "select"; "distinct"; "from"; "join"; "on"; "where"; "group"; "by"; "order"; "having";
+    "limit"; "as" ]
+
+let sql_name state what =
+  match keyword state with
+  | Some k when not (List.mem k sql_keywords) -> ident state
+  | _ -> fail_at state ("expected " ^ what)
+
+type sql_item =
+  | Star
+  | Column of string
+  | Agg of Expr.agg * string  (* function, output name *)
+
+let parse_sql_item state =
+  let at = state.pos in
+  match peek state with
+  | Sym "*" ->
+    advance state;
+    Star
+  | Ident func when fst state.tokens.(at + 1) = Sym "(" ->
+    advance state;
+    advance state;
+    let f =
+      match (String.lowercase_ascii func, peek state) with
+      | "count", Sym "*" ->
+        advance state;
+        Expr.Count
+      | "count", _ ->
+        (* Name the argument as written, up to the closing parenthesis. *)
+        let close = ref state.pos in
+        while (match fst state.tokens.(!close) with Sym ")" | Eof -> false | _ -> true) do
+          incr close
+        done;
+        let lo = snd state.tokens.(at + 1) + 1 in
+        let arg = String.sub state.source lo (snd state.tokens.(!close) - lo) in
+        fail_at ~at state
+          (Printf.sprintf "only COUNT(*) is supported, not COUNT(%s)" (String.trim arg))
+      | "sum", _ -> Expr.Sum (sql_name state "an attribute")
+      | "avg", _ -> Expr.Avg (sql_name state "an attribute")
+      | "min", _ -> Expr.Min (sql_name state "an attribute")
+      | "max", _ -> Expr.Max (sql_name state "an attribute")
+      | other, _ -> fail_at ~at state (Printf.sprintf "unknown aggregate %S" other)
+    in
+    eat_sym state ")";
+    if keyword state = Some "as" then begin
+      advance state;
+      Agg (f, sql_name state "an output name")
+    end
+    else Agg (f, default_agg_name f)
+  | _ -> Column (sql_name state "a select item")
+
+(* rel (, rel)* or rel (JOIN rel ON p)*.  Without the catalog an ON
+   condition's equality pairs cannot be oriented, so each JOIN becomes
+   a θ-join; {!Optimizer} rewrites equality θ-joins into correctly
+   oriented equi-joins. *)
+let parse_sql_from state =
+  let relation () =
+    let name = sql_name state "a relation name" in
+    (match keyword state with
+    | Some k when k = "as" || not (List.mem k sql_keywords) ->
+      fail_at state "table aliases are not supported"
+    | _ -> ());
+    Expr.Base name
+  in
+  let first = relation () in
+  let joins = keyword state = Some "join" in
+  let rec more acc =
+    if joins && keyword state = Some "join" then begin
+      advance state;
+      let right = relation () in
+      if keyword state <> Some "on" then fail_at state "JOIN without ON";
+      advance state;
+      more (Expr.Theta_join (parse_predicate_level state, acc, right))
+    end
+    else if (not joins) && accept_sym state "," then more (Expr.Product (acc, relation ()))
+    else if keyword state = Some "join" || peek state = Sym "," then
+      fail_at state "mixing comma-lists and JOIN in FROM is not supported"
+    else acc
+  in
+  more first
+
+let parse_sql_query state =
+  if keyword state <> Some "select" then fail_at state "query must start with SELECT";
+  Array.iteri
+    (fun at (token, _) ->
+      match token with
+      | Ident word when at > 0 && String.lowercase_ascii word = "select" ->
+        fail_at ~at state "multiple SELECT clauses (subqueries are not supported)"
+      | _ -> ())
+    state.tokens;
+  advance state;
+  let distinct = keyword state = Some "distinct" in
+  if distinct then advance state;
+  let items_at = state.pos in
+  if keyword state = Some "from" then fail_at state "empty select list";
+  let items = comma_list state parse_sql_item in
+  if keyword state <> Some "from" then fail_at state "missing FROM clause";
+  advance state;
+  let from = parse_sql_from state in
+  let filtered =
+    if keyword state = Some "where" then begin
+      advance state;
+      Expr.Select (parse_predicate_level state, from)
+    end
+    else from
+  in
+  let group =
+    if keyword state = Some "group" then begin
+      advance state;
+      if keyword state <> Some "by" then fail_at state "GROUP must be followed by BY";
+      advance state;
+      Some (comma_list state (fun state -> sql_name state "a GROUP BY attribute"))
+    end
+    else None
+  in
+  (match keyword state with
+  | Some "order" -> fail_at state "ORDER BY is not supported"
+  | Some "having" -> fail_at state "HAVING is not supported"
+  | Some "limit" -> fail_at state "LIMIT is not supported"
+  | _ -> finish state ());
+  let fail message = fail_at ~at:items_at state message in
+  let aggs = List.filter_map (function Agg (f, o) -> Some (f, o) | _ -> None) items in
+  let plain = List.filter_map (function Column a -> Some a | _ -> None) items in
+  match group with
+  | Some group ->
+    (* Plain items only name grouping attributes; the output carries
+       the GROUP BY list. *)
+    if List.mem Star items then fail "SELECT * with GROUP BY";
+    List.iter
+      (fun a ->
+        if not (List.mem a group) then
+          fail (Printf.sprintf "select item %S is not in GROUP BY" a))
+      plain;
+    if aggs = [] then Expr.Distinct (Expr.Project (group, filtered))
+    else Expr.Aggregate (group, aggs, filtered)
+  | None when aggs <> [] ->
+    if plain <> [] then fail "mixing attributes and aggregates needs GROUP BY";
+    Expr.Aggregate ([], aggs, filtered)
+  | None ->
+    let e = if List.mem Star items then filtered else Expr.Project (plain, filtered) in
+    if distinct then Expr.Distinct e else e
+
+let count_star_target = function
+  | Expr.Aggregate ([], [ (Expr.Count, _) ], inner) -> Some inner
+  | _ -> None
+
+(* ----------------------------------------------------------- entrypoints *)
+
+let describe_error what source (message, offset) =
   let prefix = String.sub source 0 (min offset (String.length source)) in
   let line = 1 + String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 prefix in
-  Printf.sprintf "Parser: %s at offset %d (line %d) in %S" message offset line source
+  Printf.sprintf "%s: %s at offset %d (line %d) in %S" what message offset line source
 
-let parse_expr source =
-  try
-    let state = make_state source in
-    finish state (parse_expr_level state)
-  with Parse_error (message, offset) -> failwith (describe_error source (message, offset))
+let run what parse source =
+  try parse (make_state source)
+  with Parse_error (message, offset) -> failwith (describe_error what source (message, offset))
 
-let parse_predicate source =
-  try
-    let state = make_state source in
-    finish state (parse_predicate_level state)
-  with Parse_error (message, offset) -> failwith (describe_error source (message, offset))
+let parse_expr = run "Parser" (fun state -> finish state (parse_expr_level state))
+let parse_predicate = run "Parser" (fun state -> finish state (parse_predicate_level state))
+let parse_sql = run "Sql" parse_sql_query
 
 (* ---------------------------------------------------------------- printer *)
 

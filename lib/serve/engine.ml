@@ -222,10 +222,12 @@ let query ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?domains
   { text = Printf.sprintf "expression: %s\n%s" printed body; estimate = est; expr }
 
 let sql_expr catalog text =
-  let expr = Relational.Sql.parse_optimized catalog text in
+  (* The optimizer turns FROM a, b WHERE a.x = b.y and JOIN ... ON
+     equalities into equi-joins. *)
+  let expr = Relational.Optimizer.optimize catalog (Relational.Parser.parse_sql text) in
   (* SELECT COUNT( * ) asks for a cardinality: estimate the inner
      expression's COUNT rather than the 1-row aggregate result. *)
-  Option.value (Relational.Sql.count_star_target expr) ~default:expr
+  Option.value (Relational.Parser.count_star_target expr) ~default:expr
 
 let sql ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?domains ?(optimize = false)
     rng catalog ~fraction ~groups text =

@@ -408,6 +408,9 @@ expect_error "bad sql" \
 expect_error "bad sql position" \
   'Sql: ORDER BY is not supported at offset 23 \(line 1\) in "SELECT COUNT\(\*\) FROM r ORDER BY a"' \
   sql "SELECT COUNT(*) FROM r ORDER BY a" --rel "r=$workdir/u.csv"
+expect_error "bad sql where position" \
+  'Sql: expected a term at offset 32 \(line 1\) in "SELECT COUNT\(\*\) FROM r WHERE a <"' \
+  sql "SELECT COUNT(*) FROM r WHERE a <" --rel "r=$workdir/u.csv"
 expect_error "bad algebra position" \
   'Parser: unexpected character .!. at offset 7 \(line 1\) in "select\[!\]\(r\)"' \
   query "select[!](r)" --rel "r=$workdir/u.csv" -f 0.05

@@ -96,7 +96,7 @@ let test_sql_injectionish_inputs () =
     (fun text ->
       Alcotest.(check bool) text true
         (try
-           ignore (Relational.Sql.parse text);
+           ignore (Relational.Parser.parse_sql text);
            false
          with Failure _ -> true))
     [

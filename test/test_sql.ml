@@ -1,5 +1,5 @@
 open Helpers
-module Sql = Relational.Sql
+module Parser = Relational.Parser
 module Optimizer = Relational.Optimizer
 module P = Predicate
 
@@ -12,7 +12,8 @@ let catalog () =
          [ (1, 0); (2, 1); (3, 0) ]);
     ]
 
-let count_sql c text = Eval.count c (Sql.parse text)
+let count_sql c text = Eval.count c (Parser.parse_sql text)
+let parse_optimized c text = Optimizer.optimize c (Parser.parse_sql text)
 
 let test_select_star () =
   let c = catalog () in
@@ -22,7 +23,7 @@ let test_select_star () =
 
 let test_count_star () =
   let c = catalog () in
-  let result = Eval.eval c (Sql.parse "SELECT COUNT(*) FROM orders WHERE o_cust = 3") in
+  let result = Eval.eval c (Parser.parse_sql "SELECT COUNT(*) FROM orders WHERE o_cust = 3") in
   Alcotest.(check int) "one row" 1 (Relation.cardinality result);
   Alcotest.(check string) "count value" "<3>" (Tuple.to_string (Relation.tuple result 0))
 
@@ -58,7 +59,7 @@ let test_join_on () =
 let test_join_on_optimizes_to_equijoin () =
   let c = catalog () in
   let optimized =
-    Sql.parse_optimized c "SELECT * FROM orders JOIN customers ON o_cust = c_id"
+    parse_optimized c "SELECT * FROM orders JOIN customers ON o_cust = c_id"
   in
   match optimized with
   | Expr.Equijoin ([ ("o_cust", "c_id") ], Expr.Base "orders", Expr.Base "customers") -> ()
@@ -67,7 +68,7 @@ let test_join_on_optimizes_to_equijoin () =
 let test_where_join_optimizes_with_pushdown () =
   let c = catalog () in
   let optimized =
-    Sql.parse_optimized c
+    parse_optimized c
       "SELECT * FROM orders, customers WHERE o_cust = c_id AND c_region = 0"
   in
   (match optimized with
@@ -77,7 +78,7 @@ let test_where_join_optimizes_with_pushdown () =
 
 let test_group_by () =
   let c = catalog () in
-  let e = Sql.parse "SELECT o_cust, COUNT(*) AS n, SUM(o_amount) FROM orders GROUP BY o_cust" in
+  let e = Parser.parse_sql "SELECT o_cust, COUNT(*) AS n, SUM(o_amount) FROM orders GROUP BY o_cust" in
   let result = Eval.eval c e in
   Alcotest.(check (list string)) "schema" [ "o_cust"; "n"; "sum_o_amount" ]
     (Schema.names (Relation.schema result));
@@ -90,7 +91,7 @@ let test_group_by_without_aggregates () =
 
 let test_global_aggregates () =
   let c = catalog () in
-  let result = Eval.eval c (Sql.parse "SELECT MIN(o_amount), MAX(o_amount), AVG(o_amount) FROM orders") in
+  let result = Eval.eval c (Parser.parse_sql "SELECT MIN(o_amount), MAX(o_amount), AVG(o_amount) FROM orders") in
   Alcotest.(check string) "row" "<50, 400, 166.667>"
     (Tuple.to_string (Relation.tuple result 0))
 
@@ -104,7 +105,7 @@ let test_rejections () =
   let rejects text =
     Alcotest.(check bool) text true
       (try
-         ignore (Sql.parse text);
+         ignore (Parser.parse_sql text);
          false
        with Failure _ -> true)
   in
@@ -121,12 +122,13 @@ let test_rejections () =
   rejects "SELECT * FROM orders WHERE o_cust = (SELECT c_id FROM customers)"
 
 let test_error_positions () =
-  (* Sql errors carry offset/line context in the Parser.describe_error
-     format; pin a few exact messages so the format cannot drift. *)
+  (* SQL errors carry offset/line context in the format of
+     Parser.parse_expr's errors; pin a few exact messages so the format
+     cannot drift. *)
   let fails_with expected text =
     Alcotest.(check string) text expected
       (try
-         ignore (Sql.parse text);
+         ignore (Parser.parse_sql text);
          "<no error>"
        with Failure message -> message)
   in
@@ -145,7 +147,20 @@ let test_error_positions () =
   fails_with
     "Sql: ORDER BY is not supported at offset 21 (line 2) in \
      \"SELECT * FROM orders\\nORDER BY o_amount\""
-    "SELECT * FROM orders\nORDER BY o_amount"
+    "SELECT * FROM orders\nORDER BY o_amount";
+  (* Errors inside a condition, and tokenizer errors, are placed in the
+     whole query too. *)
+  fails_with
+    "Sql: expected a term at offset 37 (line 1) in \"SELECT * FROM orders WHERE o_amount <\""
+    "SELECT * FROM orders WHERE o_amount <";
+  fails_with
+    "Sql: expected a term at offset 47 (line 1) in \
+     \"SELECT * FROM orders JOIN customers ON o_cust == c_id\""
+    "SELECT * FROM orders JOIN customers ON o_cust == c_id";
+  fails_with
+    "Sql: unterminated string literal at offset 36 (line 1) in \
+     \"SELECT * FROM orders WHERE c_name = 'bob\""
+    "SELECT * FROM orders WHERE c_name = 'bob"
 
 let test_keyword_inside_string_literal () =
   let c =
@@ -161,16 +176,16 @@ let test_keyword_inside_string_literal () =
     (count_sql c "SELECT * FROM notes WHERE text = 'select from where'")
 
 let test_count_star_target () =
-  let e = Sql.parse "SELECT COUNT(*) FROM orders WHERE o_cust = 3" in
-  (match Sql.count_star_target e with
+  let e = Parser.parse_sql "SELECT COUNT(*) FROM orders WHERE o_cust = 3" in
+  (match Parser.count_star_target e with
   | Some (Expr.Select (_, Expr.Base "orders")) -> ()
   | Some other -> Alcotest.failf "unexpected target %s" (Expr.to_string other)
   | None -> Alcotest.fail "expected a count target");
   Alcotest.(check bool) "grouped query has none" true
-    (Sql.count_star_target (Sql.parse "SELECT o_cust, COUNT(*) FROM orders GROUP BY o_cust")
+    (Parser.count_star_target (Parser.parse_sql "SELECT o_cust, COUNT(*) FROM orders GROUP BY o_cust")
     = None);
   Alcotest.(check bool) "plain query has none" true
-    (Sql.count_star_target (Sql.parse "SELECT * FROM orders") = None)
+    (Parser.count_star_target (Parser.parse_sql "SELECT * FROM orders") = None)
 
 (* Random queries of the supported subset, each built together with the
    expression it must parse to. Keywords come in random case and words
@@ -228,7 +243,7 @@ let sql_gen =
           let nth = List.nth b in
           return
             ( String.concat "" [ text; nth 0; join; nth 1; name; nth 2; on_kw; nth 3;
-                                 Relational.Parser.print_predicate on ],
+                                 Parser.print_predicate on ],
               Expr.Theta_join (on, acc, Expr.Base name) )
         in
         List.fold_left
@@ -276,7 +291,7 @@ let sql_gen =
       | None -> return ""
       | Some p ->
         let* w = kw "where" in
-        return (nth 3 ^ w ^ nth 4 ^ Relational.Parser.print_predicate p)
+        return (nth 3 ^ w ^ nth 4 ^ Parser.print_predicate p)
     in
     let* group_text =
       match group with
@@ -305,7 +320,7 @@ let sql_gen =
 let prop_sql_to_expr =
   qcheck_case ~count:500 "sql parses to its expression"
     (QCheck.make ~print:fst sql_gen)
-    (fun (text, expected) -> Sql.parse text = expected)
+    (fun (text, expected) -> Parser.parse_sql text = expected)
 
 let test_estimation_pipeline () =
   (* SQL → optimizer → sampled estimate, the end-to-end workflow. *)
@@ -316,7 +331,7 @@ let test_estimation_pipeline () =
   in
   let r = Relation.of_array (Schema.of_list [ ("b", Value.Tint) ]) (Relation.tuples r) in
   let c = Catalog.of_list [ ("l", l); ("r", r) ] in
-  let e = Sql.parse_optimized c "SELECT * FROM l, r WHERE a = b" in
+  let e = parse_optimized c "SELECT * FROM l, r WHERE a = b" in
   let truth = float_of_int (Eval.count c e) in
   let est = Raestat.Count_estimator.estimate ~groups:5 rng_ c ~fraction:0.1 e in
   Alcotest.(check bool) "unbiased classification" true
