@@ -1041,21 +1041,12 @@ let json_flag =
     value & flag
     & info [ "json" ] ~doc:"Emit the plan as JSON (schema raestat-explain/1).")
 
-let print_plan ~json plan =
-  if json then print_endline (Raestat.Estplan.to_json plan)
-  else print_string (Raestat.Estplan.render plan)
+(* The daemon's explain op returns the same bytes (Serve.Engine.plan_text
+   and explain_text). *)
+let print_plan ~json plan = print_string (Serve.Engine.plan_text ~json plan)
 
-(* Optimized explain: the full candidate table and rationale (schema
-   raestat-explain/2 with --json), byte-identical to the daemon's
-   "optimize": true explain.  The RAESTAT_NO_OPTIMIZE kill switch
-   forces the plain plan tree. *)
 let explain_expr ~optimize ~json catalog ~fraction ~groups expr =
-  if optimize && Raestat.Planner.optimize_enabled () then begin
-    let choice = Serve.Engine.explain_expr_optimized catalog ~fraction ~groups expr in
-    if json then print_endline (Raestat.Planner.choice_to_json choice)
-    else print_string (Raestat.Planner.render_choice choice)
-  end
-  else print_plan ~json (Serve.Engine.explain_expr catalog ~fraction ~groups expr)
+  print_string (Serve.Engine.explain_text ~optimize ~json catalog ~fraction ~groups expr)
 
 let explain_estimate_cmd =
   let run path predicate fraction json =

@@ -255,10 +255,20 @@ let explain_expr catalog ~fraction ~groups expr =
   Raestat.Estplan.compile ~groups catalog ~fraction expr
 
 (* Explains always compile fresh (never cached), so the candidate table
-   reflects the current catalog; callers fall back to [explain_expr]
-   when the kill switch disables the optimizer. *)
+   reflects the current catalog. *)
 let explain_expr_optimized ?(metrics = Metrics.noop) catalog ~fraction ~groups expr =
   check_fraction fraction;
   check_groups groups;
   ignore (Expr.schema_of catalog expr);
   Raestat.Planner.choose_sampling ~metrics ~groups catalog ~fraction expr
+
+(* The text renderings end with a newline; the JSON documents gain one. *)
+let render ~json to_json to_text x = if json then to_json x ^ "\n" else to_text x
+
+let plan_text ~json plan = render ~json Raestat.Estplan.to_json Raestat.Estplan.render plan
+
+let explain_text ?(optimize = false) ~json catalog ~fraction ~groups expr =
+  if optimize && Raestat.Planner.optimize_enabled () then
+    render ~json Raestat.Planner.choice_to_json Raestat.Planner.render_choice
+      (explain_expr_optimized catalog ~fraction ~groups expr)
+  else plan_text ~json (explain_expr catalog ~fraction ~groups expr)

@@ -190,8 +190,7 @@ val explain_expr :
 (** The optimizer's decision for an expression: every candidate with
     predicted variance/cost and the winner's executable plan
     ({!Raestat.Planner.render_choice} / [choice_to_json] render it).
-    Fresh (never cached) like the other explains; callers fall back to
-    {!explain_expr} when {!Raestat.Planner.optimize_enabled} is off. *)
+    Fresh (never cached) like the other explains. *)
 val explain_expr_optimized :
   ?metrics:Obs.Metrics.t ->
   Relational.Catalog.t ->
@@ -199,6 +198,28 @@ val explain_expr_optimized :
   groups:int ->
   Relational.Expr.t ->
   Raestat.Planner.choice
+
+(** What [raestat explain query|sql] prints and the daemon's [explain]
+    op returns for an expression, byte for byte: with [optimize]
+    (default [false]) the planner's choice ({!explain_expr_optimized};
+    [raestat-explain/2] with [json]), otherwise the plan tree of
+    {!explain_expr} ({!plan_text}).  The kill switch
+    {!Raestat.Planner.optimize_enabled} forces the plan tree.  The text
+    ends with a newline in both forms. *)
+val explain_text :
+  ?optimize:bool ->
+  json:bool ->
+  Relational.Catalog.t ->
+  fraction:float ->
+  groups:int ->
+  Relational.Expr.t ->
+  string
+
+(** A plan's tree ({!Raestat.Estplan.render}, or [raestat-explain/1]
+    with [json]), ending with a newline as {!explain_text} does: how
+    both front ends print the plans of [explain estimate] and the CLI's
+    [explain join]. *)
+val plan_text : json:bool -> Raestat.Estplan.t -> string
 
 (** SQL → effective algebra expression (optimized, COUNT( * ) rewritten). *)
 val sql_expr : Relational.Catalog.t -> string -> Relational.Expr.t

@@ -425,35 +425,22 @@ let dispatch_estimation state slot view request op =
 
 let dispatch_explain view request =
   let fraction = Option.get (Json.float_field ~default:0.01 request "fraction") in
-  let as_json = bool_field ~default:false request "json" in
+  let json = bool_field ~default:false request "json" in
   let catalog = Warm.catalog view.warm in
   (* "optimize": true explains the planner's decision (candidate table,
      raestat-explain/2) for query/sql targets; the kill switch forces
      the plain plan tree, byte-identical to a request without it. *)
-  let optimize =
-    bool_field ~default:false request "optimize" && Raestat.Planner.optimize_enabled ()
-  in
-  (* Matches the CLI's print bytes: render ends with a newline, the
-     JSON documents gain one from print_endline. *)
-  let render_plan plan =
-    if as_json then Raestat.Estplan.to_json plan ^ "\n" else Raestat.Estplan.render plan
-  in
-  let render_choice choice =
-    if as_json then Raestat.Planner.choice_to_json choice ^ "\n"
-    else Raestat.Planner.render_choice choice
-  in
+  let optimize = bool_field ~default:false request "optimize" in
   let explain expr =
     let groups = Option.get (Json.int_field ~default:5 request "groups") in
-    if optimize then
-      render_choice (Engine.explain_expr_optimized catalog ~fraction ~groups expr)
-    else render_plan (Engine.explain_expr catalog ~fraction ~groups expr)
+    Engine.explain_text ~optimize ~json catalog ~fraction ~groups expr
   in
   let text =
     match require_string request "target" with
     | "estimate" ->
       let relation = Option.get (Json.string_field ~default:"r" request "relation") in
       let predicate = Engine.predicate_of_string (require_string request "where") in
-      render_plan (Engine.explain_selection catalog ~relation ~fraction predicate)
+      Engine.plan_text ~json (Engine.explain_selection catalog ~relation ~fraction predicate)
     | "query" -> explain (Relational.Parser.parse_expr (require_string request "expr"))
     | "sql" -> explain (Engine.sql_expr catalog (require_string request "query"))
     | other -> failwith (Printf.sprintf "unknown explain target %S" other)
