@@ -281,21 +281,25 @@ let merge a b =
     timers = combine_timers ( +. ) a.timers b.timers;
   }
 
-let counters_equal a b =
-  a.tuples_scanned = b.tuples_scanned
-  && a.pages_read = b.pages_read
-  && a.bytes_read = b.bytes_read
-  && a.io_batches = b.io_batches
-  && a.page_cache_hits = b.page_cache_hits
-  && a.sample_indices = b.sample_indices
-  && a.hash_probe_hits = b.hash_probe_hits
-  && a.hash_probe_misses = b.hash_probe_misses
-  && a.rng_draws = b.rng_draws
-  && a.plan_cache_hits = b.plan_cache_hits
-  && a.plan_cache_misses = b.plan_cache_misses
-  && a.plan_cache_evictions = b.plan_cache_evictions
-  && a.plans_considered = b.plans_considered
-  && a.maintenance_ops = b.maintenance_ops
+let counters s =
+  [
+    ("tuples_scanned", s.tuples_scanned);
+    ("pages_read", s.pages_read);
+    ("bytes_read", s.bytes_read);
+    ("io_batches", s.io_batches);
+    ("page_cache_hits", s.page_cache_hits);
+    ("sample_indices", s.sample_indices);
+    ("hash_probe_hits", s.hash_probe_hits);
+    ("hash_probe_misses", s.hash_probe_misses);
+    ("rng_draws", s.rng_draws);
+    ("plan_cache_hits", s.plan_cache_hits);
+    ("plan_cache_misses", s.plan_cache_misses);
+    ("plan_cache_evictions", s.plan_cache_evictions);
+    ("plans_considered", s.plans_considered);
+    ("maintenance_ops", s.maintenance_ops);
+  ]
+
+let counters_equal a b = counters a = counters b
 
 (* --- JSON ------------------------------------------------------------ *)
 
@@ -319,16 +323,8 @@ let json_float x = if Float.is_finite x then Printf.sprintf "%.6f" x else "null"
    compared with line-oriented tools (the --domains determinism test
    greps for it). *)
 let counters_line s =
-  Printf.sprintf
-    "{\"tuples_scanned\": %d, \"pages_read\": %d, \"bytes_read\": %d, \
-     \"io_batches\": %d, \"page_cache_hits\": %d, \"sample_indices\": %d, \
-     \"hash_probe_hits\": %d, \"hash_probe_misses\": %d, \"rng_draws\": %d, \
-     \"plan_cache_hits\": %d, \"plan_cache_misses\": %d, \"plan_cache_evictions\": %d, \
-     \"plans_considered\": %d, \"maintenance_ops\": %d}"
-    s.tuples_scanned s.pages_read s.bytes_read s.io_batches s.page_cache_hits
-    s.sample_indices s.hash_probe_hits s.hash_probe_misses s.rng_draws
-    s.plan_cache_hits s.plan_cache_misses s.plan_cache_evictions s.plans_considered
-    s.maintenance_ops
+  let field (name, value) = Printf.sprintf "\"%s\": %d" name value in
+  "{" ^ String.concat ", " (List.map field (counters s)) ^ "}"
 
 let timers_json buffer timers =
   Buffer.add_string buffer "  \"timers\": [";

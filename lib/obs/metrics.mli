@@ -139,6 +139,11 @@ val merge : snapshot -> snapshot -> snapshot
 
 val zero : snapshot
 
+(** The fourteen counters by name, in the order every report prints
+    them (the counters object of {!snapshot_to_json} and of the serve
+    daemon's [metrics] reply). *)
+val counters : snapshot -> (string * int) list
+
 (** Equality of the fourteen counters only — wall-clock timers excluded.
     This is the relation the [--domains] determinism contract
     guarantees. *)

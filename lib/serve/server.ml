@@ -157,24 +157,8 @@ let bool_field ~default request name =
   | Some (Json.Bool b) -> b
   | Some _ -> failwith (Printf.sprintf "request field %S must be a boolean" name)
 
-let counters_json (s : Metrics.snapshot) =
-  Json.Obj
-    [
-      ("tuples_scanned", Json.Int s.tuples_scanned);
-      ("pages_read", Json.Int s.pages_read);
-      ("bytes_read", Json.Int s.bytes_read);
-      ("io_batches", Json.Int s.io_batches);
-      ("page_cache_hits", Json.Int s.page_cache_hits);
-      ("sample_indices", Json.Int s.sample_indices);
-      ("hash_probe_hits", Json.Int s.hash_probe_hits);
-      ("hash_probe_misses", Json.Int s.hash_probe_misses);
-      ("rng_draws", Json.Int s.rng_draws);
-      ("plan_cache_hits", Json.Int s.plan_cache_hits);
-      ("plan_cache_misses", Json.Int s.plan_cache_misses);
-      ("plan_cache_evictions", Json.Int s.plan_cache_evictions);
-      ("plans_considered", Json.Int s.plans_considered);
-      ("maintenance_ops", Json.Int s.maintenance_ops);
-    ]
+let counters_json s =
+  Json.Obj (List.map (fun (name, value) -> (name, Json.Int value)) (Metrics.counters s))
 
 (* --- streaming writes: JSON tuples and stream plumbing ---------------- *)
 
