@@ -428,6 +428,7 @@ let node_count plan =
   let rec go acc n = List.fold_left go (acc + 1) n.children in
   go 0 plan.root
 
+(* Population and sample size a mode advertises, when it has them. *)
 let mode_sizes = function
   | Derived | Bernoulli _ -> None
   | Srswor { n; population } -> Some (population, n)

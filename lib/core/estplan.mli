@@ -41,8 +41,6 @@ type unbiasedness =
   | Unbiased
   | Consistent_only
 
-val status_to_estimate : unbiasedness -> Stats.Estimate.status
-
 val unbiasedness_to_string : unbiasedness -> string
 
 (** How a node's input is obtained.  Interior nodes are [Derived];
@@ -182,9 +180,6 @@ val binomial_estimate :
 val expected_sample_size : t -> float
 
 val node_count : t -> int
-
-(** Population and sample size a mode advertises, when it has them. *)
-val mode_sizes : mode -> (int * int) option
 
 val op_to_string : op -> string
 

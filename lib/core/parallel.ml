@@ -1,5 +1,7 @@
 let auto () = max 1 (Domain.recommended_domain_count ())
 
+(* An optional [?domains] argument: [None] and values [<= 1] mean
+   serial; [0] or negative are clamped to 1. *)
 let resolve ?domains () =
   match domains with None -> 1 | Some d -> max 1 d
 

@@ -19,11 +19,6 @@
     ([Domain.recommended_domain_count]).  Always at least 1. *)
 val auto : unit -> int
 
-(** Resolve an optional [?domains] argument: [None] and values [<= 1]
-    mean serial; [0] or negative are clamped to 1.  Exposed so CLI /
-    bench layers can report the effective parallelism. *)
-val resolve : ?domains:int -> unit -> int
-
 (** [map ~domains f xs] — [Array.map f xs], computed in [domains]
     contiguous chunks on separate domains.  [f] must be safe to run
     concurrently with itself on distinct elements.  Exceptions raised

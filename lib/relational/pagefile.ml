@@ -525,6 +525,7 @@ let decode_page t bytes ofs rows =
     t.r_attrs;
   tuples
 
+(* Parsed [RAESTAT_MEMORY_CAP] (bytes), if set and a positive integer. *)
 let memory_cap () =
   match Sys.getenv_opt "RAESTAT_MEMORY_CAP" with
   | None | Some "" -> None

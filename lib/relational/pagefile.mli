@@ -92,10 +92,6 @@ val data_bytes : t -> int
 val read_pages :
   ?metrics:Obs.Metrics.t -> t -> int array -> f:(int -> Tuple.t array -> unit) -> unit
 
-(** Parsed [RAESTAT_MEMORY_CAP] (bytes), if set and a positive
-    integer. *)
-val memory_cap : unit -> int option
-
 (** Full materialization through {!read_pages} (so the exact baseline
     pays the real page I/O).
     @raise Failure when [RAESTAT_MEMORY_CAP] is set and {!data_bytes}

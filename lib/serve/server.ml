@@ -135,9 +135,11 @@ let absorb_into slot metrics =
   Metrics.absorb slot.sink metrics;
   Mutex.unlock slot.sink_lock
 
-(* Base sink first, then worker sinks in index order: a fixed merge
-   order, and integer counters commute anyway — the lifetime totals
-   are independent of which worker served which request. *)
+(* Merged metrics over the base sink and every worker sink: the totals
+   the [metrics] op reports and [run] passes to [on_stop].  Base sink
+   first, then worker sinks in index order: a fixed merge order, and
+   integer counters commute anyway — the lifetime totals are
+   independent of which worker served which request. *)
 let lifetime_snapshot state =
   Array.fold_left
     (fun acc slot -> Metrics.merge acc (slot_snapshot slot))

@@ -138,11 +138,6 @@ val stopping : state -> bool
 (** The plan cache (for tests: size/hits/misses/evictions assertions). *)
 val plans : state -> Plan_cache.t
 
-(** Merged metrics over the base sink and every worker sink: the same
-    totals the [metrics] op reports and {!run} passes to [on_stop].
-    Integer counters are schedule-independent; float timings are not. *)
-val lifetime_snapshot : state -> Obs.Metrics.snapshot
-
 (** {1 The daemon} *)
 
 (** [run config] listens, serves until [shutdown]/SIGINT/SIGTERM, then
