@@ -1041,18 +1041,12 @@ let json_flag =
     value & flag
     & info [ "json" ] ~doc:"Emit the plan as JSON (schema raestat-explain/1).")
 
-(* The daemon's explain op returns the same bytes (Serve.Engine.plan_text
-   and explain_text). *)
-let print_plan ~json plan = print_string (Serve.Engine.plan_text ~json plan)
-
-let explain_expr ~optimize ~json catalog ~fraction ~groups expr =
-  print_string (Serve.Engine.explain_text ~optimize ~json catalog ~fraction ~groups expr)
-
 let explain_estimate_cmd =
   let run path predicate fraction json =
     let catalog = load_catalog [ ("r", path) ] in
-    print_plan ~json
-      (Serve.Engine.explain_selection catalog ~relation:"r" ~fraction predicate)
+    print_string
+      (Serve.Engine.plan_text ~json
+         (Serve.Engine.explain_selection catalog ~relation:"r" ~fraction predicate))
   in
   Cmd.v
     (Cmd.info "estimate" ~doc:"Explain the plan behind $(b,raestat estimate)")
@@ -1067,9 +1061,10 @@ let explain_join_cmd =
       | [ a; b ] -> (String.trim a, String.trim b)
       | _ -> failwith "--on expects LEFT_ATTR=RIGHT_ATTR"
     in
-    print_plan ~json
-      (Raestat.Estplan.equijoin_plan catalog ~left:"l" ~right:"r"
-         ~on:[ (left_attr, right_attr) ] ~fraction ~groups:8)
+    print_string
+      (Serve.Engine.plan_text ~json
+         (Raestat.Estplan.equijoin_plan catalog ~left:"l" ~right:"r"
+            ~on:[ (left_attr, right_attr) ] ~fraction ~groups:8))
   in
   let on_arg =
     Arg.(
@@ -1093,7 +1088,7 @@ let explain_query_cmd =
   let run bindings text fraction groups optimize json =
     let catalog = load_catalog (List.map parse_binding bindings) in
     let expr = Relational.Parser.parse_expr text in
-    explain_expr ~optimize ~json catalog ~fraction ~groups expr
+    print_string (Serve.Engine.explain_text ~optimize ~json catalog ~fraction ~groups expr)
   in
   let text_arg =
     Arg.(
@@ -1109,7 +1104,7 @@ let explain_sql_cmd =
   let run bindings text fraction groups optimize json =
     let catalog = load_catalog (List.map parse_binding bindings) in
     let expr = Serve.Engine.sql_expr catalog text in
-    explain_expr ~optimize ~json catalog ~fraction ~groups expr
+    print_string (Serve.Engine.explain_text ~optimize ~json catalog ~fraction ~groups expr)
   in
   let text_arg =
     Arg.(
