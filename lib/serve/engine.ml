@@ -267,7 +267,7 @@ let render ~json to_json to_text x = if json then to_json x ^ "\n" else to_text 
 
 let plan_text ~json plan = render ~json Raestat.Estplan.to_json Raestat.Estplan.render plan
 
-let explain_text ?(optimize = false) ~json catalog ~fraction ~groups expr =
+let explain_text ~optimize ~json catalog ~fraction ~groups expr =
   if optimize && Raestat.Planner.optimize_enabled () then
     render ~json Raestat.Planner.choice_to_json Raestat.Planner.render_choice
       (explain_expr_optimized catalog ~fraction ~groups expr)

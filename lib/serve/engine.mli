@@ -180,13 +180,6 @@ val explain_selection :
   Relational.Predicate.t ->
   Raestat.Estplan.t
 
-val explain_expr :
-  Relational.Catalog.t ->
-  fraction:float ->
-  groups:int ->
-  Relational.Expr.t ->
-  Raestat.Estplan.t
-
 (** The optimizer's decision for an expression: every candidate with
     predicted variance/cost and the winner's executable plan
     ({!Raestat.Planner.render_choice} / [choice_to_json] render it).
@@ -200,14 +193,14 @@ val explain_expr_optimized :
   Raestat.Planner.choice
 
 (** What [raestat explain query|sql] prints and the daemon's [explain]
-    op returns for an expression, byte for byte: with [optimize]
-    (default [false]) the planner's choice ({!explain_expr_optimized};
-    [raestat-explain/2] with [json]), otherwise the plan tree of
-    {!explain_expr} ({!plan_text}).  The kill switch
+    op returns for an expression, byte for byte: with [optimize] the
+    planner's choice ({!explain_expr_optimized}; [raestat-explain/2]
+    with [json]), otherwise the tree ({!plan_text}) of the plan
+    {!Raestat.Estplan.compile} builds.  The kill switch
     {!Raestat.Planner.optimize_enabled} forces the plan tree.  The text
     ends with a newline in both forms. *)
 val explain_text :
-  ?optimize:bool ->
+  optimize:bool ->
   json:bool ->
   Relational.Catalog.t ->
   fraction:float ->
