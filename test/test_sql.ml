@@ -205,6 +205,19 @@ let random_case word =
 let blank = QCheck.Gen.oneofl [ " "; "  "; "\n"; "\t"; "\r\n"; " \n\t " ]
 let blank0 = QCheck.Gen.oneofl [ ""; " "; "\n"; " \t" ]
 
+(* [words] separated by blanks. *)
+let spaced words =
+  QCheck.Gen.(
+    let+ blanks = list_repeat (List.length words - 1) blank in
+    List.hd words ^ String.concat "" (List.map2 ( ^ ) blanks (List.tl words)))
+
+(* [items] separated by commas, with blanks or nothing around each. *)
+let commas items =
+  QCheck.Gen.(
+    let+ seps = list_repeat (List.length items - 1) (pair blank0 blank0) in
+    List.hd items
+    ^ String.concat "" (List.map2 (fun (b1, b2) item -> b1 ^ "," ^ b2 ^ item) seps (List.tl items)))
+
 let sql_attr_gen = QCheck.Gen.oneofl [ "a"; "b"; "c1"; "l.a"; "x_y" ]
 
 let agg_gen =
@@ -218,104 +231,77 @@ let agg_gen =
       | 3 -> (Expr.Min attr, "min")
       | _ -> (Expr.Max attr, "max")
     in
-    let default = match f with Expr.Count -> name | _ -> name ^ "_" ^ attr in
+    let arg, default = match f with Expr.Count -> ("*", name) | _ -> (attr, name ^ "_" ^ attr) in
     let* func = random_case name and* b1 = blank0 and* b2 = blank0 and* b3 = blank0 in
-    let arg = match f with Expr.Count -> "*" | _ -> attr in
-    let call = Printf.sprintf "%s%s(%s%s%s)" func b1 b2 arg b3 in
+    let call = String.concat "" [ func; b1; "("; b2; arg; b3; ")" ] in
     let* alias = opt (oneofl [ "n"; "total"; "o1" ]) in
     match alias with
     | None -> return (call, (f, default))
     | Some output ->
+      (* One space after AS, then maybe more. *)
       let* as_ = random_case "as" and* b1 = blank and* b2 = blank0 in
-      return (Printf.sprintf "%s%s%s %s%s" call b1 as_ b2 output, (f, output)))
+      return (String.concat "" [ call; b1; as_; " "; b2; output ], (f, output)))
 
 let sql_gen =
   QCheck.Gen.(
-    let kw = random_case in
-    let* distinct = bool and* names = list_size (int_range 1 3) (oneofl [ "r"; "s"; "orders" ]) in
-    let* joins = bool and* ons = list_repeat 2 Test_parser.pred_gen in
-    let first = List.hd names and rest = List.tl names in
-    let* from_text, from_expr =
+    let* names = list_size (int_range 1 3) (oneofl [ "r"; "s"; "orders" ]) and* joins = bool in
+    let first = Expr.Base (List.hd names) and rest = List.tl names in
+    let* from_words, from_expr =
       if joins then
-        let step (text, acc) (name, on) =
-          let* join = kw "join" and* on_kw = kw "on"
-          and* b = list_repeat 4 blank in
-          let nth = List.nth b in
-          return
-            ( String.concat "" [ text; nth 0; join; nth 1; name; nth 2; on_kw; nth 3;
-                                 Parser.print_predicate on ],
-              Expr.Theta_join (on, acc, Expr.Base name) )
-        in
-        List.fold_left
-          (fun acc pair -> acc >>= fun acc -> step acc pair)
-          (return (first, Expr.Base first))
-          (List.combine rest (List.filteri (fun i _ -> i < List.length rest) ons))
+        let+ ons = list_repeat (List.length rest) Test_parser.pred_gen
+        and+ kws = list_repeat (List.length rest) (pair (random_case "join") (random_case "on")) in
+        ( List.hd names
+          :: List.concat
+               (List.map2
+                  (fun (join, on) (name, p) -> [ join; name; on; Parser.print_predicate p ])
+                  kws (List.combine rest ons)),
+          List.fold_left2 (fun acc name p -> Expr.Theta_join (p, acc, Expr.Base name)) first rest ons )
       else
-        let* commas = list_repeat (List.length rest) (pair blank0 blank0) in
-        return
-          ( first ^ String.concat "" (List.map2 (fun n (b1, b2) -> b1 ^ "," ^ b2 ^ n) rest commas),
-            List.fold_left (fun acc n -> Expr.Product (acc, Expr.Base n)) (Expr.Base first) rest )
+        let+ text = commas names in
+        ([ text ], List.fold_left (fun acc name -> Expr.Product (acc, Expr.Base name)) first rest)
     in
     let* where = opt Test_parser.pred_gen in
-    let filtered =
-      match where with Some p -> Expr.Select (p, from_expr) | None -> from_expr
-    in
+    let filtered = match where with Some p -> Expr.Select (p, from_expr) | None -> from_expr in
     let* group = opt (list_size (int_range 1 2) sql_attr_gen) in
     (* Plain select items must be grouping attributes when there is a
-       GROUP BY; without one they cannot sit beside aggregates. *)
-    let* shape = int_range 0 2 in
+       GROUP BY; without one they cannot sit beside aggregates.  DISTINCT
+       only changes a query without aggregates or GROUP BY. *)
+    let* distinct = bool and* shape = int_range 0 2 and* aggs = list_size (int_range 1 2) agg_gen in
     let* plain =
       match group with
       | Some g -> list_size (int_range 0 2) (oneofl g)
       | None -> list_size (int_range 1 3) sql_attr_gen
     in
-    let* aggs = list_size (int_range 1 2) agg_gen in
+    let dedup e = if distinct then Expr.Distinct e else e in
     let items, expected =
       match (shape, group) with
-      | 0, None -> ([ "*" ], if distinct then Expr.Distinct filtered else filtered)
-      | 1, None ->
-        ( plain,
-          if distinct then Expr.Distinct (Expr.Project (plain, filtered))
-          else Expr.Project (plain, filtered) )
+      | 0, None -> ([ "*" ], dedup filtered)
+      | 1, None -> (plain, dedup (Expr.Project (plain, filtered)))
       | _, None -> (List.map fst aggs, Expr.Aggregate ([], List.map snd aggs, filtered))
-      | 2, Some g ->
-        (plain @ List.map fst aggs, Expr.Aggregate (g, List.map snd aggs, filtered))
-      | _, Some g ->
-        ((if plain = [] then g else plain), Expr.Distinct (Expr.Project (g, filtered)))
+      | 2, Some g -> (plain @ List.map fst aggs, Expr.Aggregate (g, List.map snd aggs, filtered))
+      | _, Some g -> ((if plain = [] then g else plain), Expr.Distinct (Expr.Project (g, filtered)))
     in
-    let* select = kw "select" and* distinct_kw = kw "distinct" and* from = kw "from"
-    and* b = list_repeat 8 blank and* commas = list_repeat 6 (pair blank0 blank0) in
-    let nth = List.nth b in
-    let* where_text =
+    let* select = random_case "select" and* from = random_case "from"
+    and* items_text = commas items and* distinct_kw = random_case "distinct" in
+    (* One space after DISTINCT, then maybe more. *)
+    let items_text = if distinct then distinct_kw ^ " " ^ items_text else items_text in
+    let* where_words =
       match where with
-      | None -> return ""
+      | None -> return []
       | Some p ->
-        let* w = kw "where" in
-        return (nth 3 ^ w ^ nth 4 ^ Parser.print_predicate p)
+        let+ w = random_case "where" in
+        [ w; Parser.print_predicate p ]
     in
-    let* group_text =
+    let* group_words =
       match group with
-      | None -> return ""
+      | None -> return []
       | Some g ->
-        let* group_kw = kw "group" and* by = kw "by" in
-        return (String.concat "" [ nth 5; group_kw; nth 6; by; nth 7; String.concat ", " g ])
+        let+ group_kw = random_case "group" and+ by = random_case "by" and+ attrs = commas g in
+        [ group_kw; by; attrs ]
     in
-    let items_text =
-      String.concat ""
-        (List.mapi
-           (fun i item ->
-             if i = 0 then item
-             else
-               let b1, b2 = List.nth commas (i mod 6) in
-               b1 ^ "," ^ b2 ^ item)
-           items)
-    in
-    let* trailing = blank0 in
-    return
-      ( String.concat ""
-          [ select; nth 0; (if distinct then distinct_kw ^ " " else ""); items_text; nth 1;
-            from; nth 2; from_text; where_text; group_text; trailing ],
-        expected ))
+    let+ text = spaced ((select :: items_text :: from :: from_words) @ where_words @ group_words)
+    and+ trailing = blank0 in
+    (text ^ trailing, expected))
 
 let prop_sql_to_expr =
   qcheck_case ~count:500 "sql parses to its expression"
