@@ -238,9 +238,9 @@ let agg_gen =
     match alias with
     | None -> return (call, (f, default))
     | Some output ->
-      (* One space after AS, then maybe more. *)
-      let* as_ = random_case "as" and* b1 = blank and* b2 = blank0 in
-      return (String.concat "" [ call; b1; as_; " "; b2; output ], (f, output)))
+      let* as_ = random_case "as" in
+      let+ text = spaced [ call; as_; output ] in
+      (text, (f, output)))
 
 let sql_gen =
   QCheck.Gen.(
@@ -282,9 +282,13 @@ let sql_gen =
       | _, Some g -> ((if plain = [] then g else plain), Expr.Distinct (Expr.Project (g, filtered)))
     in
     let* select = random_case "select" and* from = random_case "from"
-    and* items_text = commas items and* distinct_kw = random_case "distinct" in
-    (* One space after DISTINCT, then maybe more. *)
-    let items_text = if distinct then distinct_kw ^ " " ^ items_text else items_text in
+    and* items_text = commas items in
+    let* select_words =
+      if distinct then
+        let+ distinct_kw = random_case "distinct" in
+        [ select; distinct_kw; items_text ]
+      else return [ select; items_text ]
+    in
     let* where_words =
       match where with
       | None -> return []
@@ -299,7 +303,7 @@ let sql_gen =
         let+ group_kw = random_case "group" and+ by = random_case "by" and+ attrs = commas g in
         [ group_kw; by; attrs ]
     in
-    let+ text = spaced ((select :: items_text :: from :: from_words) @ where_words @ group_words)
+    let+ text = spaced (select_words @ (from :: from_words) @ where_words @ group_words)
     and+ trailing = blank0 in
     (text ^ trailing, expected))
 
