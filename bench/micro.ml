@@ -53,6 +53,31 @@ let reference_selection ?metrics rng r ~n pred =
 
 let case name f = (name, fun () -> ignore (Sys.opaque_identity (f ())))
 
+(* The perfbench [join] workload's fk request, on a TPC-mini catalog at
+   its sizes with every base warmed as the daemon warms them: 5
+   replicate groups at f = 0.02, each drawing 4,000 of the 200,000
+   orders and 40 of the 2,000 suppliers, read in place on the bases'
+   columns.  Built once, on its own stream. *)
+let fk_row = "fk-join-2pct-g5-warm"
+
+let fk_catalog =
+  lazy
+    (let tpc =
+       Workload.Tpc_mini.catalog (Sampling.Rng.create ~seed:1001 ())
+         ~sizes:{ Workload.Tpc_mini.suppliers = 2_000; parts = 4_000; orders = 200_000 }
+         ()
+     in
+     List.iter
+       (fun name -> Relational.Relation.warm_view (Catalog.find tpc name))
+       (Catalog.names tpc);
+     tpc)
+
+let fk_estimate ?metrics rng =
+  CE.estimate ~groups:5 ?metrics rng (Lazy.force fk_catalog) ~fraction:0.02
+    (Expr.equijoin [ ("o_supplier", "s_key") ]
+       (Expr.select (P.le (P.attr "o_price") (P.vint 104)) (Expr.base "orders"))
+       (Expr.base "suppliers"))
+
 (* One SRSWOR draw per branch of the sampler: 4,000 of 200,000 draws
    through Floyd's algorithm over a bitset, 100 of 10,000,000 through
    Vitter's Algorithm D.  Each row draws from its own stream. *)
@@ -104,6 +129,8 @@ let tests () =
     (let text = "select[a <= 10 and b > 2](r) join[a = c] pidist[c, d](s)" in
      case "parser-roundtrip" (fun () ->
          Relational.Parser.print_expr (Relational.Parser.parse_expr text)));
+    (let rng = Sampling.Rng.create ~seed:1002 () in
+     case fk_row (fun () -> fk_estimate rng));
   ]
   @ List.map
       (fun (name, n, universe) ->
@@ -218,6 +245,7 @@ let counter_rows () =
             Sampling.Srs.indices_without_replacement ~metrics
               (Sampling.Rng.create ~seed:808 ()) ~n ~universe))
       srswor_rows
+  @ [ probe fk_row (fun metrics -> fk_estimate ~metrics (Sampling.Rng.create ~seed:1002 ())) ]
 
 (* Guard for the instrumentation cost: time a representative kernel
    against the shared noop sink and against an enabled sink, min of

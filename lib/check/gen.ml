@@ -221,9 +221,9 @@ let materialize case =
     Catalog.add catalog "s1" r);
   (* Fuzz relations sit below the kernel threshold, where [warm_view]
      does nothing.  Forcing the views of every other case makes the
-     scale-up oracles run both kinds of sample view: gathered from the
-     base's columns here, encoded from the sampled rows otherwise.  No
-     draw is consumed, so the case stream is unchanged. *)
+     scale-up oracles read samples both ways: in place on the base's
+     columns here, as relations of their own otherwise.  No draw is
+     consumed, so the case stream is unchanged. *)
   if case.id mod 2 = 1 then
     List.iter
       (fun name -> ignore (Relational.Relation.columnar (Catalog.find catalog name)))

@@ -38,8 +38,8 @@ val case : master:int -> id:int -> case
 
 (** Bind the case's relations (freshly generated, deterministic in the
     case) into a new catalog.  In odd-numbered cases every relation's
-    columnar view is forced, so samples drawn from it gather their
-    columns from the base instead of encoding their own rows. *)
+    columnar view is forced, so samples drawn from it are read in place
+    on the base's columns instead of as relations of their own. *)
 val materialize : case -> Relational.Catalog.t
 
 (** One-line human description: id, seed, expression, fraction,

@@ -424,14 +424,18 @@ let conservation =
           subject.estimate ~groups ~domains:1 ~metrics:Metrics.noop
             (rng_for case 7) catalog ~fraction:case.Gen.fraction case.Gen.expr
         in
-        let expected_indices =
-          groups
-          * List.fold_left
-              (fun acc name ->
-                acc + leaf_sample_size ~fraction:case.Gen.fraction catalog name)
-              0
-              (Expr.leaves case.Gen.expr)
+        let leaves = Expr.leaves case.Gen.expr in
+        let size name = leaf_sample_size ~fraction:case.Gen.fraction catalog name in
+        (* A plan whose every leaf is a census counts once. *)
+        let runs =
+          if
+            List.for_all
+              (fun name -> size name = Relation.cardinality (Catalog.find catalog name))
+              leaves
+          then 1
+          else groups
         in
+        let expected_indices = runs * List.fold_left (fun acc name -> acc + size name) 0 leaves in
         if
           (not (Float.equal est1.Estimate.point est2.Estimate.point))
           || not (Metrics.counters_equal s1 s2)
@@ -448,17 +452,16 @@ let conservation =
         else if s1.Metrics.sample_indices <> expected_indices then
           Fail
             (Printf.sprintf
-               "sample_indices %d <> %d = groups × Σ per-leaf sample sizes"
+               "sample_indices %d <> %d = runs × Σ per-leaf sample sizes"
                s1.Metrics.sample_indices expected_indices)
         else
           match case.Gen.expr with
           | Expr.Equijoin (_, Expr.Base left, Expr.Base _) ->
-            let n_left = leaf_sample_size ~fraction:case.Gen.fraction catalog left in
             let probes = s1.Metrics.hash_probe_hits + s1.Metrics.hash_probe_misses in
-            if probes <> groups * n_left then
+            if probes <> runs * size left then
               Fail
-                (Printf.sprintf "hash probes %d <> %d = groups × left sample size"
-                   probes (groups * n_left))
+                (Printf.sprintf "hash probes %d <> %d = runs × left sample size" probes
+                   (runs * size left))
             else Pass
           | _ -> Pass);
   }
@@ -566,8 +569,8 @@ let rec selections = function
 (* Fuzz relations sit below [Relation.kernel_threshold], so the
    estimators decide their selections on the row path.  This oracle
    runs the scan kernels on them directly: each selection's predicate,
-   over its base's columnar view, through [count], [filter_indices], and
-   [count_indices] over every row id twice in descending order, must
+   over its base's columnar view, through [count] and [filter_indices]
+   over every row and over every row id twice in descending order, must
    keep exactly the rows [Predicate.compile] keeps. *)
 let kernels =
   {
@@ -583,12 +586,13 @@ let kernels =
           let n = Array.length tuples in
           let ids = Array.init (2 * n) (fun k -> n - 1 - (k / 2)) in
           let rows = Array.of_list (List.filter keep (List.init n Fun.id)) in
-          let among = List.length (List.filter keep (Array.to_list ids)) in
+          let among = Array.of_list (List.filter keep (Array.to_list ids)) in
           let module K = Relational.Kernel in
           not
             (K.count view p = Array.length rows
             && K.filter_indices view p = rows
-            && K.count_indices view p ids = among)
+            && K.count ~ids view p = Array.length among
+            && K.filter_indices ~ids view p = among)
         in
         match List.find_opt disagrees (selections case.Gen.expr) with
         | Some (p, name) ->

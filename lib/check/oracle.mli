@@ -59,8 +59,10 @@ type oracle = {
       nominal, gated to cases where the CLT plausibly applies;
     - ["conservation"]: counters are deterministic, non-negative,
       never perturb the estimate, [sample_indices] equals
-      groups × Σ per-leaf sample sizes, and for a two-leaf equi-join
-      probe hits + misses equals groups × left sample size;
+      runs × Σ per-leaf sample sizes, and for a two-leaf equi-join
+      probe hits + misses equals runs × left sample size, where runs
+      is the number of groups, or 1 when every leaf is a census (such
+      a plan counts once);
     - ["storage"]: round-tripping every leaf relation through the
       binary pagefile ({!Relational.Pagefile}) leaves tuples, schemas,
       the estimate and the counters bit-identical;
@@ -78,10 +80,10 @@ type oracle = {
     - ["kernels"]: the fuzz relations stay below
       {!Relational.Relation.kernel_threshold}, so the estimators decide
       selections on the row path; this oracle runs the scan kernels
-      ({!Relational.Kernel.count}, [filter_indices], [count_indices]) on
-      each selection of the case over its base's view
-      and demands exactly the rows {!Relational.Predicate.compile}
-      keeps. *)
+      ({!Relational.Kernel.count} and [filter_indices], over every row
+      and through row ids) on each selection of the case over its
+      base's view and demands exactly the rows
+      {!Relational.Predicate.compile} keeps. *)
 val battery : oracle list
 
 (** {2 Maintenance oracle internals (for tests)} *)

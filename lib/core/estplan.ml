@@ -276,12 +276,34 @@ let binomial_estimate ?(label = "selection") ~big_n ~n ~hits () =
 (* ------------------------------------------------------------------ *)
 (* Strategy runners                                                    *)
 
+(* Every leaf a census ([Srswor] of its whole population, the empty
+   leaf included): every replicate would count the same exact
+   expression. *)
+let all_census (splan : Sampling_plan.t) =
+  List.for_all
+    (fun (l : Sampling_plan.leaf) -> l.mode = Sampling_plan.Srswor l.population)
+    splan.leaves
+
 let run_scale_up ?domains ~metrics rng catalog plan groups =
   let splan = the_splan plan in
   let status = status_to_estimate plan.root.status in
   if groups = 1 then begin
     let point, drawn = run_once ~metrics rng catalog splan in
     Estimate.make ~label:plan.label ~status ~sample_size:drawn point
+  end
+  else if all_census splan then begin
+    (* An all-census plan counts once: its g replicates would all read
+       this exact point, whose mean it is, with sample variance 0.  The
+       parent still splits its g children, so its stream and draws are
+       those of the replicated run, and the census draws nothing from
+       the child it runs on. *)
+    let draws_before = Sampling.Rng.draws rng in
+    let children = Array.init groups (fun _ -> Sampling.Rng.split rng) in
+    Metrics.add_rng_draws metrics (Sampling.Rng.draws rng - draws_before);
+    let point, drawn = run_once ~metrics children.(0) catalog splan in
+    Estimate.make ~variance:0.
+      ~label:(plan.label ^ " (replicated)")
+      ~status ~sample_size:drawn point
   end
   else begin
     (* g independent replicates; the mean keeps the status of a single
@@ -343,7 +365,7 @@ let run_direct_selection ~metrics ?index_source rng catalog plan =
     match index_source with Some source -> source ~n ~universe draw | None -> draw ()
   in
   Metrics.add_tuples metrics n;
-  let hits = Relational.Kernel.count_indices (Relation.columnar r) predicate indices in
+  let hits = Relational.Kernel.count ~ids:indices (Relation.columnar r) predicate in
   binomial_estimate ~label:plan.label ~big_n:universe ~n ~hits ()
 
 (* Set-operation sizes via the membership estimator.

@@ -155,7 +155,13 @@ type index_source = n:int -> universe:int -> (unit -> int array) -> int array
 (** Run a [Scale_up], [Direct_selection] or [Set_membership] plan.
     [Scale_up] with [groups > 1] replicates on split streams (serial
     split order; optionally across [?domains] OCaml domains) and reports
-    the replicate-spread variance s²/g.  [index_source] (default:
+    the replicate-spread variance s²/g.  A [Scale_up] plan whose every
+    leaf is a census ([Srswor] of its whole population, the empty leaf
+    included) counts once instead: its g replicates would all read the
+    same exact point, so it reports that point, the mean, with variance
+    0 and the sample size and counters of one census.  It still splits
+    the g children off the parent, so the parent's stream and draws do
+    not move.  [index_source] (default:
     draw fresh) substitutes the SRSWOR index draw of a
     [Direct_selection] run; other strategies ignore it. *)
 val run :

@@ -277,9 +277,11 @@ let add_key (j, ss_l, ss_r) m n =
 (* The key code of row [p] of a side: every row of the base when
    [rows] is [None], else the rows in [rows]. *)
 let[@inline] code_at codes rows p =
-  Array.unsafe_get codes (match rows with None -> p | Some ids -> Array.unsafe_get ids p)
+  Kernel.code codes (match rows with None -> p | Some ids -> Array.unsafe_get ids p)
 
-let side_length codes = function None -> Array.length codes | Some ids -> Array.length ids
+let side_length codes = function
+  | None -> (match codes with Kernel.Raw data | Kernel.Remapped (data, _) -> Array.length data)
+  | Some ids -> Array.length ids
 
 (* The same sums from the int key codes of one attribute pair: the
    per-key counts live in an int table built on the side with fewer
@@ -347,7 +349,7 @@ let join_moments catalog expr =
         in
         let kr = key_codes rr (List.map snd pairs) (rows vr pr) Kernel.Key_dict.code in
         let kl = key_codes rl (List.map fst pairs) (rows vl pl) Kernel.Key_dict.find in
-        Some (code_moments (kl, None) (kr, None)))
+        Some (code_moments (Kernel.Raw kl, None) (Kernel.Raw kr, None)))
     | _ -> None)
   | _ -> None
 

@@ -212,9 +212,9 @@ let snapshot t =
     (* The log's rows under a copy of the first [len] liveness bits:
        no tuple is copied and no slot is visited until something reads
        the snapshot's rows, and a sample drawn from it reads only the
-       rows it drew.  No [warm_view]: samples of a snapshot encode
-       their own rows rather than gather from columns this epoch would
-       encode whole. *)
+       rows it drew.  No [warm_view]: samples of a snapshot are read as
+       relations of their own rather than in place on columns this
+       epoch would encode whole. *)
     let relation =
       Relation.masked t.schema t.rows (Bitset.resize t.alive t.len) ~live:t.live
     in

@@ -147,9 +147,9 @@ val window_sample : t -> Relational.Tuple.t array option
     and the log never rewrites a row below its length, so the snapshot
     keeps its tuples through later appends, deletes and compactions,
     however late it is first read.  Its view is not warmed
-    ({!Relational.Relation.warm_view}): a query's samples encode their
-    own rows instead of gathering from columns the epoch would encode
-    whole.  Each build adds the live count to [tuples_scanned], read or
+    ({!Relational.Relation.warm_view}): a query's samples are read as
+    relations of their own instead of in place on columns the epoch
+    would encode whole.  Each build adds the live count to [tuples_scanned], read or
     not.  This is the path that {e does} scan the base data;
     estimation never calls it. *)
 val snapshot : t -> Relational.Relation.t

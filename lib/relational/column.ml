@@ -51,16 +51,21 @@ module Bitset = struct
      highest set bit without a branch per bit: every position is
      written at the cursor, and the cursor moves past it only when its
      bit is set.  While bits remain in the word, at least one set
-     position is still to come, so the cursor is below [count t] at
-     every write. *)
-  let positions t =
-    let out = Array.make (count t) 0 and j = ref 0 in
+     position is still to come, so the cursor stays below the number of
+     set bits read so far.  A word whose bits would pass [count] is
+     refused before any of them is written. *)
+  let positions ?count:known t =
+    let count = match known with Some c -> c | None -> count t in
+    let out = Array.make count 0 and j = ref 0 in
     let words = t.words in
+    let wrong () = invalid_arg "Bitset.positions: count is not the number of set bits" in
     for w = 0 to Array.length words - 1 do
       let x = Array.unsafe_get words w in
       if x <> 0 then begin
+        let c = popcount x in
+        if !j + c > count then wrong ();
         let word = ref x and k = ref (w * bits) in
-        if popcount x <= 16 then
+        if c <= 16 then
           while !word <> 0 do
             let low = !word land (- !word) in
             Array.unsafe_set out !j (!k + popcount (low - 1));
@@ -76,6 +81,7 @@ module Bitset = struct
           done
       end
     done;
+    if !j <> count then wrong ();
     out
 end
 
@@ -96,7 +102,7 @@ type col =
 type t = {
   schema : Schema.t;
   length : int;
-  source : source;
+  rows : Tuple.t array;
   (* Both caches are memoized per column on first touch.  Under domains
      two racers may encode the same column; the encodes are
      deterministic and the pointer store is atomic, so the race is
@@ -104,12 +110,6 @@ type t = {
   cols : col option array;
   boxed : Value.t array option array;
 }
-
-(* Where a column comes from on first touch: encoded from the rows, or
-   gathered from another view's column at the given row ids. *)
-and source =
-  | Rows of Tuple.t array
-  | Gather of t * int array
 
 let schema t = t.schema
 
@@ -213,71 +213,21 @@ let encode_col tuples j n ty =
     | Value.Tnull -> encode_generic tuples j n
   with Fallback -> encode_generic tuples j n
 
-(* --- gathering ------------------------------------------------------- *)
-
-(* A gathered column keeps its base's representation, so it decodes to
-   the same values as an encode of the gathered tuples would.  A null
-   bitmap survives only if some gathered row is null, like an encode's. *)
-
-let gather_nulls nulls ids =
-  match nulls with
-  | None -> None
-  | Some ns ->
-    let n = Array.length ids in
-    let out = ref None in
-    Array.iteri (fun k i -> if Bitset.get ns i then mark_null out n k) ids;
-    !out
-
-(* A typed loop: a polymorphic [Array.map] would store each int through
-   the write barrier. *)
-let gather_ints (data : int array) ids =
-  let out = Array.make (Array.length ids) 0 in
-  Array.iteri (fun k i -> Array.unsafe_set out k data.(i)) ids;
-  out
-
-let gather_col c ids =
-  let n = Array.length ids in
-  match c with
-  | Ints { data; nulls } ->
-    Ints { data = gather_ints data ids; nulls = gather_nulls nulls ids }
-  | Floats { data; nulls } ->
-    let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    Array.iteri
-      (fun k i -> Bigarray.Array1.unsafe_set out k (Bigarray.Array1.get data i))
-      ids;
-    Floats { data = out; nulls = gather_nulls nulls ids }
-  | Bools { data; nulls } ->
-    let out = Bitset.create n in
-    Array.iteri (fun k i -> if Bitset.get data i then Bitset.set out k) ids;
-    Bools { data = out; nulls = gather_nulls nulls ids }
-  | Dict { codes; dict; lookup; _ } ->
-    (* The base's dictionary is shared: codes index it as they are. *)
-    let codes = gather_ints codes ids in
-    Dict { codes; dict; lookup; has_null = Array.exists (fun c -> c < 0) codes }
-  | Generic values -> Generic (Array.map (fun i -> values.(i)) ids)
-
-let make schema length source =
+let of_tuples schema rows =
   let arity = Schema.arity schema in
-  { schema; length; source; cols = Array.make arity None; boxed = Array.make arity None }
+  {
+    schema;
+    length = Array.length rows;
+    rows;
+    cols = Array.make arity None;
+    boxed = Array.make arity None;
+  }
 
-let of_tuples schema tuples = make schema (Array.length tuples) (Rows tuples)
-
-let gather base ids =
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= base.length then invalid_arg "Column.gather: row id out of range")
-    ids;
-  make base.schema (Array.length ids) (Gather (base, ids))
-
-let rec col t j =
+let col t j =
   match t.cols.(j) with
   | Some c -> c
   | None ->
-    let c =
-      match t.source with
-      | Rows tuples -> encode_col tuples j t.length (Schema.attribute t.schema j).Schema.ty
-      | Gather (base, ids) -> gather_col (col base j) ids
-    in
+    let c = encode_col t.rows j t.length (Schema.attribute t.schema j).Schema.ty in
     t.cols.(j) <- Some c;
     c
 

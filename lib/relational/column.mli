@@ -8,10 +8,8 @@
     - [Tfloat] → a float64 {!Bigarray.Array1} plus an optional null bitset;
     - [Tbool]  → a value bitset plus an optional null bitset;
     - [Tstr]   → dictionary codes ([int array], [-1] = NULL) with the
-      decode array and an encode hashtable.  An encoded column numbers
-      its strings in first-occurrence order; a {!gather}ed column shares
-      its base's dictionary, so its codes follow the base's order and
-      the dictionary may hold strings no gathered row carries;
+      decode array and an encode hashtable, numbering the strings in
+      first-occurrence order;
     - [Tnull], or any column containing a value whose constructor does
       not match the declared type (possible via the unchecked
       [Relation.of_array]) → [Generic], the boxed [Value.t array].
@@ -45,8 +43,12 @@ module Bitset : sig
   (** The positions of the set bits, in increasing order.  One pass
       that skips empty words and reads each word once: a word with at
       most 16 set bits peels them off lowest first, a denser one is
-      walked up to its highest set bit without a branch per bit. *)
-  val positions : t -> int array
+      walked up to its highest set bit without a branch per bit.  A
+      caller that knows the number of set bits passes it as [count],
+      which spares a counting pass over the words; nothing is written
+      past [count] positions.
+      @raise Invalid_argument if [count] is not the number of set bits. *)
+  val positions : ?count:int -> t -> int array
 end
 
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -77,15 +79,6 @@ val col : t -> int -> col
     touched.  The array must not be mutated afterwards (relations are
     immutable once built). *)
 val of_tuples : Schema.t -> Tuple.t array -> t
-
-(** [gather base ids] is the view of the rows [ids] of [base], in that
-    order (ids may repeat).  O(arity): each column is gathered on first
-    touch from [base]'s column (encoding that once, memoized in [base])
-    in the same representation, so it decodes to the same values as
-    [of_tuples] over the gathered tuples — except that a column the base
-    had to store as [Generic] stays [Generic].
-    @raise Invalid_argument if an id is out of range. *)
-val gather : t -> int array -> t
 
 (** Decode back to row-major form; [of_tuples s ts |> to_tuples]
     rebuilds tuples equal to [ts]. *)

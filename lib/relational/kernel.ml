@@ -352,11 +352,9 @@ and filter_rows view p rows =
     let scan, nulls = scan_of view p in
     select view scan (drop_nulls view nulls rows)
 
-let count view p = count_rows view p None
+let count ?ids view p = count_rows view p ids
 
-let count_indices view p ids = count_rows view p (Some ids)
-
-let filter_indices view p = filter_rows view p None
+let filter_indices ?ids view p = filter_rows view p ids
 
 (* --- open-addressing int table ----------------------------------------- *)
 
@@ -411,27 +409,35 @@ module Key_dict = struct
   let find t key = match H.find_opt t key with Some c -> c | None -> -1
 end
 
+type codes =
+  | Raw of int array
+  | Remapped of int array * int array
+
+let[@inline] code codes i =
+  match codes with
+  | Raw data -> Array.unsafe_get data i
+  | Remapped (codes, remap) -> Array.unsafe_get remap (Array.unsafe_get codes i + 1)
+
 let join_codes l jl r jr =
   match Column.col l jl, Column.col r jr with
   | Column.Ints { data = dl; nulls = None }, Column.Ints { data = dr; nulls = None } ->
     (* Raw ints are their own codes.  A null on either side has no int
        sentinel available, so those keys take the dictionary. *)
-    Some (dl, dr)
+    Some (Raw dl, Raw dr)
   | ( Column.Dict { codes = lcodes; dict = ldict; _ },
       Column.Dict { codes = rcodes; lookup = rlookup; _ } ) ->
-    (* Remap left codes into the right dictionary.  -1 (Null) maps to
-       -1, so Null keys match Null keys exactly as Tuple.equal does;
-       strings absent from the right get -2, which never appears in
-       right codes. *)
-    let remap =
-      Array.map
-        (fun s -> match Hashtbl.find_opt rlookup s with Some c -> c | None -> -2)
-        ldict
-    in
-    let left =
-      Array.map (fun c -> if c < 0 then -1 else Array.unsafe_get remap c) lcodes
-    in
-    Some (left, rcodes)
+    (* Left codes read through a remap into the right dictionary, by
+       code + 1: -1 (Null) maps to -1, so Null keys match Null keys
+       exactly as Tuple.equal does; strings absent from the right get
+       -2, which never appears in right codes.  The left code array is
+       not mapped: a join over a few rows of a large base reads only
+       those rows' codes. *)
+    let remap = Array.make (Array.length ldict + 1) (-1) in
+    Array.iteri
+      (fun c s ->
+        remap.(c + 1) <- (match Hashtbl.find_opt rlookup s with Some c -> c | None -> -2))
+      ldict;
+    Some (Remapped (lcodes, remap), Raw rcodes)
   | (Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Dict _ | Column.Generic _), _
     ->
     None

@@ -20,8 +20,10 @@ val compile : Column.t -> Predicate.t -> int -> bool
 
 (** {1 Scan kernels}
 
-    The entry points below decide a predicate over a run of rows and
-    agree with {!compile} on every row (the contract above).  An
+    The entry points below decide a predicate over a run of rows, every
+    row of the view or, given [ids], the rows at those ids in that
+    order (a sample read in place on its base's view), and agree with
+    {!compile} on every row (the contract above).  An
     Attr-vs-Const comparison, in either operand order, over a column of
     - null-free ints or ints with a null bitset (against an int
       constant, or a string/bool constant whose verdict is the same for
@@ -40,19 +42,15 @@ val compile : Column.t -> Predicate.t -> int -> bool
     keeps.  Every other predicate is decided by the {!compile}d closure
     inside the same entry points. *)
 
-(** Number of rows satisfying the predicate. *)
-val count : Column.t -> Predicate.t -> int
+(** Number of rows satisfying the predicate; among [ids], each
+    occurrence of a repeated id counts once. *)
+val count : ?ids:int array -> Column.t -> Predicate.t -> int
 
-(** Number of rows among [indices] satisfying the predicate, each
-    occurrence of a repeated id counting once (sampled selection
-    scans). *)
-val count_indices : Column.t -> Predicate.t -> int array -> int
-
-(** Row indices satisfying the predicate, ascending: a selection
-    vector, sized exactly (the rows are counted, then filled in — each
-    row id is written unconditionally and the cursor advances by the
-    row's verdict). *)
-val filter_indices : Column.t -> Predicate.t -> int array
+(** Row ids satisfying the predicate, in row order (the order of [ids]
+    when given): a selection vector, sized exactly (the rows are
+    counted, then filled in — each row id is written unconditionally
+    and the cursor advances by the row's verdict). *)
+val filter_indices : ?ids:int array -> Column.t -> Predicate.t -> int array
 
 (** Open-addressing table from int keys to positive ints: the key →
     group and key → multiplicity tables of the joins
@@ -74,14 +72,25 @@ module Int_table : sig
   val slot : t -> int -> int
 end
 
+(** A key column's join codes, by row id of its view: [Raw data] reads
+    row [i]'s code as [data.(i)], and [Remapped (codes, remap)] as
+    [remap.(codes.(i) + 1)]. *)
+type codes =
+  | Raw of int array
+  | Remapped of int array * int array
+
+(** The code of row [i]. *)
+val code : codes -> int -> int
+
 (** [join_codes l jl r jr] is [Some (kl, kr)] when both key columns
     admit a shared int code space in which code equality coincides with
-    [Value.equal] of the key values: null-free int columns (raw values)
-    and dictionary pairs (left codes remapped into the right dictionary;
-    [-1] = Null on both sides, [-2] = absent from the right).  [None]
-    for every other pair of columns: the join codes its keys through a
-    {!Key_dict} instead. *)
-val join_codes : Column.t -> int -> Column.t -> int -> (int array * int array) option
+    [Value.equal] of the key values: null-free int columns (their raw
+    values, the column's own array) and dictionary pairs (the left
+    column's codes read through a remap into the right dictionary, so
+    no code array is copied; [-1] = Null on both sides, [-2] = absent
+    from the right).  [None] for every other pair of columns: the join
+    codes its keys through a {!Key_dict} instead. *)
+val join_codes : Column.t -> int -> Column.t -> int -> (codes * codes) option
 
 (** Dense int codes for join key tuples that {!join_codes} cannot code:
     float, bool and generic columns, nullable ints, mixed types, several

@@ -12,10 +12,12 @@ module Key_dict = Kernel.Key_dict
 
 (* Every expression compiles to a [plan] over the leaves of a [shape]:
    rows are row ids of the leaves, and no tuple is built unless one is
-   read.  [pos] maps each schema position to its leaf and that leaf's
-   column.  A blocking operator (duplicate elimination, the set
-   operations, aggregation) streams its input's tuples once and its
-   result becomes a new leaf. *)
+   read.  A sample of a relation with a columnar view is read in place:
+   its leaf is that base, and its scan reads the base's rows at the
+   drawn ids ([Relation.source]).  [pos] maps each schema position to
+   its leaf and that leaf's column.  A blocking operator (duplicate
+   elimination, the set operations, aggregation) streams its input's
+   tuples once and its result becomes a new leaf. *)
 type shape = {
   schema : Schema.t;
   leaves : Relation.t array;
@@ -23,10 +25,13 @@ type shape = {
 }
 
 type plan =
-  | Scan_rows of int  (** every row of a leaf, in order *)
-  | Select_rows of Column.t * Predicate.t
-      (** the rows of a leaf at or above the kernel threshold that pass,
-          in order: a selection vector from the scan kernels *)
+  | Scan_rows of int * int array option
+      (** every row of a leaf, in order: its [n] rows, or the [n] rows
+          at the ids of a sample read in place *)
+  | Select_rows of Column.t * int array option * Predicate.t
+      (** the rows of a leaf at or above the kernel threshold (among the
+          ids, if any) that pass, in order: a selection vector from the
+          scan kernels *)
   | Filter_rows of plan * int * (int -> bool)  (** keep rows whose [leaf] row passes *)
   | Test_rows of plan * shape * (Tuple.t -> bool)
       (** keep rows whose tuple, gathered in [shape], passes *)
@@ -39,8 +44,8 @@ and side = {
 }
 
 and key =
-  | Codes of int * int array
-      (** a leaf, and the key code by row id of that leaf
+  | Codes of int * Kernel.codes
+      (** a leaf, and the key codes of that leaf's rows
           ({!Kernel.join_codes}) *)
   | Tuples of Key_dict.t * Relation.t array * (int * int) array
       (** the join's dictionary, and the leaves and the leaf and column of
@@ -57,8 +62,9 @@ and product = {
 
 let leaf_shape r =
   let schema = Relation.schema r in
-  ({ schema; leaves = [| r |]; pos = Array.init (Schema.arity schema) (fun j -> (0, j)) },
-   Scan_rows (Relation.cardinality r))
+  let base, ids = Relation.source r in
+  ({ schema; leaves = [| base |]; pos = Array.init (Schema.arity schema) (fun j -> (0, j)) },
+   Scan_rows (Relation.cardinality r, ids))
 
 let concat_shape sl sr =
   let offset = Array.length sl.leaves in
@@ -130,7 +136,7 @@ let gatherer shape =
    build row has, on the probe side when the build side lacks the key. *)
 let[@inline] key_code ~build s key t =
   match key with
-  | Codes (leaf, codes) -> codes.(row_id s leaf t)
+  | Codes (leaf, codes) -> Kernel.code codes (row_id s leaf t)
   | Tuples (dict, leaves, at) ->
     let k = gather leaves at s t in
     if build then Key_dict.code dict k else Key_dict.find dict k
@@ -161,7 +167,7 @@ let handles s =
   if !k = s.bound then out else Array.sub out 0 !k
 
 let rec stream metrics = function
-  | Scan_rows n ->
+  | Scan_rows (n, None) ->
     {
       iter =
         (fun f ->
@@ -171,8 +177,9 @@ let rec stream metrics = function
       rows = Leaf;
       bound = n;
     }
-  | Select_rows (view, p) ->
-    let ids = Kernel.filter_indices view p in
+  | Scan_rows (n, Some ids) -> { iter = (fun f -> Array.iter f ids); rows = Leaf; bound = n }
+  | Select_rows (view, ids, p) ->
+    let ids = Kernel.filter_indices ?ids view p in
     { iter = (fun f -> Array.iter f ids); rows = Leaf; bound = Array.length ids }
   | Filter_rows (plan, leaf, keep) ->
     let s = stream metrics plan in
@@ -339,18 +346,19 @@ let tuples metrics shape plan =
 
 (* --- compiling expressions -------------------------------------------- *)
 
-(* A selection over a leaf keeps [Relation.count_pred]'s rule: the scan
+(* A selection over a leaf keeps [Relation.count_pred]'s rule, judged
+   on the leaf, which for a sample read in place is its base: the scan
    kernels at and above the kernel threshold, the row predicate below
-   it.  Over the leaf's full scan or its selection vector it narrows
-   the vector (stacked selections conjoin, and [Kernel] runs a
+   it.  Over the leaf's scan or its selection vector it narrows the
+   vector (stacked selections conjoin, and [Kernel] runs a
    conjunction's kernels in sequence); over a join or a filter it tests
    the leaf's row through the compiled kernel; over a product it goes
    to the side that holds the leaf, which keeps the product's order. *)
 let rec select_rows relation leaf p plan =
   let above = Relation.cardinality relation >= Relation.kernel_threshold in
   match plan with
-  | Scan_rows _ when above -> Select_rows (Relation.columnar relation, p)
-  | Select_rows (view, q) -> Select_rows (view, Predicate.And (q, p))
+  | Scan_rows (_, ids) when above -> Select_rows (Relation.columnar relation, ids, p)
+  | Select_rows (view, ids, q) -> Select_rows (view, ids, Predicate.And (q, p))
   | Product_rows prod ->
     let lw = Array.length prod.lshape.leaves in
     if leaf < lw then Product_rows { prod with left = select_rows relation leaf p prod.left }
@@ -465,8 +473,8 @@ and input_tuples metrics catalog e =
   (shape, tuples metrics shape plan)
 
 let rec count_plan metrics = function
-  | Scan_rows n -> n
-  | Select_rows (view, p) -> Kernel.count view p
+  | Scan_rows (n, _) -> n
+  | Select_rows (view, ids, p) -> Kernel.count ?ids view p
   | Join_rows (l, r) -> join_count metrics l r
   | Product_rows { left; right; test = None; _ } ->
     let n = count_plan metrics left in

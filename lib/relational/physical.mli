@@ -3,13 +3,21 @@
 
     Rows are row ids of the expression's leaves, and no tuple is built
     unless one is read:
+    - a leaf is a relation and an optional vector of its row ids: a
+      sample of a relation with a columnar view ({!Relation.source}) is
+      read in place, as that base and the drawn ids, so its rows are
+      base row ids, its selections scan the base's columns through the
+      ids and its join keys are the base's key codes; every other
+      relation is a leaf of its own rows;
     - a selection over a leaf at or above {!Relation.kernel_threshold}
-      that reads the leaf's full scan or its row ids becomes that leaf's
-      selection vector ({!Kernel.filter_indices}; stacked selections
-      conjoin); any other one-leaf selection tests its leaf's row,
-      through the compiled kernel at and above the threshold and the row
-      predicate below it (the rule of {!Relation.count_pred}), and one
-      over a product goes to the side that holds its leaf;
+      (judged on the leaf, which is the base for a sample read in place)
+      that reads the leaf's scan or its selection vector narrows that
+      vector ({!Kernel.filter_indices}, through the ids if any; stacked
+      selections conjoin); any other one-leaf selection tests its
+      leaf's row, through the compiled kernel at and above the
+      threshold and the row predicate below it (the rule of
+      {!Relation.count_pred}), and one over a product goes to the side
+      that holds its leaf;
     - a selection that reads several leaves tests the tuple gathered at
       the row, and over a product it runs inside the product's loop;
     - a product emits its pairs left-major with nothing materialized; a

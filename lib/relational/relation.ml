@@ -1,7 +1,7 @@
 (* A sample's tuples are gathered from its base on first read: columnar
-   consumers read its view and never need them.  A masked relation
-   resolves its mask to a gather first.  One field holds each form, so
-   a racing resolve or gather under domains is benign. *)
+   consumers read its base in place and never need them.  A masked
+   relation resolves its mask to a gather first.  One field holds each
+   form, so a racing resolve or gather under domains is benign. *)
 type rows =
   | Tuples of Tuple.t array
   | Gather of Tuple.t array * int array
@@ -12,12 +12,14 @@ type t = {
   mutable rows : rows;
   (* Lazily-built columnar view.  The memoizing store is idempotent
      (Column.of_tuples is deterministic and O(arity)), so a racing
-     build under domains is benign.  A sample of a relation that has a
-     view starts with a view gathered from it (see [sample]). *)
+     build under domains is benign. *)
   mutable view : Column.t option;
+  (* A sample of a relation with a view: that relation and the row ids,
+     which columnar readers scan in place (see [source]). *)
+  over : (t * int array) option;
 }
 
-let mk schema tuples = { schema; rows = Tuples tuples; view = None }
+let mk schema tuples = { schema; rows = Tuples tuples; view = None; over = None }
 
 let type_ok ty value =
   match value with
@@ -48,7 +50,7 @@ let of_array schema tuples = mk schema tuples
 let masked schema base mask ~live =
   if Column.Bitset.length mask > Array.length base then
     invalid_arg "Relation.masked: mask longer than the rows";
-  { schema; rows = Masked (base, mask, live); view = None }
+  { schema; rows = Masked (base, mask, live); view = None; over = None }
 
 let schema r = r.schema
 
@@ -64,10 +66,9 @@ let is_empty r = cardinality r = 0
    deterministic, so two domains racing to resolve store equal gathers
    and either store is harmless, as with the gather → tuples store. *)
 let unmask r base mask live =
-  let ids = Column.Bitset.positions mask in
-  if Array.length ids <> live then
-    invalid_arg "Relation.masked: live is not the mask's count";
-  r.rows <- Gather (base, ids)
+  match Column.Bitset.positions ~count:live mask with
+  | ids -> r.rows <- Gather (base, ids)
+  | exception Invalid_argument _ -> invalid_arg "Relation.masked: live is not the mask's count"
 
 let rec tuples r =
   match r.rows with
@@ -106,11 +107,18 @@ let sample r ids =
     let i = Array.unsafe_get ids k in
     if i < 0 || i >= n then invalid_arg "Relation.sample: row id out of range"
   done;
-  {
-    schema = r.schema;
-    rows = gather_rows r ids;
-    view = Option.map (fun v -> Column.gather v ids) r.view;
-  }
+  let over =
+    match r.over, r.view with
+    | Some (base, inner), _ -> Some (base, Array.map (fun i -> Array.unsafe_get inner i) ids)
+    | None, Some _ -> Some (r, ids)
+    | None, None -> None
+  in
+  let rows =
+    match over with Some (base, ids) -> Gather (tuples base, ids) | None -> gather_rows r ids
+  in
+  { schema = r.schema; rows; view = None; over }
+
+let source r = match r.over with Some (base, ids) -> (base, Some ids) | None -> (r, None)
 
 let iter f r = Array.iter f (tuples r)
 
@@ -131,7 +139,7 @@ let use_kernel r = cardinality r >= kernel_threshold
 
 (* Create the columnar view now iff the kernels would build it lazily
    on first use.  Creating it encodes nothing; what it buys is that
-   samples of the relation gather their columns from it.  A no-op
+   samples of the relation are read in place through it.  A no-op
    below the kernel threshold. *)
 let warm_view r = if use_kernel r then ignore (columnar r)
 

@@ -23,8 +23,8 @@ val of_array : Schema.t -> Tuple.t array -> t
     answers from it, so building the relation and asking its size read
     neither [mask] nor [base].  The first read of a tuple, a {!sample}
     or the {!columnar} view resolves the mask to row ids, in one
-    {!Column.Bitset.positions} pass, and from then on the relation is
-    {!sample} of [base] at those ids.  Neither [mask] nor [base] below
+    {!Column.Bitset.positions} pass sized by [live], and from then on
+    the relation is {!sample} of [base] at those ids.  Neither [mask] nor [base] below
     the mask's length may be mutated afterwards: a stream snapshot
     passes a copy of its store's mask over the store's row array.
     @raise Invalid_argument if [mask] is longer than [base], and on
@@ -55,19 +55,25 @@ val count : (Tuple.t -> bool) -> t -> int
 (** [sample r ids] is the bag of rows [ids] of [r], in that order (ids
     may repeat), sharing [r]'s tuples.  The array of them is gathered
     on the first read of a tuple, so a sample that only kernels read
-    never builds it.  When [r] already has a columnar view (see
-    {!warm_view}), the sample's view is {!Column.gather}ed from it:
-    each column the sample's kernels touch is read from [r]'s column
-    at [ids], encoding [r]'s column once, on first touch, and memoizing
-    it in [r].  Otherwise the sample encodes its own tuples on first
-    touch, like any relation.  Either way the view decodes to the same
-    values.  A sample of a sample composes the row ids: it gathers from
-    the first base at [a.(b.(i))] without building the inner sample's
-    tuples, so a draw from a gather view reads only the rows it drew.
-    A sample of a {!masked} relation (a stream snapshot) first resolves
-    the mask to row ids, once, and then composes them the same way.
+    never builds it.  Sampling builds no columnar view: when [r]
+    already has one (see {!warm_view}), {!source} hands columnar
+    readers [r] and [ids], and they read [r]'s columns at those ids in
+    place.  A sample asked for its own {!columnar} view encodes its
+    tuples, like any relation.  A sample of a sample composes the row
+    ids: it gathers from the first base at [a.(b.(i))] without building
+    the inner sample's tuples, so a draw from a sample reads only the
+    rows it drew, and its source is the first base.  A sample of a
+    {!masked} relation (a stream snapshot) first resolves the mask to
+    row ids, once, and then composes them the same way.
     @raise Invalid_argument if an id is out of range. *)
 val sample : t -> int array -> t
+
+(** Where a columnar reader finds the rows of [r]: [(base, Some ids)]
+    when [r] is a {!sample} at row ids [ids] (composed through samples
+    of samples) of a relation [base] that had a columnar view when it
+    was sampled, so that row [k] of [r] is row [ids.(k)] of [base];
+    [(r, None)] for every other relation. *)
+val source : t -> t * int array option
 
 (** The relation's columnar view (see {!Column}), built lazily and
     memoized; repeated calls return the same view, and its per-column
@@ -84,9 +90,9 @@ val kernel_threshold : int
 (** Create the columnar view now, iff the relation is at or above
     {!kernel_threshold}; otherwise a no-op.  Creating a view encodes no
     column.  It marks the relation as a long-lived base worth encoding
-    once: from then on its {!sample}s gather their columns from its
-    columns instead of encoding their own tuples.  Long-lived catalogs
-    (the serve daemon's) call this at load time; a relation rebuilt
+    once: from then on its {!sample}s are read in place on its columns
+    (see {!source}) instead of encoding their own tuples.  Long-lived
+    catalogs (the serve daemon's) call this at load time; a relation rebuilt
     often (a stream snapshot) should not: warming a {!masked} relation
     resolves its mask and gathers every tuple, which is the cost a
     snapshot that no query reads is built to avoid. *)

@@ -14,16 +14,16 @@ let size_of_fraction ~fraction n =
    N − 1, draw t uniform on [0, j] and take t, or j if t is already
    taken.  By induction every size-n subset comes out with probability
    1/C(N, n).  That is exactly n bounded draws, with no float, no hash
-   and no sort: the bitset reads the indices back in increasing order.
-   The dispatch below keeps the bitset (N/63 words) within about 2n
-   words. *)
+   and no sort: the bitset reads the indices back in increasing order,
+   sized by the n set bits without a counting pass.  The dispatch below
+   keeps the bitset (N/63 words) within about 2n words. *)
 let floyd rng ~n ~universe =
   let taken = Bitset.create universe in
   for j = universe - n to universe - 1 do
     let t = Rng.int rng (j + 1) in
     Bitset.set taken (if Bitset.get taken t then j else t)
   done;
-  Bitset.positions taken
+  Bitset.positions ~count:n taken
 
 (* Sparse draws: Vitter's sequential sampling (Algorithm D with the
    Algorithm A finish), "An Efficient Algorithm for Sequential Random
@@ -178,7 +178,7 @@ let sample_without_replacement ?metrics rng ~n array =
 
 (* The relation samplers return [Relation.sample base ids]: the drawn
    rows in draw order, sharing the base's tuples and, when the base has
-   a columnar view, gathering their columns from it. *)
+   a columnar view, read in place on it. *)
 
 let relation_without_replacement ?metrics rng ~n relation =
   let universe = Relational.Relation.cardinality relation in

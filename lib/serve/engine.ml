@@ -48,10 +48,16 @@ let check_unit_open ~option value =
   if not (value > 0. && value < 1.) then
     failwith (Printf.sprintf "%s %g outside (0, 1)" option value)
 
-(* Same message Count_estimator.estimate raises, so the CLI's error
-   contract is unchanged by routing through the plan cache. *)
+let max_groups = 10_000
+
+(* The lower bound's message is the one Count_estimator.estimate
+   raises, so the CLI's error contract is unchanged by routing through
+   the plan cache.  The upper bound stops a request before it sizes
+   its replicate arrays. *)
 let check_groups groups =
-  if groups < 1 then invalid_arg "Count_estimator.estimate: groups must be >= 1"
+  if groups < 1 then invalid_arg "Count_estimator.estimate: groups must be >= 1";
+  if groups > max_groups then
+    invalid_arg (Printf.sprintf "groups %d above the maximum %d" groups max_groups)
 
 (* --- plan-cache keys -------------------------------------------------- *)
 

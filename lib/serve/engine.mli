@@ -44,6 +44,9 @@ val load_catalog :
 
 val check_fraction : float -> unit
 val check_unit_open : option:string -> float -> unit
+
+(** Rejects [groups] below 1 or above 10,000, the most replicate groups
+    a [query], [sql] or explain accepts. *)
 val check_groups : int -> unit
 
 (** {1 Plan-cache keys}

@@ -108,8 +108,8 @@ let load ?metrics ?(sample_capacity = 128)
             end
           in
           (* Create the columnar view now (it encodes nothing): samples
-             of this relation then gather their columns from its
-             columns, each encoded once, on first touch, and memoized. *)
+             of this relation are then read in place on its columns,
+             each encoded once, on first touch, and memoized. *)
           Relational.Relation.warm_view relation;
           Hashtbl.replace paged_tbl name entry;
           (name, relation))

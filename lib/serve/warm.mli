@@ -6,8 +6,8 @@
     - the in-memory relation (via {!catalog}) with its {e columnar
       view created at load time} ({!Relational.Relation.warm_view}).
       Creating it encodes nothing; it makes the relation's samples
-      gather their columns from its columns, each encoded once, on
-      first touch, instead of encoding their own rows per request;
+      read in place on its columns, each encoded once, on first touch,
+      instead of encoding their own rows per request;
     - a retained {e paged view} — for [.raf] bindings the pagefile
       stays open for this state's lifetime, so the reader's clock page
       cache persists across ["pages"] requests (repeat page-sampled

@@ -356,6 +356,8 @@ expect_absent() { # expect_absent <description> <pattern> <<< output
 
 expect_error "unknown relation" 'Catalog.find: unknown relation "nosuch"' \
   query "select[a < 30](nosuch)" --rel "r=$workdir/u.csv" -f 0.05
+expect_error "groups above the maximum" 'groups 1125899906842624 above the maximum 10000$' \
+  query "select[a < 3](r)" --rel "r=$workdir/u.csv" -f 0.5 --groups 1125899906842624
 
 # an unknown join attribute is a schema error on one line, however the
 # join's leaves look (two bare base relations used to escape as an

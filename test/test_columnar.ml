@@ -186,7 +186,7 @@ let prop_count_indices =
           0 indices
       with
       | exception Invalid_argument _ -> true
-      | expected -> Kernel.count_indices view p indices = expected)
+      | expected -> Kernel.count ~ids:indices view p = expected)
 
 (* The scan kernels against the row path ([Predicate.compile] on the
    tuples) and the closure [Kernel.compile] builds, row for row.  One
@@ -271,7 +271,7 @@ let prop_scan_kernels =
       List.for_all (fun i -> compiled i = keep i) (List.init (Array.length tuples) Fun.id)
       && Kernel.count view p = List.length all
       && Array.to_list (Kernel.filter_indices view p) = all
-      && Kernel.count_indices view p ids = List.length among)
+      && Kernel.count ~ids view p = List.length among)
 
 (* Predicates over large relations cross the kernel-engagement
    threshold inside [Relation.count_pred]/[filter_pred]; the public API
@@ -401,13 +401,15 @@ let prop_join_count =
 (* Sample views                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A sample of a viewed base gathers its columns from the base's
-   columns; it must decode to the values an encode of the gathered
-   tuples gives, and every kernel must decide its rows the same way.
-   The scenarios cover every representation: ints with and without
-   nulls, floats with NaN and nulls, bools, dictionaries with NULL, and
-   the Generic fallback of an ill-typed [of_array] (which a gathered
-   column keeps even when the sampled rows are well typed). *)
+(* A sample of a viewed base is read in place: its source is the base
+   and the drawn ids, and the kernels must decide the base's view at
+   those ids as they decide an encoding of the gathered tuples, row for
+   row, through [compile], [count] and [filter_indices].  A sample's own
+   view, if asked for, decodes to the gathered tuples.  The scenarios
+   cover every representation: ints with and without nulls, floats
+   with NaN and nulls, bools, dictionaries with NULL, and the Generic
+   fallback of an ill-typed [of_array] (which the base's column keeps
+   even when the sampled rows are well typed). *)
 let sample_arb =
   QCheck.(
     pair (scenario_arb ~sloppy:true)
@@ -421,14 +423,14 @@ let prop_sample_view =
         if n = 0 then [||] else Array.of_list (List.map (fun k -> k mod n) picks)
       in
       let base = Relation.of_array schema tuples in
-      ignore (Relation.columnar base);
+      let view = Relation.columnar base in
       let sampled = Relation.sample base ids in
       let gathered = Array.map (fun i -> tuples.(i)) ids in
-      let encoded = Relation.of_array schema gathered in
-      let decide view =
+      let encoded = Column.of_tuples schema gathered in
+      let attempt f = try Some (f ()) with Invalid_argument _ -> None in
+      let decide view rows =
         let test = Kernel.compile view p in
-        Array.init (Array.length ids) (fun i ->
-            try Some (test i) with Invalid_argument _ -> None)
+        Array.map (fun i -> attempt (fun () -> test i)) rows
       in
       let same_rows a b =
         Array.length a = Array.length b
@@ -439,8 +441,13 @@ let prop_sample_view =
       in
       Array.for_all2 ( == ) (Relation.tuples sampled) gathered
       && same_rows (Column.to_tuples (Relation.columnar sampled)) gathered
-      && same_rows (Column.to_tuples (Relation.columnar encoded)) gathered
-      && decide (Relation.columnar sampled) = decide (Relation.columnar encoded))
+      && (match Relation.source sampled with
+         | source, Some at -> source == base && at = ids
+         | _, None -> false)
+      && decide view ids = decide encoded (Array.init (Array.length ids) Fun.id)
+      && attempt (fun () -> Kernel.count ~ids view p) = attempt (fun () -> Kernel.count encoded p)
+      && attempt (fun () -> Kernel.filter_indices ~ids view p)
+         = attempt (fun () -> Array.map (fun k -> ids.(k)) (Kernel.filter_indices encoded p)))
 
 (* A census draws nothing: the sample is the base itself (its tuples, in
    order), with the counters of the identity draw. *)

@@ -299,25 +299,36 @@ let agrees catalog e = counts_agree catalog e && relations_agree catalog e
 
 (* One sample per relation, all drawn from fresh copies of the plain
    relations: with [viewed], each copy's view is forced first, so the
-   samples gather their columns from it; without, they encode their own
-   rows.  The same seed draws the same rows either way. *)
+   samples are read in place on it, at their row ids of the copy;
+   without, they are read as relations of their own.  One copy in two
+   is padded past the kernel threshold with repeats of its rows, so
+   that selections over samples of a viewed copy run the scan kernels
+   through the row ids, and one sample in three is a sample of a
+   sample.  Each sample holds at most twice the relation's rows.  The
+   same seed draws the same rows either way. *)
 let sample_catalog ~viewed ~seed catalog =
   let rng = Sampling.Rng.create ~seed () in
+  let draw ~card r =
+    let size = min card (Relation.cardinality r) in
+    if size > 0 && Sampling.Rng.int rng 3 = 0 then
+      Sampling.Srs.relation_with_replacement rng ~n:(Sampling.Rng.int rng (2 * size)) r
+    else Sampling.Srs.relation_without_replacement rng ~n:(Sampling.Rng.int rng (size + 1)) r
+  in
   Catalog.of_list
     (List.map
        (fun name ->
          let r = Catalog.find catalog name in
-         let copy = Relation.of_array (Relation.schema r) (Relation.tuples r) in
-         if viewed then ignore (Relation.columnar copy);
-         let card = Relation.cardinality copy in
-         let sample =
-           if card > 0 && Sampling.Rng.int rng 3 = 0 then
-             let n = Sampling.Rng.int rng (2 * card) in
-             Sampling.Srs.relation_with_replacement rng ~n copy
-           else
-             let n = Sampling.Rng.int rng (card + 1) in
-             Sampling.Srs.relation_without_replacement rng ~n copy
+         let tuples = Relation.tuples r in
+         let card = Array.length tuples in
+         let rows =
+           if card > 0 && Sampling.Rng.int rng 2 = 0 then
+             Array.init (Relation.kernel_threshold + card) (fun i -> tuples.(i mod card))
+           else tuples
          in
+         let copy = Relation.of_array (Relation.schema r) rows in
+         if viewed then ignore (Relation.columnar copy);
+         let sample = draw ~card copy in
+         let sample = if Sampling.Rng.int rng 3 = 0 then draw ~card sample else sample in
          (name, sample))
        (Catalog.names catalog))
 

@@ -145,12 +145,17 @@ let raises_invalid f =
 let test_masked () =
   let rows = [ 0; 62; 63; 64; 125; 129 ] in
   (* The size comes from the count given, without resolving the mask:
-     a wrong count shows through [cardinality] and fails the first
-     read. *)
-  let wrong = masked_fixture ~live:9 () in
-  Alcotest.(check int) "cardinality is the count given" 9 (Relation.cardinality wrong);
-  Alcotest.(check bool) "a wrong count fails the first read" true
-    (raises_invalid (fun () -> Relation.tuples wrong));
+     a wrong count, above or below the 6 set bits, shows through
+     [cardinality] and fails the first read, which sizes its row ids
+     by the count and writes none past it. *)
+  List.iter
+    (fun live ->
+      let wrong = masked_fixture ~live () in
+      Alcotest.(check int) "cardinality is the count given" live (Relation.cardinality wrong);
+      Alcotest.check_raises "a wrong count fails the first read"
+        (Invalid_argument "Relation.masked: live is not the mask's count") (fun () ->
+          ignore (Relation.tuples wrong)))
+    [ 9; 3 ];
   Alcotest.(check int) "cardinality" 6 (Relation.cardinality (masked_fixture ()));
   Alcotest.(check (list int)) "tuples at the set bits, in order" rows
     (values (masked_fixture ()));

@@ -138,8 +138,9 @@ let test_two_phase_final_fraction_clamps () =
   check_float "census variance is zero" 0. result.Sequential.estimate.Estimate.variance;
   Alcotest.(check bool) "census reaches any positive target" true
     result.Sequential.reached_target;
-  (* 5 replicates at fraction 1 → the final phase alone reads 5N. *)
-  Alcotest.(check int) "final sample is 5 censuses" (20_000 * 5)
+  (* 5 replicates at fraction 1 are one census, counted once: the
+     final phase alone reads N. *)
+  Alcotest.(check int) "final sample is one census" 20_000
     result.Sequential.estimate.Estimate.sample_size
 
 let test_two_phase_validation () =

@@ -436,6 +436,10 @@ let test_server_errors () =
     {|{"op": "estimate", "relation": "ghost", "where": "a < 30"}|};
   check_error "unknown explain target" "unknown explain target"
     {|{"op": "explain", "target": "mystery"}|};
+  (* a replicate count past the maximum is refused before anything is
+     sized for it *)
+  check_error "groups above the maximum" "groups 1125899906842624 above the maximum 10000"
+    {|{"op": "query", "expr": "select[a < 3](r)", "fraction": 0.5, "groups": 1125899906842624}|};
   (* a join of two bare base relations names its missing attribute,
      as the same join with a selected leaf always did *)
   check_error "unknown join attribute"
