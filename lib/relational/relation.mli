@@ -83,8 +83,9 @@ val columnar : t -> Column.t
 (** Cardinality at and above which the selection kernels engage: below
     it, compiling a predicate and encoding columns costs more than the
     per-row win.  It governs {!count_pred}, {!filter_pred}, {!warm_view}
-    and {!Physical}'s selections over base relations; {!Physical}'s
-    join counts read key columns at any size. *)
+    and {!Physical}'s selections over its leaves, judged for a sample
+    read in place on its base (see {!source}); {!Physical}'s join
+    counts read key columns at any size. *)
 val kernel_threshold : int
 
 (** Create the columnar view now, iff the relation is at or above
