@@ -277,11 +277,19 @@ let add_key (j, ss_l, ss_r) m n =
 (* The key code of row [p] of a side: every row of the base when
    [rows] is [None], else the rows in [rows]. *)
 let[@inline] code_at codes rows p =
-  Kernel.code codes (match rows with None -> p | Some ids -> Array.unsafe_get ids p)
+  Array.unsafe_get codes (match rows with None -> p | Some ids -> Array.unsafe_get ids p)
 
-let side_length codes = function
-  | None -> (match codes with Kernel.Raw data | Kernel.Remapped (data, _) -> Array.length data)
-  | Some ids -> Array.length ids
+let side_length codes = function None -> Array.length codes | Some ids -> Array.length ids
+
+(* A side's key codes as one int array: an int column's own, or a
+   dictionary column's codes remapped in one pass over the rows the
+   side reads (its passing rows, or the whole base). *)
+let side_codes codes rows =
+  match (codes, rows) with
+  | Kernel.Raw data, _ -> (data, rows)
+  | Kernel.Remapped (codes, remap), None -> (Array.map (fun c -> remap.(c + 1)) codes, None)
+  | Kernel.Remapped (codes, remap), Some ids ->
+    (Array.map (fun i -> remap.(codes.(i) + 1)) ids, None)
 
 (* The same sums from the int key codes of one attribute pair: the
    per-key counts live in an int table built on the side with fewer
@@ -337,7 +345,8 @@ let join_moments catalog expr =
         | _ -> None
       in
       (match codes with
-      | Some (kl, kr) -> Some (code_moments (kl, rows vl pl) (kr, rows vr pr))
+      | Some (kl, kr) ->
+        Some (code_moments (side_codes kl (rows vl pl)) (side_codes kr (rows vr pr)))
       | None ->
         let dict = Kernel.Key_dict.create () in
         let key_codes relation attrs rows coder =
@@ -349,7 +358,7 @@ let join_moments catalog expr =
         in
         let kr = key_codes rr (List.map snd pairs) (rows vr pr) Kernel.Key_dict.code in
         let kl = key_codes rl (List.map fst pairs) (rows vl pl) Kernel.Key_dict.find in
-        Some (code_moments (Kernel.Raw kl, None) (Kernel.Raw kr, None)))
+        Some (code_moments (kl, None) (kr, None)))
     | _ -> None)
   | _ -> None
 

@@ -413,11 +413,6 @@ type codes =
   | Raw of int array
   | Remapped of int array * int array
 
-let[@inline] code codes i =
-  match codes with
-  | Raw data -> Array.unsafe_get data i
-  | Remapped (codes, remap) -> Array.unsafe_get remap (Array.unsafe_get codes i + 1)
-
 let join_codes l jl r jr =
   match Column.col l jl, Column.col r jr with
   | Column.Ints { data = dl; nulls = None }, Column.Ints { data = dr; nulls = None } ->

@@ -79,9 +79,6 @@ type codes =
   | Raw of int array
   | Remapped of int array * int array
 
-(** The code of row [i]. *)
-val code : codes -> int -> int
-
 (** [join_codes l jl r jr] is [Some (kl, kr)] when both key columns
     admit a shared int code space in which code equality coincides with
     [Value.equal] of the key values: null-free int columns (their raw

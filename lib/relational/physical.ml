@@ -44,8 +44,12 @@ and side = {
 }
 
 and key =
-  | Codes of int * Kernel.codes
-      (** a leaf, and the key codes of that leaf's rows
+  | Codes of int * int array
+      (** a leaf, and the key code by row id of that leaf
+          ({!Kernel.join_codes}) *)
+  | Remapped of int * int array * int array
+      (** a leaf, the dictionary codes by row id of that leaf, and their
+          remap into the other side's dictionary, by code + 1
           ({!Kernel.join_codes}) *)
   | Tuples of Key_dict.t * Relation.t array * (int * int) array
       (** the join's dictionary, and the leaves and the leaf and column of
@@ -136,7 +140,8 @@ let gatherer shape =
    build row has, on the probe side when the build side lacks the key. *)
 let[@inline] key_code ~build s key t =
   match key with
-  | Codes (leaf, codes) -> Kernel.code codes (row_id s leaf t)
+  | Codes (leaf, codes) -> codes.(row_id s leaf t)
+  | Remapped (leaf, codes, remap) -> remap.(codes.(row_id s leaf t) + 1)
   | Tuples (dict, leaves, at) ->
     let k = gather leaves at s t in
     if build then Key_dict.code dict k else Key_dict.find dict k
@@ -412,8 +417,12 @@ let rec compile_rows metrics catalog expr =
       | [ (a, b) ] ->
         let kl, jl = at sl a and kr, jr = at sr b in
         let view shape k = Relation.columnar shape.leaves.(k) in
+        let key k = function
+          | Kernel.Raw codes -> Codes (k, codes)
+          | Kernel.Remapped (codes, remap) -> Remapped (k, codes, remap)
+        in
         Option.map
-          (fun (cl, cr) -> (Codes (kl, cl), Codes (kr, cr)))
+          (fun (cl, cr) -> (key kl cl, key kr cr))
           (Kernel.join_codes (view sl kl) jl (view sr kr) jr)
       | _ -> None
     in
