@@ -117,7 +117,7 @@ let compact t =
       ids.(j) <- t.ids.(k);
       rows.(j) <- t.rows.(k);
       Bitset.set alive j)
-    (Bitset.positions t.alive);
+    (Bitset.positions ~count:t.live t.alive);
   t.ids <- ids;
   t.rows <- rows;
   t.alive <- alive;
@@ -181,7 +181,7 @@ let ingest t ~inserts ~deletes =
 
 let rescan t =
   Backing_sample.rescan t.backing
-    (Array.map (fun k -> (t.ids.(k), t.rows.(k))) (Bitset.positions t.alive));
+    (Array.map (fun k -> (t.ids.(k), t.rows.(k))) (Bitset.positions ~count:t.live t.alive));
   bump t
 
 (* --- reads -------------------------------------------------------------- *)

@@ -54,8 +54,7 @@ module Bitset = struct
      position is still to come, so the cursor stays below the number of
      set bits read so far.  A word whose bits would pass [count] is
      refused before any of them is written. *)
-  let positions ?count:known t =
-    let count = match known with Some c -> c | None -> count t in
+  let positions ~count t =
     let out = Array.make count 0 and j = ref 0 in
     let words = t.words in
     let wrong () = invalid_arg "Bitset.positions: count is not the number of set bits" in

@@ -43,12 +43,12 @@ module Bitset : sig
   (** The positions of the set bits, in increasing order.  One pass
       that skips empty words and reads each word once: a word with at
       most 16 set bits peels them off lowest first, a denser one is
-      walked up to its highest set bit without a branch per bit.  A
-      caller that knows the number of set bits passes it as [count],
-      which spares a counting pass over the words; nothing is written
-      past [count] positions.
+      walked up to its highest set bit without a branch per bit.  The
+      caller passes the number of set bits as [count] ({!count} when it
+      does not track it), which sizes the output with no counting pass;
+      nothing is written past [count] positions.
       @raise Invalid_argument if [count] is not the number of set bits. *)
-  val positions : ?count:int -> t -> int array
+  val positions : count:int -> t -> int array
 end
 
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t

@@ -24,9 +24,10 @@ val of_array : Schema.t -> Tuple.t array -> t
     neither [mask] nor [base].  The first read of a tuple, a {!sample}
     or the {!columnar} view resolves the mask to row ids, in one
     {!Column.Bitset.positions} pass sized by [live], and from then on
-    the relation is {!sample} of [base] at those ids.  Neither [mask] nor [base] below
-    the mask's length may be mutated afterwards: a stream snapshot
-    passes a copy of its store's mask over the store's row array.
+    the relation is {!sample} of [base] at those ids.  Neither [mask]
+    nor [base] below the mask's length may be mutated afterwards: a
+    stream snapshot passes a copy of its store's mask over the store's
+    row array.
     @raise Invalid_argument if [mask] is longer than [base], and on
     that first read if [live] is not the number of set bits. *)
 val masked : Schema.t -> Tuple.t array -> Column.Bitset.t -> live:int -> t

@@ -664,6 +664,7 @@ let test_generic_fallback () =
 
 let test_bitset () =
   let module B = Column.Bitset in
+  let positions b = B.positions ~count:(B.count b) b in
   let b = B.create 131 in
   Alcotest.(check int) "fresh popcount" 0 (B.count b);
   List.iter (B.set b) [ 0; 1; 63; 64; 65; 130 ];
@@ -671,27 +672,27 @@ let test_bitset () =
   Alcotest.(check bool) "get set" true (B.get b 64);
   Alcotest.(check bool) "get clear" false (B.get b 2);
   Alcotest.(check int) "length" 131 (B.length b);
-  Alcotest.(check (array int)) "positions" [| 0; 1; 63; 64; 65; 130 |] (B.positions b);
+  Alcotest.(check (array int)) "positions" [| 0; 1; 63; 64; 65; 130 |] (positions b);
   B.clear b 64;
   B.clear b 2;
-  Alcotest.(check (array int)) "cleared" [| 0; 1; 63; 65; 130 |] (B.positions b);
+  Alcotest.(check (array int)) "cleared" [| 0; 1; 63; 65; 130 |] (positions b);
   let prefix = B.resize b 64 in
   Alcotest.(check int) "prefix length" 64 (B.length prefix);
   Alcotest.(check (array int))
-    "a prefix inside a word keeps the bits below it" [| 0; 1; 63 |] (B.positions prefix);
+    "a prefix inside a word keeps the bits below it" [| 0; 1; 63 |] (positions prefix);
   let grown = B.resize prefix 200 in
-  Alcotest.(check (array int)) "growth adds clear bits" [| 0; 1; 63 |] (B.positions grown);
+  Alcotest.(check (array int)) "growth adds clear bits" [| 0; 1; 63 |] (positions grown);
   B.set grown 199;
   Alcotest.(check (array int)) "copies are independent" [| 0; 1; 63; 65; 130 |]
-    (B.positions b);
+    (positions b);
   Alcotest.(check (array int)) "a prefix at a word boundary" [| 0; 1 |]
-    (B.positions (B.resize b 63));
+    (positions (B.resize b 63));
   (* Sparse words holding only their sign bit (bit 62): the peeled
      lowest bit is [min_int]. *)
   let signs = B.create 130 in
   B.set signs 62;
   B.set signs 125;
-  Alcotest.(check (array int)) "sign bits alone" [| 62; 125 |] (B.positions signs);
+  Alcotest.(check (array int)) "sign bits alone" [| 62; 125 |] (positions signs);
   (* A full word, sign bit included. *)
   let full = B.create 70 in
   for i = 0 to 62 do
@@ -699,7 +700,7 @@ let test_bitset () =
   done;
   Alcotest.(check int) "full word count" 63 (B.count full);
   Alcotest.(check (array int))
-    "full word positions" (Array.init 63 Fun.id) (B.positions full)
+    "full word positions" (Array.init 63 Fun.id) (positions full)
 
 (* Every bit position in the first words, so each word's sign bit
    (bit [Sys.int_size - 1]) is exercised. *)
@@ -713,11 +714,12 @@ let prop_bitset =
       let b = B.create length in
       List.iter (fun i -> if i < length then B.set b i) bits;
       let scan b = List.filter (B.get b) (List.init (B.length b) Fun.id) in
+      let positions b = B.positions ~count:(B.count b) b in
       let resized = B.resize b cut in
-      Array.to_list (B.positions b) = scan b
+      Array.to_list (positions b) = scan b
       && B.count b = List.length (scan b)
       && B.length resized = cut
-      && Array.to_list (B.positions resized) = List.filter (fun i -> i < cut) (scan b))
+      && Array.to_list (positions resized) = List.filter (fun i -> i < cut) (scan b))
 
 let suite =
   [
