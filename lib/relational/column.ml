@@ -17,6 +17,12 @@ module Bitset = struct
 
   let[@inline] get t i = (Array.unsafe_get t.words (i / bits) lsr (i mod bits)) land 1 = 1
 
+  let[@inline] test_and_set t i =
+    let w = i / bits and m = 1 lsl (i mod bits) in
+    let x = t.words.(w) in
+    Array.unsafe_set t.words w (x lor m);
+    x land m <> 0
+
   (* Branch-free: each step sums adjacent fields into fields twice as
      wide, and the multiply gathers the byte sums into the top byte,
      which has room for any count up to [bits]. *)

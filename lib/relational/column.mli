@@ -32,6 +32,10 @@ module Bitset : sig
   val clear : t -> int -> unit
   val get : t -> int -> bool
 
+  (** [test_and_set t i] sets bit [i] and returns whether it was
+      already set, from one word read. *)
+  val test_and_set : t -> int -> bool
+
   (** Number of set bits. *)
   val count : t -> int
 

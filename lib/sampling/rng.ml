@@ -55,16 +55,55 @@ let split t = of_seed64 (bits64 t)
 (* The low 62 bits of a draw, as a non-negative native int. *)
 let[@inline] bits62 t = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL)
 
+(* Rejection sampling on the low 62 bits (exactly [0, max_int]) stays
+   in OCaml's int range and avoids modulo bias: a draw [r] is kept when
+   [r <= max_int - max_int mod bound].  That limit is never below
+   [max_int - bound + 1], so a draw at or under it is kept without the
+   division; only draws among the top [bound - 1] values pay for it. *)
+let[@inline] accepts r bound = r <= max_int - bound + 1 || r <= max_int - (max_int mod bound)
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the low 62 bits (exactly [0, max_int]) to
-     stay in OCaml's int range and avoid modulo bias. *)
-  let limit = max_int - (max_int mod bound) in
   let r = ref (bits62 t) in
-  while !r > limit do
+  while not (accepts !r bound) do
     r := bits62 t
   done;
   !r mod bound
+
+(* [bits64]'s step with the four words held in local [int64] refs,
+   which the compiler keeps unboxed in registers, and stored back once.
+   A rejected draw repeats the same bound. *)
+let int_run t out ~bound k =
+  if bound <= 0 then invalid_arg "Rng.int_run: bound must be positive";
+  if k < 0 || k > Array.length out then invalid_arg "Rng.int_run: count outside the array";
+  if k > 0 && k - 1 > max_int - bound then invalid_arg "Rng.int_run: bound overflows";
+  let st = t.state in
+  let s0 = ref (Bytes.get_int64_ne st 0) and s1 = ref (Bytes.get_int64_ne st 8) in
+  let s2 = ref (Bytes.get_int64_ne st 16) and s3 = ref (Bytes.get_int64_ne st 24) in
+  let i = ref 0 and draws = ref 0 in
+  while !i < k do
+    let a0 = !s0 and a1 = !s1 and a3 = !s3 in
+    let r =
+      Int64.to_int (Int64.logand (Int64.add (rotl (Int64.add a0 a3) 23) a0) 0x3FFFFFFFFFFFFFFFL)
+    in
+    let a2 = Int64.logxor !s2 a0 in
+    let a3 = Int64.logxor a3 a1 in
+    s1 := Int64.logxor a1 a2;
+    s0 := Int64.logxor a0 a3;
+    s2 := Int64.logxor a2 (Int64.shift_left a1 17);
+    s3 := rotl a3 45;
+    incr draws;
+    let b = bound + !i in
+    if accepts r b then begin
+      Array.unsafe_set out !i (r mod b);
+      incr i
+    end
+  done;
+  Bytes.set_int64_ne st 0 !s0;
+  Bytes.set_int64_ne st 8 !s1;
+  Bytes.set_int64_ne st 16 !s2;
+  Bytes.set_int64_ne st 24 !s3;
+  t.draws <- t.draws + !draws
 
 let float t =
   (* 53 high bits scaled to [0, 1). *)

@@ -33,9 +33,22 @@ val split : t -> t
 (** Raw 64 uniformly random bits. *)
 val bits64 : t -> int64
 
-(** [int t bound] is uniform on [0, bound) (unbiased, by rejection).
+(** [int t bound] is uniform on [0, bound), to within 2{^-61} in any
+    probability, by rejection on the low 62 bits of a draw.  One
+    hardware division per call: a draw at or under
+    [max_int - bound + 1] is accepted without computing the rejection
+    limit, which only draws among the top [bound - 1] values need.
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
+
+(** [int_run t out ~bound k] writes [out.(i) = int t (bound + i)] for
+    [i = 0 .. k - 1], in order, from exactly the raw draws (and the
+    {!draws} count) those [k] calls would use, so it can replace them
+    without moving the stream.  The generator stays in registers for
+    the whole run, where each {!int} call loads and stores it.
+    @raise Invalid_argument if [bound <= 0], [k] is outside
+    [0, Array.length out], or [bound + k - 1] overflows. *)
+val int_run : t -> int array -> bound:int -> int -> unit
 
 (** Uniform float in [0, 1) with 53 bits of precision. *)
 val float : t -> float

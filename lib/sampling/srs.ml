@@ -16,12 +16,25 @@ let size_of_fraction ~fraction n =
    1/C(N, n).  That is exactly n bounded draws, with no float, no hash
    and no sort: the bitset reads the indices back in increasing order,
    sized by the n set bits without a counting pass.  The dispatch below
-   keeps the bitset (N/63 words) within about 2n words. *)
+   keeps the bitset (N/63 words) within about 2n words.
+
+   No draw depends on the bitset, so the bounds j + 1 are drawn ahead
+   in chunks of at most [floyd_chunk] by [Rng.int_run], which keeps the
+   generator in registers and uses the raw draws of one [Rng.int] per
+   j: the indices and the stream are those of the plain loop. *)
+let floyd_chunk = 256
+
 let floyd rng ~n ~universe =
   let taken = Bitset.create universe in
-  for j = universe - n to universe - 1 do
-    let t = Rng.int rng (j + 1) in
-    Bitset.set taken (if Bitset.get taken t then j else t)
+  let drawn = Array.make (min n floyd_chunk) 0 in
+  let j = ref (universe - n) in
+  while !j < universe do
+    let k = min floyd_chunk (universe - !j) in
+    Rng.int_run rng drawn ~bound:(!j + 1) k;
+    for i = 0 to k - 1 do
+      if Bitset.test_and_set taken (Array.unsafe_get drawn i) then Bitset.set taken (!j + i)
+    done;
+    j := !j + k
   done;
   Bitset.positions ~count:n taken
 

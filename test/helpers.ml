@@ -11,6 +11,19 @@ module Catalog = Relational.Catalog
 
 let rng ?(seed = 4242) () = Sampling.Rng.create ~seed ()
 
+(* The bounded draw as it was before the division-free acceptance test,
+   with the rejection limit computed on every call: the oracle that
+   [Rng.int], [Rng.int_run] and Floyd's loop must match raw draw for
+   raw draw. *)
+let two_division_int r bound =
+  let bits62 () = Int64.to_int (Int64.logand (Sampling.Rng.bits64 r) 0x3FFFFFFFFFFFFFFFL) in
+  let limit = max_int - (max_int mod bound) in
+  let x = ref (bits62 ()) in
+  while !x > limit do
+    x := bits62 ()
+  done;
+  !x mod bound
+
 let check_float ?(eps = 1e-9) name expected actual =
   Alcotest.(check (float eps)) name expected actual
 

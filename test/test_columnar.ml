@@ -700,7 +700,17 @@ let test_bitset () =
   done;
   Alcotest.(check int) "full word count" 63 (B.count full);
   Alcotest.(check (array int))
-    "full word positions" (Array.init 63 Fun.id) (positions full)
+    "full word positions" (Array.init 63 Fun.id) (positions full);
+  (* test_and_set returns the old bit and sets it: the first bit, the
+     sign bit and the first bit of the second word. *)
+  let marks = B.create 130 in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "bit %d was clear" i) false (B.test_and_set marks i);
+      Alcotest.(check bool) (Printf.sprintf "bit %d is set" i) true (B.get marks i);
+      Alcotest.(check bool) (Printf.sprintf "bit %d was set" i) true (B.test_and_set marks i))
+    [ 0; 62; 63 ];
+  Alcotest.(check (array int)) "only those bits" [| 0; 62; 63 |] (positions marks)
 
 (* Every bit position in the first words, so each word's sign bit
    (bit [Sys.int_size - 1]) is exercised. *)

@@ -142,6 +142,63 @@ let test_pinned_stream () =
   Alcotest.(check int64) "split child" (-6017019654973286170L) (Rng.bits64 child);
   Alcotest.(check int) "parent draws" 20 (Rng.draws r)
 
+(* Runs of [k] bounds from [bound], drawn three ways from one seed:
+   [two_division_int], successive [Rng.int] calls and one
+   [Rng.int_run].  The values, the draw counters and the next raw draw
+   must agree.  The bounds straddle max_int/2, where the rejection
+   limit halves (so a limit taken from the wrong bound shows), sit
+   just above it, where about half of all draws are rejected, and run
+   up to max_int. *)
+let test_int_run_matches_int () =
+  let rejections = ref 0 in
+  List.iter
+    (fun (bound, k) ->
+      for seed = 1 to 40 do
+        let oracle = Rng.create ~seed () and single = Rng.create ~seed () in
+        let run = Rng.create ~seed () in
+        let expected = Array.init k (fun i -> two_division_int oracle (bound + i)) in
+        let singles = Array.init k (fun i -> Rng.int single (bound + i)) in
+        let out = Array.make (k + 3) (-1) in
+        Rng.int_run run out ~bound k;
+        let label = Printf.sprintf "bound %d, k %d, seed %d" bound k seed in
+        Alcotest.(check (array int)) (label ^ ": int") expected singles;
+        Alcotest.(check (array int)) (label ^ ": int_run") expected (Array.sub out 0 k);
+        Alcotest.(check (array int)) (label ^ ": past k untouched") [| -1; -1; -1 |]
+          (Array.sub out k 3);
+        Alcotest.(check int) (label ^ ": int draws") (Rng.draws oracle) (Rng.draws single);
+        Alcotest.(check int) (label ^ ": int_run draws") (Rng.draws oracle) (Rng.draws run);
+        let next = Rng.bits64 oracle in
+        Alcotest.(check int64) (label ^ ": next after int") next (Rng.bits64 single);
+        Alcotest.(check int64) (label ^ ": next after int_run") next (Rng.bits64 run);
+        rejections := !rejections + Rng.draws oracle - 1 - k
+      done)
+    [
+      (1, 300);
+      (1000, 64);
+      ((max_int / 2) - 10, 100);
+      ((max_int / 2) + 1, 100);
+      (max_int / 3 * 2, 50);
+      (max_int - 99, 100);
+    ];
+  Alcotest.(check bool)
+    (Printf.sprintf "rejections exercised (%d)" !rejections)
+    true (!rejections > 1000);
+  let r = Rng.create ~seed:3 () in
+  Rng.int_run r [||] ~bound:7 0;
+  Rng.int_run r [| 5 |] ~bound:max_int 0;
+  Alcotest.(check int) "k = 0 draws nothing" 0 (Rng.draws r);
+  List.iter
+    (fun (name, out, bound, k) ->
+      match Rng.int_run r out ~bound k with
+      | () -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("bound 0", [| 0 |], 0, 1);
+      ("k past the array", [| 0 |], 5, 2);
+      ("negative k", [| 0 |], 5, -1);
+      ("bound + k - 1 past max_int", [| 0; 0 |], max_int, 2);
+    ]
+
 let test_positive_float () =
   let r = rng () in
   for _ = 1 to 1_000 do
@@ -168,6 +225,8 @@ let suite =
     Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
+    Alcotest.test_case "int_run = successive int = two-division int" `Quick
+      test_int_run_matches_int;
     Alcotest.test_case "positive_float" `Quick test_positive_float;
     Alcotest.test_case "choose" `Quick test_choose;
   ]

@@ -1,5 +1,6 @@
 open Helpers
 module Srs = Sampling.Srs
+module Rng = Sampling.Rng
 
 let test_size_of_fraction () =
   Alcotest.(check int) "half" 50 (Srs.size_of_fraction ~fraction:0.5 100);
@@ -278,6 +279,40 @@ let test_golden_determinism () =
   Alcotest.(check (list int)) "Floyd golden (8 of 100)" golden_floyd (draw 100);
   Alcotest.(check (list int)) "Algorithm D golden (8 of 2,000)" golden_method_d (draw 2_000)
 
+(* Floyd's loop as it drew before the bounds were drawn in chunks: one
+   two-division bounded draw per j, over a bool array.  The chunked
+   loop must give the same indices from the same raw draws, across the
+   chunk edges (n = 255, 256, 257, 512, 513) and the whole Floyd branch
+   (N = n + 1 up to 128n); a census draws nothing on either. *)
+let per_call_floyd r ~n ~universe =
+  if n = universe then Array.init n Fun.id
+  else begin
+    let taken = Array.make universe false in
+    for j = universe - n to universe - 1 do
+      let t = two_division_int r (j + 1) in
+      taken.(if taken.(t) then j else t) <- true
+    done;
+    Array.of_list (List.filter (Array.get taken) (List.init universe Fun.id))
+  end
+
+let test_floyd_matches_per_call () =
+  List.iter
+    (fun (n, seeds) ->
+      List.iter
+        (fun universe ->
+          for seed = 1 to seeds do
+            let oracle = Rng.create ~seed () and r = Rng.create ~seed () in
+            let label = Printf.sprintf "%d of %d, seed %d" n universe seed in
+            Alcotest.(check (array int))
+              (label ^ ": indices")
+              (per_call_floyd oracle ~n ~universe)
+              (Srs.indices_without_replacement r ~n ~universe);
+            Alcotest.(check int) (label ^ ": draws") (Rng.draws oracle) (Rng.draws r);
+            Alcotest.(check int64) (label ^ ": next draw") (Rng.bits64 oracle) (Rng.bits64 r)
+          done)
+        [ n; n + 1; 2 * n; (16 * n) + 3; 128 * n ])
+    [ (1, 40); (2, 40); (255, 12); (256, 12); (257, 12); (512, 6); (513, 6); (4_000, 2) ]
+
 let test_repeatability_and_divergence () =
   let draw seed =
     Array.to_list (Srs.indices_without_replacement (rng ~seed ()) ~n:20 ~universe:10_000)
@@ -304,5 +339,6 @@ let suite =
     Alcotest.test_case "inclusion edges and cutoff" `Slow test_inclusion_edges;
     Alcotest.test_case "all subsets chi-square" `Slow test_all_subsets_chi_square;
     Alcotest.test_case "golden determinism" `Quick test_golden_determinism;
+    Alcotest.test_case "chunked Floyd = per-call Floyd" `Quick test_floyd_matches_per_call;
     Alcotest.test_case "repeatability / divergence" `Quick test_repeatability_and_divergence;
   ]
