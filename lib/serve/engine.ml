@@ -107,14 +107,16 @@ let estimate ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?index_source 
     Metrics.with_span metrics (Printf.sprintf "selection %s" relation) (fun () ->
         Raestat.Estplan.run ~metrics ?index_source rng catalog plan)
   in
-  let ci = Estimate.ci ~level est in
   let buffer = Buffer.create 128 in
   Printf.bprintf buffer "estimated COUNT: %.0f\n" est.Estimate.point;
   Printf.bprintf buffer "sampled %d of %d tuples (%.2f%%)\n" n big_n
     (* An empty relation is a census of nothing — 100%, not 0/0. *)
     (if big_n = 0 then 100. else 100. *. float_of_int n /. float_of_int big_n);
-  Printf.bprintf buffer "%.0f%% CI: [%.0f, %.0f]\n" (100. *. level)
-    ci.Stats.Confidence.lo ci.Stats.Confidence.hi;
+  if Estimate.has_variance est then begin
+    let ci = Estimate.ci ~level est in
+    Printf.bprintf buffer "%.0f%% CI: [%.0f, %.0f]\n" (100. *. level)
+      ci.Stats.Confidence.lo ci.Stats.Confidence.hi
+  end;
   {
     text = Buffer.contents buffer;
     estimate = est;

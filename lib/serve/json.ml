@@ -274,7 +274,10 @@ let int_field ?default obj name =
   match member name obj with
   | None | Some Null -> default
   | Some (Int n) -> Some n
-  | Some (Float f) when Float.is_integer f -> Some (int_of_float f)
+  (* [int_of_float] is unspecified outside the native int range (0 on
+     amd64), so only floats in [-2^62, 2^62) convert. *)
+  | Some (Float f) when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+    Some (int_of_float f)
   | Some _ -> field_error name "an integer"
 
 let float_field ?default obj name =

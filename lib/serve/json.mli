@@ -36,7 +36,8 @@ val member : string -> t -> t option
     @raise Failure when present with a non-string value. *)
 val string_field : ?default:string -> t -> string -> string option
 
-(** An [Int] field ([Float] accepted when integral).
+(** An [Int] field ([Float] accepted when integral and inside the
+    native int range).
     @raise Failure when present with a non-integer value. *)
 val int_field : ?default:int -> t -> string -> int option
 

@@ -42,6 +42,23 @@ echo "$out" | expect "empty estimate" "estimated COUNT: 0"
 echo "$out" | expect "empty census" "sampled 0 of 0 tuples \(100.00%\)"
 echo "$out" | expect "empty degenerate ci" "95% CI: \[0, 0\]"
 
+# a one-tuple sample carries no variance estimate: the estimate answers
+# without a CI line (it used to fail in Estimate.ci), here at 1 of 2
+# and for a one-row census
+printf 'a:int\n100\n500\n' > "$workdir/two.csv"
+out="$("$cli" estimate "$workdir/two.csv" --where "a < 300" -f 0.5)" \
+  || fail "one-tuple estimate failed"
+echo "$out" | expect "one-tuple estimate" "^estimated COUNT: [02]$"
+echo "$out" | expect "one-tuple sample line" "^sampled 1 of 2 tuples \(50.00%\)$"
+if echo "$out" | grep -q "CI"; then fail "one-tuple estimate prints a CI"; fi
+printf 'a:int\n100\n' > "$workdir/one.csv"
+"$cli" estimate "$workdir/one.csv" --where "a < 300" -f 1.0 > "$workdir/one.out" \
+  || fail "one-row census estimate failed"
+diff -u - "$workdir/one.out" <<'EOF' || fail "one-row census estimate drifted"
+estimated COUNT: 1
+sampled 1 of 1 tuples (100.00%)
+EOF
+
 # ingest (streaming with maintained samples) ----------------------------
 # Convert the relation into a maintained stream, apply one batch, and
 # answer --where from the maintained sample.  Seed-fixed: repeat runs

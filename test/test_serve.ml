@@ -440,6 +440,21 @@ let test_server_errors () =
      sized for it *)
   check_error "groups above the maximum" "groups 1125899906842624 above the maximum 10000"
     {|{"op": "query", "expr": "select[a < 3](r)", "fraction": 0.5, "groups": 1125899906842624}|};
+  (* an integer field given as a float outside the native int range is
+     refused, not read as 0 (seed 0's reply) or as a wrapped count *)
+  List.iter
+    (fun (name, field, value) ->
+      check_error name
+        (Printf.sprintf "request field %S must be an integer" field)
+        (Printf.sprintf
+           {|{"op": "query", "expr": "select[a < 3](r)", "fraction": 0.5, %S: %s}|} field
+           value))
+    [
+      ("seed 1e300", "seed", "1e300");
+      ("seed past the int range", "seed", "99999999999999999999");
+      ("seed 2^62", "seed", "4611686018427387904.0");
+      ("groups 1e300", "groups", "1e300");
+    ];
   (* a join of two bare base relations names its missing attribute,
      as the same join with a selected leaf always did *)
   check_error "unknown join attribute"
@@ -755,6 +770,17 @@ let test_server_filter_grammar () =
   Alcotest.(check int) "exact count" 40 exact;
   Alcotest.(check (float 0.)) "census estimate" (float_of_int exact) (point_of line)
 
+(* A one-tuple sample (1 of 200) carries no variance estimate: the
+   reply has its point and sample line and no CI line. *)
+let test_server_one_tuple_estimate () =
+  with_server @@ fun state ->
+  let text =
+    result_text
+      (Server.handle_line state {|{"op": "estimate", "where": "a < 30", "fraction": 0.001}|})
+  in
+  Alcotest.(check bool) "sample line" true (contains "sampled 1 of 200 tuples" text);
+  Alcotest.(check bool) "no CI line" false (contains "CI" text)
+
 let test_server_stream_writes () =
   with_server @@ fun state ->
   (* Unbound relation: schema inferred from the first tuple. *)
@@ -984,6 +1010,7 @@ let suite =
     Alcotest.test_case "ping and request ids" `Quick test_server_ping_and_ids;
     Alcotest.test_case "estimate parity" `Quick test_server_estimate_parity;
     Alcotest.test_case "filter grammar" `Quick test_server_filter_grammar;
+    Alcotest.test_case "one-tuple estimate answers" `Quick test_server_one_tuple_estimate;
     Alcotest.test_case "query and sql share plans" `Quick test_server_query_sql_share_plans;
     Alcotest.test_case "optimizer setting keys the plan cache" `Quick
       test_server_optimize_keys_cache;
