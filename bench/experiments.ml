@@ -913,8 +913,67 @@ let a6 () =
     [ (0.05, 0.2); (0.05, 0.1); (0.2, 0.1); (0.5, 0.05) ];
   Report.note "Bonferroni joint coverage ≥ nominal; planner sizes achieve the target at ≥ the confidence level"
 
+(* The join key table's two representations over a sweep of key spans
+   and probe counts, both relative to the build rows: [rows] build keys
+   and [probes × rows] probe keys drawn uniformly from a span of
+   [span × rows] codes, built and probed through [Kernel.Key_table] as
+   a dense array (made with a [rows] argument that lets the density
+   rule accept any span) and as open addressing (made for
+   [min_int, max_int]).  A cell is the median of 15 rounds, each timing
+   the make, the build and the probe together. *)
+let key_table_sweep rng =
+  let module K = Relational.Kernel in
+  let widths = [ 6; 10; 12; 11; 11; 12 ] in
+  Report.columns widths
+    [ "rows"; "span/rows"; "probes/rows"; "dense (us)"; "open (us)"; "dense/open" ];
+  List.iter
+    (fun (rows, span, probes) ->
+      let codes n = Array.init n (fun _ -> Sampling.Rng.int rng (span * rows)) in
+      let built = codes rows and probed = codes (probes * rows) in
+      let run ~lo ~hi ~table_rows =
+        let reps = max 1 (200_000 / ((probes + span + 1) * rows)) in
+        let rounds =
+          Array.init 15 (fun _ ->
+              let _, seconds =
+                time_once (fun () ->
+                    for _ = 1 to reps do
+                      let t = K.Key_table.create ~lo ~hi ~rows:table_rows in
+                      K.Key_table.count t (K.Raw built) None rows;
+                      ignore
+                        (Sys.opaque_identity
+                           (K.Key_table.probe_count t (K.Raw probed) None (probes * rows)))
+                    done)
+              in
+              seconds /. float_of_int reps)
+        in
+        Array.sort Float.compare rounds;
+        rounds.(7)
+      in
+      let dense = run ~lo:0 ~hi:((span * rows) - 1) ~table_rows:(span * rows) in
+      let open_ = run ~lo:min_int ~hi:max_int ~table_rows:rows in
+      Report.row widths
+        [
+          string_of_int rows;
+          string_of_int span;
+          string_of_int probes;
+          Printf.sprintf "%.1f" (1e6 *. dense);
+          Printf.sprintf "%.1f" (1e6 *. open_);
+          Printf.sprintf "%.2f" (dense /. open_);
+        ])
+    (List.concat_map
+       (fun rows ->
+         List.concat_map
+           (fun span -> List.map (fun probes -> (rows, span, probes)) [ 1; 50 ])
+           [ 1; 8; 64; 512 ])
+       [ 64; 512 ]);
+  Report.note
+    "the joins take the dense array while span <= max 4096 (8 x rows): there it costs \
+     at most a few us more at one probe per build row, and saves most of the probe time \
+     at 50"
+
 (* A7: the row-id engine on wide products and duplicate elimination,
-   and its hash join beside index probes. *)
+   its hash join beside index probes, and the join key table's two
+   representations. *)
 let a7 () =
   Report.heading "A7" "ablation: the row-id Physical engine and index probes";
   let rng = rng_for "a7" in
@@ -950,7 +1009,8 @@ let a7 () =
           (Relational.Index.probe_join index (Catalog.find catalog "l") ~key:[ "a" ]))
   in
   Report.row widths [ "index probe (build+probe)"; "-"; Printf.sprintf "%.1f" (1000. *. index_seconds) ];
-  Report.note "the engine never materializes wide intermediates (σ over ×)"
+  Report.note "the engine never materializes wide intermediates (σ over ×)";
+  key_table_sweep rng
 
 (* A8: PPS + Horvitz–Thompson vs SRS for SUM over skewed amounts, and
    order-statistic quantile CIs. *)

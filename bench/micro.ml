@@ -53,14 +53,19 @@ let reference_selection ?metrics rng r ~n pred =
 
 let case name f = (name, fun () -> ignore (Sys.opaque_identity (f ())))
 
-(* The perfbench [join] workload's fk request, on a TPC-mini catalog at
-   its sizes with every base warmed as the daemon warms them: 5
-   replicate groups at f = 0.02, each drawing 4,000 of the 200,000
-   orders and 40 of the 2,000 suppliers, read in place on the bases'
-   columns.  Built once, on its own stream. *)
+(* The perfbench [join] workload's fk and chain requests, on a TPC-mini
+   catalog at its sizes with every base warmed as the daemon warms them,
+   read in place on the bases' columns.  The fk row runs 5 replicate
+   groups at f = 0.02, each drawing 4,000 of the 200,000 orders and 40
+   of the 2,000 suppliers; the chain row, (σ orders ⋈ suppliers) ⋈
+   σ parts, 5 groups at f = 0.05, each drawing 10,000 orders, 100
+   suppliers and 200 of the 4,000 parts, so its outer join probes from
+   a join.  Built once, on its own stream. *)
 let fk_row = "fk-join-2pct-g5-warm"
 
-let fk_catalog =
+let chain_row = "chain-5pct-g5-warm"
+
+let warm_catalog =
   lazy
     (let tpc =
        Workload.Tpc_mini.catalog (Sampling.Rng.create ~seed:1001 ())
@@ -72,11 +77,18 @@ let fk_catalog =
        (Catalog.names tpc);
      tpc)
 
+let fk_join =
+  Expr.equijoin [ ("o_supplier", "s_key") ]
+    (Expr.select (P.le (P.attr "o_price") (P.vint 104)) (Expr.base "orders"))
+    (Expr.base "suppliers")
+
 let fk_estimate ?metrics rng =
-  CE.estimate ~groups:5 ?metrics rng (Lazy.force fk_catalog) ~fraction:0.02
-    (Expr.equijoin [ ("o_supplier", "s_key") ]
-       (Expr.select (P.le (P.attr "o_price") (P.vint 104)) (Expr.base "orders"))
-       (Expr.base "suppliers"))
+  CE.estimate ~groups:5 ?metrics rng (Lazy.force warm_catalog) ~fraction:0.02 fk_join
+
+let chain_estimate ?metrics rng =
+  CE.estimate ~groups:5 ?metrics rng (Lazy.force warm_catalog) ~fraction:0.05
+    (Expr.equijoin [ ("o_part", "p_key") ] fk_join
+       (Expr.select (P.le (P.attr "p_size") (P.vint 30)) (Expr.base "parts")))
 
 (* One SRSWOR draw per branch of the sampler: 4,000 of 200,000 draws
    through Floyd's algorithm over a bitset, 100 of 10,000,000 through
@@ -131,6 +143,8 @@ let tests () =
          Relational.Parser.print_expr (Relational.Parser.parse_expr text)));
     (let rng = Sampling.Rng.create ~seed:1002 () in
      case fk_row (fun () -> fk_estimate rng));
+    (let rng = Sampling.Rng.create ~seed:1003 () in
+     case chain_row (fun () -> chain_estimate rng));
   ]
   @ List.map
       (fun (name, n, universe) ->
@@ -245,7 +259,10 @@ let counter_rows () =
             Sampling.Srs.indices_without_replacement ~metrics
               (Sampling.Rng.create ~seed:808 ()) ~n ~universe))
       srswor_rows
-  @ [ probe fk_row (fun metrics -> fk_estimate ~metrics (Sampling.Rng.create ~seed:1002 ())) ]
+  @ [
+      probe fk_row (fun metrics -> fk_estimate ~metrics (Sampling.Rng.create ~seed:1002 ()));
+      probe chain_row (fun metrics -> chain_estimate ~metrics (Sampling.Rng.create ~seed:1003 ()));
+    ]
 
 (* Guard for the instrumentation cost: time a representative kernel
    against the shared noop sink and against an enabled sink, min of

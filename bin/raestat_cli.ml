@@ -284,7 +284,7 @@ let exact_cmd =
 let estimate_cmd =
   let run seed path predicate fraction level pages metrics_opts =
     check_fraction fraction;
-    check_unit_open ~option:"--level" level;
+    Serve.Engine.check_level level;
     let rng = rng_of_seed seed in
     match pages with
     | Some m ->
@@ -363,7 +363,7 @@ let ingest_cmd =
   let module SR = Raestat.Stream_relation in
   let run seed path inserts delete_spec capacity bernoulli window rescan predicate level
       metrics_opts =
-    check_unit_open ~option:"--level" level;
+    Serve.Engine.check_level level;
     with_metrics metrics_opts (fun metrics ->
         let base = Serve.Engine.load_relation ~metrics path in
         let stream =

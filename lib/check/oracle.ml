@@ -571,14 +571,43 @@ let rec selections = function
    runs the scan kernels on them directly: each selection's predicate,
    over its base's columnar view, through [count] and [filter_indices]
    over every row and over every row id twice in descending order, must
-   keep exactly the rows [Predicate.compile] keeps. *)
+   keep exactly the rows [Predicate.compile] keeps.  It also joins every
+   pair of the case's columns, a relation with itself included, through
+   the key table in both representations (a dense array over the codes'
+   range, and open addressing, forced by a table made for
+   [min_int, max_int]): the probe hits and the count must be the row
+   engine's. *)
 let kernels =
   {
     name = "kernels";
-    summary = "the scan kernels keep exactly the rows the row predicate keeps";
+    summary =
+      "the scan kernels keep exactly the rows the row predicate keeps, and both key \
+       tables join as the row engine does";
     run =
       (fun _subject ~replicates:_ case ->
         let catalog = Gen.materialize case in
+        let module K = Relational.Kernel in
+        let join_disagrees (a, b, nl, nr) =
+          let rl = Catalog.find catalog nl and rr = Catalog.find catalog nr in
+          let vl = Relation.columnar rl and vr = Relation.columnar rr in
+          let index v name = Relational.Schema.index_of (Relational.Column.schema v) name in
+          match K.join_codes vl (index vl a) vr (index vr b) with
+          | None -> false
+          | Some { K.left; right; lo; hi } ->
+            let metrics = Metrics.create () in
+            let count =
+              Relational.Eval.count ~metrics catalog
+                (Expr.Equijoin ([ (a, b) ], Expr.Base nl, Expr.Base nr))
+            in
+            let expected = ((Metrics.snapshot metrics).Metrics.hash_probe_hits, count) in
+            let nl = Relation.cardinality rl and nr = Relation.cardinality rr in
+            List.exists
+              (fun (lo, hi) ->
+                let table = K.Key_table.create ~lo ~hi ~rows:nr in
+                K.Key_table.count table right None nr;
+                K.Key_table.probe_count table left None nl <> expected)
+              [ (lo, hi); (min_int, max_int) ]
+        in
         let disagrees (p, name) =
           let r = Catalog.find catalog name in
           let tuples = Relation.tuples r and view = Relation.columnar r in
@@ -587,19 +616,33 @@ let kernels =
           let ids = Array.init (2 * n) (fun k -> n - 1 - (k / 2)) in
           let rows = Array.of_list (List.filter keep (List.init n Fun.id)) in
           let among = Array.of_list (List.filter keep (Array.to_list ids)) in
-          let module K = Relational.Kernel in
           not
             (K.count view p = Array.length rows
             && K.filter_indices view p = rows
             && K.count ~ids view p = Array.length among
             && K.filter_indices ~ids view p = among)
         in
+        let columns =
+          List.concat_map
+            (fun n ->
+              let schema = Relation.schema (Catalog.find catalog n) in
+              List.map (fun a -> (n, a)) (Relational.Schema.names schema))
+            (Catalog.names catalog)
+        in
+        let pairs =
+          List.concat_map (fun (nl, a) -> List.map (fun (nr, b) -> (a, b, nl, nr)) columns) columns
+        in
         match List.find_opt disagrees (selections case.Gen.expr) with
         | Some (p, name) ->
           Fail
             (Printf.sprintf "the scan kernels disagree with the row predicate on %s over %s"
                (Relational.Predicate.to_string p) name)
-        | None -> Pass);
+        | None -> (
+          match List.find_opt join_disagrees pairs with
+          | Some (a, b, nl, nr) ->
+            Fail
+              (Printf.sprintf "a key table joins %s.%s = %s.%s unlike the row engine" nl a nr b)
+          | None -> Pass));
   }
 
 (* ----------------------------------------------------------- maintenance *)

@@ -83,7 +83,10 @@ type oracle = {
       ({!Relational.Kernel.count} and [filter_indices], over every row
       and through row ids) on each selection of the case over its
       base's view and demands exactly the rows
-      {!Relational.Predicate.compile} keeps. *)
+      {!Relational.Predicate.compile} keeps; and it joins every pair of
+      the case's columns through {!Relational.Kernel.Key_table} in both
+      representations, dense and open addressing, demanding
+      {!Relational.Eval.count}'s count and probe hits. *)
 val battery : oracle list
 
 (** {2 Maintenance oracle internals (for tests)} *)

@@ -264,7 +264,10 @@ let binomial_estimate ?(label = "selection") ~big_n ~n ~hits () =
   let p_hat = float_of_int hits /. nf in
   let point = big_nf *. p_hat in
   let variance =
-    if n < 2 then Float.nan
+    (* A census of any size is exact; below it, one sampled tuple
+       carries no variance estimate. *)
+    if n = big_n then 0.
+    else if n < 2 then Float.nan
     else
       big_nf *. big_nf
       *. (1. -. (nf /. big_nf))

@@ -175,7 +175,9 @@ val run :
 
 (** The paper's closed-form selection rule: scale-up of a binomial hit
     count over an SRSWOR of [n] from [big_n], with the exact
-    finite-population variance ([nan] when [n < 2]).
+    finite-population variance: [0] for a census ([n = big_n], of any
+    size, one row included), and [nan] for a single sampled tuple short
+    of a census.
     @raise Invalid_argument when sizes are out of range. *)
 val binomial_estimate :
   ?label:string -> big_n:int -> n:int -> hits:int -> unit -> Stats.Estimate.t

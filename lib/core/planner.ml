@@ -241,7 +241,6 @@ type stats = {
 }
 
 module Kernel = Relational.Kernel
-module Int_table = Kernel.Int_table
 
 let rec strip_projects = function
   | Expr.Project (_, e) -> strip_projects e
@@ -267,69 +266,65 @@ let chain_count catalog (preds, name) =
   | None -> Relation.cardinality relation
   | Some p -> Relation.count_pred p relation
 
-(* A key of multiplicity m on the left and n on the right adds m·n to
-   J, m·n² to SS_left and n·m² to SS_right: a left tuple with that key
-   appears in n result tuples. *)
-let add_key (j, ss_l, ss_r) m n =
-  let m = float_of_int m and n = float_of_int n in
-  (j +. (m *. n), ss_l +. (m *. n *. n), ss_r +. (n *. m *. m))
+(* A side of a join: its key codes, the rows it reads (its passing rows,
+   or every row of the base when [None]) and their number. *)
+type side = {
+  codes : Kernel.codes;
+  rows : int array option;
+  n : int;
+}
 
-(* The key code of row [p] of a side: every row of the base when
-   [rows] is [None], else the rows in [rows]. *)
-let[@inline] code_at codes rows p =
-  Array.unsafe_get codes (match rows with None -> p | Some ids -> Array.unsafe_get ids p)
-
-let side_length codes = function None -> Array.length codes | Some ids -> Array.length ids
-
-(* A side's key codes as one int array: an int column's own, or a
-   dictionary column's codes remapped in one pass over the rows the
-   side reads (its passing rows, or the whole base). *)
-let side_codes codes rows =
-  match (codes, rows) with
-  | Kernel.Raw data, _ -> (data, rows)
-  | Kernel.Remapped (codes, remap), None -> (Array.map (fun c -> remap.(c + 1)) codes, None)
-  | Kernel.Remapped (codes, remap), Some ids ->
-    (Array.map (fun i -> remap.(codes.(i) + 1)) ids, None)
-
-(* The same sums from the int key codes of one attribute pair: the
-   per-key counts live in an int table built on the side with fewer
-   passing rows, and the other side is counted into its slots (a key
-   the table lacks lands in an empty slot and is never read). *)
-let code_moments (codes_l, rows_l) (codes_r, rows_r) =
-  let left_builds = side_length codes_l rows_l <= side_length codes_r rows_r in
-  let (bc, br), (pc, pr) =
-    if left_builds then ((codes_l, rows_l), (codes_r, rows_r))
-    else ((codes_r, rows_r), (codes_l, rows_l))
+(* J = Σ_v m_v·n_v, SS_left = Σ_v m_v·n_v² and SS_right = Σ_v n_v·m_v²
+   from the int key codes of the two sides, whose codes lie in
+   [lo, hi]: a key of multiplicity m on the left and n on the right adds
+   m·n to J, m·n² to SS_left and n·m² to SS_right (a left tuple with
+   that key appears in n result tuples).  The per-key counts live in a
+   key table built on the side with fewer rows, and the other side is
+   counted by the table's slots (a key the table lacks lands in an empty
+   slot and is never read).  Each sum is at most
+   [rows_b·rows_p·max rows_b rows_p], so while that fits an int the sums
+   are accumulated exactly in ints; past it (sides of about 1.6 million
+   rows each) they are accumulated as floats in slot order. *)
+let code_moments ~lo ~hi left right =
+  let left_builds = left.n <= right.n in
+  let b, p = if left_builds then (left, right) else (right, left) in
+  let table = Kernel.Key_table.create ~lo ~hi ~rows:b.n in
+  Kernel.Key_table.count table b.codes b.rows b.n;
+  let built = Kernel.Key_table.vals table in
+  let probed = Kernel.Key_table.histogram table p.codes p.rows p.n in
+  (* [ss_b] = Σ b·p², [ss_p] = Σ p·b², for the per-key counts b of the
+     building side and p of the other, over the numbers [of_int] makes. *)
+  let sums of_int add mul =
+    let j = ref (of_int 0) and ss_b = ref (of_int 0) and ss_p = ref (of_int 0) in
+    Array.iteri
+      (fun s b ->
+        let p = probed.(s) in
+        if b > 0 && p > 0 then begin
+          let b = of_int b and p = of_int p in
+          j := add !j (mul b p);
+          ss_b := add !ss_b (mul (mul b p) p);
+          ss_p := add !ss_p (mul (mul p b) b)
+        end)
+      built;
+    (!j, !ss_b, !ss_p)
   in
-  let table = Int_table.create (side_length bc br) in
-  for p = 0 to side_length bc br - 1 do
-    let k = code_at bc br p in
-    let s = Int_table.slot table k in
-    table.keys.(s) <- k;
-    table.vals.(s) <- table.vals.(s) + 1
-  done;
-  let probed = Array.make (Array.length table.vals) 0 in
-  for p = 0 to side_length pc pr - 1 do
-    let s = Int_table.slot table (code_at pc pr p) in
-    probed.(s) <- probed.(s) + 1
-  done;
-  let sums = ref (0., 0., 0.) in
-  Array.iteri
-    (fun s built ->
-      let other = probed.(s) in
-      if built > 0 && other > 0 then
-        sums := if left_builds then add_key !sums built other else add_key !sums other built)
-    table.vals;
-  !sums
+  let j, ss_b, ss_p =
+    if float_of_int b.n *. float_of_int p.n *. float_of_int (Stdlib.max b.n p.n) < 0x1p62
+    then
+      let j, ss_b, ss_p = sums Fun.id ( + ) ( * ) in
+      (float_of_int j, float_of_int ss_b, float_of_int ss_p)
+    else sums float_of_int ( +. ) ( *. )
+  in
+  if left_builds then (j, ss_b, ss_p) else (j, ss_p, ss_b)
 
-(* J = Σ_v m_v·n_v and SS_left, SS_right of an equijoin of two
-   selection chains, counted from each side's passing rows, found by the
-   scan kernels over its base's view.  The keys are coded as
-   [Physical.count_expr] codes them: a single attribute pair whose key
-   columns admit int codes ({!Kernel.join_codes}) reads them, and every
-   other key shape numbers the right side's key tuples in a
-   {!Kernel.Key_dict}, which gives a left key the right side lacks the
-   code [-1]. *)
+(* J, SS_left and SS_right of an equijoin of two selection chains,
+   counted from each side's passing rows, found by the scan kernels over
+   its base's view.  The keys are coded as [Physical.count_expr] codes
+   them: a single attribute pair whose key columns admit int codes
+   ({!Kernel.join_codes}) reads them in place, within the range the
+   columns give, and every other key shape numbers the right side's key
+   tuples in a {!Kernel.Key_dict}, which gives a left key the right side
+   lacks the code [-1]: the range is [-1, D - 1] for its D keys. *)
 let join_moments catalog expr =
   match strip_projects expr with
   | Expr.Equijoin (pairs, l, r) when pairs <> [] -> (
@@ -338,27 +333,39 @@ let join_moments catalog expr =
       let rl = Catalog.find catalog nl and rr = Catalog.find catalog nr in
       let vl = Relation.columnar rl and vr = Relation.columnar rr in
       let index v attr = Schema.index_of (Relational.Column.schema v) attr in
-      let rows v preds = Option.map (Kernel.filter_indices v) (conjunction preds) in
+      let passing relation preds =
+        match conjunction preds with
+        | None -> (None, Relation.cardinality relation)
+        | Some p ->
+          let ids = Kernel.filter_indices (Relation.columnar relation) p in
+          (Some ids, Array.length ids)
+      in
+      let side relation codes preds =
+        let rows, n = passing relation preds in
+        { codes; rows; n }
+      in
       let codes =
         match pairs with
         | [ (a, b) ] -> Kernel.join_codes vl (index vl a) vr (index vr b)
         | _ -> None
       in
       (match codes with
-      | Some (kl, kr) ->
-        Some (code_moments (side_codes kl (rows vl pl)) (side_codes kr (rows vr pr)))
+      | Some { Kernel.left; right; lo; hi } ->
+        Some (code_moments ~lo ~hi (side rl left pl) (side rr right pr))
       | None ->
         let dict = Kernel.Key_dict.create () in
-        let key_codes relation attrs rows coder =
+        let key_codes relation attrs preds coder =
           let key = Array.of_list (List.map (Schema.index_of (Relation.schema relation)) attrs) in
           let code i = coder dict (Relational.Tuple.project (Relation.tuple relation i) key) in
-          match rows with
-          | None -> Array.init (Relation.cardinality relation) code
-          | Some ids -> Array.map code ids
+          let rows, n = passing relation preds in
+          let codes =
+            match rows with None -> Array.init n code | Some ids -> Array.map code ids
+          in
+          { codes = Kernel.Raw codes; rows = None; n }
         in
-        let kr = key_codes rr (List.map snd pairs) (rows vr pr) Kernel.Key_dict.code in
-        let kl = key_codes rl (List.map fst pairs) (rows vl pl) Kernel.Key_dict.find in
-        Some (code_moments (kl, None) (kr, None)))
+        let kr = key_codes rr (List.map snd pairs) pr Kernel.Key_dict.code in
+        let kl = key_codes rl (List.map fst pairs) pl Kernel.Key_dict.find in
+        Some (code_moments ~lo:(-1) ~hi:(Kernel.Key_dict.length dict - 1) kl kr))
     | _ -> None)
   | _ -> None
 

@@ -93,7 +93,7 @@ end
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type col =
-  | Ints of { data : int array; nulls : Bitset.t option }
+  | Ints of { data : int array; nulls : Bitset.t option; lo : int; hi : int }
   | Floats of { data : floats; nulls : Bitset.t option }
   | Bools of { data : Bitset.t; nulls : Bitset.t option }
   | Dict of {
@@ -145,14 +145,17 @@ let mark_null nulls n i =
 
 let encode_ints tuples j n =
   let data = Array.make n 0 in
-  let nulls = ref None in
+  let nulls = ref None and lo = ref max_int and hi = ref min_int in
   for i = 0 to n - 1 do
     match Array.unsafe_get (Array.unsafe_get tuples i) j with
-    | Value.Int v -> data.(i) <- v
+    | Value.Int v ->
+      data.(i) <- v;
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
     | Value.Null -> mark_null nulls n i
     | Value.Bool _ | Value.Float _ | Value.Str _ -> raise Fallback
   done;
-  Ints { data; nulls = !nulls }
+  Ints { data; nulls = !nulls; lo = !lo; hi = !hi }
 
 let encode_floats tuples j n =
   let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
@@ -240,7 +243,7 @@ let col t j =
 
 let value t i j =
   match col t j with
-  | Ints { data; nulls } ->
+  | Ints { data; nulls; _ } ->
     if is_null nulls i then Value.Null else Value.Int (Array.unsafe_get data i)
   | Floats { data; nulls } ->
     if is_null nulls i then Value.Null else Value.Float (Bigarray.Array1.unsafe_get data i)
@@ -269,7 +272,7 @@ let to_tuples t =
 
 let iter_int t j f =
   match col t j with
-  | Ints { data; nulls = None } ->
+  | Ints { data; nulls = None; _ } ->
     Array.iter f data;
     true
   | Ints _ | Floats _ | Bools _ | Dict _ | Generic _ -> false

@@ -4,7 +4,8 @@
     per attribute access.
 
     Encoding, per declared attribute type:
-    - [Tint]   → [int array] plus an optional null bitset;
+    - [Tint]   → [int array] plus an optional null bitset, and the
+      range of its non-null values;
     - [Tfloat] → a float64 {!Bigarray.Array1} plus an optional null bitset;
     - [Tbool]  → a value bitset plus an optional null bitset;
     - [Tstr]   → dictionary codes ([int array], [-1] = NULL) with the
@@ -58,7 +59,16 @@ end
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type col =
-  | Ints of { data : int array; nulls : Bitset.t option }
+  | Ints of {
+      data : int array;
+      nulls : Bitset.t option;
+      lo : int;  (** the least non-null value *)
+      hi : int;
+          (** the greatest non-null value; [lo > hi] when there is none.
+              Recorded as the column is encoded, so a join reads the
+              range of its int keys ({!Kernel.join_codes}) without a
+              pass over them. *)
+    }
   | Floats of { data : floats; nulls : Bitset.t option }
   | Bools of { data : Bitset.t; nulls : Bitset.t option }
   | Dict of {

@@ -145,15 +145,15 @@ let[@inline] null_verdict nulls i = 1 - Bool.to_int (Column.Bitset.get nulls i)
 let attr_const_scan view j cmp k =
   match Column.col view j, (k : Value.t) with
   | _, Value.Null -> (Row_test (fun _ -> false), None)
-  | Column.Ints { data; nulls }, Value.Int c -> (int_scan data cmp c, nulls)
-  | Column.Ints { data; nulls }, Value.Float c ->
+  | Column.Ints { data; nulls; _ }, Value.Int c -> (int_scan data cmp c, nulls)
+  | Column.Ints { data; nulls; _ }, Value.Float c ->
     let op, flip = float_op cmp c in
     (Row_test (fun i -> float_hit op c (float_of_int (Array.unsafe_get data i)) lxor flip = 1), nulls)
-  | Column.Ints { data; nulls }, Value.Str _ ->
+  | Column.Ints { data; nulls; _ }, Value.Str _ ->
     (* rank Int < rank Str: the verdict is the same for every non-null
        row. *)
     (every_int data (cmp_holds cmp (-1)), nulls)
-  | Column.Ints { data; nulls }, Value.Bool _ -> (every_int data (cmp_holds cmp 1), nulls)
+  | Column.Ints { data; nulls; _ }, Value.Bool _ -> (every_int data (cmp_holds cmp 1), nulls)
   | Column.Floats { data; nulls }, Value.Int c -> (float_scan data cmp (float_of_int c), nulls)
   | Column.Floats { data; nulls }, Value.Float c -> (float_scan data cmp c, nulls)
   | Column.Floats { data; nulls }, Value.Str _ -> (every_float data (cmp_holds cmp (-1)), nulls)
@@ -356,8 +356,10 @@ let count ?ids view p = count_rows view p ids
 
 let filter_indices ?ids view p = filter_rows view p ids
 
-(* --- open-addressing int table ----------------------------------------- *)
+(* --- equijoin key tables ------------------------------------------------ *)
 
+(* Open addressing from int keys to positive ints, for key ranges too
+   wide to index directly: a slot [s] is empty while [vals.(s) = 0]. *)
 module Int_table = struct
   type t = {
     shift : int;
@@ -365,6 +367,8 @@ module Int_table = struct
     vals : int array;
   }
 
+  (* At least [2n] slots (at least 16), so it never fills with [n]
+     keys. *)
   let create n =
     let bits = ref 4 in
     while 1 lsl !bits < 2 * n do
@@ -373,6 +377,7 @@ module Int_table = struct
     let size = 1 lsl !bits in
     { shift = Sys.int_size - !bits; keys = Array.make size 0; vals = Array.make size 0 }
 
+  (* The slot holding key [k], or the empty slot where it would go. *)
   let slot t k =
     let mask = Array.length t.vals - 1 in
     let s = ref ((k * 0x4F1BBCDCBFA53E0B) lsr t.shift) in
@@ -382,6 +387,106 @@ module Int_table = struct
       s := (!s + 1) land mask
     done;
     !s
+end
+
+type codes =
+  | Raw of int array
+  | Remapped of int array * int array
+
+(* Row [i]'s code.  [i] is a row id of the key column's view, and a
+   dictionary code [c] is at least [-1], so neither read is out of
+   bounds. *)
+let[@inline] code_at codes i =
+  match codes with
+  | Raw data -> Array.unsafe_get data i
+  | Remapped (codes, remap) -> Array.unsafe_get remap (Array.unsafe_get codes i + 1)
+
+module Key_table = struct
+  type t =
+    | Dense of { lo : int; vals : int array }  (** code [k] at [k - lo] *)
+    | Hashed of Int_table.t
+
+  (* [hi - lo] wraps below 0 when the span passes [max_int], and an
+     empty range ([hi < lo]) takes the open-addressing table, which
+     holds any code. *)
+  let create ~lo ~hi ~rows =
+    let span = hi - lo in
+    if hi >= lo && span >= 0 && span < Int.max 4096 (8 * rows) then
+      Dense { lo; vals = Array.make (span + 1) 0 }
+    else Hashed (Int_table.create rows)
+
+  let vals = function Dense { vals; _ } -> vals | Hashed h -> h.vals
+
+  let[@inline] slot t k = match t with Dense { lo; _ } -> k - lo | Hashed h -> Int_table.slot h k
+
+  let[@inline] add t k =
+    match t with
+    | Dense { lo; _ } -> k - lo
+    | Hashed h ->
+      let s = Int_table.slot h k in
+      Array.unsafe_set h.keys s k;
+      s
+
+  (* The loops below read row [row rows p]'s code inline, match the
+     table kind once outside the loop, and index a dense
+     table with no range check: every code lies in the range the table
+     was made for.  The counting loops keep the bounds check on the
+     slot they write, so a code outside the range raises rather than
+     writes outside the array; the probes read without it. *)
+
+  let count t codes rows n =
+    let vals = vals t in
+    for p = 0 to n - 1 do
+      let s = add t (code_at codes (row rows p)) in
+      vals.(s) <- vals.(s) + 1
+    done
+
+  let histogram t codes rows n =
+    let out = Array.make (Array.length (vals t)) 0 in
+    (match t with
+    | Dense { lo; _ } ->
+      for p = 0 to n - 1 do
+        let s = code_at codes (row rows p) - lo in
+        out.(s) <- out.(s) + 1
+      done
+    | Hashed h ->
+      for p = 0 to n - 1 do
+        let s = Int_table.slot h (code_at codes (row rows p)) in
+        out.(s) <- out.(s) + 1
+      done);
+    out
+
+  let probe_count t codes rows n =
+    let hits = ref 0 and total = ref 0 in
+    (match t with
+    | Dense { lo; vals } ->
+      for p = 0 to n - 1 do
+        let v = Array.unsafe_get vals (code_at codes (row rows p) - lo) in
+        hits := !hits + Bool.to_int (v > 0);
+        total := !total + v
+      done
+    | Hashed h ->
+      for p = 0 to n - 1 do
+        let v = Array.unsafe_get h.vals (Int_table.slot h (code_at codes (row rows p))) in
+        hits := !hits + Bool.to_int (v > 0);
+        total := !total + v
+      done);
+    (!hits, !total)
+
+  let probe_iter t codes rows n f =
+    match t with
+    | Dense { lo; vals } ->
+      for p = 0 to n - 1 do
+        let i = row rows p in
+        let v = Array.unsafe_get vals (code_at codes i - lo) in
+        if v > 0 then f i v
+      done
+    | Hashed h ->
+      for p = 0 to n - 1 do
+        let i = row rows p in
+        let v = Array.unsafe_get h.vals (Int_table.slot h (code_at codes i)) in
+        if v > 0 then f i v
+      done
 end
 
 (* --- equijoin key codes ---------------------------------------------- *)
@@ -407,20 +512,27 @@ module Key_dict = struct
       c
 
   let find t key = match H.find_opt t key with Some c -> c | None -> -1
+
+  let length = H.length
 end
 
-type codes =
-  | Raw of int array
-  | Remapped of int array * int array
+type coded = {
+  left : codes;
+  right : codes;
+  lo : int;
+  hi : int;
+}
 
 let join_codes l jl r jr =
   match Column.col l jl, Column.col r jr with
-  | Column.Ints { data = dl; nulls = None }, Column.Ints { data = dr; nulls = None } ->
-    (* Raw ints are their own codes.  A null on either side has no int
-       sentinel available, so those keys take the dictionary. *)
-    Some (Raw dl, Raw dr)
+  | ( Column.Ints { data = dl; nulls = None; lo = ll; hi = hl },
+      Column.Ints { data = dr; nulls = None; lo = lr; hi = hr } ) ->
+    (* Raw ints are their own codes, within the two columns' ranges.  A
+       null on either side has no int sentinel available, so those keys
+       take the dictionary. *)
+    Some { left = Raw dl; right = Raw dr; lo = Int.min ll lr; hi = Int.max hl hr }
   | ( Column.Dict { codes = lcodes; dict = ldict; _ },
-      Column.Dict { codes = rcodes; lookup = rlookup; _ } ) ->
+      Column.Dict { codes = rcodes; dict = rdict; lookup = rlookup; _ } ) ->
     (* Left codes read through a remap into the right dictionary, by
        code + 1: -1 (Null) maps to -1, so Null keys match Null keys
        exactly as Tuple.equal does; strings absent from the right get
@@ -432,7 +544,8 @@ let join_codes l jl r jr =
       (fun c s ->
         remap.(c + 1) <- (match Hashtbl.find_opt rlookup s with Some c -> c | None -> -2))
       ldict;
-    Some (Remapped (lcodes, remap), Raw rcodes)
+    Some
+      { left = Remapped (lcodes, remap); right = Raw rcodes; lo = -2; hi = Array.length rdict - 1 }
   | (Column.Ints _ | Column.Floats _ | Column.Bools _ | Column.Dict _ | Column.Generic _), _
     ->
     None

@@ -6,8 +6,8 @@
     (including Null-comparison-is-false, cross-type rank ordering and
     [Not_found] on unknown attributes), and equal join codes match key
     pairs exactly when [Tuple.equal] would (Null keys match Null keys).
-    Nothing here records metrics: the joins built on the codes
-    ({!Physical}) account their probes. *)
+    Nothing here records metrics: the joins built on the codes and the
+    key tables ({!Physical}) account their probes. *)
 
 (** [compile view p] lowers [p] into a row-index predicate, for callers
     that test one row at a time.  Single Attr-vs-Const comparisons over
@@ -52,25 +52,13 @@ val count : ?ids:int array -> Column.t -> Predicate.t -> int
     and the cursor advances by the row's verdict). *)
 val filter_indices : ?ids:int array -> Column.t -> Predicate.t -> int array
 
-(** Open-addressing table from int keys to positive ints: the key →
-    group and key → multiplicity tables of the joins
-    ({!Physical.count_expr}) and the planner's join statistics.  A slot
-    [s] is empty while [vals.(s) = 0]; the caller stores [keys.(s)] and
-    a positive [vals.(s)] itself. *)
-module Int_table : sig
-  type t = {
-    shift : int;
-    keys : int array;
-    vals : int array;
-  }
+(** {1 Equijoin keys}
 
-  (** A table with at least [2n] slots (at least 16), so it never fills
-      with [n] keys. *)
-  val create : int -> t
-
-  (** The slot holding key [k], or the empty slot where it would go. *)
-  val slot : t -> int -> int
-end
+    An equijoin codes its keys as ints, one per row, so that equal codes
+    match exactly the key pairs [Tuple.equal] matches, and counts them in
+    a {!Key_table}: the joins of {!Physical.count_expr} and
+    {!Physical.eval} and the planner's join moments build and probe the
+    same table. *)
 
 (** A key column's join codes, by row id of its view: [Raw data] reads
     row [i]'s code as [data.(i)], and [Remapped (codes, remap)] as
@@ -79,15 +67,82 @@ type codes =
   | Raw of int array
   | Remapped of int array * int array
 
-(** [join_codes l jl r jr] is [Some (kl, kr)] when both key columns
-    admit a shared int code space in which code equality coincides with
-    [Value.equal] of the key values: null-free int columns (their raw
-    values, the column's own array) and dictionary pairs (the left
-    column's codes read through a remap into the right dictionary, so
-    no code array is copied; [-1] = Null on both sides, [-2] = absent
-    from the right).  [None] for every other pair of columns: the join
-    codes its keys through a {!Key_dict} instead. *)
-val join_codes : Column.t -> int -> Column.t -> int -> (codes * codes) option
+(** Both sides' codes, and a range [[lo, hi]] that holds every code
+    either side can produce. *)
+type coded = {
+  left : codes;
+  right : codes;
+  lo : int;
+  hi : int;
+}
+
+(** [join_codes l jl r jr] codes the key columns [jl] of [l] and [jr] of
+    [r] when both admit a shared int code space in which code equality
+    coincides with [Value.equal] of the key values:
+    - null-free int columns: their raw values, the columns' own arrays,
+      within the union of the two columns' ranges (recorded as each
+      column is encoded, {!Column.col});
+    - dictionary pairs: the left column's codes read through a remap
+      into the right dictionary, so no code array is copied ([-1] = Null
+      on both sides, [-2] = absent from the right), within
+      [[-2, |right dictionary| - 1]].
+
+    [None] for every other pair of columns: the join codes its keys
+    through a {!Key_dict} instead. *)
+val join_codes : Column.t -> int -> Column.t -> int -> coded option
+
+(** Int join codes to positive ints, [0] meaning absent: the key → group
+    and key → multiplicity tables of the joins, and the per-key counts
+    of the planner's join moments.
+
+    Density rule: a table for codes in [[lo, hi]] built from [rows]
+    rows is an int array indexed by [code - lo] when
+    [hi - lo + 1 <= max 4096 (8 × rows)], at most 32 KB or about what an
+    open-addressing table of [rows] keys takes; any wider range (or one
+    whose span overflows an int) is an open-addressing table of at least
+    [2 × rows] slots.  Either way a code's value lives in a {e slot}, an
+    index into {!vals}.
+
+    Every code the table sees must lie in [[lo, hi]]: the dense table
+    indexes with no range check.  The ranges of {!join_codes} hold every
+    code of either side's column, and a {!Key_dict}'s codes lie in
+    [[-1, D - 1]] once its build side has numbered its [D] keys. *)
+module Key_table : sig
+  type t
+
+  val create : lo:int -> hi:int -> rows:int -> t
+
+  (** The value of each slot, [0] while the slot is empty; the caller
+      stores a positive value in the slot of a code it {!add}s. *)
+  val vals : t -> int array
+
+  (** The slot of code [k]: the one {!add} claimed for it, or for a code
+      never added a slot whose value is [0]. *)
+  val slot : t -> int -> int
+
+  (** The slot of code [k], claimed for it. *)
+  val add : t -> int -> int
+
+  (** {2 Loops over a vector of rows}
+
+      Each reads the code of row [rows.(p)] (row [p] when [rows] is
+      [None]) for [p] below [n], inline, in order.  The rows are row ids
+      of the codes' view. *)
+
+  (** [count t codes rows n] adds 1 to the value of each row's code. *)
+  val count : t -> codes -> int array option -> int -> unit
+
+  (** The number of rows whose code falls in each slot, by slot. *)
+  val histogram : t -> codes -> int array option -> int -> int array
+
+  (** [(hits, total)]: the rows whose code has a positive value, and the
+      sum of the values over all rows. *)
+  val probe_count : t -> codes -> int array option -> int -> int * int
+
+  (** [probe_iter t codes rows n f] calls [f i v] for each row [i], in
+      order, whose code has the value [v > 0]. *)
+  val probe_iter : t -> codes -> int array option -> int -> (int -> int -> unit) -> unit
+end
 
 (** Dense int codes for join key tuples that {!join_codes} cannot code:
     float, bool and generic columns, nullable ints, mixed types, several
@@ -108,4 +163,8 @@ module Key_dict : sig
   (** The key's code, or [-1] (a code {!code} never gives) when it is
       absent. *)
   val find : t -> Tuple.t -> int
+
+  (** The number of keys numbered, [D]: the codes given are
+      [0 … D - 1]. *)
+  val length : t -> int
 end

@@ -5,7 +5,7 @@ module Tuple_hash = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-module Int_table = Kernel.Int_table
+module Key_table = Kernel.Key_table
 module Key_dict = Kernel.Key_dict
 
 (* --- plans on row ids ------------------------------------------------- *)
@@ -35,7 +35,7 @@ type plan =
   | Filter_rows of plan * int * (int -> bool)  (** keep rows whose [leaf] row passes *)
   | Test_rows of plan * shape * (Tuple.t -> bool)
       (** keep rows whose tuple, gathered in [shape], passes *)
-  | Join_rows of side * side
+  | Join_rows of side * side  (** the left side probes, the right builds *)
   | Product_rows of product
 
 and side = {
@@ -44,13 +44,9 @@ and side = {
 }
 
 and key =
-  | Codes of int * int array
-      (** a leaf, and the key code by row id of that leaf
-          ({!Kernel.join_codes}) *)
-  | Remapped of int * int array * int array
-      (** a leaf, the dictionary codes by row id of that leaf, and their
-          remap into the other side's dictionary, by code + 1
-          ({!Kernel.join_codes}) *)
+  | Codes of { leaf : int; codes : Kernel.codes; lo : int; hi : int }
+      (** a leaf, the key codes by row id of that leaf, and the range
+          [[lo, hi]] of both sides' codes ({!Kernel.join_codes}) *)
   | Tuples of Key_dict.t * Relation.t array * (int * int) array
       (** the join's dictionary, and the leaves and the leaf and column of
           each key attribute *)
@@ -140,8 +136,9 @@ let gatherer shape =
    build row has, on the probe side when the build side lacks the key. *)
 let[@inline] key_code ~build s key t =
   match key with
-  | Codes (leaf, codes) -> codes.(row_id s leaf t)
-  | Remapped (leaf, codes, remap) -> remap.(codes.(row_id s leaf t) + 1)
+  | Codes { leaf; codes = Kernel.Raw codes; _ } -> codes.(row_id s leaf t)
+  | Codes { leaf; codes = Kernel.Remapped (codes, remap); _ } ->
+    remap.(codes.(row_id s leaf t) + 1)
   | Tuples (dict, leaves, at) ->
     let k = gather leaves at s t in
     if build then Key_dict.code dict k else Key_dict.find dict k
@@ -163,6 +160,17 @@ let push b x =
   b.data.(b.used) <- x;
   b.used <- b.used + 1
 
+(* A join's key table, once its build side has coded its [rows] rows:
+   a dictionary's [D] keys have the codes [0 .. D-1], and a probe key it
+   lacks [-1]. *)
+let key_table key rows =
+  let lo, hi =
+    match key with
+    | Codes { lo; hi; _ } -> (lo, hi)
+    | Tuples (dict, _, _) -> (-1, Key_dict.length dict - 1)
+  in
+  Key_table.create ~lo ~hi ~rows
+
 (* Handles in stream order, in an array sized by the stream's bound. *)
 let handles s =
   let out = Array.make s.bound 0 and k = ref 0 in
@@ -171,21 +179,38 @@ let handles s =
       incr k);
   if !k = s.bound then out else Array.sub out 0 !k
 
-let rec stream metrics = function
-  | Scan_rows (n, None) ->
-    {
-      iter =
-        (fun f ->
-          for i = 0 to n - 1 do
-            f i
-          done);
-      rows = Leaf;
-      bound = n;
-    }
-  | Scan_rows (n, Some ids) -> { iter = (fun f -> Array.iter f ids); rows = Leaf; bound = n }
+(* The rows of a one-leaf plan read through a vector: the row ids
+   [rows] (the rows [0 .. n-1] when [None]) and their number [n]. *)
+let vector = function
+  | Scan_rows (n, ids) -> Some (ids, n)
   | Select_rows (view, ids, p) ->
     let ids = Kernel.filter_indices ?ids view p in
-    { iter = (fun f -> Array.iter f ids); rows = Leaf; bound = Array.length ids }
+    Some (Some ids, Array.length ids)
+  | Filter_rows _ | Test_rows _ | Join_rows _ | Product_rows _ -> None
+
+let vector_stream (rows, n) =
+  let iter =
+    match rows with
+    | None ->
+      fun f ->
+        for i = 0 to n - 1 do
+          f i
+        done
+    | Some ids -> fun f -> Array.iter f ids
+  in
+  { iter; rows = Leaf; bound = n }
+
+(* A join side whose probes run the key table's loops over a vector:
+   one leaf read through a vector, keyed by its int or dictionary
+   codes.  Products, filters and joins under a join, and keys coded
+   through the join's dictionary, probe row by row. *)
+let probe_vector side =
+  match side.key with
+  | Codes { codes; _ } -> Option.map (fun v -> (codes, v)) (vector side.plan)
+  | Tuples _ -> None
+
+let rec stream metrics = function
+  | (Scan_rows _ | Select_rows _) as plan -> vector_stream (Option.get (vector plan))
   | Filter_rows (plan, leaf, keep) ->
     let s = stream metrics plan in
     { s with iter = (fun f -> s.iter (fun t -> if keep (row_id s leaf t) then f t)) }
@@ -254,25 +279,29 @@ and test_pairs p pair test emit =
 
 (* An inner join emits the row ids of its pairs, left-major and in build
    order within a left row, like [Eval.hash_equijoin]'s output.  The
-   right rows are grouped by key code; the left rows are streamed once
-   to probe (once per left row), keeping the hits and their groups, and
-   the output is filled from those. *)
+   right rows are grouped by key code; the left rows are probed once
+   each, keeping the hits and their groups, and the output is filled
+   from those. *)
 and join_rows metrics l r =
-  let rs = stream metrics r.plan and ls = stream metrics l.plan in
-  let table = Int_table.create rs.bound in
-  let rows = Array.make rs.bound 0 and row_group = Array.make rs.bound 0 in
-  let m = ref 0 and groups = ref 0 in
+  let rs = stream metrics r.plan in
+  let built = Array.make rs.bound 0 and row_group = Array.make rs.bound 0 in
+  let m = ref 0 in
   rs.iter (fun u ->
-      let k = key_code ~build:true rs r.key u in
-      let s = Int_table.slot table k in
-      if table.vals.(s) = 0 then begin
-        table.keys.(s) <- k;
-        incr groups;
-        table.vals.(s) <- !groups
-      end;
-      rows.(!m) <- u;
-      row_group.(!m) <- table.vals.(s) - 1;
+      built.(!m) <- u;
+      row_group.(!m) <- key_code ~build:true rs r.key u;
       incr m);
+  let table = key_table r.key !m in
+  let vals = Key_table.vals table and groups = ref 0 in
+  (* Each key code gives way to its group, numbered in order of first
+     sight. *)
+  for p = 0 to !m - 1 do
+    let s = Key_table.add table row_group.(p) in
+    if vals.(s) = 0 then begin
+      incr groups;
+      vals.(s) <- !groups
+    end;
+    row_group.(p) <- vals.(s) - 1
+  done;
   (* [members] lists the right rows group by group, in row order. *)
   let starts = Array.make (!groups + 1) 0 in
   for p = 0 to !m - 1 do
@@ -285,21 +314,35 @@ and join_rows metrics l r =
   let members = Array.make !m 0 and fill = Array.sub starts 0 !groups in
   for p = 0 to !m - 1 do
     let g = row_group.(p) in
-    members.(fill.(g)) <- rows.(p);
+    members.(fill.(g)) <- built.(p);
     fill.(g) <- fill.(g) + 1
   done;
   (* [hits] holds each matched left row and its group, in turn. *)
-  let hits = ints () and total = ref 0 and probes = ref 0 in
-  ls.iter (fun t ->
-      incr probes;
-      let g = table.vals.(Int_table.slot table (key_code ~build:false ls l.key t)) - 1 in
-      if g >= 0 then begin
-        push hits t;
-        push hits g;
-        total := !total + starts.(g + 1) - starts.(g)
-      end);
+  let hits = ints () in
+  let hit t v =
+    push hits t;
+    push hits (v - 1)
+  in
+  let ls, probes =
+    match probe_vector l with
+    | Some (codes, ((rows, n) as v)) ->
+      Key_table.probe_iter table codes rows n hit;
+      (vector_stream v, n)
+    | None ->
+      let ls = stream metrics l.plan and probes = ref 0 in
+      ls.iter (fun t ->
+          incr probes;
+          let v = vals.(Key_table.slot table (key_code ~build:false ls l.key t)) in
+          if v > 0 then hit t v);
+      (ls, !probes)
+  in
   let matched = hits.used / 2 in
-  Obs.Metrics.add_probes metrics ~hits:matched ~misses:(!probes - matched);
+  Obs.Metrics.add_probes metrics ~hits:matched ~misses:(probes - matched);
+  let total = ref 0 in
+  for h = 0 to matched - 1 do
+    let g = hits.data.((2 * h) + 1) in
+    total := !total + starts.(g + 1) - starts.(g)
+  done;
   let lw = width ls and rw = width rs in
   let out = Array.init (lw + rw) (fun _ -> Array.make !total 0) in
   let k = ref 0 in
@@ -323,21 +366,29 @@ and join_rows metrics l r =
    once. *)
 let join_count metrics l r =
   let rs = stream metrics r.plan in
-  let table = Int_table.create rs.bound in
+  let built = Array.make rs.bound 0 and m = ref 0 in
   rs.iter (fun u ->
-      let k = key_code ~build:true rs r.key u in
-      let s = Int_table.slot table k in
-      table.keys.(s) <- k;
-      table.vals.(s) <- table.vals.(s) + 1);
-  let ls = stream metrics l.plan in
-  let probes = ref 0 and hits = ref 0 and total = ref 0 in
-  ls.iter (fun t ->
-      let n = table.vals.(Int_table.slot table (key_code ~build:false ls l.key t)) in
-      incr probes;
-      hits := !hits + Bool.to_int (n > 0);
-      total := !total + n);
-  Obs.Metrics.add_probes metrics ~hits:!hits ~misses:(!probes - !hits);
-  !total
+      built.(!m) <- key_code ~build:true rs r.key u;
+      incr m);
+  let table = key_table r.key !m in
+  Key_table.count table (Kernel.Raw built) None !m;
+  let probes, hits, total =
+    match probe_vector l with
+    | Some (codes, (rows, n)) ->
+      let hits, total = Key_table.probe_count table codes rows n in
+      (n, hits, total)
+    | None ->
+      let ls = stream metrics l.plan and vals = Key_table.vals table in
+      let probes = ref 0 and hits = ref 0 and total = ref 0 in
+      ls.iter (fun t ->
+          let n = vals.(Key_table.slot table (key_code ~build:false ls l.key t)) in
+          incr probes;
+          hits := !hits + Bool.to_int (n > 0);
+          total := !total + n);
+      (!probes, !hits, !total)
+  in
+  Obs.Metrics.add_probes metrics ~hits ~misses:(probes - hits);
+  total
 
 (* The tuples of a plan's rows, in stream order. *)
 let tuples metrics shape plan =
@@ -417,12 +468,9 @@ let rec compile_rows metrics catalog expr =
       | [ (a, b) ] ->
         let kl, jl = at sl a and kr, jr = at sr b in
         let view shape k = Relation.columnar shape.leaves.(k) in
-        let key k = function
-          | Kernel.Raw codes -> Codes (k, codes)
-          | Kernel.Remapped (codes, remap) -> Remapped (k, codes, remap)
-        in
         Option.map
-          (fun (cl, cr) -> (key kl cl, key kr cr))
+          (fun { Kernel.left; right; lo; hi } ->
+            (Codes { leaf = kl; codes = left; lo; hi }, Codes { leaf = kr; codes = right; lo; hi }))
           (Kernel.join_codes (view sl kl) jl (view sr kr) jr)
       | _ -> None
     in

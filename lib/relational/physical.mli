@@ -25,11 +25,17 @@
       a root product without a test multiplies its sides' counts;
     - an equijoin emits row-id pairs, left-major and in build order
       within a left row, and the root join counts from a key →
-      multiplicity table ({!Kernel.Int_table}).  One int or dictionary
-      key column per side is coded by {!Kernel.join_codes}, and every
-      other key through a {!Kernel.Key_dict} of the right side's key
-      tuples: Null matches Null and [Int 1] matches [Float 1.0], as in
-      [Tuple.equal];
+      multiplicity table.  One int or dictionary key column per side is
+      coded by {!Kernel.join_codes}, and every other key through a
+      {!Kernel.Key_dict} of the right side's key tuples: Null matches
+      Null and [Int 1] matches [Float 1.0], as in [Tuple.equal].  The
+      right side builds a {!Kernel.Key_table} over the codes' range
+      (dense or open addressing by its density rule); a left side that
+      is one leaf read through a vector (its scan, a selection vector
+      or a sample's ids) keyed by its int or dictionary codes probes it
+      in one of the table's loops over that vector, and any other left
+      side (a product, a filter, a join, or a dictionary-coded key)
+      probes it row by row;
     - [Distinct], the set operations and [Aggregate] stream their
       input's tuples once, and their result becomes a new leaf.
 

@@ -48,6 +48,13 @@ let check_unit_open ~option value =
   if not (value > 0. && value < 1.) then
     failwith (Printf.sprintf "%s %g outside (0, 1)" option value)
 
+(* A normal interval reads the quantile at (1 + level) / 2, which
+   rounds to 1 for a level within an ulp or so of 1. *)
+let check_level level =
+  check_unit_open ~option:"--level" level;
+  if not ((1. +. level) /. 2. < 1.) then
+    failwith (Printf.sprintf "--level %.17g too close to 1: (1 + level) / 2 rounds to 1" level)
+
 let max_groups = 10_000
 
 (* The lower bound's message is the one Count_estimator.estimate
@@ -93,7 +100,7 @@ type result = {
 let estimate ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?index_source rng
     catalog ~relation ~fraction ~level predicate =
   check_fraction fraction;
-  check_unit_open ~option:"--level" level;
+  check_level level;
   let base = Relational.Catalog.find catalog relation in
   Expr.check_selection (Relational.Relation.schema base) predicate;
   let big_n = Relational.Relation.cardinality base in
@@ -128,7 +135,7 @@ let estimate ?(metrics = Metrics.noop) ?plans ?(plan_prefix = "") ?index_source 
    shared by the daemon's stream-aware "estimate" and the one-shot
    [raestat ingest --where], so the two stay byte-identical. *)
 let estimate_stream ?(metrics = Metrics.noop) ~relation ~level stream predicate =
-  check_unit_open ~option:"--level" level;
+  check_level level;
   let module SR = Raestat.Stream_relation in
   Expr.check_selection (SR.schema stream) predicate;
   let est =
@@ -161,7 +168,7 @@ let estimate_stream ?(metrics = Metrics.noop) ~relation ~level stream predicate 
    responses stay byte-identical to the one-shot CLI.  Over a pagefile
    only the sampled pages are fetched — real I/O on [metrics]. *)
 let estimate_pages ?(metrics = Metrics.noop) rng ~relation ~m ~level paged predicate =
-  check_unit_open ~option:"--level" level;
+  check_level level;
   Expr.check_selection (Relational.Paged.schema paged) predicate;
   let result = Raestat.Cluster_estimator.count ~metrics rng ~m paged predicate in
   let est = result.Raestat.Cluster_estimator.estimate in

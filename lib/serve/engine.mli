@@ -45,6 +45,12 @@ val load_catalog :
 val check_fraction : float -> unit
 val check_unit_open : option:string -> float -> unit
 
+(** The [--level] of a normal interval: inside (0, 1), and far enough
+    below 1 that [(1 + level) / 2], where the interval reads the normal
+    quantile, does not round to 1 (so [0.9999999999999999] is refused).
+    [estimate], stream estimates and page estimates check it first. *)
+val check_level : float -> unit
+
 (** Rejects [groups] below 1 or above 10,000, the most replicate groups
     a [query], [sql] or explain accepts. *)
 val check_groups : int -> unit

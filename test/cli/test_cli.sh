@@ -43,8 +43,9 @@ echo "$out" | expect "empty census" "sampled 0 of 0 tuples \(100.00%\)"
 echo "$out" | expect "empty degenerate ci" "95% CI: \[0, 0\]"
 
 # a one-tuple sample carries no variance estimate: the estimate answers
-# without a CI line (it used to fail in Estimate.ci), here at 1 of 2
-# and for a one-row census
+# without a CI line (it used to fail in Estimate.ci), here at 1 of 2;
+# a one-row census is exact, so its CI is the point, as the empty
+# census's is
 printf 'a:int\n100\n500\n' > "$workdir/two.csv"
 out="$("$cli" estimate "$workdir/two.csv" --where "a < 300" -f 0.5)" \
   || fail "one-tuple estimate failed"
@@ -57,6 +58,7 @@ printf 'a:int\n100\n' > "$workdir/one.csv"
 diff -u - "$workdir/one.out" <<'EOF' || fail "one-row census estimate drifted"
 estimated COUNT: 1
 sampled 1 of 1 tuples (100.00%)
+95% CI: [1, 1]
 EOF
 
 # ingest (streaming with maintained samples) ----------------------------
@@ -477,6 +479,10 @@ expect_error "level nan" '--level nan outside \(0, 1\)' \
   estimate "$workdir/u.csv" --where "a < 30" --level nan
 expect_error "level above one" '--level 1.5 outside \(0, 1\)' \
   quantile "$workdir/u.csv" -c a --level 1.5
+# a level inside (0, 1) whose (1 + level) / 2 rounds to 1 has no normal
+# quantile: refused naming --level, not with a Distributions error
+expect_error "level too close to one" '--level 0.99999999999999989 too close to 1' \
+  estimate "$workdir/u.csv" --where "a < 30" -f 0.1 --level 0.9999999999999999
 expect_error "tau out of range" '--tau 1.2 outside \(0, 1\)' \
   quantile "$workdir/u.csv" -c a -t 1.2
 expect_error "query fraction nan" '--fraction nan outside \(0, 1\]' \

@@ -424,6 +424,154 @@ let test_vector_probe () =
     (snap.Metrics.hash_probe_hits, snap.Metrics.hash_probe_misses);
   Alcotest.(check bool) "row engine agrees" true (counts_agree catalog e)
 
+(* ------------------------------------------------------------------ *)
+(* The key table's representations                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Joins whose key codes force each representation of the key table
+   ([Kernel.Key_table]):
+   - [Small]: a dense array over a small range with negative keys;
+   - [Boundary]: keys in [-3, 3] plus -2600 and 2600 on the right, a
+     span of 5,201, with 600-700 right rows: dense from 651 build rows
+     ([8 × rows >= 5201]), open addressing below;
+   - [Wide]: keys × 2^40, open addressing;
+   - [Extreme]: [min_int] with [max_int], where [hi - lo] overflows;
+   - [Dict]: string keys with Null (code -1) and strings the right side
+     lacks (code -2);
+   - [Two]: a two-attribute key, coded through the join's [Key_dict].
+   Each case counts a root join (with and without selections) and a
+   join under a join, on either side of the outer join, on the plain
+   relations and on samples read in place, against [Eval], probe hits
+   and misses included, and checks [Planner.join_moments] against sums
+   over a hash table of the passing key tuples. *)
+
+type key_kind =
+  | Small
+  | Boundary
+  | Wide
+  | Extreme
+  | Dict
+  | Two
+
+let key_kinds = [ Small; Boundary; Wide; Extreme; Dict; Two ]
+
+let key_kind_name = function
+  | Small -> "small"
+  | Boundary -> "boundary"
+  | Wide -> "wide"
+  | Extreme -> "extreme"
+  | Dict -> "dict"
+  | Two -> "two"
+
+let key_value st kind ~right =
+  match kind with
+  | Small | Two -> Value.Int (Random.State.int st 13 - 6)
+  | Boundary -> Value.Int (Random.State.int st 7 - 3)
+  | Wide -> Value.Int ((Random.State.int st 9 - 4) * (1 lsl 40))
+  | Extreme -> Value.Int (pick st [ min_int; min_int + 1; -1; 0; max_int - 1; max_int ])
+  | Dict ->
+    if Random.State.int st 5 = 0 then Value.Null
+    else Value.Str (pick st (if right then [ "a"; "b"; "c" ] else [ "a"; "b"; "c"; "left only" ]))
+
+(* A relation of [rows] rows over [key] and an int payload [payload]
+   in [0, 3]; a [Boundary] right side starts with its two extremes. *)
+let key_relation st kind ~right ~rows (key, payload) =
+  let ty = if kind = Dict then Value.Tstr else Value.Tint in
+  Relation.of_array
+    (Schema.of_list [ (key, ty); (payload, Value.Tint) ])
+    (Array.init rows (fun i ->
+         let k =
+           match kind, i with
+           | Boundary, 0 when right -> Value.Int (-2600)
+           | Boundary, 1 when right -> Value.Int 2600
+           | _ -> key_value st kind ~right
+         in
+         [| k; Value.Int (Random.State.int st 4) |]))
+
+let key_case_gen st =
+  let kind = pick st key_kinds in
+  let right_rows =
+    if kind = Boundary then 600 + Random.State.int st 101 else Random.State.int st 40
+  in
+  let l = key_relation st kind ~right:false ~rows:(Random.State.int st 40) ("k", "x") in
+  let r = key_relation st kind ~right:true ~rows:right_rows ("k2", "y") in
+  let m = key_relation st kind ~right:true ~rows:(Random.State.int st 12) ("k3", "z") in
+  let catalog = Catalog.of_list [ ("l", l); ("m", m); ("r", r) ] in
+  (kind, catalog, Random.State.int st 4, Random.State.bits st)
+
+let print_key_case (kind, catalog, c, seed) =
+  Printf.sprintf "%s, constant %d (sample seed %d)\n%s" (key_kind_name kind) c seed
+    (String.concat "\n"
+       (List.map
+          (fun n -> n ^ ": " ^ Relation.to_string (Catalog.find catalog n))
+          (Catalog.names catalog)))
+
+module Tuple_table = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+(* J, SS_left and SS_right of [l ⋈ r] from the tuples each side passes,
+   in ints: the key tuples' multiplicities in a hash table. *)
+let reference_moments catalog pairs l r =
+  let counts e attrs =
+    let relation = Eval.eval catalog e in
+    let key = Array.of_list (List.map (Schema.index_of (Relation.schema relation)) attrs) in
+    let table = Tuple_table.create 16 in
+    Relation.iter
+      (fun t ->
+        let k = Tuple.project t key in
+        Tuple_table.replace table k (1 + Option.value (Tuple_table.find_opt table k) ~default:0))
+      relation;
+    table
+  in
+  let cl = counts l (List.map fst pairs) and cr = counts r (List.map snd pairs) in
+  let j = ref 0 and ss_l = ref 0 and ss_r = ref 0 in
+  Tuple_table.iter
+    (fun key m ->
+      match Tuple_table.find_opt cr key with
+      | Some n ->
+        j := !j + (m * n);
+        ss_l := !ss_l + (m * n * n);
+        ss_r := !ss_r + (n * m * m)
+      | None -> ())
+    cl;
+  (float_of_int !j, float_of_int !ss_l, float_of_int !ss_r)
+
+let prop_key_table =
+  qcheck_case ~count:300 "joins agree with Eval on every key table representation"
+    (QCheck.make ~print:print_key_case key_case_gen)
+    (fun (kind, catalog, c, seed) ->
+      let pairs = if kind = Two then [ ("k", "k2"); ("x", "y") ] else [ ("k", "k2") ] in
+      let l = Expr.base "l" and r = Expr.base "r" in
+      let sl = Expr.select (P.lt (P.attr "x") (P.vint c)) l
+      and sr = Expr.select (P.ge (P.attr "y") (P.vint c)) r in
+      let inner = Expr.equijoin pairs l r in
+      let exprs =
+        [
+          inner;
+          Expr.equijoin pairs sl sr;
+          Expr.equijoin [ ("k2", "k3") ] inner (Expr.base "m");
+          Expr.equijoin [ ("k3", "k") ] (Expr.base "m") (Expr.equijoin pairs sl r);
+        ]
+      in
+      let moments_agree catalog =
+        List.for_all
+          (fun (l, r) ->
+            Raestat.Planner.join_moments catalog (Expr.equijoin pairs l r)
+            = Some (reference_moments catalog pairs l r))
+          [ (l, r); (sl, sr) ]
+      in
+      List.for_all
+        (fun catalog -> List.for_all (agrees catalog) exprs && moments_agree catalog)
+        [
+          catalog;
+          sample_catalog ~viewed:true ~seed catalog;
+          sample_catalog ~viewed:false ~seed catalog;
+        ])
+
 let suite =
   [
     Alcotest.test_case "agrees with Eval" `Quick test_agrees_with_eval;
@@ -436,4 +584,5 @@ let suite =
       test_columnar_count_large;
     Alcotest.test_case "root join probes a stacked selection vector" `Quick
       test_vector_probe;
+    prop_key_table;
   ]

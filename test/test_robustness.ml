@@ -19,7 +19,11 @@ let test_single_tuple_relation () =
   check_float "single tuple" 1. est.Estimate.point;
   let sel = CE.selection (rng ()) c ~relation:"one" ~n:1 (P.eq (P.attr "a") (P.vint 7)) in
   check_float "selection over n=1" 1. sel.Estimate.point;
-  (* n=1 cannot carry a variance estimate. *)
+  (* n=1 of N=1 is a census, which is exact; n=1 short of a census
+     cannot carry a variance estimate. *)
+  check_float "census of one is exact" 0. sel.Estimate.variance;
+  let c = Catalog.of_list [ ("two", int_relation [ 7; 8 ]) ] in
+  let sel = CE.selection (rng ()) c ~relation:"two" ~n:1 (P.eq (P.attr "a") (P.vint 7)) in
   Alcotest.(check bool) "no variance at n=1" false (Estimate.has_variance sel)
 
 let test_constant_column () =

@@ -171,15 +171,14 @@ let test_cache_clear () =
 
 (* A small CSV on disk: the server loads its catalog from file bindings
    exactly like the daemon does. *)
-let with_server ?(plan_capacity = 8) ?(queue_limit = 16) ?(workers = 1) f =
+let with_server ?(plan_capacity = 8) ?(queue_limit = 16) ?(workers = 1)
+    ?(rows = List.init 200 (fun i -> i mod 100)) f =
   let path = Filename.temp_file "raestat-serve" ".csv" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let oc = open_out path in
       output_string oc "a:int\n";
-      for i = 0 to 199 do
-        Printf.fprintf oc "%d\n" (i mod 100)
-      done;
+      List.iter (Printf.fprintf oc "%d\n") rows;
       close_out oc;
       let state =
         Server.create_state
@@ -455,6 +454,10 @@ let test_server_errors () =
       ("seed 2^62", "seed", "4611686018427387904.0");
       ("groups 1e300", "groups", "1e300");
     ];
+  (* a level whose (1 + level) / 2 rounds to 1 is refused naming the
+     level, not with the normal quantile's own error *)
+  check_error "level too close to 1" "--level 0.99999999999999989 too close to 1"
+    {|{"op": "estimate", "where": "a < 30", "fraction": 0.1, "level": 0.9999999999999999}|};
   (* a join of two bare base relations names its missing attribute,
      as the same join with a selected leaf always did *)
   check_error "unknown join attribute"
@@ -781,6 +784,14 @@ let test_server_one_tuple_estimate () =
   Alcotest.(check bool) "sample line" true (contains "sampled 1 of 200 tuples" text);
   Alcotest.(check bool) "no CI line" false (contains "CI" text)
 
+(* A census is exact, of one row as of many: its CI is the point. *)
+let test_server_one_row_census () =
+  with_server ~rows:[ 100 ] @@ fun state ->
+  Alcotest.(check string) "census reply"
+    "estimated COUNT: 1\nsampled 1 of 1 tuples (100.00%)\n95% CI: [1, 1]\n"
+    (result_text
+       (Server.handle_line state {|{"op": "estimate", "where": "a < 300", "fraction": 1.0}|}))
+
 let test_server_stream_writes () =
   with_server @@ fun state ->
   (* Unbound relation: schema inferred from the first tuple. *)
@@ -1011,6 +1022,7 @@ let suite =
     Alcotest.test_case "estimate parity" `Quick test_server_estimate_parity;
     Alcotest.test_case "filter grammar" `Quick test_server_filter_grammar;
     Alcotest.test_case "one-tuple estimate answers" `Quick test_server_one_tuple_estimate;
+    Alcotest.test_case "one-row census is exact" `Quick test_server_one_row_census;
     Alcotest.test_case "query and sql share plans" `Quick test_server_query_sql_share_plans;
     Alcotest.test_case "optimizer setting keys the plan cache" `Quick
       test_server_optimize_keys_cache;
