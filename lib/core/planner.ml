@@ -274,48 +274,32 @@ type side = {
   n : int;
 }
 
-(* J = Σ_v m_v·n_v, SS_left = Σ_v m_v·n_v² and SS_right = Σ_v n_v·m_v²
-   from the int key codes of the two sides, whose codes lie in
-   [lo, hi]: a key of multiplicity m on the left and n on the right adds
-   m·n to J, m·n² to SS_left and n·m² to SS_right (a left tuple with
-   that key appears in n result tuples).  The per-key counts live in a
-   key table built on the side with fewer rows, and the other side is
-   counted by the table's slots (a key the table lacks lands in an empty
-   slot and is never read).  Each sum is at most
-   [rows_b·rows_p·max rows_b rows_p], so while that fits an int the sums
-   are accumulated exactly in ints; past it (sides of about 1.6 million
-   rows each) they are accumulated as floats in slot order. *)
+(* A key of multiplicity m on the left and n on the right adds m·n to
+   J, m·n² to SS_left and n·m² to SS_right: a left tuple with that key
+   appears in n result tuples. *)
+let add_key (j, ss_l, ss_r) m n =
+  let m = float_of_int m and n = float_of_int n in
+  (j +. (m *. n), ss_l +. (m *. n *. n), ss_r +. (n *. m *. m))
+
+(* The same sums from the int key codes of the two sides, whose codes
+   lie in [lo, hi]: the per-key counts live in a key table built on the
+   side with fewer rows, and the other side is counted by the table's
+   slots (a key the table lacks lands in an empty slot and is never
+   read). *)
 let code_moments ~lo ~hi left right =
   let left_builds = left.n <= right.n in
   let b, p = if left_builds then (left, right) else (right, left) in
   let table = Kernel.Key_table.create ~lo ~hi ~rows:b.n in
   Kernel.Key_table.count table b.codes b.rows b.n;
-  let built = Kernel.Key_table.vals table in
   let probed = Kernel.Key_table.histogram table p.codes p.rows p.n in
-  (* [ss_b] = Σ b·p², [ss_p] = Σ p·b², for the per-key counts b of the
-     building side and p of the other, over the numbers [of_int] makes. *)
-  let sums of_int add mul =
-    let j = ref (of_int 0) and ss_b = ref (of_int 0) and ss_p = ref (of_int 0) in
-    Array.iteri
-      (fun s b ->
-        let p = probed.(s) in
-        if b > 0 && p > 0 then begin
-          let b = of_int b and p = of_int p in
-          j := add !j (mul b p);
-          ss_b := add !ss_b (mul (mul b p) p);
-          ss_p := add !ss_p (mul (mul p b) b)
-        end)
-      built;
-    (!j, !ss_b, !ss_p)
-  in
-  let j, ss_b, ss_p =
-    if float_of_int b.n *. float_of_int p.n *. float_of_int (Stdlib.max b.n p.n) < 0x1p62
-    then
-      let j, ss_b, ss_p = sums Fun.id ( + ) ( * ) in
-      (float_of_int j, float_of_int ss_b, float_of_int ss_p)
-    else sums float_of_int ( +. ) ( *. )
-  in
-  if left_builds then (j, ss_b, ss_p) else (j, ss_p, ss_b)
+  let sums = ref (0., 0., 0.) in
+  Array.iteri
+    (fun s built ->
+      let other = probed.(s) in
+      if built > 0 && other > 0 then
+        sums := if left_builds then add_key !sums built other else add_key !sums other built)
+    (Kernel.Key_table.vals table);
+  !sums
 
 (* J, SS_left and SS_right of an equijoin of two selection chains,
    counted from each side's passing rows, found by the scan kernels over

@@ -156,10 +156,8 @@ val choose_sampling :
     [Int 1] matches [Float 1.0] as in {!Relational.Eval}.  The per-key
     counts live in the joins' {!Relational.Kernel.Key_table}, over the
     codes' range, built on the side with fewer passing rows, the other
-    side counted by its slots.  The sums are accumulated exactly, in
-    ints, while [b·p·max b p] fits an int for [b] and [p] passing
-    rows (sides of up to about 1.6 million rows each), and as floats
-    beyond; a float is exact below 2^53.
+    side counted by its slots.  The sums are exact while they stay
+    below 2^53.
     @raise Not_found on an attribute the schemas lack (callers check
     with {!Relational.Expr.schema_of} first). *)
 val join_moments :

@@ -427,11 +427,10 @@ module Key_table = struct
       Array.unsafe_set h.keys s k;
       s
 
-  (* The loops below read row [row rows p]'s code inline, match the
-     table kind once outside the loop, and index a dense
-     table with no range check: every code lies in the range the table
-     was made for.  The counting loops keep the bounds check on the
-     slot they write, so a code outside the range raises rather than
+  (* The loops below read row [row rows p]'s code inline and index a
+     dense table with no range check: every code lies in the range the
+     table was made for.  The counting loops keep the bounds check on
+     the slot they write, so a code outside the range raises rather than
      writes outside the array; the probes read without it. *)
 
   let count t codes rows n =
@@ -441,6 +440,9 @@ module Key_table = struct
       vals.(s) <- vals.(s) + 1
     done
 
+  (* The planner's histograms run over every passing row of a base;
+     there, matching the table kind once outside the loop pays (THEORY.md
+     section 16).  The probes match it per row at no measured cost. *)
   let histogram t codes rows n =
     let out = Array.make (Array.length (vals t)) 0 in
     (match t with
@@ -456,37 +458,20 @@ module Key_table = struct
       done);
     out
 
+  let probe_iter t codes rows n f =
+    let vals = vals t in
+    for p = 0 to n - 1 do
+      let i = row rows p in
+      let v = Array.unsafe_get vals (slot t (code_at codes i)) in
+      if v > 0 then f i v
+    done
+
   let probe_count t codes rows n =
     let hits = ref 0 and total = ref 0 in
-    (match t with
-    | Dense { lo; vals } ->
-      for p = 0 to n - 1 do
-        let v = Array.unsafe_get vals (code_at codes (row rows p) - lo) in
-        hits := !hits + Bool.to_int (v > 0);
-        total := !total + v
-      done
-    | Hashed h ->
-      for p = 0 to n - 1 do
-        let v = Array.unsafe_get h.vals (Int_table.slot h (code_at codes (row rows p))) in
-        hits := !hits + Bool.to_int (v > 0);
-        total := !total + v
-      done);
+    probe_iter t codes rows n (fun _ v ->
+        incr hits;
+        total := !total + v);
     (!hits, !total)
-
-  let probe_iter t codes rows n f =
-    match t with
-    | Dense { lo; vals } ->
-      for p = 0 to n - 1 do
-        let i = row rows p in
-        let v = Array.unsafe_get vals (code_at codes i - lo) in
-        if v > 0 then f i v
-      done
-    | Hashed h ->
-      for p = 0 to n - 1 do
-        let i = row rows p in
-        let v = Array.unsafe_get h.vals (Int_table.slot h (code_at codes i)) in
-        if v > 0 then f i v
-      done
 end
 
 (* --- equijoin key codes ---------------------------------------------- *)
