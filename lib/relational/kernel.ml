@@ -466,11 +466,15 @@ module Key_table = struct
       if v > 0 then f i v
     done
 
+  (* Branch-free: whether a probe hits depends on the data, and a branch
+     on it mispredicts at middling hit rates (THEORY.md section 16). *)
   let probe_count t codes rows n =
-    let hits = ref 0 and total = ref 0 in
-    probe_iter t codes rows n (fun _ v ->
-        incr hits;
-        total := !total + v);
+    let vals = vals t and hits = ref 0 and total = ref 0 in
+    for p = 0 to n - 1 do
+      let v = Array.unsafe_get vals (slot t (code_at codes (row rows p))) in
+      hits := !hits + Bool.to_int (v > 0);
+      total := !total + v
+    done;
     (!hits, !total)
 end
 
