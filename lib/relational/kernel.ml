@@ -440,9 +440,9 @@ module Key_table = struct
       vals.(s) <- vals.(s) + 1
     done
 
-  (* The planner's histograms run over every passing row of a base;
-     there, matching the table kind once outside the loop pays (THEORY.md
-     section 16).  The probes match it per row at no measured cost. *)
+  (* One loop per table kind pays here, where the planner's histograms
+     run over every passing row of a base, and not in the probes below
+     (THEORY.md section 16). *)
   let histogram t codes rows n =
     let out = Array.make (Array.length (vals t)) 0 in
     (match t with
