@@ -43,7 +43,7 @@ let equijoin_expr = Expr.equijoin [ ("a", "a") ] (Expr.base "l") (Expr.base "rr"
 
 let reference_equijoin ?metrics rng catalog =
   let splan = Raestat.Sampling_plan.make catalog ~fraction:0.01 equijoin_expr in
-  let sampled, _ = Raestat.Sampling_plan.draw ?metrics rng catalog splan in
+  let sampled, _, _ = Raestat.Sampling_plan.draw ?metrics rng catalog splan in
   splan.Raestat.Sampling_plan.scale
   *. float_of_int (Relational.Eval.count ?metrics sampled splan.Raestat.Sampling_plan.expr)
 
@@ -264,6 +264,28 @@ let counter_rows () =
       probe chain_row (fun metrics -> chain_estimate ~metrics (Sampling.Rng.create ~seed:1003 ()));
     ]
 
+(* The words the second of two runs of the fk and chain estimates (the
+   same seed) allocates directly on the major heap: [Gc.counters]'
+   major words less the promoted ones.  The first run leaves the
+   arrays its replicates free in [Relational.Scratch], and the second
+   takes them back; what remains is the chain's inner join output
+   ([Physical]'s row-id pairs), which the pool does not hold. *)
+let major_rows () =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let second_run name f =
+    ignore (f (Sampling.Rng.create ~seed:1004 ()));
+    let before = direct () in
+    ignore (Sys.opaque_identity (f (Sampling.Rng.create ~seed:1004 ())));
+    (name, int_of_float (direct () -. before))
+  in
+  [
+    second_run fk_row (fun rng -> fk_estimate rng);
+    second_run chain_row (fun rng -> chain_estimate rng);
+  ]
+
 (* Guard for the instrumentation cost: time a representative kernel
    against the shared noop sink and against an enabled sink, min of
    interleaved measurements each (min-of-k discards scheduler noise;
@@ -408,6 +430,7 @@ let run ?(quick = false) ?(metrics = false) () =
       pairs
   in
   let counters = if metrics then counter_rows () else [] in
+  let majors = if metrics then major_rows () else [] in
   let rows =
     List.mapi
       (fun i (name, _) ->
@@ -430,6 +453,13 @@ let run ?(quick = false) ?(metrics = false) () =
               s.hash_probe_misses;
             counter_pins s
           | None -> []
+        in
+        let pinned =
+          match List.assoc_opt name majors with
+          | Some words ->
+            Printf.printf "%-40s %8d words allocated on the major heap\n" "" words;
+            pinned @ [ Report.pin_int "major_words" words ]
+          | None -> pinned
         in
         Report.bench_row name ~pinned ~checks ~timings:(("ns", ns) :: speedups))
       (Array.to_list cases)

@@ -77,7 +77,7 @@ let sum_expr ?(groups = 1) rng catalog ~fraction ~attribute expr =
   let status = Count_estimator.classify expr in
   let plan = Sampling_plan.make catalog ~fraction expr in
   let one () =
-    let sampled, drawn = Sampling_plan.draw rng catalog plan in
+    let sampled, drawn, _ = Sampling_plan.draw rng catalog plan in
     (plan.Sampling_plan.scale *. result_sum sampled ~attribute plan.Sampling_plan.expr, drawn)
   in
   if groups = 1 then begin

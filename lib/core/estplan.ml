@@ -233,9 +233,12 @@ let the_splan plan =
 
 (* One scale-up execution: draw every leaf in occurrence order, count
    the rewritten expression on the sampled catalog, multiply by the
-   plan scale.  Safe to run inside a domain: touches no plan state. *)
+   plan scale.  Safe to run inside a domain: touches no plan state.
+   The sampled catalog dies with the count, so the row ids the draw
+   made go back to the pool for the next replicate; a census leaf's
+   relation is the caller's, and the draw hands back no ids for it. *)
 let run_once ~metrics rng catalog splan =
-  let sampled, drawn =
+  let sampled, drawn, ids =
     Metrics.time metrics "draw" (fun () ->
         Sampling_plan.draw ~metrics rng catalog splan)
   in
@@ -246,6 +249,7 @@ let run_once ~metrics rng catalog splan =
         Relational.Physical.count_expr ~metrics sampled
           splan.Sampling_plan.expr)
   in
+  List.iter Relational.Scratch.free ids;
   (splan.Sampling_plan.scale *. float_of_int count, drawn)
 
 (* ------------------------------------------------------------------ *)
@@ -395,7 +399,7 @@ let run_set ~metrics rng catalog plan flavor =
       invalid_arg "Estplan: set plans need SRSWOR leaves"
   in
   let n1 = srswor_n l_leaf and n2 = srswor_n r_leaf in
-  let sampled, drawn = Sampling_plan.draw ~metrics rng catalog splan in
+  let sampled, drawn, _ = Sampling_plan.draw ~metrics rng catalog splan in
   let x =
     Relational.Physical.count_expr ~metrics sampled
       (Expr.inter (Expr.base l_leaf.alias) (Expr.base r_leaf.alias))

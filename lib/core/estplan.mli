@@ -26,7 +26,16 @@
     {!Obs.Metrics} child sinks absorbed in replicate order, [?domains]
     replicate parallelism and the columnar kernels, so estimates, CIs
     and counter totals are bit-identical for any domain count.  A run
-    returns its result and writes nothing into the plan.  The
+    returns its result and writes nothing into the plan.
+
+    A scale-up replicate (its [run_once]) owns the row-id arrays its
+    {!Sampling_plan.draw} returns and hands them back to
+    {!Relational.Scratch} once {!Relational.Physical.count_expr} has
+    counted the samples, so the next replicate's draw reuses them.  It
+    frees nothing else: a census leaf binds the caller's relation,
+    whose ids (if it is itself a sample) belong to the caller's
+    catalog, and the direct selection, the set estimators and the
+    [index_source] keep the arrays they draw.  The
     cluster, sequential, stratified, bootstrap, index-assisted and
     grouped estimators are plain functions in their own modules
     ({!Cluster_estimator}, {!Sequential}, {!Stratified_estimator},

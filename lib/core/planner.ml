@@ -299,6 +299,8 @@ let code_moments ~lo ~hi left right =
       if built > 0 && other > 0 then
         sums := if left_builds then add_key !sums built other else add_key !sums other built)
     (Kernel.Key_table.vals table);
+  Kernel.Key_table.free table;
+  Relational.Scratch.free probed;
   !sums
 
 (* J, SS_left and SS_right of an equijoin of two selection chains,

@@ -62,13 +62,16 @@ let make catalog ~fraction expr =
 
 let draw ?(metrics = Obs.Metrics.noop) rng catalog plan =
   let sampled = Catalog.create () in
-  let total = ref 0 in
+  let total = ref 0 and drawn = ref [] in
   List.iter
     (fun leaf ->
       let relation = Catalog.find catalog leaf.relation in
       let sample =
         match leaf.mode with
-        | Srswor n -> Sampling.Srs.relation_without_replacement ~metrics rng ~n relation
+        | Srswor n ->
+          let sample, ids = Sampling.Srs.relation_ids_without_replacement ~metrics rng ~n relation in
+          Option.iter (fun ids -> drawn := ids :: !drawn) ids;
+          sample
         | Bernoulli p ->
           (* A Bernoulli draw scans the whole leaf (every tuple flips a
              coin), so the scan cost is the population, not the yield. *)
@@ -81,7 +84,7 @@ let draw ?(metrics = Obs.Metrics.noop) rng catalog plan =
       total := !total + Relation.cardinality sample;
       Catalog.add sampled leaf.alias sample)
     plan.leaves;
-  (sampled, !total)
+  (sampled, !total, !drawn)
 
 let expected_sample_size plan =
   List.fold_left

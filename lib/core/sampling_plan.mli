@@ -44,11 +44,18 @@ val make_custom :
   t
 
 (** [draw rng catalog plan] draws the planned samples and returns a
-    fresh catalog binding every alias, paired with the total number of
-    sampled tuples. *)
+    fresh catalog binding every alias, the total number of sampled
+    tuples, and the row-id arrays of the SRSWOR draws
+    ({!Sampling.Srs.relation_ids_without_replacement}), which the
+    samples read.  A census leaf draws none: it binds the catalog's own
+    relation.  The arrays belong to the caller, who may hand them to
+    {!Relational.Scratch.free} once nothing reads the samples. *)
 val draw :
   ?metrics:Obs.Metrics.t ->
-  Sampling.Rng.t -> Relational.Catalog.t -> t -> Relational.Catalog.t * int
+  Sampling.Rng.t ->
+  Relational.Catalog.t ->
+  t ->
+  Relational.Catalog.t * int * int array list
 
 (** Expected total sampled tuples of the plan. *)
 val expected_sample_size : t -> float

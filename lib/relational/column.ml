@@ -7,7 +7,9 @@ module Bitset = struct
 
   let bits = Sys.int_size
 
-  let create length = { length; words = Array.make ((length + bits - 1) / bits) 0 }
+  let create length = { length; words = Scratch.take ((length + bits - 1) / bits) }
+
+  let free t = Scratch.free t.words
 
   let length t = t.length
 
@@ -61,7 +63,7 @@ module Bitset = struct
      set bits read so far.  A word whose bits would pass [count] is
      refused before any of them is written. *)
   let positions ~count t =
-    let out = Array.make count 0 and j = ref 0 in
+    let out = Scratch.take count and j = ref 0 in
     let words = t.words in
     let wrong () = invalid_arg "Bitset.positions: count is not the number of set bits" in
     for w = 0 to Array.length words - 1 do

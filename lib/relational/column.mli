@@ -25,8 +25,13 @@
 module Bitset : sig
   type t
 
-  (** [create n] holds [n] clear bits. *)
+  (** [create n] holds [n] clear bits, in words from {!Scratch.take}. *)
   val create : int -> t
+
+  (** [free t] hands [t]'s words back to {!Scratch}: the caller, who
+      made [t], must not use it again.  A bitset that lives on (a null
+      bitset, a stream's mask) is never freed. *)
+  val free : t -> unit
 
   val length : t -> int
   val set : t -> int -> unit
@@ -51,7 +56,8 @@ module Bitset : sig
       walked up to its highest set bit without a branch per bit.  The
       caller passes the number of set bits as [count] ({!count} when it
       does not track it), which sizes the output with no counting pass;
-      nothing is written past [count] positions.
+      nothing is written past [count] positions.  The output comes
+      from {!Scratch.take} and belongs to the caller.
       @raise Invalid_argument if [count] is not the number of set bits. *)
   val positions : count:int -> t -> int array
 end

@@ -244,16 +244,17 @@ let scan_of view (p : Predicate.t) =
     attr_const_scan view (Schema.index_of (Column.schema view) name) (Predicate.flip cmp) k
   | _ -> (Row_test (compile view p), None)
 
-(* Each scan runs one loop to count and one to fill, over [rows]: [None]
-   for the rows [0 .. n-1] of the view, [Some ids] for the rows [ids].
-   A fill writes every row id at the cursor, which advances by the
-   row's verdict, until [out], sized to the passing rows, is full.  The
+(* Each scan runs one loop to count and one to fill, over the first [n]
+   rows of [rows]: [None] for the rows [0 .. n-1] of the view, [Some
+   ids] for the rows [ids].  A fill writes every row id at the cursor,
+   which advances by the row's verdict, until the rows run out or [out]
+   is full, so the passing rows come out at the front of [out].  The
    only branches per row test values that never change in a loop (the
-   row source, a float operator). *)
+   row source, a float operator) and the two bounds. *)
 
 let[@inline] row rows p = match rows with None -> p | Some ids -> Array.unsafe_get ids p
 
-let scan_count scan rows n =
+let scan_count scan (rows, n) =
   let hits = ref 0 in
   (match scan with
   | Int_range { data; lo; span; flip } ->
@@ -278,56 +279,62 @@ let scan_count scan rows n =
     done);
   !hits
 
-let scan_fill scan rows out =
+(* The number of rows written.  The cursor never passes the row being
+   read, and a write happens only below [Array.length out]. *)
+let scan_fill scan (rows, n) out =
   let m = Array.length out in
   let k = ref 0 and p = ref 0 in
   (match scan with
   | Int_range { data; lo; span; flip } ->
-    while !k < m do
+    while !p < n && !k < m do
       let i = row rows !p in
       Array.unsafe_set out !k i;
       k := !k + int_verdict data lo span flip i;
       incr p
     done
   | Float_cmp { data; op; c; flip } ->
-    while !k < m do
+    while !p < n && !k < m do
       let i = row rows !p in
       Array.unsafe_set out !k i;
       k := !k + float_verdict data op c flip i;
       incr p
     done
   | Code_pass { codes; pass } ->
-    while !k < m do
+    while !p < n && !k < m do
       let i = row rows !p in
       Array.unsafe_set out !k i;
       k := !k + code_verdict codes pass i;
       incr p
     done
   | Not_null nulls ->
-    while !k < m do
+    while !p < n && !k < m do
       let i = row rows !p in
       Array.unsafe_set out !k i;
       k := !k + null_verdict nulls i;
       incr p
     done
   | Row_test test ->
-    while !k < m do
+    while !p < n && !k < m do
       let i = row rows !p in
       Array.unsafe_set out !k i;
       k := !k + Bool.to_int (test i);
       incr p
-    done)
+    done);
+  !k
 
-let length view = function None -> Column.length view | Some ids -> Array.length ids
+(* The rows that pass [scan], at the front of a buffer, and their
+   number.  Rows the pool can hold fill a buffer of [n] ids from
+   [Scratch] in one pass, with no counting pass; more rows (a census of
+   a large base) are counted first and fill an exact array.  Only the
+   pooled buffers go back, so the pool sees no length that depends on
+   the data. *)
+let pooled (_, n) = n <= Scratch.max_words
 
-(* The rows among [rows] that pass [scan]: counted, then filled. *)
-let select view scan rows =
-  let out = Array.make (scan_count scan rows (length view rows)) 0 in
-  scan_fill scan rows out;
-  out
+let select_scan scan rows =
+  let out = if pooled rows then Scratch.take (snd rows) else Array.make (scan_count scan rows) 0 in
+  (out, scan_fill scan rows out)
 
-let drop_nulls view nulls rows =
-  match nulls with None -> rows | Some ns -> Some (select view (Not_null ns) rows)
+let give_back rows out = if pooled rows then Scratch.free out
 
 (* [p] with a [Between] lowered as [compile] lowers it. *)
 let lowered (p : Predicate.t) =
@@ -335,26 +342,56 @@ let lowered (p : Predicate.t) =
   | Predicate.Between (t, lo, hi) -> Option.value (between t lo hi) ~default:p
   | p -> p
 
-(* A conjunction runs its kernels in sequence, the second over the rows
-   the first keeps. *)
-let rec count_rows view p rows =
+(* A predicate's scans in the order they run, the first and the rest:
+   a conjunction's in sequence, and a column's null drop before its
+   comparison loop. *)
+let rec scans view p =
   match lowered p with
-  | Predicate.And (p1, p2) -> count_rows view p2 (Some (filter_rows view p1 rows))
-  | p ->
-    let scan, nulls = scan_of view p in
-    let rows = drop_nulls view nulls rows in
-    scan_count scan rows (length view rows)
+  | Predicate.And (p1, p2) ->
+    let first, rest = scans view p1 in
+    let second, last = scans view p2 in
+    (first, rest @ (second :: last))
+  | p -> (
+    match scan_of view p with
+    | scan, None -> (scan, [])
+    | scan, Some nulls -> (Not_null nulls, [ scan ]))
 
-and filter_rows view p rows =
-  match lowered p with
-  | Predicate.And (p1, p2) -> filter_rows view p2 (Some (filter_rows view p1 rows))
-  | p ->
-    let scan, nulls = scan_of view p in
-    select view scan (drop_nulls view nulls rows)
+(* The first scan selects into a buffer, and each later one keeps its
+   rows among those in place: its cursor never passes the row it
+   reads. *)
+let select_scans rows (first, rest) =
+  List.fold_left
+    (fun (out, k) scan -> (out, scan_fill scan (Some out, k) out))
+    (select_scan first rows) rest
 
-let count ?ids view p = count_rows view p ids
+let select_rows view p rows = select_scans rows (scans view p)
 
-let filter_indices ?ids view p = filter_rows view p ids
+(* One scan counts; several select, and count what the last keeps. *)
+let count_rows view p rows =
+  match scans view p with
+  | scan, [] -> scan_count scan rows
+  | scans ->
+    let out, k = select_scans rows scans in
+    give_back rows out;
+    k
+
+let rows view ids = match ids with None -> (None, Column.length view) | Some a -> (ids, Array.length a)
+
+let count ?ids view p = count_rows view p (rows view ids)
+
+let selection ?ids view p =
+  let rows = rows view ids in
+  if pooled rows then Some (select_rows view p rows) else None
+
+let filter_indices ?ids view p =
+  let rows = rows view ids in
+  let out, k = select_rows view p rows in
+  if k = Array.length out then out
+  else begin
+    let indices = Array.sub out 0 k in
+    give_back rows out;
+    indices
+  end
 
 (* --- equijoin key tables ------------------------------------------------ *)
 
@@ -375,7 +412,7 @@ module Int_table = struct
       incr bits
     done;
     let size = 1 lsl !bits in
-    { shift = Sys.int_size - !bits; keys = Array.make size 0; vals = Array.make size 0 }
+    { shift = Sys.int_size - !bits; keys = Scratch.take size; vals = Scratch.take size }
 
   (* The slot holding key [k], or the empty slot where it would go. *)
   let slot t k =
@@ -412,8 +449,14 @@ module Key_table = struct
   let create ~lo ~hi ~rows =
     let span = hi - lo in
     if hi >= lo && span >= 0 && span < Int.max 4096 (8 * rows) then
-      Dense { lo; vals = Array.make (span + 1) 0 }
+      Dense { lo; vals = Scratch.take (span + 1) }
     else Hashed (Int_table.create rows)
+
+  let free = function
+    | Dense { vals; _ } -> Scratch.free vals
+    | Hashed h ->
+      Scratch.free h.keys;
+      Scratch.free h.vals
 
   let vals = function Dense { vals; _ } -> vals | Hashed h -> h.vals
 
@@ -444,7 +487,7 @@ module Key_table = struct
      run over every passing row of a base, and not in the probes below
      (THEORY.md section 16). *)
   let histogram t codes rows n =
-    let out = Array.make (Array.length (vals t)) 0 in
+    let out = Scratch.take (Array.length (vals t)) in
     (match t with
     | Dense { lo; _ } ->
       for p = 0 to n - 1 do

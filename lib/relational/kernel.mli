@@ -46,10 +46,24 @@ val compile : Column.t -> Predicate.t -> int -> bool
     occurrence of a repeated id counts once. *)
 val count : ?ids:int array -> Column.t -> Predicate.t -> int
 
+(** [selection ?ids view p] is [Some (out, k)] when the rows read (the
+    view's rows, or [ids]) are at most {!Scratch.max_words}: the row ids
+    satisfying the predicate, in row order (the order of [ids] when
+    given), are the first [k] of [out], a buffer as long as the rows
+    read, from {!Scratch.take}.  One pass fills it, with no counting
+    pass: each row id is written unconditionally at the cursor, which
+    advances by the row's verdict.  [out] belongs to the caller, who
+    hands it back with {!Scratch.free} once done with it (a join's
+    probe side, after its probe); a conjunction's intermediate
+    selections go back before [selection] returns.  [None] for more
+    rows, which {!filter_indices} selects. *)
+val selection : ?ids:int array -> Column.t -> Predicate.t -> (int array * int) option
+
 (** Row ids satisfying the predicate, in row order (the order of [ids]
-    when given): a selection vector, sized exactly (the rows are
-    counted, then filled in — each row id is written unconditionally
-    and the cursor advances by the row's verdict). *)
+    when given), sized exactly: {!selection}'s passing ids, copied out
+    of its buffer (which goes back to {!Scratch}) unless every row
+    passes; more rows than {!Scratch.max_words} are counted first and
+    filled into an exact array.  The result belongs to the caller. *)
 val filter_indices : ?ids:int array -> Column.t -> Predicate.t -> int array
 
 (** {1 Equijoin keys}
@@ -106,11 +120,20 @@ val join_codes : Column.t -> int -> Column.t -> int -> coded option
     Every code the table sees must lie in [[lo, hi]]: the dense table
     indexes with no range check.  The ranges of {!join_codes} hold every
     code of either side's column, and a {!Key_dict}'s codes lie in
-    [[-1, D - 1]] once its build side has numbered its [D] keys. *)
+    [[-1, D - 1]] once its build side has numbered its [D] keys.
+
+    A table's arrays, and the {!histogram}s it counts, come from
+    {!Scratch.take}: whoever creates a table (the joins of
+    {!Physical}, the planner's join moments) hands it back with {!free}
+    when its loops end. *)
 module Key_table : sig
   type t
 
   val create : lo:int -> hi:int -> rows:int -> t
+
+  (** [free t] hands [t]'s arrays back to {!Scratch}: its creator must
+      not use [t], or the {!vals} read from it, again. *)
+  val free : t -> unit
 
   (** The value of each slot, [0] while the slot is empty; the caller
       stores a positive value in the slot of a code it {!add}s. *)
@@ -132,7 +155,8 @@ module Key_table : sig
   (** [count t codes rows n] adds 1 to the value of each row's code. *)
   val count : t -> codes -> int array option -> int -> unit
 
-  (** The number of rows whose code falls in each slot, by slot. *)
+  (** The number of rows whose code falls in each slot, by slot, in an
+      array from {!Scratch.take} that belongs to the caller. *)
   val histogram : t -> codes -> int array option -> int -> int array
 
   (** [(hits, total)]: the rows whose code has a positive value, and the

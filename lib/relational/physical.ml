@@ -179,15 +179,6 @@ let handles s =
       incr k);
   if !k = s.bound then out else Array.sub out 0 !k
 
-(* The rows of a one-leaf plan read through a vector: the row ids
-   [rows] (the rows [0 .. n-1] when [None]) and their number [n]. *)
-let vector = function
-  | Scan_rows (n, ids) -> Some (ids, n)
-  | Select_rows (view, ids, p) ->
-    let ids = Kernel.filter_indices ?ids view p in
-    Some (Some ids, Array.length ids)
-  | Filter_rows _ | Test_rows _ | Join_rows _ | Product_rows _ -> None
-
 let vector_stream (rows, n) =
   let iter =
     match rows with
@@ -202,15 +193,30 @@ let vector_stream (rows, n) =
 
 (* A join side whose probes run the key table's loops over a vector:
    one leaf read through a vector, keyed by its int or dictionary
-   codes.  Products, filters and joins under a join, and keys coded
-   through the join's dictionary, probe row by row. *)
+   codes, as the row ids [rows] (the rows [0 .. n-1] when [None]) and
+   their number [n], with the buffer the probe hands back to [Scratch]
+   when it ends.  A scan's vector is its leaf's own ids.  A selection
+   over a sample probes from the front of a buffer from
+   [Kernel.selection], and one over more rows than the pool keeps (a
+   census of a large base) probes an exact vector.  Products, filters
+   and joins under a join, and keys coded through the join's
+   dictionary, probe row by row. *)
 let probe_vector side =
-  match side.key with
-  | Codes { codes; _ } -> Option.map (fun v -> (codes, v)) (vector side.plan)
-  | Tuples _ -> None
+  match side.key, side.plan with
+  | Codes { codes; _ }, Scan_rows (n, ids) -> Some (codes, (ids, n), None)
+  | Codes { codes; _ }, Select_rows (view, ids, p) -> (
+    match Kernel.selection ?ids view p with
+    | Some (out, n) -> Some (codes, (Some out, n), Some out)
+    | None ->
+      let ids = Kernel.filter_indices ?ids view p in
+      Some (codes, (Some ids, Array.length ids), None))
+  | Codes _, (Filter_rows _ | Test_rows _ | Join_rows _ | Product_rows _) | Tuples _, _ -> None
 
 let rec stream metrics = function
-  | (Scan_rows _ | Select_rows _) as plan -> vector_stream (Option.get (vector plan))
+  | Scan_rows (n, ids) -> vector_stream (ids, n)
+  | Select_rows (view, ids, p) ->
+    let ids = Kernel.filter_indices ?ids view p in
+    vector_stream (Some ids, Array.length ids)
   | Filter_rows (plan, leaf, keep) ->
     let s = stream metrics plan in
     { s with iter = (fun f -> s.iter (fun t -> if keep (row_id s leaf t) then f t)) }
@@ -325,9 +331,12 @@ and join_rows metrics l r =
   in
   let ls, probes =
     match probe_vector l with
-    | Some (codes, ((rows, n) as v)) ->
+    | Some (codes, (rows, n), buffer) ->
       Key_table.probe_iter table codes rows n hit;
-      (vector_stream v, n)
+      Option.iter Scratch.free buffer;
+      (* The hits hold the leaf's row ids, and the fill below reads no
+         more than that: the stream is never iterated. *)
+      ({ iter = ignore; rows = Leaf; bound = n }, n)
     | None ->
       let ls = stream metrics l.plan and probes = ref 0 in
       ls.iter (fun t ->
@@ -336,6 +345,7 @@ and join_rows metrics l r =
           if v > 0 then hit t v);
       (ls, !probes)
   in
+  Key_table.free table;
   let matched = hits.used / 2 in
   Obs.Metrics.add_probes metrics ~hits:matched ~misses:(probes - matched);
   let total = ref 0 in
@@ -374,8 +384,9 @@ let join_count metrics l r =
   Key_table.count table (Kernel.Raw built) None !m;
   let probes, hits, total =
     match probe_vector l with
-    | Some (codes, (rows, n)) ->
+    | Some (codes, (rows, n), buffer) ->
       let hits, total = Key_table.probe_count table codes rows n in
+      Option.iter Scratch.free buffer;
       (n, hits, total)
     | None ->
       let ls = stream metrics l.plan and vals = Key_table.vals table in
@@ -387,6 +398,7 @@ let join_count metrics l r =
           total := !total + n);
       (!probes, !hits, !total)
   in
+  Key_table.free table;
   Obs.Metrics.add_probes metrics ~hits ~misses:(probes - hits);
   total
 

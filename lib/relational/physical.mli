@@ -41,7 +41,16 @@
 
     Probe rule: every equijoin runs once and makes one probe, hit or
     miss, per left row, as {!Eval.eval} does, so the counters recorded
-    in [metrics] equal the reference's on every expression. *)
+    in [metrics] equal the reference's on every expression.
+
+    Arrays: every join takes its key table from {!Scratch} and hands it
+    back when its loops end, and a probe side that is a selection over
+    a sample probes from a {!Kernel.selection} buffer that goes back
+    after the probe.  Nothing else is freed: a leaf's row ids belong to
+    the catalog (a sample's drawn ids are its drawer's, such as the
+    scale-up replicate that hands them back once the count returns),
+    and the row-id arrays a join under a join emits are ordinary
+    arrays. *)
 
 (** [count_expr catalog e] = [Eval.count catalog e], recording the same
     probe hits and misses, and raising [Expr.schema_of]'s [Failure] on a

@@ -21,7 +21,11 @@ let size_of_fraction ~fraction n =
    No draw depends on the bitset, so the bounds j + 1 are drawn ahead
    in chunks of at most [floyd_chunk] by [Rng.int_run], which keeps the
    generator in registers and uses the raw draws of one [Rng.int] per
-   j: the indices and the stream are those of the plain loop. *)
+   j: the indices and the stream are those of the plain loop.
+
+   The bitset's words and the indices come from [Scratch], and the
+   words go back once the indices are read: the next draw from the same
+   universe reuses them. *)
 let floyd_chunk = 256
 
 let floyd rng ~n ~universe =
@@ -36,7 +40,9 @@ let floyd rng ~n ~universe =
     done;
     j := !j + k
   done;
-  Bitset.positions ~count:n taken
+  let indices = Bitset.positions ~count:n taken in
+  Bitset.free taken;
+  indices
 
 (* Sparse draws: Vitter's sequential sampling (Algorithm D with the
    Algorithm A finish), "An Efficient Algorithm for Sequential Random
@@ -72,7 +78,7 @@ let method_a rng ~indices ~k ~n ~big_n ~position =
   if !n = 1 then indices.(!k) <- !position + Rng.int rng !big_n
 
 let method_d rng ~n ~universe =
-  let indices = Array.make n 0 in
+  let indices = Relational.Scratch.take n in
   (* Mutable cursor state: k selected so far, n' still to select, N'
      records still eligible, position = next eligible absolute index. *)
   let k = ref 0 and n' = ref n and big_n = ref universe and position = ref 0 in
@@ -193,7 +199,7 @@ let sample_without_replacement ?metrics rng ~n array =
    rows in draw order, sharing the base's tuples and, when the base has
    a columnar view, read in place on it. *)
 
-let relation_without_replacement ?metrics rng ~n relation =
+let relation_ids_without_replacement ?metrics rng ~n relation =
   let universe = Relational.Relation.cardinality relation in
   if n = universe then begin
     (* A census draws nothing and keeps every row in order: the sample
@@ -203,13 +209,16 @@ let relation_without_replacement ?metrics rng ~n relation =
         Obs.Metrics.add_indices m n;
         Obs.Metrics.add_tuples m n)
       metrics;
-    relation
+    (relation, None)
   end
   else begin
     let ids = indices_without_replacement ?metrics rng ~n ~universe in
     Option.iter (fun m -> Obs.Metrics.add_tuples m n) metrics;
-    Relational.Relation.sample relation ids
+    (Relational.Relation.sample relation ids, Some ids)
   end
+
+let relation_without_replacement ?metrics rng ~n relation =
+  fst (relation_ids_without_replacement ?metrics rng ~n relation)
 
 let relation_fraction ?metrics rng ~fraction relation =
   let n = size_of_fraction ~fraction (Relational.Relation.cardinality relation) in

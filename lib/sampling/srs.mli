@@ -20,6 +20,11 @@ val size_of_fraction : fraction:float -> int -> int
     indices already sorted in O(n) expected time and O(n) space.
     [metrics] (default disabled) records the indices generated and the
     PRNG draws consumed.
+
+    The indices come from {!Relational.Scratch.take} and belong to the
+    caller, who may hand them back with {!Relational.Scratch.free} once
+    nothing reads them; Floyd's bitset goes back to the pool as soon as
+    the indices are read from it.
     @raise Invalid_argument if [n < 0] or [n > universe]. *)
 val indices_without_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> universe:int -> int array
@@ -40,6 +45,19 @@ val sample_without_replacement :
     cardinality) draws nothing and returns the relation itself. *)
 val relation_without_replacement :
   ?metrics:Obs.Metrics.t -> Rng.t -> n:int -> Relational.Relation.t -> Relational.Relation.t
+
+(** {!relation_without_replacement}, and the row ids it drew: [None]
+    for a census, which draws nothing and returns the relation itself,
+    whose rows may belong to someone else (a sample in the caller's
+    catalog).  The drawn ids are {!indices_without_replacement}'s, which
+    the sample reads; the caller may hand them to
+    {!Relational.Scratch.free} once it drops the sample. *)
+val relation_ids_without_replacement :
+  ?metrics:Obs.Metrics.t ->
+  Rng.t ->
+  n:int ->
+  Relational.Relation.t ->
+  Relational.Relation.t * int array option
 
 (** SRSWOR of a relation at a sampling fraction (see
     {!size_of_fraction}). *)

@@ -522,23 +522,28 @@ let dispatch state slot view request =
     Json.Obj [ ("stopping", Json.Bool true) ]
   | other -> failwith (Printf.sprintf "unknown op %S" other)
 
+(* Every exception a request raises, in the JSON parser or in its
+   dispatch (a [Stack_overflow] from a deeply nested expression, say),
+   becomes its error reply: the connection stays open and the error is
+   counted. *)
 let handle_request slot state line =
   Atomic.incr state.request_count;
   let id = ref Json.Null in
   let outcome =
-    match Json.parse line with
-    | Error message -> Error ("bad request JSON: " ^ message)
-    | Ok (Json.Obj _ as request) -> (
-      (match Json.member "id" request with Some v -> id := v | None -> ());
-      let view = current_view state in
-      Fun.protect
-        ~finally:(fun () -> Warm.release view.warm)
-        (fun () ->
-          try Ok (dispatch state slot view request) with
-          | Failure message | Invalid_argument message | Sys_error message ->
-            Error message
-          | Not_found -> Error "not found"))
-    | Ok _ -> Error "request must be a JSON object"
+    try
+      match Json.parse line with
+      | Error message -> Error ("bad request JSON: " ^ message)
+      | Ok (Json.Obj _ as request) ->
+        (match Json.member "id" request with Some v -> id := v | None -> ());
+        let view = current_view state in
+        Fun.protect
+          ~finally:(fun () -> Warm.release view.warm)
+          (fun () -> Ok (dispatch state slot view request))
+      | Ok _ -> Error "request must be a JSON object"
+    with
+    | Failure message | Invalid_argument message | Sys_error message -> Error message
+    | Not_found -> Error "not found"
+    | e -> Error (Printexc.to_string e)
   in
   match outcome with
   | Ok result ->

@@ -2,7 +2,8 @@
 # Serve conformance: a daemon answering over a Unix socket must give
 # byte-identical text to the one-shot CLI for the same request and seed
 # (both render through Serve.Engine), survive malformed and oversized
-# requests, report plan-cache hits through the metrics op, fast-reject
+# requests (an exception of any kind is answered as an error), report
+# plan-cache hits through the metrics op, fast-reject
 # when the admission queue is full, and stop cleanly on SIGTERM.
 set -euo pipefail
 
@@ -10,9 +11,11 @@ cli="$1"
 workdir="$(mktemp -d)"
 server_pid=""
 overload_pid=""
+deep_pid=""
 cleanup() {
   [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
   [ -n "$overload_pid" ] && kill "$overload_pid" 2>/dev/null || true
+  [ -n "$deep_pid" ] && kill "$deep_pid" 2>/dev/null || true
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -238,6 +241,30 @@ wait "$overload_pid" || true
 overload_pid=""
 grep -q "stopped after 0 requests (0 errors, 1 overloaded)" "$workdir/overload.log" \
   || fail "overload daemon summary line"
+
+# a request that raises past the per-request error handlers (here a
+# Stack_overflow: 60,000 nested parentheses parsed under a 20,000-word
+# stack, a line well under the 1 MiB cap) is answered with a JSON error
+# and counted, and the same connection answers its next request -------
+dsock="$workdir/deep.sock"
+OCAMLRUNPARAM=l=20000 "$cli" serve --rel "r=$workdir/u.csv" --socket "$dsock" \
+  > "$workdir/deep.log" 2>&1 &
+deep_pid=$!
+await_ready "$workdir/deep.log"
+python3 -c 'd = 60000; print("{\"op\": \"query\", \"expr\": \"" + "(" * d + "r" + ")" * d + "\", \"fraction\": 0.05}")' \
+  > "$workdir/deep.req"
+echo '{"op": "query", "expr": "select[a < 5000](r)", "fraction": 1.0, "groups": 1}' >> "$workdir/deep.req"
+"$cli" client --socket "$dsock" < "$workdir/deep.req" > "$workdir/deep.out" || true
+[ "$(wc -l < "$workdir/deep.out")" -eq 2 ] || fail "deep request: want 2 replies, got: $(cut -c1-200 "$workdir/deep.out")"
+head -1 "$workdir/deep.out" | grep -q '"ok": false, "error": "Stack overflow"' \
+  || fail "deep request not answered with an error: $(head -1 "$workdir/deep.out" | cut -c1-200)"
+tail -1 "$workdir/deep.out" | grep -q "estimated COUNT: 20000 " \
+  || fail "request after the deep one: $(tail -1 "$workdir/deep.out" | cut -c1-200)"
+kill -TERM "$deep_pid"
+wait "$deep_pid" || fail "deep daemon exited nonzero on SIGTERM"
+deep_pid=""
+grep -q "stopped after 2 requests (1 errors, 0 overloaded)" "$workdir/deep.log" \
+  || fail "deep daemon summary line: $(tail -1 "$workdir/deep.log")"
 
 # SIGTERM: clean stop, summary line, socket unlinked --------------------
 kill -TERM "$server_pid"

@@ -65,3 +65,42 @@ let rec subsets k n start =
     with_start @ subsets k n (start + 1)
 
 let all_samples ~n ~k = subsets k n 0
+
+(* Every slot of [Relational.Scratch] holds an array of [max_words], a
+   length no test takes: the next run makes every array fresh.  The
+   first [slots] frees fill the empty slots and the next [slots] evict
+   each slot once, in turn. *)
+let cold_pool () =
+  for _ = 1 to 2 * Relational.Scratch.slots do
+    Relational.Scratch.free (Array.make Relational.Scratch.max_words 0)
+  done
+
+(* [f ()] on a fresh domain, over a cold pool. *)
+let cold_run f =
+  cold_pool ();
+  Domain.join (Domain.spawn f)
+
+(* Int relations of [n] rows whose columns are large enough for the
+   pool: a sample of a few percent is hundreds of ids, and its key
+   tables span thousands of codes.  [g] keys are [a]'s range half the
+   time and a code past a billion the other half, so a join on them
+   takes the open-addressing table.  Every view is warm, as the daemon
+   keeps them, so samples are read in place. *)
+let pool_catalog =
+  lazy
+    (let g = Sampling.Rng.create ~seed:31 () in
+     let rel names n draw =
+       let r = two_column_relation ~names (List.init n (fun _ -> draw ())) in
+       Relation.warm_view r;
+       r
+     in
+     let int = Sampling.Rng.int g in
+     Catalog.of_list
+       [
+         ("r", rel ("a", "b") 20_000 (fun () -> (int 3_000, int 100)));
+         ("s", rel ("c", "d") 12_000 (fun () -> (int 3_000, int 100)));
+         ("t", rel ("e", "f") 8_000 (fun () -> (int 100, int 50)));
+         ( "w",
+           rel ("g", "h") 20_000 (fun () ->
+               ((if int 2 = 0 then int 3_000 else 1_000_000_000 + int 1_000_000), int 100)) );
+       ])

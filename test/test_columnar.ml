@@ -537,7 +537,7 @@ let reference_scale_up ~groups ~metrics rng catalog ~fraction expr =
   let draws_before = Sampling.Rng.draws rng in
   let points =
     Raestat.Parallel.replicate_init rng groups (fun child _ ->
-        let sampled, _ = Raestat.Sampling_plan.draw ~metrics child catalog splan in
+        let sampled, _, _ = Raestat.Sampling_plan.draw ~metrics child catalog splan in
         splan.Raestat.Sampling_plan.scale
         *. float_of_int (Eval.count ~metrics sampled splan.Raestat.Sampling_plan.expr))
   in

@@ -290,6 +290,114 @@ let test_groups_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* --- replicates reusing the pool's arrays ------------------------------ *)
+
+let lt a k = P.lt (P.attr a) (P.vint k)
+
+(* The shapes over [pool_catalog] whose draws (Floyd's bitsets and the
+   row ids), selection buffers and key tables are pooled at f = 0.05. *)
+let pool_shapes =
+  [
+    ( "self-join",
+      (* two same-size samples of r in flight *)
+      Expr.equijoin [ ("a", "a2") ]
+        (Expr.select (lt "b" 50) (Expr.base "r"))
+        (Expr.rename [ ("a", "a2"); ("b", "b2") ] (Expr.base "r")) );
+    ( "join under a join",
+      Expr.equijoin [ ("d", "e") ]
+        (Expr.equijoin [ ("a", "c") ] (Expr.select (lt "b" 60) (Expr.base "r")) (Expr.base "s"))
+        (Expr.select (lt "f" 30) (Expr.base "t")) );
+    ( "open addressing",
+      Expr.equijoin [ ("a", "g") ] (Expr.select (lt "b" 80) (Expr.base "r")) (Expr.base "w") );
+  ]
+
+let outcome est m =
+  (est.Estimate.point, est.Estimate.variance, Obs.Metrics.counters (Obs.Metrics.snapshot m))
+
+(* An estimate repeated in one domain, after the other shapes have left
+   their arrays in the pool, dirty, gives the point, variance and
+   counters of one run on a fresh domain over a cold pool. *)
+let test_pool_reuse () =
+  let catalog = Lazy.force pool_catalog in
+  let run e () =
+    let m = Obs.Metrics.create () in
+    outcome (CE.estimate ~groups:5 ~metrics:m (rng ~seed:5 ()) catalog ~fraction:0.05 e) m
+  in
+  let cold = List.map (fun (_, e) -> cold_run (run e)) pool_shapes in
+  for _ = 1 to 3 do
+    List.iter2
+      (fun (name, e) expected -> Alcotest.(check bool) name true (run e () = expected))
+      pool_shapes cold
+  done
+
+(* A census leaf binds the catalog's own relation.  Here that relation
+   is a sample, whose ids belong to the catalog and must survive every
+   replicate: its selection reads as many rows as it has ids, so a pool
+   that got them back would hand them to that selection's buffer in the
+   next replicate. *)
+let test_census_sample_ids_survive () =
+  let base = Lazy.force pool_catalog in
+  let r = Catalog.find base "r" in
+  let ids =
+    Sampling.Srs.indices_without_replacement (rng ~seed:9 ()) ~n:1_500
+      ~universe:(Relation.cardinality r)
+  in
+  let kept = Array.copy ids in
+  let catalog = Catalog.of_list [ ("rs", Relation.sample r ids); ("s", Catalog.find base "s") ] in
+  let e = Expr.equijoin [ ("a", "c") ] (Expr.select (lt "b" 50) (Expr.base "rs")) (Expr.base "s") in
+  let mode _ name population =
+    Raestat.Sampling_plan.Srswor (if name = "rs" then population else population / 20)
+  in
+  let plan =
+    Raestat.Estplan.of_sampling_plan ~groups:5
+      (Raestat.Sampling_plan.make_custom catalog ~mode e)
+  in
+  let run () =
+    let m = Obs.Metrics.create () in
+    outcome (Raestat.Estplan.run ~metrics:m (rng ~seed:6 ()) catalog plan) m
+  in
+  let cold = cold_run run in
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "warm = cold" true (run () = cold)
+  done;
+  Alcotest.(check bool) "the catalog's ids" true (ids = kept)
+
+(* While the replicates run, a second domain takes arrays of the length
+   of their probe buffer, two at a time, and frees them, as fast as it
+   can: a buffer the probe still read after handing it back would be
+   zeroed under it.  The probe side is a census of t, whose 8,000 rows
+   give the buffer a length nothing else here has; the build side is a
+   fifth of w, keyed through the open-addressing table.  Every run gives
+   the estimate and counters of the run without that domain. *)
+let test_pool_domains () =
+  let catalog = Lazy.force pool_catalog in
+  let e = Expr.equijoin [ ("e", "g") ] (Expr.select (lt "f" 45) (Expr.base "t")) (Expr.base "w") in
+  let mode _ name population =
+    Raestat.Sampling_plan.Srswor (if name = "t" then population else population / 5)
+  in
+  let plan =
+    Raestat.Estplan.of_sampling_plan ~groups:16 (Raestat.Sampling_plan.make_custom catalog ~mode e)
+  in
+  let run () =
+    let m = Obs.Metrics.create () in
+    outcome (Raestat.Estplan.run ~metrics:m (rng ~seed:13 ()) catalog plan) m
+  in
+  let alone = run () in
+  let stop = Atomic.make false in
+  let taker =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          let a = Relational.Scratch.take 8_000 in
+          let b = Relational.Scratch.take 8_000 in
+          Relational.Scratch.free a;
+          Relational.Scratch.free b
+        done)
+  in
+  let runs = List.init 10 (fun _ -> run ()) in
+  Atomic.set stop true;
+  Domain.join taker;
+  List.iter (fun r -> Alcotest.(check bool) "beside a taker = alone" true (r = alone)) runs
+
 let suite =
   [
     Alcotest.test_case "classify" `Quick test_classify;
@@ -320,4 +428,8 @@ let suite =
     Alcotest.test_case "dedup expressions marked consistent" `Quick
       test_dedup_expression_is_consistent_status;
     Alcotest.test_case "groups validation" `Quick test_groups_validation;
+    Alcotest.test_case "replicates reuse the pool" `Quick test_pool_reuse;
+    Alcotest.test_case "census sample ids survive the pool" `Quick
+      test_census_sample_ids_survive;
+    Alcotest.test_case "pool beside a concurrent taker" `Quick test_pool_domains;
   ]

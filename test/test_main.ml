@@ -9,6 +9,7 @@ let () =
       ("tuple", Test_tuple.suite);
       ("relation", Test_relation.suite);
       ("columnar", Test_columnar.suite);
+      ("scratch", Test_scratch.suite);
       ("predicate", Test_predicate.suite);
       ("expr", Test_expr.suite);
       ("eval", Test_eval.suite);

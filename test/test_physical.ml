@@ -572,6 +572,56 @@ let prop_key_table =
           sample_catalog ~viewed:false ~seed catalog;
         ])
 
+(* Counts whose selection buffers and key tables come from the pool,
+   over samples of [pool_catalog] read in place: repeated in one
+   domain, after the other shapes have left their arrays in the pool,
+   dirty, each gives the count and counters of a run on a fresh domain
+   over a cold pool, and the samples' ids (read by the scans, never
+   handed to the pool) come out as they went in. *)
+let test_pool_reuse () =
+  let base = Lazy.force pool_catalog in
+  let g = rng ~seed:77 () in
+  let sample name n =
+    let r = Catalog.find base name in
+    let ids = Sampling.Srs.indices_without_replacement g ~n ~universe:(Relation.cardinality r) in
+    (name, Relation.sample r ids, ids)
+  in
+  let samples =
+    [ sample "r" 1_000; sample "s" 600; sample "t" 400; sample "w" 1_000 ]
+    @ [ (let _, r2, ids = sample "r" 1_000 in ("r2", r2, ids)) ]
+  in
+  let kept = List.map (fun (_, _, ids) -> Array.copy ids) samples in
+  let catalog = Catalog.of_list (List.map (fun (name, r, _) -> (name, r)) samples) in
+  let lt a k = P.lt (P.attr a) (P.vint k) in
+  let shapes =
+    [
+      (* a self-join of two same-size samples, a selection on each side *)
+      Expr.equijoin [ ("a", "a2") ]
+        (Expr.select (lt "b" 50) (Expr.base "r"))
+        (Expr.select (lt "b2" 70) (Expr.rename [ ("a", "a2"); ("b", "b2") ] (Expr.base "r2")));
+      (* a join under a join *)
+      Expr.equijoin [ ("d", "e") ]
+        (Expr.equijoin [ ("a", "c") ] (Expr.select (lt "b" 60) (Expr.base "r")) (Expr.base "s"))
+        (Expr.select (lt "f" 30) (Expr.base "t"));
+      (* open-addressing keys *)
+      Expr.equijoin [ ("a", "g") ] (Expr.select (lt "b" 80) (Expr.base "r")) (Expr.base "w");
+    ]
+  in
+  let run e () =
+    let m = Obs.Metrics.create () in
+    let count = Physical.count_expr ~metrics:m catalog e in
+    (count, Obs.Metrics.counters (Obs.Metrics.snapshot m))
+  in
+  let cold = List.map (fun e -> cold_run (run e)) shapes in
+  for _ = 1 to 3 do
+    List.iter2
+      (fun e expected -> Alcotest.(check bool) (Expr.to_string e) true (run e () = expected))
+      shapes cold
+  done;
+  List.iter2
+    (fun (name, _, ids) copy -> Alcotest.(check bool) (name ^ " ids") true (ids = copy))
+    samples kept
+
 let suite =
   [
     Alcotest.test_case "agrees with Eval" `Quick test_agrees_with_eval;
@@ -585,4 +635,5 @@ let suite =
     Alcotest.test_case "root join probes a stacked selection vector" `Quick
       test_vector_probe;
     prop_key_table;
+    Alcotest.test_case "pooled arrays reused" `Quick test_pool_reuse;
   ]

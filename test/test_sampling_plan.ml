@@ -25,7 +25,7 @@ let test_self_join_gets_two_independent_leaves () =
   let aliases = List.map (fun l -> l.Plan.alias) plan.Plan.leaves in
   Alcotest.(check (list string)) "distinct aliases" [ "r#0"; "r#1" ] aliases;
   let rng_ = rng () in
-  let sampled, total = Plan.draw rng_ c plan in
+  let sampled, total, _ = Plan.draw rng_ c plan in
   Alcotest.(check int) "both samples drawn" 40 total;
   let s0 = Catalog.find sampled "r#0" and s1 = Catalog.find sampled "r#1" in
   (* Two independent 20-tuple draws from 100 values almost surely
@@ -40,7 +40,7 @@ let test_draw_sizes () =
   let c = catalog () in
   let e = Expr.base "r" in
   let plan = Plan.make c ~fraction:0.07 e in
-  let sampled, total = Plan.draw (rng ()) c plan in
+  let sampled, total, _ = Plan.draw (rng ()) c plan in
   Alcotest.(check int) "total" 7 total;
   Alcotest.(check int) "leaf size" 7 (Relation.cardinality (Catalog.find sampled "r#0"))
 
@@ -48,7 +48,7 @@ let test_rewritten_expression_evaluates () =
   let c = catalog () in
   let e = Expr.select (Predicate.le (Predicate.attr "a") (Predicate.vint 49)) (Expr.base "r") in
   let plan = Plan.make c ~fraction:1.0 e in
-  let sampled, _ = Plan.draw (rng ()) c plan in
+  let sampled, _, _ = Plan.draw (rng ()) c plan in
   Alcotest.(check int) "full fraction count" 50 (Eval.count sampled plan.Plan.expr)
 
 let test_custom_modes () =
@@ -100,7 +100,7 @@ let test_empty_relation_is_census_of_nothing () =
     check_float "leaf scale" 1. (Plan.leaf_scale leaf)
   | _ -> Alcotest.fail "expected one leaf");
   check_float "plan scale" 1. plan.Plan.scale;
-  let sampled, total = Plan.draw (rng ()) c plan in
+  let sampled, total, _ = Plan.draw (rng ()) c plan in
   Alcotest.(check int) "nothing drawn" 0 total;
   Alcotest.(check int) "empty sample bound" 0
     (Relation.cardinality (Catalog.find sampled "e#0"));

@@ -2,7 +2,6 @@ open Helpers
 module Dist = Workload.Dist
 module Generator = Workload.Generator
 module Correlated = Workload.Correlated
-module Queries = Workload.Queries
 module Tpc = Workload.Tpc_mini
 
 let test_zipf_probabilities () =
@@ -185,23 +184,6 @@ let test_correlation_names () =
   Alcotest.(check string) "weak" "weak-positive(0.1)"
     (Correlated.correlation_to_string (Correlated.Weak_positive 0.1))
 
-let test_queries_selectivity () =
-  let rng_ = rng ~seed:62 () in
-  let r =
-    Generator.int_relation rng_ ~n:20_000 ~attribute:"a" (Dist.Uniform { lo = 0; hi = 999 })
-  in
-  let c = Catalog.of_list [ ("r", r) ] in
-  let p = Queries.range_for_selectivity ~lo:0 ~hi:999 ~selectivity:0.25 "a" in
-  let hits = Eval.count c (Expr.select p (Expr.base "r")) in
-  check_close ~tol:0.05 "selectivity" 5000. (float_of_int hits)
-
-let test_queries_chain_join_validation () =
-  Alcotest.(check bool) "arity mismatch" true
-    (try
-       ignore (Queries.chain_join ~relations:[ "a"; "b" ] ~on:[]);
-       false
-     with Invalid_argument _ -> true)
-
 let test_tpc_catalog () =
   let c = Tpc.catalog (rng ()) ~sizes:{ Tpc.suppliers = 100; parts = 200; orders = 2_000 } () in
   Alcotest.(check int) "suppliers" 100 (Relation.cardinality (Catalog.find c "suppliers"));
@@ -240,8 +222,6 @@ let suite =
       test_correlated_positive_vs_negative_join_sizes;
     Alcotest.test_case "correlated values in domain" `Quick test_correlated_values_in_domain;
     Alcotest.test_case "correlation names" `Quick test_correlation_names;
-    Alcotest.test_case "selectivity templates" `Quick test_queries_selectivity;
-    Alcotest.test_case "chain join validation" `Quick test_queries_chain_join_validation;
     Alcotest.test_case "tpc catalog" `Quick test_tpc_catalog;
     Alcotest.test_case "tpc filtered chain" `Quick test_tpc_filtered_chain;
   ]
